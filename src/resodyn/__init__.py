@@ -36,7 +36,7 @@ from .semiflow import (AprioriBounds, BlowupReport, BoundReport, HomotopyBox,
                        IntegratorSettings, Trajectory, apriori_bounds,
                        blowup_demo, check_bounded_solution, homotopy_field,
                        integrate, product_flow_check, sample_states_in_box)
-from .spectral import (Domain1D, EigenPair, GalerkinState, ProblemConfig,
+from .spectral import (Domain1D, GalerkinState, ProblemConfig,
                        SpectralBasis, apply_A, build_basis, fractional_norm,
                        semigroup_apply)
 

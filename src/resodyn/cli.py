@@ -43,7 +43,7 @@ _STAGE_CHAIN = {
 
 
 def _stage_spectrum(exp: ExperimentConfig, ctx: dict) -> dict:
-    rows = [{"j": p.index, "mu": p.value} for p in exp.basis.pairs]
+    rows = [{"j": j, "mu": mu} for j, mu in enumerate(exp.basis.mu.tolist(), start=1)]
     ctx["spectrum_csv"] = "j,mu\n" + "\n".join(
         f"{r['j']},{r['mu']:.17g}" for r in rows) + "\n"
     return {"J": exp.basis.J, "length": exp.basis.domain.length, "eigenvalues": rows}

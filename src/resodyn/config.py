@@ -37,6 +37,12 @@ def _parse_float_list(text) -> tuple[float, ...]:
     return tuple(float(v) for v in str(text).split(",") if str(v).strip())
 
 
+# a [run] value is parsed by the type of its default; keys match in any case,
+# since configparser lowercases them (T -> t, margin_R_grid -> margin_r_grid)
+_RUN_PARSERS = {tuple: _parse_float_list, int: int, float: float, str: str}
+_RUN_NAMES = {key.lower(): key for key in _RUN_DEFAULTS}
+
+
 def _resolve_lambda(tokens, basis: SpectralBasis) -> tuple[float, ...]:
     """Spectral shifts: float literals or eigenvalue references ``mu(j)``.
 
@@ -137,18 +143,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     run = dict(_RUN_DEFAULTS)
     for key, val in run_raw.items():
-        if key in ("s_grid", "eps_grid", "margin_R_grid"):
-            run[key] = _parse_float_list(val)
-        elif key in ("seeds", "seed", "margin_samples", "ll_samples"):
-            run[key] = int(val)
-        elif key in ("dt", "T", "t"):
-            run["T" if key in ("T", "t") else key] = float(val)
-        elif key == "scheme":
-            run[key] = str(val)
-        elif key == "out":
-            run[key] = str(val)
-        else:
-            run[key] = val
+        name = _RUN_NAMES.get(key.lower())
+        if name is None:
+            raise ConfigurationError(
+                f"unknown [run] key {key!r}; valid keys (in any case): "
+                f"{', '.join(_RUN_DEFAULTS)}")
+        run[name] = _RUN_PARSERS[type(_RUN_DEFAULTS[name])](val)
     for s in run["s_grid"]:
         if not (0.0 <= s <= 1.0):
             raise ConfigurationError(f"s_grid values must lie in [0, 1], got {s}")

@@ -15,7 +15,7 @@ log = logging.getLogger(__name__)
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, GradientStructureError
 from .fields import NonlinearField, galerkin_F
-from .semiflow import IntegratorSettings, Trajectory, _etd_factors
+from .semiflow import IntegratorSettings, Trajectory, _assemble, _march
 from .spectral import GalerkinState, ProblemConfig, SpectralBasis
 
 __all__ = [
@@ -301,9 +301,10 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
                      equilibria: Sequence[Equilibrium],
                      settle_tol: float = 1e-4, dwell: float = 1.0,
                      direction_tol: float = 1e-6):
-    """Integrate from source + eps * direction until the state dwells within
-    ``settle_tol`` of some other equilibrium for at least ``dwell`` time
-    units, or the horizon runs out.
+    """Integrate from source + eps * direction, with the step of
+    ``settings.scheme``, until the state dwells within ``settle_tol`` of
+    some other equilibrium for at least ``dwell`` time units, or the
+    horizon runs out.
 
     ``direction`` must be a unit eigenvector of the discrete linearization at
     the source with negative eigenvalue (an unstable direction of the
@@ -322,41 +323,35 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
         return ShootMiss(reason="not-unstable", closest_distance=float("inf"),
                          closest_target=None, trajectory=None)
 
-    E, P = _etd_factors(basis, config, settings.dt)
-    dt = settings.dt
-    nsteps = int(round(settings.T / dt))
     c = source.state.coeffs + eps * d
     targets = list(equilibria)
     # never settle back onto the source itself
     source_like = [np.sqrt(np.sum((eq.state.coeffs - source.state.coeffs) ** 2)) <= settle_tol
                    for eq in targets]
     has_energy = field.potential is not None
-    times = [0.0]
-    coeffs = [c.copy()]
+    times, coeffs = [0.0], [c]
     energies = [liapunov_energy(field, basis, config, GalerkinState(c))] if has_energy else None
     inside_since = None
     inside_target = None
     closest = float("inf")
     closest_target = None
 
+    def rhs(c):
+        return galerkin_F(field, basis, GalerkinState._trusted(c)).coeffs
+
+    def record(t, c):
+        times.append(t)
+        coeffs.append(c)
+        if has_energy:
+            energies.append(liapunov_energy(field, basis, config, GalerkinState._trusted(c)))
+
     diverged = False
-    for n in range(nsteps):
-        F = galerkin_F(field, basis, GalerkinState(c)).coeffs
-        c = E * c + dt * P * F
-        t = (n + 1) * dt
-        if np.sqrt(np.sum(c ** 2)) > settings.divergence_threshold:
-            diverged = True
-            times.append(t)
-            coeffs.append(c.copy())
-            if has_energy:
-                energies.append(liapunov_energy(field, basis, config, GalerkinState(c)))
+    for n, t, c, diverged in _march(rhs, basis, config, settings, c):
+        stored = diverged or n % settings.store_every == 0 or n == settings.nsteps
+        if stored:
+            record(t, c)
+        if diverged:
             break
-        record = (n + 1) % settings.store_every == 0 or n + 1 == nsteps
-        if record:
-            times.append(t)
-            coeffs.append(c.copy())
-            if has_energy:
-                energies.append(liapunov_energy(field, basis, config, GalerkinState(c)))
         dists = [float(np.sqrt(np.sum((c - eq.state.coeffs) ** 2))) for eq in targets]
         best = None
         for i, dist in enumerate(dists):
@@ -370,12 +365,9 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
         if best is not None:
             if inside_target == best and inside_since is not None:
                 if t - inside_since >= dwell:
-                    if not record:
-                        times.append(t)
-                        coeffs.append(c.copy())
-                        if has_energy:
-                            energies.append(liapunov_energy(field, basis, config, GalerkinState(c)))
-                    traj = _make_traj(basis, split, config, times, coeffs, diverged=False)
+                    if not stored:
+                        record(t, c)
+                    traj = _assemble(basis, split, config, times, coeffs, 1.0, diverged=False)
                     return ConnectionRecord(
                         source=source, target=targets[best], trajectory=traj,
                         terminal_distance=float(dists[best]),
@@ -386,12 +378,7 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
         else:
             inside_target = None
             inside_since = None
-    traj = _make_traj(basis, split, config, times, coeffs, diverged=diverged)
+    traj = _assemble(basis, split, config, times, coeffs, 1.0, diverged=diverged)
     return ShootMiss(reason="divergent" if diverged else "horizon",
                      closest_distance=closest, closest_target=closest_target,
                      trajectory=traj)
-
-
-def _make_traj(basis, split, config, times, coeffs, diverged):
-    from .semiflow import _assemble
-    return _assemble(basis, split, config, times, coeffs, s=1.0, diverged=diverged)

@@ -3,7 +3,9 @@ X-, X+, with the associated projections and integer counts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -12,13 +14,25 @@ from .spectral import GalerkinState, ProblemConfig, SpectralBasis
 
 __all__ = ["SplitIndexSet", "CountVector", "classify", "counts", "project", "mode_mask"]
 
-PROJECTIONS = ("P1", "P2", "Qminus", "Qplus", "Q0")
+# mode classes stored in SplitIndexSet.labels
+N1, N2, MINUS, PLUS = range(4)
+# projection name -> the mode classes it keeps
+_PROJECTION_CLASSES = {"P1": (N1,), "P2": (N2,), "Qminus": (MINUS,), "Qplus": (PLUS,),
+                       "Q0": (N1, N2)}
+PROJECTIONS = tuple(_PROJECTION_CLASSES)
 
 
-@dataclass(frozen=True)
+def _mode_set(mask: np.ndarray) -> frozenset:
+    return frozenset((int(k) + 1, int(j) + 1) for k, j in np.argwhere(mask))
+
+
+@dataclass(frozen=True, eq=False)
 class SplitIndexSet:
     """Partition of {1..m} x {1..J} into kernel, negative and positive modes.
 
+    ``labels`` is the read-only (m, J) array of mode classes N1, N2, MINUS,
+    PLUS; ``masks`` maps every name in PROJECTIONS to its read-only boolean
+    (m, J) mask, built once from the labels.
     ``gap`` is the smallest |mu_j - lambda_k| over the nonkernel modes, the
     spectral-gap constant used by the a priori bounds.
     ``nonresonant_components`` lists components whose shift matched no
@@ -26,22 +40,36 @@ class SplitIndexSet:
     assumption fails there).
     """
 
-    n1_modes: frozenset
-    n2_modes: frozenset
-    minus_modes: frozenset
-    plus_modes: frozenset
+    labels: np.ndarray
     resonance_tolerance: float
-    m: int
-    J: int
     gap: float
     nonresonant_components: tuple[int, ...] = ()
+    masks: Mapping[str, np.ndarray] = field(init=False, repr=False)
 
-    def kernel_modes(self) -> frozenset:
-        return self.n1_modes | self.n2_modes
+    def __post_init__(self):
+        labels = np.array(self.labels, dtype=np.int8)
+        labels.flags.writeable = False
+        masks = {}
+        for name, classes in _PROJECTION_CLASSES.items():
+            mask = np.isin(labels, classes)
+            mask.flags.writeable = False
+            masks[name] = mask
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "masks", MappingProxyType(masks))
 
-    def kernel_dim(self, component: int) -> int:
-        """dim Ker(lambda_k I - A_k) within the truncation."""
-        return sum(1 for (k, _) in self.kernel_modes() if k == component)
+    @property
+    def m(self) -> int:
+        return self.labels.shape[0]
+
+    @property
+    def J(self) -> int:
+        return self.labels.shape[1]
+
+    # the mode sets as frozensets of 1-based (k, j) pairs, for reports
+    n1_modes = property(lambda self: _mode_set(self.masks["P1"]))
+    n2_modes = property(lambda self: _mode_set(self.masks["P2"]))
+    minus_modes = property(lambda self: _mode_set(self.masks["Qminus"]))
+    plus_modes = property(lambda self: _mode_set(self.masks["Qplus"]))
 
 
 @dataclass(frozen=True)
@@ -62,7 +90,7 @@ def classify(basis: SpectralBasis, config: ProblemConfig,
     """
     mu = basis.mu
     lam = config.lam_array()
-    n1, n2, minus, plus = set(), set(), set(), set()
+    labels = np.empty((config.m, basis.J), dtype=np.int8)
     nonres = []
     gap = np.inf
     for k in range(1, config.m + 1):
@@ -73,55 +101,39 @@ def classify(basis: SpectralBasis, config: ProblemConfig,
                 f"lambda_{k}={lk:.6g} is not below mu_J={mu[-1]:.6g}; "
                 "the negative spectral count would be under-counted at this truncation"
             )
-        resonant = False
-        for j in range(1, basis.J + 1):
-            d = mu[j - 1] - lk
-            scale = max(1.0, abs(mu[j - 1]), abs(lk))
-            if abs(d) <= tol * scale:
-                (n1 if k <= config.l else n2).add((k, j))
-                resonant = True
-            elif abs(d) < 10 * tol * scale:
-                raise AmbiguousResonanceError(
-                    f"lambda_{k}={lk!r} lies within ({tol:g}, {10 * tol:g}) relative "
-                    f"distance of mu_{j}={mu[j - 1]!r}; adjust the kernel tolerance"
-                )
-            elif d < 0:
-                minus.add((k, j))
-                gap = min(gap, abs(d))
-            else:
-                plus.add((k, j))
-                gap = min(gap, abs(d))
-        if not resonant:
+        d = mu - lk
+        scale = np.maximum(np.maximum(1.0, np.abs(mu)), abs(lk))
+        kernel = np.abs(d) <= tol * scale
+        ambiguous = ~kernel & (np.abs(d) < 10 * tol * scale)
+        if ambiguous.any():
+            j = int(np.argmax(ambiguous)) + 1
+            raise AmbiguousResonanceError(
+                f"lambda_{k}={lk!r} lies within ({tol:g}, {10 * tol:g}) relative "
+                f"distance of mu_{j}={mu[j - 1]!r}; adjust the kernel tolerance"
+            )
+        labels[k - 1] = np.where(kernel, N1 if k <= config.l else N2,
+                                 np.where(d < 0, MINUS, PLUS))
+        if not kernel.all():
+            gap = min(gap, np.min(np.abs(d[~kernel])))
+        if not kernel.any():
             nonres.append(k)
-    return SplitIndexSet(
-        n1_modes=frozenset(n1), n2_modes=frozenset(n2),
-        minus_modes=frozenset(minus), plus_modes=frozenset(plus),
-        resonance_tolerance=tol, m=config.m, J=basis.J,
-        gap=float(gap), nonresonant_components=tuple(nonres),
-    )
+    return SplitIndexSet(labels=labels, resonance_tolerance=tol, gap=float(gap),
+                         nonresonant_components=tuple(nonres))
 
 
 def counts(split: SplitIndexSet) -> CountVector:
     """Integer counts (d_inf, n1, n2) = (|X- modes|, |N1 modes|, |N2 modes|)."""
-    return CountVector(d_inf=len(split.minus_modes), n1=len(split.n1_modes),
-                       n2=len(split.n2_modes))
+    return CountVector(*(int(np.count_nonzero(split.masks[name]))
+                         for name in ("Qminus", "P1", "P2")))
 
 
 def mode_mask(split: SplitIndexSet, component: str) -> np.ndarray:
-    """Boolean (m, J) mask selecting the modes of one projection."""
-    if component not in PROJECTIONS:
-        raise ConfigurationError(f"unknown projection {component!r}; expected one of {PROJECTIONS}")
-    sets = {
-        "P1": split.n1_modes,
-        "P2": split.n2_modes,
-        "Qminus": split.minus_modes,
-        "Qplus": split.plus_modes,
-    }
-    mask = np.zeros((split.m, split.J), dtype=bool)
-    selected = (split.n1_modes | split.n2_modes) if component == "Q0" else sets[component]
-    for (k, j) in selected:
-        mask[k - 1, j - 1] = True
-    return mask
+    """Read-only boolean (m, J) mask selecting the modes of one projection."""
+    try:
+        return split.masks[component]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown projection {component!r}; expected one of {PROJECTIONS}") from None
 
 
 def project(split: SplitIndexSet, component: str, u: GalerkinState) -> GalerkinState:
@@ -131,4 +143,4 @@ def project(split: SplitIndexSet, component: str, u: GalerkinState) -> GalerkinS
         raise ConfigurationError(
             f"state shape {u.coeffs.shape} inconsistent with split shape {mask.shape}"
         )
-    return GalerkinState(np.where(mask, u.coeffs, 0.0))
+    return GalerkinState._trusted(np.where(mask, u.coeffs, 0.0))

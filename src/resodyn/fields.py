@@ -21,7 +21,6 @@ __all__ = [
     "check_bounded",
     "check_sign_condition",
     "verify_limits",
-    "estimate_lipschitz",
     "make_field",
     "arctan_field",
     "scaled_arctan_field",
@@ -123,7 +122,7 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
         raise EvaluationError(
             f"non-finite field value in component {k + 1} at node x={basis.x[i]:.6g}"
         )
-    return GalerkinState(basis.project(fv))
+    return GalerkinState._trusted(basis.project(fv))
 
 
 def _eval_on_grid(field: NonlinearField, grid: SampleGrid):
@@ -252,28 +251,6 @@ def verify_limits(field: NonlinearField, k: int, s_values=None,
         detail=f"component {k}: sup deviation {final:.3e} at s={s_values[-1]:.3g} "
                f"(checked on {grid.u_draws.shape[0]} samples only)",
     )
-
-
-def estimate_lipschitz(field: NonlinearField, radius: float, basis: SpectralBasis,
-                       pairs: int = 200, seed: int = 0) -> float:
-    """Empirical local Lipschitz constant over paired samples within the radius."""
-    rng = np.random.default_rng(seed)
-    m = field.m
-    x = basis.x
-    n = x.size
-    worst = 0.0
-    for _ in range(pairs):
-        u1 = rng.uniform(-radius, radius, size=m)
-        du1 = rng.uniform(-radius, radius, size=m)
-        u2 = u1 + rng.uniform(-1e-3, 1e-3, size=m) * radius
-        du2 = du1 + rng.uniform(-1e-3, 1e-3, size=m) * radius
-        denom = np.linalg.norm(u1 - u2) + np.linalg.norm(du1 - du2)
-        if denom == 0:
-            continue
-        f1 = np.asarray(field.eval(x, np.repeat(u1[:, None], n, 1), np.repeat(du1[:, None], n, 1)))
-        f2 = np.asarray(field.eval(x, np.repeat(u2[:, None], n, 1), np.repeat(du2[:, None], n, 1)))
-        worst = max(worst, float(np.max(np.linalg.norm(f1 - f2, axis=0)) / denom))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from scipy.stats import qmc
 
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, HypothesisError
-from .fields import NonlinearField
-from .spectral import GalerkinState, ProblemConfig, SpectralBasis
+from .fields import NonlinearField, galerkin_F
+from .spectral import GalerkinState, ProblemConfig, SpectralBasis, fractional_weights
 
 __all__ = [
     "DegreeSets",
@@ -82,25 +82,30 @@ def degree_sets(config: ProblemConfig) -> DegreeSets:
     return DegreeSets(sigma_check1=s1, J1=J1, sigma_check2=s2, J2=J2)
 
 
-def block_modes(split: SplitIndexSet, which: int) -> tuple[tuple[int, int], ...]:
-    """Kernel modes of block 1 (components <= l) or 2, in deterministic order."""
+def _block_mask(split: SplitIndexSet, which: int) -> np.ndarray:
     if which not in (1, 2):
         raise ConfigurationError(f"which must be 1 or 2, got {which}")
-    modes = split.n1_modes if which == 1 else split.n2_modes
-    return tuple(sorted(modes))
+    return split.masks["P1" if which == 1 else "P2"]
+
+
+def block_modes(split: SplitIndexSet, which: int) -> tuple[tuple[int, int], ...]:
+    """Kernel modes of block 1 (components <= l) or 2, in deterministic order."""
+    return tuple((int(k) + 1, int(j) + 1) for k, j in np.argwhere(_block_mask(split, which)))
 
 
 def kernel_state(split: SplitIndexSet, which: int, direction: Sequence[float]) -> GalerkinState:
-    """Kernel-block coefficient vector -> GalerkinState (zeros elsewhere)."""
-    modes = block_modes(split, which)
+    """Kernel-block coefficient vector -> GalerkinState (zeros elsewhere).
+
+    The entries follow the order of ``block_modes``."""
+    mask = _block_mask(split, which)
     direction = np.asarray(direction, dtype=float)
-    if direction.shape != (len(modes),):
+    dim = int(np.count_nonzero(mask))
+    if direction.shape != (dim,):
         raise ConfigurationError(
-            f"direction must have {len(modes)} entries for block {which}, got {direction.shape}"
+            f"direction must have {dim} entries for block {which}, got {direction.shape}"
         )
     c = np.zeros((split.m, split.J))
-    for val, (k, j) in zip(direction, modes):
-        c[k - 1, j - 1] = val
+    c[mask] = direction
     return GalerkinState(c)
 
 
@@ -303,9 +308,6 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     +-<F(u+v+w), u>_which over the samples.  A positive margin at and beyond
     some radius supports the guiding estimate behind the a priori bounds.
     """
-    from .fields import galerkin_F
-    from .spectral import fractional_weights
-
     if sign not in ("+", "-"):
         raise ConfigurationError(f"sign must be '+' or '-', got {sign!r}")
     sgn = 1.0 if sign == "+" else -1.0
@@ -314,7 +316,8 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     other = block_modes(split, 2 if which == 1 else 1)
     if not main:
         raise ConfigurationError(f"kernel block {which} is trivial")
-    out_modes = sorted(split.minus_modes | split.plus_modes)
+    out_mask = ~split.masks["Q0"]
+    n_out = int(np.count_nonzero(out_mask))
     weights = fractional_weights(basis, config) ** config.alpha
     rows = []
     for R in R_grid:
@@ -330,10 +333,9 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
             else:
                 v = GalerkinState.zeros(split.m, split.J)
             w = GalerkinState.zeros(split.m, split.J)
-            if out_modes:
+            if n_out:
                 raw = np.zeros((split.m, split.J))
-                for (k, j) in out_modes:
-                    raw[k - 1, j - 1] = rng.normal()
+                raw[out_mask] = rng.normal(size=n_out)
                 frac = np.sqrt(np.sum((weights * raw) ** 2))
                 if frac > 0:
                     raw *= W_radius * rng.uniform() / frac

@@ -6,15 +6,15 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .decomposition import SplitIndexSet, mode_mask
-from .errors import ConfigurationError, DivergenceSignal
+from .decomposition import SplitIndexSet
+from .errors import ConfigurationError, DivergenceSignal, UnboundedModeError
 from .fields import NonlinearField, galerkin_F
-from .spectral import (GalerkinState, ProblemConfig, SpectralBasis,
+from .spectral import (OVERFLOW_EXPONENT, GalerkinState, ProblemConfig, SpectralBasis,
                        fractional_weights, semigroup_apply)
 
 __all__ = [
@@ -47,7 +47,9 @@ class IntegratorSettings:
 
     ETD1 is exact on the diagonal linear part, so its step size is limited by
     accuracy only; the IMEX-Euler alternative must satisfy
-    dt <= 0.25 / max|mu_J - lambda_k| (checked at integration time).
+    dt <= 0.25 / max|mu_J - lambda_k| (checked at integration time).  The
+    horizon T must be a whole multiple of dt (to a relative 1e-9): no step
+    is partial, and no horizon is silently shortened.
     """
 
     dt: float
@@ -58,14 +60,23 @@ class IntegratorSettings:
     divergence_threshold: float = 1e8
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T <= 0:
-            raise ConfigurationError("dt and T must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.T < np.inf):
+            raise ConfigurationError("dt and T must be positive and finite")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.tol_drift <= 0:
             raise ConfigurationError("tol_drift must be positive")
         if self.store_every < 1:
             raise ConfigurationError("store_every must be >= 1")
+        steps = self.T / self.dt
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigurationError(
+                f"T={self.T!r} must be a whole positive multiple of dt={self.dt!r} "
+                f"(T/dt = {steps!r})")
+
+    @property
+    def nsteps(self) -> int:
+        return int(round(self.T / self.dt))
 
 
 @dataclass(frozen=True)
@@ -121,10 +132,10 @@ def trajectory_norms(basis: SpectralBasis, split: SplitIndexSet, config: Problem
     sq = coeffs ** 2
     l2 = np.sqrt(np.sum(sq))
     frac = np.sqrt(np.sum((weights * coeffs) ** 2))
-    p1 = np.sqrt(np.sum(sq[mode_mask(split, "P1")]))
-    p2 = np.sqrt(np.sum(sq[mode_mask(split, "P2")]))
-    qm = np.sqrt(np.sum(((weights * coeffs) ** 2)[mode_mask(split, "Qminus")]))
-    qp = np.sqrt(np.sum(((weights * coeffs) ** 2)[mode_mask(split, "Qplus")]))
+    p1 = np.sqrt(np.sum(sq[split.masks["P1"]]))
+    p2 = np.sqrt(np.sum(sq[split.masks["P2"]]))
+    qm = np.sqrt(np.sum(((weights * coeffs) ** 2)[split.masks["Qminus"]]))
+    qp = np.sqrt(np.sum(((weights * coeffs) ** 2)[split.masks["Qplus"]]))
     return np.array([l2, frac, p1, p2, qm, qp])
 
 
@@ -140,19 +151,22 @@ def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitInde
         raise ConfigurationError(f"s must lie in [0, 1], got {s}")
     if s == 1.0:
         return galerkin_F(field, basis, u)
-    q0 = mode_mask(split, "Q0")
-    out_mask = mode_mask(split, "Qminus") | mode_mask(split, "Qplus")
+    q0 = split.masks["Q0"]  # its complement is X- + X+
     inner = np.where(q0, u.coeffs, s * u.coeffs)
-    f_inner = galerkin_F(field, basis, GalerkinState(inner)).coeffs
+    f_inner = galerkin_F(field, basis, GalerkinState._trusted(inner)).coeffs
     H = np.where(q0, f_inner, 0.0)
     if s != 0.0:
         f_full = galerkin_F(field, basis, u).coeffs
-        H = H + np.where(out_mask, s * f_full, 0.0)
-    return GalerkinState(H)
+        H = H + np.where(q0, 0.0, s * f_full)
+    return GalerkinState._trusted(H)
 
 
 def _etd_factors(basis: SpectralBasis, config: ProblemConfig, dt: float):
     z = dt * (basis.mu[None, :] - config.lam_array()[:, None])
+    # e^{-z} overflows on strongly growing modes; name the worst one
+    if np.max(-z) > OVERFLOW_EXPONENT:
+        k, j = np.unravel_index(int(np.argmin(z)), z.shape)
+        raise UnboundedModeError(k + 1, j + 1, float(-z[k, j]))
     E = np.exp(-z)
     # phi1(z) = (1 - e^{-z})/z with the analytic limit 1 at z = 0; resonance
     # puts exact zeros on the diagonal, so the limit branch is load-bearing
@@ -161,48 +175,62 @@ def _etd_factors(basis: SpectralBasis, config: ProblemConfig, dt: float):
     return E, P
 
 
-def integrate(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
-              config: ProblemConfig, s: float, u0: GalerkinState,
-              settings: IntegratorSettings) -> Trajectory:
-    """March u' = -A u + H(s, u) from u0 over [0, T].
+def _march(rhs: Callable[[np.ndarray], np.ndarray], basis: SpectralBasis, config: ProblemConfig,
+           settings: IntegratorSettings, c: np.ndarray) -> Iterator[tuple]:
+    """The one time-stepping loop for u' = -A u + rhs(u), from c at t = 0.
 
-    ETD1: u_{n+1} = e^{-dt A} u_n + dt phi1(dt A) H(s, u_n), exact on the
-    linear part.  IMEX-Euler treats the linear part implicitly and H
-    explicitly.  Raises DivergenceSignal when the L2 norm passes the
-    divergence threshold; the partial trajectory rides on the signal.
+    ETD1: u_{n+1} = e^{-dt A} u_n + dt phi1(dt A) rhs(u_n), exact on the
+    linear part (Cox & Matthews, JCP 176, 2002); IMEX-Euler treats the
+    linear part implicitly.  Yields fresh ``(n, t, c, diverged)`` after
+    steps n = 1..nsteps and stops after a step whose L2 norm passes the
+    divergence threshold or is not finite.
     """
-    if u0.coeffs.shape != (config.m, basis.J):
-        raise ConfigurationError("initial state shape mismatch")
-    dt, T = settings.dt, settings.T
+    dt = settings.dt
     if settings.scheme == "IMEX-Euler":
-        zmax = float(np.max(np.abs(basis.mu[None, :] - config.lam_array()[:, None])))
-        if dt > 0.25 / zmax:
+        rates = basis.mu[None, :] - config.lam_array()[:, None]
+        limit = 0.25 / float(np.max(np.abs(rates)))
+        if dt > limit:
             raise ConfigurationError(
-                f"IMEX-Euler requires dt <= {0.25 / zmax:.3e} for this spectrum, got {dt}"
-            )
-        z = dt * (basis.mu[None, :] - config.lam_array()[:, None])
-        denom = 1.0 + z
+                f"IMEX-Euler requires dt <= {limit:.3e} for this spectrum, got {dt}")
+        denom = 1.0 + dt * rates
     else:
         E, P = _etd_factors(basis, config, dt)
-    nsteps = int(round(T / dt))
-    c = u0.coeffs.copy()
-    times = [0.0]
-    coeffs = [c.copy()]
-    for n in range(nsteps):
-        H = homotopy_field(field, basis, split, s, GalerkinState(c)).coeffs
+    threshold = settings.divergence_threshold
+    for n in range(settings.nsteps):
+        H = rhs(c)
         if settings.scheme == "ETD1":
             c = E * c + dt * P * H
         else:
             c = (c + dt * H) / denom
-        t = (n + 1) * dt
-        if np.sqrt(np.sum(c ** 2)) > settings.divergence_threshold:
+        diverged = not (np.sqrt(np.sum(c ** 2)) <= threshold)
+        yield n + 1, (n + 1) * dt, c, diverged
+        if diverged:
+            return
+
+
+def integrate(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
+              config: ProblemConfig, s: float, u0: GalerkinState,
+              settings: IntegratorSettings) -> Trajectory:
+    """March u' = -A u + H(s, u) from u0 over [0, T] with the ETD1 or
+    IMEX-Euler step of ``settings.scheme``.
+
+    Raises DivergenceSignal when the L2 norm passes the divergence threshold
+    or stops being finite; the partial trajectory rides on the signal.
+    """
+    if u0.coeffs.shape != (config.m, basis.J):
+        raise ConfigurationError("initial state shape mismatch")
+
+    def rhs(c):
+        return homotopy_field(field, basis, split, s, GalerkinState._trusted(c)).coeffs
+
+    times, coeffs = [0.0], [u0.coeffs]
+    for n, t, c, diverged in _march(rhs, basis, config, settings, u0.coeffs):
+        if diverged or n % settings.store_every == 0 or n == settings.nsteps:
             times.append(t)
-            coeffs.append(c.copy())
+            coeffs.append(c)
+        if diverged:
             partial = _assemble(basis, split, config, times, coeffs, s, diverged=True)
             raise DivergenceSignal(exit_time=t, trajectory=partial)
-        if (n + 1) % settings.store_every == 0 or n + 1 == nsteps:
-            times.append(t)
-            coeffs.append(c.copy())
     return _assemble(basis, split, config, times, coeffs, s, diverged=False)
 
 
@@ -244,18 +272,12 @@ def blowup_demo(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfi
     no bounded full solution can exist; the report returns the fitted slope
     of every kernel coefficient (expected: the corresponding v0 coefficient).
     """
-    kmask = mode_mask(split, "Q0")
+    kmask = split.masks["Q0"]
     if np.any(v0.coeffs[~kmask] != 0.0):
         raise ConfigurationError("v0 must be supported on kernel modes only")
     if not np.any(v0.coeffs != 0.0):
         raise ConfigurationError("v0 must be nonzero")
-    if settings is None:
-        settings = IntegratorSettings(dt=1e-3, T=T)
-    else:
-        settings = IntegratorSettings(dt=settings.dt, T=T, scheme=settings.scheme,
-                                      tol_drift=settings.tol_drift,
-                                      store_every=settings.store_every,
-                                      divergence_threshold=settings.divergence_threshold)
+    settings = IntegratorSettings(dt=1e-3, T=T) if settings is None else replace(settings, T=T)
     vvals = basis.values(v0.coeffs)
     m = config.m
 
@@ -272,12 +294,12 @@ def blowup_demo(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfi
     traj = integrate(const_field, basis, split, config, 1.0, start, settings)
     slopes, expected = {}, {}
     max_res = 0.0
-    for (k, j) in sorted(split.kernel_modes()):
-        series = traj.coeffs[:, k - 1, j - 1]
+    for k, j in np.argwhere(kmask):
+        series = traj.coeffs[:, k, j]
         fit = np.polyfit(traj.times, series, 1)
         res = float(np.max(np.abs(series - np.polyval(fit, traj.times))))
-        slopes[(k, j)] = float(fit[0])
-        expected[(k, j)] = float(v0.coeffs[k - 1, j - 1])
+        slopes[(int(k) + 1, int(j) + 1)] = float(fit[0])
+        expected[(int(k) + 1, int(j) + 1)] = float(v0.coeffs[k, j])
         max_res = max(max_res, res)
     return traj, BlowupReport(
         slopes=slopes, expected=expected, max_residual=max_res,
@@ -319,8 +341,8 @@ def apriori_bounds(basis: SpectralBasis, split: SplitIndexSet, config: ProblemCo
     if not (c > 0):
         raise ConfigurationError("spectral gap must be positive; check the classification")
     weights = fractional_weights(basis, config) ** config.alpha
-    minus = mode_mask(split, "Qminus")
-    plus = mode_mask(split, "Qplus")
+    minus = split.masks["Qminus"]
+    plus = split.masks["Qplus"]
     C5 = 1.0
     C7 = float(np.max(weights[minus])) if minus.any() else 0.0
     nQm = 1.0 if minus.any() else 0.0
@@ -420,8 +442,8 @@ def sample_states_in_box(basis: SpectralBasis, split: SplitIndexSet,
     the boundary)."""
     rng = np.random.default_rng(seed)
     weights = fractional_weights(basis, config) ** config.alpha
-    masks = {name: mode_mask(split, name) for name in ("P1", "P2")}
-    out_mask = mode_mask(split, "Qminus") | mode_mask(split, "Qplus")
+    masks = split.masks
+    out_mask = ~masks["Q0"]  # X- + X+
     states = []
     for _ in range(count):
         c = np.zeros((config.m, basis.J))
@@ -456,18 +478,14 @@ def product_flow_check(field: NonlinearField, basis: SpectralBasis,
     and the linear semigroup on the complement; the full trajectory must
     agree with their superposition.
     """
-    settings = IntegratorSettings(dt=settings.dt, T=T, scheme=settings.scheme,
-                                  tol_drift=settings.tol_drift,
-                                  store_every=settings.store_every,
-                                  divergence_threshold=settings.divergence_threshold)
+    settings = replace(settings, T=T)
     full = integrate(field, basis, split, config, 0.0, u0, settings)
-    kmask = mode_mask(split, "Q0")
+    kmask = split.masks["Q0"]
     kc = np.where(kmask, u0.coeffs, 0.0)
     out0 = GalerkinState(np.where(kmask, 0.0, u0.coeffs))
-    nsteps = int(round(T / settings.dt))
     kernel_track = {0: kc.copy()}
     c = kc.copy()
-    for n in range(nsteps):
+    for n in range(settings.nsteps):
         fk = galerkin_F(field, basis, GalerkinState(c)).coeffs
         c = c + settings.dt * np.where(kmask, fk, 0.0)
         kernel_track[n + 1] = c.copy()

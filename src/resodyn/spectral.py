@@ -25,7 +25,6 @@ from .errors import ConfigurationError, HypothesisError, UnboundedModeError
 
 __all__ = [
     "Domain1D",
-    "EigenPair",
     "SpectralBasis",
     "ProblemConfig",
     "GalerkinState",
@@ -54,43 +53,29 @@ class Domain1D:
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    index: int
-    value: float
-    normalization: float
-
-
-@dataclass(frozen=True)
 class SpectralBasis:
     """First J Dirichlet eigenpairs with mirror-symmetric quadrature tables.
 
-    ``phi`` holds basis values on all nodes, shape (J, nq).  ``parity_sym``
-    marks modes that are symmetric about length/2 (odd j); the remaining
-    modes are antisymmetric.
+    ``mu`` holds the eigenvalues (J,) and ``phi`` the basis values on all
+    nodes, shape (J, nq).  ``parity_sym`` marks modes that are symmetric
+    about length/2 (odd j); the remaining modes are antisymmetric.  The
+    ``_*_fold`` tables (symmetric rows, antisymmetric rows, midpoint) are
+    split once, in the memory order of the products they feed: a contiguous
+    copy of the transposed ``project`` tables would change the last bit.
     """
 
     domain: Domain1D
-    pairs: tuple[EigenPair, ...]
     J: int
+    mu: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     dphi: np.ndarray = field(repr=False)
     parity_sym: np.ndarray = field(repr=False)
     _half: int = field(repr=False)
-    _phi_h: np.ndarray = field(repr=False)
-    _dphi_h: np.ndarray = field(repr=False)
-    _phi_mid: np.ndarray = field(repr=False)
-    _dphi_mid: np.ndarray = field(repr=False)
-
-    @property
-    def mu(self) -> np.ndarray:
-        """Eigenvalues (J,)."""
-        return np.array([p.value for p in self.pairs])
-
-    @property
-    def volume(self) -> float:
-        return self.domain.length
+    _phi_fold: tuple = field(repr=False)
+    _dphi_fold: tuple = field(repr=False)
+    _project_fold: tuple = field(repr=False)
 
     # -- nodal evaluation ---------------------------------------------------
 
@@ -100,20 +85,21 @@ class SpectralBasis:
         The second half of the nodes is filled by the parity fold, so states
         with pure parity produce exactly (anti)symmetric nodal data.
         """
-        return self._fold_values(coeffs, self._phi_h, self._phi_mid, flip=False)
+        return self._fold_values(coeffs, self._phi_fold, flip=False)
 
     def dvalues(self, coeffs: np.ndarray) -> np.ndarray:
         """Nodal values of the spatial derivative u_k', shape (m, nq).
 
         Differentiation swaps the mirror parity of every mode.
         """
-        return self._fold_values(coeffs, self._dphi_h, self._dphi_mid, flip=True)
+        return self._fold_values(coeffs, self._dphi_fold, flip=True)
 
-    def _fold_values(self, coeffs, table_h, table_mid, flip):
+    def _fold_values(self, coeffs, tables, flip):
+        table_s, table_a, table_mid = tables
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         sym = self.parity_sym
-        vs = coeffs[:, sym] @ table_h[sym]
-        va = coeffs[:, ~sym] @ table_h[~sym]
+        vs = coeffs[:, sym] @ table_s
+        va = coeffs[:, ~sym] @ table_a
         nq = self.x.size
         h = self._half
         out = np.empty((coeffs.shape[0], nq))
@@ -130,18 +116,18 @@ class SpectralBasis:
         Equivalent to ``(phi * w) @ f`` up to reassociation; the fold makes
         the parity cancellation happen elementwise, before any reduction.
         """
+        weighted_s, weighted_a, weighted_mid = self._project_fold
         fvals = np.atleast_2d(np.asarray(fvals, dtype=float))
         h = self._half
         nq = self.x.size
         sym = self.parity_sym
-        wh = self.w[:h]
         f1 = fvals[:, :h]
         f2 = fvals[:, nq - h:][:, ::-1]
         out = np.empty((fvals.shape[0], self.J))
-        out[:, sym] = (f1 + f2) @ (self._phi_h[sym] * wh).T
-        out[:, ~sym] = (f1 - f2) @ (self._phi_h[~sym] * wh).T
+        out[:, sym] = (f1 + f2) @ weighted_s
+        out[:, ~sym] = (f1 - f2) @ weighted_a
         if nq % 2:
-            out += np.outer(fvals[:, h], self.w[h] * self._phi_mid)
+            out += np.outer(fvals[:, h], weighted_mid)
         return out
 
     def gram(self) -> np.ndarray:
@@ -215,6 +201,15 @@ class GalerkinState:
         if not np.all(np.isfinite(c)):
             raise ConfigurationError("GalerkinState coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _trusted(cls, coeffs: np.ndarray) -> "GalerkinState":
+        """Wrap a 2-D float array that is finite by construction, skipping the
+        validation pass; for states derived inside the integrators and the
+        field evaluation from arrays that were already checked."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "coeffs", coeffs)
+        return state
 
     @property
     def m(self) -> int:
@@ -295,12 +290,15 @@ def build_basis(domain: Domain1D, J: int) -> SpectralBasis:
         phi[:, h] = phi_mid
         dphi[:, h] = dphi_mid
 
-    pairs = tuple(EigenPair(index=int(jj), value=float(m), normalization=float(norm))
-                  for jj, m in zip(j, mu))
+    mu.flags.writeable = False
+    sym, anti = parity_sym, ~parity_sym
+    weighted_h = phi_h * w[:h]
     return SpectralBasis(
-        domain=domain, pairs=pairs, J=J, x=x, w=w, phi=phi, dphi=dphi,
-        parity_sym=parity_sym, _half=h, _phi_h=phi_h, _dphi_h=dphi_h,
-        _phi_mid=phi_mid, _dphi_mid=dphi_mid,
+        domain=domain, J=J, mu=mu, x=x, w=w, phi=phi, dphi=dphi,
+        parity_sym=parity_sym, _half=h,
+        _phi_fold=(phi_h[sym], phi_h[anti], phi_mid),
+        _dphi_fold=(dphi_h[sym], dphi_h[anti], dphi_mid),
+        _project_fold=(weighted_h[sym].T, weighted_h[anti].T, w[h] * phi_mid),
     )
 
 

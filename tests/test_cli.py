@@ -7,6 +7,7 @@ import pytest
 import resodyn.cli as cli
 from resodyn.config import load_config
 from resodyn.errors import ConfigurationError
+from resodyn.semiflow import IntegratorSettings
 
 REPO = Path(__file__).resolve().parents[1]
 ARCTAN_CFG = REPO / "configs" / "arctan40_resonant.ini"
@@ -25,6 +26,53 @@ def test_load_config_json():
     exp = load_config(JSON_CFG)
     assert exp.problem.m == 2
     assert exp.problem.lam == (float(exp.basis.mu[0]),) * 2
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "configs").iterdir()), ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    exp = load_config(path)
+    run = exp.run
+    settings = IntegratorSettings(dt=run["dt"], T=run["T"], scheme=run["scheme"])
+    assert settings.nsteps * settings.dt == pytest.approx(run["T"], rel=1e-12)
+
+
+def test_ini_run_keys_match_in_any_case(tmp_path):
+    # configparser lowercases keys: margin_R_grid arrives as margin_r_grid
+    path = tmp_path / "grid.ini"
+    path.write_text(
+        "[domain]\nJ = 8\nquad_nodes = 32\n"
+        "[system]\nm = 1\nl = 1\nlambda = mu(1)\nsigma = 0\n"
+        "[field]\nname = arctan(40)\n"
+        "[run]\nT = 2\nmargin_R_grid = 5, 20\n")
+    run = load_config(path).run
+    assert run["T"] == 2.0
+    assert run["margin_R_grid"] == (5.0, 20.0)
+    assert "margin_r_grid" not in run
+
+
+def test_unknown_run_key_exit_code(tmp_path, capsys):
+    bad = tmp_path / "typo.ini"
+    bad.write_text(
+        "[domain]\nJ = 8\nquad_nodes = 32\n"
+        "[system]\nm = 1\nl = 1\nlambda = mu(1)\nsigma = 0\n"
+        "[field]\nname = arctan(40)\n"
+        "[run]\ntypo_key = 5\n")
+    assert cli.run_subcommand("index", bad, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "typo_key" in err and "margin_R_grid" in err
+
+
+def test_etd_overflow_exit_code(tmp_path, capsys):
+    path = tmp_path / "overflow.ini"
+    path.write_text(
+        "[domain]\nJ = 32\nquad_nodes = 80\n"
+        "[system]\nm = 1\nl = 1\nlambda = mu(30)\nsigma = 0\n"
+        "[field]\nname = arctan(40)\n"
+        "[run]\ndt = 0.1\nT = 1\ns_grid = 1\nseeds = 1\n"
+        "margin_R_grid = 5\nmargin_samples = 2\nll_samples = 4\n")
+    assert cli.run_subcommand("simulate", path, out_dir=tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "stage 'simulate'" in err and "(k=1, j=1)" in err
 
 
 def test_load_config_missing_file(tmp_path):

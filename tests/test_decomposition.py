@@ -145,3 +145,29 @@ def test_l_equals_m_gives_trivial_second_block(basis32):
     split = rd.classify(basis32, cfg)
     assert split.n2_modes == frozenset()
     assert not mode_mask(split, "P2").any()
+
+
+def test_masks_partition_the_grid(basis32):
+    cfg = rd.ProblemConfig(m=3, l=2, lam=(float(basis32.mu[0]), float(basis32.mu[2]),
+                                          float(basis32.mu[1])), sigma=(0.0, 0.0, 0.0))
+    split = rd.classify(basis32, cfg)
+    masks = {name: mode_mask(split, name) for name in ("P1", "P2", "Qminus", "Qplus", "Q0")}
+    disjoint = [masks[name] for name in ("P1", "P2", "Qminus", "Qplus")]
+    assert np.array_equal(sum(mk.astype(int) for mk in disjoint), np.ones((3, 32), dtype=int))
+    assert np.array_equal(masks["Q0"], masks["P1"] | masks["P2"])
+    as_sets = {"P1": split.n1_modes, "P2": split.n2_modes,
+               "Qminus": split.minus_modes, "Qplus": split.plus_modes}
+    for name, modes in as_sets.items():
+        assert modes == {(k + 1, j + 1) for k, j in zip(*np.nonzero(masks[name]))}
+        assert all(type(k) is int and type(j) is int for k, j in modes)
+    assert split.n1_modes == {(1, 1), (2, 3)}
+    assert split.n2_modes == {(3, 2)}
+    assert split.minus_modes == {(2, 1), (2, 2), (3, 1)}
+    assert rd.counts(split) == rd.CountVector(d_inf=3, n1=2, n2=1)
+
+
+def test_mode_mask_is_read_only(desk_split):
+    mask = mode_mask(desk_split, "Q0")
+    with pytest.raises(ValueError):
+        mask[0, 5] = True
+    assert mode_mask(desk_split, "Q0")[0].tolist() == [True] + [False] * 31

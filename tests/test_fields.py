@@ -5,7 +5,7 @@ import pytest
 
 import resodyn as rd
 from resodyn.errors import ConfigurationError, EvaluationError
-from resodyn.fields import SampleGrid, estimate_lipschitz
+from resodyn.fields import SampleGrid
 
 
 def _custom(m, fn, sigma=None, fp=None, fm=None, bound=None):
@@ -151,12 +151,6 @@ def test_bounded_field_projection_norm(basis32, desk_split, rng):
         u = rd.GalerkinState(rng.normal(size=(1, 32)))
         out = rd.galerkin_F(field, basis32, u)
         assert out.l2_norm() <= bound + 1e-12
-
-
-def test_lipschitz_estimate_finite(basis32):
-    field = rd.arctan_field(1, gain=40.0)
-    L = estimate_lipschitz(field, radius=5.0, basis=basis32, pairs=50)
-    assert 0 < L <= 41.0
 
 
 def test_catalogue_parsing(basis32):

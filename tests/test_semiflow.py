@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import resodyn as rd
-from resodyn.errors import ConfigurationError, DivergenceSignal
+from resodyn.errors import ConfigurationError, DivergenceSignal, UnboundedModeError
 
 
 def _zero_field(m=1):
@@ -80,6 +80,51 @@ def test_integrate_divergence_signal(basis32):
     assert err.value.trajectory.diverged
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_state_counts_as_divergence(basis32, desk_problem, desk_split):
+    # finite nodal values whose projection overflows: the state turns NaN,
+    # and the divergence guard must stop the run rather than step on
+    huge = rd.NonlinearField(
+        name="huge", m=1, eval=lambda x, U, dU: np.full_like(U, 1e308),
+        sigma=np.zeros(1), f_plus=lambda x: np.zeros((1, x.size)),
+        f_minus=lambda x: np.zeros((1, x.size)))
+    settings = rd.IntegratorSettings(dt=1e-3, T=1.0)
+    with pytest.raises(DivergenceSignal) as err:
+        rd.integrate(huge, basis32, desk_split, desk_problem, 1.0,
+                     rd.GalerkinState.unit(1, 32, 1, 2, 0.1), settings)
+    assert err.value.exit_time == 1e-3
+    assert err.value.trajectory.diverged
+
+
+def test_etd_factor_overflow_names_mode(basis32, desk_split):
+    cfg = rd.ProblemConfig(m=1, l=1, lam=(float(basis32.mu[29]),), sigma=(0.0,))
+    split = rd.classify(basis32, cfg)
+    settings = rd.IntegratorSettings(dt=0.1, T=1.0)
+    with pytest.raises(UnboundedModeError) as err:
+        rd.integrate(_zero_field(), basis32, split, cfg, 1.0,
+                     rd.GalerkinState.unit(1, 32, 1, 30), settings)
+    assert (err.value.component, err.value.mode) == (1, 1)
+    assert err.value.exponent == pytest.approx(0.1 * 899 * math.pi ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("dt,T", [(0.3, 1.0), (0.3, 0.1), (1e-3, 0.0105)])
+def test_horizon_not_a_multiple_of_dt_rejected(dt, T):
+    with pytest.raises(ConfigurationError, match="multiple of dt"):
+        rd.IntegratorSettings(dt=dt, T=T)
+
+
+@pytest.mark.parametrize("dt,T", [(math.nan, 1.0), (1e-3, math.inf), (0.0, 1.0)])
+def test_nonpositive_or_nonfinite_step_rejected(dt, T):
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        rd.IntegratorSettings(dt=dt, T=T)
+
+
+@pytest.mark.parametrize("dt,T,steps", [(1e-3, 0.6, 600), (1e-3, 100 * 0.001, 100),
+                                        (2e-3, 10.0, 5000), (1e-2, 0.1, 10)])
+def test_horizon_multiple_of_dt_accepted(dt, T, steps):
+    assert rd.IntegratorSettings(dt=dt, T=T).nsteps == steps
+
+
 def test_step_halving_first_order(basis32, desk_problem, desk_split, desk_field):
     u0 = rd.GalerkinState.unit(1, 32, 1, 2, amplitude=0.1)
     T = 0.5
@@ -119,7 +164,8 @@ def test_imex_small_system_runs(rng):
     split = rd.classify(basis, cfg)
     field = rd.arctan_field(1, gain=2.0)
     u0 = rd.GalerkinState(0.1 * rng.normal(size=(1, 4)))
-    dt = 0.2 / float(np.max(np.abs(basis.mu - cfg.lam[0])))
+    # dt * max|mu_j - lambda| just below 0.2, with T a whole multiple of dt
+    dt = 0.2 / math.ceil(float(np.max(np.abs(basis.mu - cfg.lam[0]))))
     imex = rd.IntegratorSettings(dt=dt, T=0.2, scheme="IMEX-Euler", store_every=10 ** 9)
     etd = rd.IntegratorSettings(dt=dt, T=0.2, scheme="ETD1", store_every=10 ** 9)
     a = rd.integrate(field, basis, split, cfg, 1.0, u0, imex).final.coeffs

@@ -8,8 +8,8 @@ from resodyn.errors import ConfigurationError, HypothesisError, UnboundedModeErr
 
 
 def test_analytic_spectrum_unit_interval(basis32):
-    for j, pair in enumerate(basis32.pairs, start=1):
-        assert abs(pair.value - (j * math.pi) ** 2) <= 1e-12
+    for j, mu in enumerate(basis32.mu, start=1):
+        assert abs(mu - (j * math.pi) ** 2) <= 1e-12
 
 
 def test_analytic_rescaling_length_two():
@@ -38,15 +38,28 @@ def test_reprojection_roundtrip(basis32, rng):
 
 
 def test_parity_fold_is_exact(basis32):
-    # antisymmetric state: even modes only
-    c = np.zeros((1, 32))
-    c[0, 1] = 0.3
-    c[0, 5] = -0.02
-    vals = basis32.values(c)
-    h = basis32.x.size // 2
-    assert np.array_equal(vals[0, vals.shape[1] - h:], -vals[0, :h][::-1])
-    proj = basis32.project(np.arctan(vals))
-    assert np.all(proj[0, 0::2] == 0.0)
+    # an even and an odd node count: the odd one has a midpoint column
+    for basis in (basis32, rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=81), 32)):
+        # antisymmetric state: even modes only
+        c = np.zeros((1, 32))
+        c[0, 1] = 0.3
+        c[0, 5] = -0.02
+        vals = basis.values(c)
+        h = basis.x.size // 2
+        assert np.array_equal(vals[0, vals.shape[1] - h:], -vals[0, :h][::-1])
+        proj = basis.project(np.arctan(vals))
+        assert np.all(proj[0, 0::2] == 0.0)
+
+
+@pytest.mark.parametrize("quad_nodes", [80, 81])
+def test_folded_tables_match_dense_products(quad_nodes, rng):
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), 32)
+    c = rng.normal(size=(3, 32))
+    f = rng.normal(size=(3, quad_nodes))
+    pairs = ((basis.values(c), c @ basis.phi), (basis.dvalues(c), c @ basis.dphi),
+             (basis.project(f), f @ (basis.phi * basis.w).T))
+    for folded, dense in pairs:
+        assert np.abs(folded - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_apply_A_kernel_mode(basis32, desk_problem):
