@@ -35,7 +35,8 @@ from .resonance import (DegreeSets, LLReport, MarginTable, degree_sets,
 from .semiflow import (AprioriBounds, BlowupReport, BoundReport, HomotopyBox,
                        IntegratorSettings, Trajectory, apriori_bounds,
                        blowup_demo, check_bounded_solution, homotopy_field,
-                       integrate, product_flow_check, sample_states_in_box)
+                       integrate, integrate_ensemble, product_flow_check,
+                       sample_states_in_box)
 from .spectral import (Domain1D, GalerkinState, ProblemConfig,
                        SpectralBasis, apply_A, build_basis, fractional_norm,
                        semigroup_apply)

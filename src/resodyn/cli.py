@@ -20,13 +20,14 @@ from .config import ExperimentConfig, load_config
 from .connections import (ConnectionRecord, find_equilibria, shoot_connection,
                           unstable_directions)
 from .decomposition import counts
-from .errors import ConfigurationError, DivergenceSignal
+from .errors import ConfigurationError
 from .fields import SampleGrid, check_bounded, check_sign_condition, verify_limits
 from .indexcalc import (IndexReport, LinearizationData, connection_verdict,
                         d_zero, index_K_infinity, nonresonance_at_origin)
 from .resonance import evaluate_LL, guiding_margin
 from .semiflow import (HomotopyBox, IntegratorSettings, apriori_bounds,
-                       check_bounded_solution, integrate, sample_states_in_box)
+                       check_bounded_solution, integrate_ensemble,
+                       sample_states_in_box)
 from .spectral import GalerkinState
 
 SUBCOMMANDS = ("spectrum", "decompose", "check", "index", "simulate", "connect", "full")
@@ -190,26 +191,23 @@ def _stage_simulate(exp: ExperimentConfig, ctx: dict) -> dict:
     )
     seeds = sample_states_in_box(exp.basis, exp.split, exp.problem, sample_box,
                                  count=int(run["seeds"]), seed=exp.seed)
+    # every seed x s pair marches in one stack, in label order
+    pairs = [(f"seed{i}_s{s:g}", float(s), u0)
+             for i, u0 in enumerate(seeds) for s in run["s_grid"]]
+    ensemble = integrate_ensemble(exp.field, exp.basis, exp.split, exp.problem,
+                                  [s for _, s, _ in pairs], [u0 for _, _, u0 in pairs],
+                                  settings)
     runs = []
     trajectories = {}
-    for i, u0 in enumerate(seeds):
-        for s in run["s_grid"]:
-            label = f"seed{i}_s{s:g}"
-            try:
-                traj = integrate(exp.field, exp.basis, exp.split, exp.problem,
-                                 float(s), u0, settings)
-                diverged = False
-            except DivergenceSignal as sig:
-                traj = sig.trajectory
-                diverged = True
-            rep = check_bounded_solution(traj, bounds, box.R1, box.R2,
-                                         tol_drift=settings.tol_drift)
-            trajectories[label] = traj
-            runs.append({
-                "label": label, "s": float(s), "diverged": diverged,
-                "stayed_in_box": box.contains(traj),
-                "bound_report": rep.to_dict(),
-            })
+    for (label, s, _), traj in zip(pairs, ensemble):
+        rep = check_bounded_solution(traj, bounds, box.R1, box.R2,
+                                     tol_drift=settings.tol_drift)
+        trajectories[label] = traj
+        runs.append({
+            "label": label, "s": s, "diverged": traj.diverged,
+            "stayed_in_box": box.contains(traj),
+            "bound_report": rep.to_dict(),
+        })
     ctx["trajectories"] = trajectories
     return {
         "C6": C6,

@@ -58,20 +58,18 @@ def _residual(field, basis, config, c):
 
 
 def _fd_jacobian(field, basis, config, c, step=1e-7):
+    """Central differences, every column from one stacked residual evaluation
+    of the 2 m J states c +- h_i e_i with h_i = step * max(1, |c_i|)."""
     m, J = c.shape
     n = m * J
-    jac = np.zeros((n, n))
     base = c.ravel()
-    for idx in range(n):
-        dp = base.copy()
-        dm = base.copy()
-        h = step * max(1.0, abs(base[idx]))
-        dp[idx] += h
-        dm[idx] -= h
-        rp = _residual(field, basis, config, dp.reshape(m, J)).ravel()
-        rm = _residual(field, basis, config, dm.reshape(m, J)).ravel()
-        jac[:, idx] = (rp - rm) / (2 * h)
-    return jac
+    h = step * np.maximum(1.0, np.abs(base))
+    shifted = np.tile(base, (2, n, 1))
+    diag = np.arange(n)
+    shifted[0, diag, diag] += h
+    shifted[1, diag, diag] -= h
+    r = _residual(field, basis, config, shifted.reshape(2 * n, m, J)).reshape(2, n, n)
+    return ((r[0] - r[1]) / (2 * h[:, None])).T
 
 
 def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
@@ -336,7 +334,7 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
     closest = float("inf")
     closest_target = None
 
-    def rhs(c):
+    def rhs(c, members):
         return galerkin_F(field, basis, GalerkinState._trusted(c)).coeffs
 
     def record(t, c):
@@ -346,7 +344,8 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
             energies.append(liapunov_energy(field, basis, config, GalerkinState._trusted(c)))
 
     diverged = False
-    for n, t, c, diverged in _march(rhs, basis, config, settings, c):
+    for n, t, stack, _, hit in _march(rhs, basis, config, settings, c[None]):
+        c, diverged = stack[0], bool(hit[0])
         stored = diverged or n % settings.store_every == 0 or n == settings.nsteps
         if stored:
             record(t, c)

@@ -34,8 +34,9 @@ __all__ = [
 class NonlinearField:
     """A reaction term f = (f_1, .., f_m) with its resonance metadata.
 
-    ``eval(x, U, dU)`` is vectorized over nodes: x has shape (n,), U and dU
-    shape (m, n), the result shape (m, n).  ``f_plus``/``f_minus`` return the
+    ``eval(x, U, dU)`` is vectorized over nodes and states: x has shape
+    (n,), U and dU shape (..., m, n) with any leading batch axes, and the
+    result has the shape of U.  ``f_plus``/``f_minus`` return the
     declared asymptotic limits as (m, n) arrays on the given nodes; they are
     *verified* numerically by verify_limits, never inferred.  ``potential``
     (optional) evaluates a scalar potential ftilde(x, u) with
@@ -111,29 +112,33 @@ class SampleGrid:
 
 
 def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) -> GalerkinState:
-    """Coefficients <f_k(., u(.), u'(.)), phi_j> by folded quadrature."""
-    U = basis.values(u.coeffs)
-    dU = basis.dvalues(u.coeffs)
+    """Coefficients <f_k(., u(.), u'(.)), phi_j> by folded quadrature.
+
+    ``u.coeffs`` may be one (m, J) matrix or a (..., m, J) stack; the stack
+    is evaluated row-wise through the same folded tables.
+    """
+    c = u.coeffs
+    rows = c.reshape(-1, c.shape[-1])
+    nodal = c.shape[:-1] + (basis.x.size,)
+    U = basis.values(rows).reshape(nodal)
+    dU = basis.dvalues(rows).reshape(nodal)
     fv = np.asarray(field.eval(basis.x, U, dU), dtype=float)
-    if fv.shape != U.shape:
-        raise EvaluationError(f"field returned shape {fv.shape}, expected {U.shape}")
+    if fv.shape != nodal:
+        raise EvaluationError(f"field returned shape {fv.shape}, expected {nodal}")
     if not np.all(np.isfinite(fv)):
-        k, i = np.argwhere(~np.isfinite(fv))[0]
+        *_, k, i = np.argwhere(~np.isfinite(fv))[0]
         raise EvaluationError(
             f"non-finite field value in component {k + 1} at node x={basis.x[i]:.6g}"
         )
-    return GalerkinState._trusted(basis.project(fv))
+    return GalerkinState._trusted(basis.project(fv.reshape(-1, nodal[-1])).reshape(c.shape))
 
 
 def _eval_on_grid(field: NonlinearField, grid: SampleGrid):
     """Field values on every (draw, node) pair; shape (draws, m, n)."""
     n = grid.x.size
-    out = np.empty((grid.u_draws.shape[0], field.m, n))
-    for i, (uv, duv) in enumerate(zip(grid.u_draws, grid.du_draws)):
-        U = np.repeat(uv[:, None], n, axis=1)
-        dU = np.repeat(duv[:, None], n, axis=1)
-        out[i] = field.eval(grid.x, U, dU)
-    return out
+    U = np.repeat(grid.u_draws[:, :, None], n, axis=2)
+    dU = np.repeat(grid.du_draws[:, :, None], n, axis=2)
+    return np.asarray(field.eval(grid.x, U, dU), dtype=float)
 
 
 def check_bounded(field: NonlinearField, grid: SampleGrid) -> ConditionReport:
@@ -229,20 +234,15 @@ def verify_limits(field: NonlinearField, k: int, s_values=None,
     sigma_k = field.sigma[k - 1]
     fp = np.asarray(field.f_plus(x), dtype=float)[k - 1]
     fm = np.asarray(field.f_minus(x), dtype=float)[k - 1]
-    sup_dev = np.zeros(s_values.size)
-    for idx, s in enumerate(s_values):
-        dev = 0.0
-        for uv, duv in zip(grid.u_draws, grid.du_draws):
-            base = uv.copy()
-            base[k - 1] = 0.0
-            for target, sval in ((fp, s), (fm, -s)):
-                uvec = base.copy()
-                uvec[k - 1] = sval
-                U = np.repeat(uvec[:, None], n, axis=1)
-                dU = np.repeat(duv[:, None], n, axis=1)
-                vals = abs(sval) ** sigma_k * np.asarray(field.eval(x, U, dU))[k - 1]
-                dev = max(dev, float(np.max(np.abs(vals - target))))
-        sup_dev[idx] = dev
+    # every (s, sign, draw) state in one evaluation: axes (s, sign, draw, m, n)
+    u = np.broadcast_to(grid.u_draws, (s_values.size, 2) + grid.u_draws.shape).copy()
+    u[..., k - 1] = np.stack([s_values, -s_values], axis=1)[:, :, None]
+    U = np.repeat(u[..., None], n, axis=-1)
+    dU = np.repeat(np.broadcast_to(grid.du_draws, u.shape)[..., None], n, axis=-1)
+    scale = np.array([abs(s) ** sigma_k for s in s_values])
+    vals = scale[:, None, None, None] * np.asarray(field.eval(x, U, dU))[..., k - 1, :]
+    target = np.stack([fp, fm])[None, :, None, :]
+    sup_dev = np.max(np.abs(vals - target).reshape(s_values.size, -1), axis=1)
     final = float(sup_dev[-1])
     verdict = "holds" if final <= tol else "fails"
     witness = None if verdict == "holds" else {"s": float(s_values[-1]), "deviation": final}
@@ -356,8 +356,8 @@ def constant_kernel_field(basis: SpectralBasis, m: int, component: int = 1,
         return amplitude * norm * np.sin(jm * np.pi * x / L)
 
     def ev(x, U, dU):
-        out = np.zeros((m, x.size))
-        out[km - 1] = profile(x)
+        out = np.zeros(np.shape(U))
+        out[..., km - 1, :] = profile(x)
         return out
 
     def limit(x):

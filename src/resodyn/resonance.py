@@ -287,12 +287,12 @@ class MarginTable:
                 "rows": [{"R": R, "margin": margin} for R, margin in self.rows]}
 
 
-def _block_inner(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfig,
-                 fstate: GalerkinState, u: GalerkinState, which: int) -> float:
+def _block_inner(config: ProblemConfig, fcoeffs: np.ndarray, ucoeffs: np.ndarray,
+                 which: int) -> float:
     lo, hi = (1, config.l) if which == 1 else (config.l + 1, config.m)
     total = 0.0
     for k in range(lo, hi + 1):
-        total += float(np.dot(fstate.coeffs[k - 1], u.coeffs[k - 1]))
+        total += float(np.dot(fcoeffs[k - 1], ucoeffs[k - 1]))
     return total
 
 
@@ -307,41 +307,41 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     X- + X+ ball of fractional radius ``W_radius``; returns the minimum of
     +-<F(u+v+w), u>_which over the samples.  A positive margin at and beyond
     some radius supports the guiding estimate behind the a priori bounds.
+    The samples of one R are drawn first and evaluated as one stack.
     """
     if sign not in ("+", "-"):
         raise ConfigurationError(f"sign must be '+' or '-', got {sign!r}")
     sgn = 1.0 if sign == "+" else -1.0
     rng = np.random.default_rng(seed)
-    main = block_modes(split, which)
-    other = block_modes(split, 2 if which == 1 else 1)
-    if not main:
+    main_mask = _block_mask(split, which)
+    other_mask = _block_mask(split, 2 if which == 1 else 1)
+    n_main = int(np.count_nonzero(main_mask))
+    n_other = int(np.count_nonzero(other_mask))
+    if not n_main:
         raise ConfigurationError(f"kernel block {which} is trivial")
     out_mask = ~split.masks["Q0"]
     n_out = int(np.count_nonzero(out_mask))
     weights = fractional_weights(basis, config) ** config.alpha
+    shape = (samples, split.m, split.J)
     rows = []
     for R in R_grid:
-        worst = np.inf
-        for _ in range(samples):
-            du = rng.normal(size=len(main))
+        u, v, w = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        for i in range(samples):
+            du = rng.normal(size=n_main)
             du /= np.linalg.norm(du)
-            u = kernel_state(split, which, R * du)
-            if other:
-                dv = rng.normal(size=len(other))
+            u[i][main_mask] = R * du
+            if n_other:
+                dv = rng.normal(size=n_other)
                 dv *= v_radius * rng.uniform() / np.linalg.norm(dv)
-                v = kernel_state(split, 2 if which == 1 else 1, dv)
-            else:
-                v = GalerkinState.zeros(split.m, split.J)
-            w = GalerkinState.zeros(split.m, split.J)
+                v[i][other_mask] = dv
             if n_out:
-                raw = np.zeros((split.m, split.J))
+                raw = w[i]
                 raw[out_mask] = rng.normal(size=n_out)
                 frac = np.sqrt(np.sum((weights * raw) ** 2))
                 if frac > 0:
                     raw *= W_radius * rng.uniform() / frac
-                w = GalerkinState(raw)
-            fstate = galerkin_F(field, basis, u + v + w)
-            val = sgn * _block_inner(basis, split, config, fstate, u, which)
-            worst = min(worst, val)
+        F = galerkin_F(field, basis, GalerkinState._trusted(u + v + w)).coeffs
+        worst = min((sgn * _block_inner(config, F[i], u[i], which) for i in range(samples)),
+                    default=np.inf)
         rows.append((float(R), float(worst)))
     return MarginTable(which=which, sign=sign, rows=tuple(rows))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "HomotopyBox",
     "homotopy_field",
     "integrate",
+    "integrate_ensemble",
     "blowup_demo",
     "apriori_bounds",
     "check_bounded_solution",
@@ -127,38 +128,50 @@ class Trajectory:
 
 def trajectory_norms(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfig,
                      coeffs: np.ndarray) -> np.ndarray:
-    """The six monitored norms of one coefficient matrix."""
+    """The six monitored norms of one (m, J) coefficient matrix, shape (6,),
+    or of every matrix in an (n, m, J) stack, shape (n, 6)."""
     weights = fractional_weights(basis, config) ** config.alpha
+    masks = split.masks
     sq = coeffs ** 2
-    l2 = np.sqrt(np.sum(sq))
-    frac = np.sqrt(np.sum((weights * coeffs) ** 2))
-    p1 = np.sqrt(np.sum(sq[split.masks["P1"]]))
-    p2 = np.sqrt(np.sum(sq[split.masks["P2"]]))
-    qm = np.sqrt(np.sum(((weights * coeffs) ** 2)[split.masks["Qminus"]]))
-    qp = np.sqrt(np.sum(((weights * coeffs) ** 2)[split.masks["Qplus"]]))
-    return np.array([l2, frac, p1, p2, qm, qp])
+    wsq = (weights * coeffs) ** 2
+    full = np.ones(sq.shape[-2:], dtype=bool)
+
+    def total(a, mask):
+        # C-ordered rows, so that each sum runs as over one flat matrix
+        return np.ascontiguousarray(a[..., mask]).sum(axis=-1)
+
+    return np.sqrt(np.stack([
+        total(sq, full), total(wsq, full),
+        total(sq, masks["P1"]), total(sq, masks["P2"]),
+        total(wsq, masks["Qminus"]), total(wsq, masks["Qplus"]),
+    ], axis=-1))
 
 
 def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
-                   s: float, u: GalerkinState) -> GalerkinState:
+                   s, u: GalerkinState) -> GalerkinState:
     """Deformed reaction term
     H(s, u) = Q0 F(s Q- u + s Q+ u + Q0 u) + s Q- F(u) + s Q+ F(u).
 
     At s=1 the three projections telescope back to F(u); at s=0 only the
-    kernel projection of the kernel-restricted field survives.
+    kernel projection of the kernel-restricted field survives.  ``u`` may be
+    a (B, m, J) stack with one s per member (``s`` of shape (B,)); F(u) is
+    evaluated only for the members with 0 < s < 1, since at s = 1 it equals
+    the kernel-restricted evaluation and at s = 0 it is not needed.
     """
-    if not (0.0 <= s <= 1.0):
+    s = np.asarray(s, dtype=float)
+    if not ((0.0 <= s) & (s <= 1.0)).all():
         raise ConfigurationError(f"s must lie in [0, 1], got {s}")
-    if s == 1.0:
+    if (s == 1.0).all():
         return galerkin_F(field, basis, u)
     q0 = split.masks["Q0"]  # its complement is X- + X+
-    inner = np.where(q0, u.coeffs, s * u.coeffs)
-    f_inner = galerkin_F(field, basis, GalerkinState._trusted(inner)).coeffs
-    H = np.where(q0, f_inner, 0.0)
-    if s != 0.0:
-        f_full = galerkin_F(field, basis, u).coeffs
-        H = H + np.where(q0, 0.0, s * f_full)
-    return GalerkinState._trusted(H)
+    c = u.coeffs
+    sc = s[..., None, None]
+    f_inner = galerkin_F(field, basis, GalerkinState._trusted(np.where(q0, c, sc * c))).coeffs
+    f_full = np.where(sc == 0.0, 0.0, f_inner)
+    mid = (0.0 < s) & (s < 1.0)  # for a scalar s, True selects the whole state
+    if mid.any():
+        f_full[mid] = galerkin_F(field, basis, GalerkinState._trusted(c[mid])).coeffs
+    return GalerkinState._trusted(np.where(q0, f_inner, sc * f_full))
 
 
 def _etd_factors(basis: SpectralBasis, config: ProblemConfig, dt: float):
@@ -175,15 +188,20 @@ def _etd_factors(basis: SpectralBasis, config: ProblemConfig, dt: float):
     return E, P
 
 
-def _march(rhs: Callable[[np.ndarray], np.ndarray], basis: SpectralBasis, config: ProblemConfig,
-           settings: IntegratorSettings, c: np.ndarray) -> Iterator[tuple]:
-    """The one time-stepping loop for u' = -A u + rhs(u), from c at t = 0.
+def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralBasis,
+           config: ProblemConfig, settings: IntegratorSettings,
+           c: np.ndarray) -> Iterator[tuple]:
+    """The one time-stepping loop for u' = -A u + rhs(u), from the (B, m, J)
+    stack c at t = 0.
 
     ETD1: u_{n+1} = e^{-dt A} u_n + dt phi1(dt A) rhs(u_n), exact on the
     linear part (Cox & Matthews, JCP 176, 2002); IMEX-Euler treats the
-    linear part implicitly.  Yields fresh ``(n, t, c, diverged)`` after
-    steps n = 1..nsteps and stops after a step whose L2 norm passes the
-    divergence threshold or is not finite.
+    linear part implicitly.  ``rhs(c, members)`` gets the active rows and
+    their indices into the original stack.  Yields fresh
+    ``(n, t, c, members, diverged)`` after steps n = 1..nsteps, with
+    ``diverged`` marking the rows whose L2 norm passed the divergence
+    threshold or is not finite; those rows leave the stack after the yield,
+    and the loop stops when no row is left.
     """
     dt = settings.dt
     if settings.scheme == "IMEX-Euler":
@@ -196,50 +214,81 @@ def _march(rhs: Callable[[np.ndarray], np.ndarray], basis: SpectralBasis, config
     else:
         E, P = _etd_factors(basis, config, dt)
     threshold = settings.divergence_threshold
+    members = np.arange(c.shape[0])
     for n in range(settings.nsteps):
-        H = rhs(c)
+        H = rhs(c, members)
         if settings.scheme == "ETD1":
             c = E * c + dt * P * H
         else:
             c = (c + dt * H) / denom
-        diverged = not (np.sqrt(np.sum(c ** 2)) <= threshold)
-        yield n + 1, (n + 1) * dt, c, diverged
-        if diverged:
-            return
+        diverged = ~(np.sqrt((c ** 2).sum(axis=(-2, -1))) <= threshold)
+        yield n + 1, (n + 1) * dt, c, members, diverged
+        if diverged.any():
+            c, members = c[~diverged], members[~diverged]
+            if members.size == 0:
+                return
+
+
+def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
+                       config: ProblemConfig, s_values: Sequence[float],
+                       states: Sequence[GalerkinState],
+                       settings: IntegratorSettings) -> list[Trajectory]:
+    """March u' = -A u + H(s_i, u) from states[i] for every member i at once,
+    as one (B, m, J) stack, with the step of ``settings.scheme``.
+
+    A member whose L2 norm passes the divergence threshold or stops being
+    finite leaves the stack; its partial trajectory comes back with
+    ``diverged=True``.  The others are unaffected: each row of the stack is
+    stepped as it would be on its own, up to the last bits that the BLAS
+    path of a stacked product can move (README, "Numerical notes").
+    """
+    s = np.asarray(s_values, dtype=float).reshape(-1)
+    if s.size != len(states):
+        raise ConfigurationError(
+            f"need one s value per initial state, got {s.size} for {len(states)}")
+    if s.size == 0:
+        return []
+    if any(u0.coeffs.shape != (config.m, basis.J) for u0 in states):
+        raise ConfigurationError("initial state shape mismatch")
+
+    def rhs(c, members):
+        return homotopy_field(field, basis, split, s[members], GalerkinState._trusted(c)).coeffs
+
+    c0 = np.stack([u0.coeffs for u0 in states])
+    times = [[0.0] for _ in states]
+    coeffs = [[u0.coeffs] for u0 in states]
+    diverged = np.zeros(s.size, dtype=bool)
+    for n, t, c, members, hit in _march(rhs, basis, config, settings, c0):
+        stored = n % settings.store_every == 0 or n == settings.nsteps
+        if stored or hit.any():
+            diverged[members[hit]] = True
+            for row in (range(members.size) if stored else np.flatnonzero(hit)):
+                times[members[row]].append(t)
+                coeffs[members[row]].append(c[row])
+    return [_assemble(basis, split, config, times[i], coeffs[i], s[i], diverged[i])
+            for i in range(s.size)]
 
 
 def integrate(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
               config: ProblemConfig, s: float, u0: GalerkinState,
               settings: IntegratorSettings) -> Trajectory:
     """March u' = -A u + H(s, u) from u0 over [0, T] with the ETD1 or
-    IMEX-Euler step of ``settings.scheme``.
+    IMEX-Euler step of ``settings.scheme``: the ensemble of one.
 
     Raises DivergenceSignal when the L2 norm passes the divergence threshold
     or stops being finite; the partial trajectory rides on the signal.
     """
-    if u0.coeffs.shape != (config.m, basis.J):
-        raise ConfigurationError("initial state shape mismatch")
-
-    def rhs(c):
-        return homotopy_field(field, basis, split, s, GalerkinState._trusted(c)).coeffs
-
-    times, coeffs = [0.0], [u0.coeffs]
-    for n, t, c, diverged in _march(rhs, basis, config, settings, u0.coeffs):
-        if diverged or n % settings.store_every == 0 or n == settings.nsteps:
-            times.append(t)
-            coeffs.append(c)
-        if diverged:
-            partial = _assemble(basis, split, config, times, coeffs, s, diverged=True)
-            raise DivergenceSignal(exit_time=t, trajectory=partial)
-    return _assemble(basis, split, config, times, coeffs, s, diverged=False)
+    traj, = integrate_ensemble(field, basis, split, config, [s], [u0], settings)
+    if traj.diverged:
+        raise DivergenceSignal(exit_time=float(traj.times[-1]), trajectory=traj)
+    return traj
 
 
 def _assemble(basis, split, config, times, coeffs, s, diverged):
-    times = np.asarray(times)
     coeffs = np.asarray(coeffs)
-    norms = np.array([trajectory_norms(basis, split, config, c) for c in coeffs])
-    return Trajectory(times=times, coeffs=coeffs, norms=norms, s=float(s),
-                      diverged=diverged)
+    return Trajectory(times=np.asarray(times), coeffs=coeffs,
+                      norms=trajectory_norms(basis, split, config, coeffs),
+                      s=float(s), diverged=bool(diverged))
 
 
 @dataclass(frozen=True)
@@ -282,8 +331,7 @@ def blowup_demo(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfi
     m = config.m
 
     def const_eval(x, U, dU):
-        return vvals[:, : x.size] if x.size == vvals.shape[1] else np.repeat(
-            vvals[:, :1], x.size, axis=1)
+        return np.broadcast_to(vvals, np.shape(U))
 
     const_field = NonlinearField(
         name="blowup-forcing", m=m, eval=const_eval, sigma=np.zeros(m),

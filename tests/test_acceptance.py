@@ -341,9 +341,13 @@ def test_criterion_12_homotopy_box_invariance():
         for u0 in states:
             norms0 = trajectory_norms(basis, split, cfg, u0.coeffs)
             assert math.hypot(norms0[4], norms0[5]) <= box.R0 + 1.0
-            for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-                traj = rd.integrate(field, basis, split, cfg, s, u0, settings)
-                assert box.contains(traj), (cfg.m, s)
-            total += 1
+        s_grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        pairs = [(u0, s) for u0 in states for s in s_grid]
+        trajs = rd.integrate_ensemble(field, basis, split, cfg, [s for _, s in pairs],
+                                      [u0 for u0, _ in pairs], settings)
+        for traj, (_, s) in zip(trajs, pairs):
+            assert not traj.diverged, (cfg.m, s)
+            assert box.contains(traj), (cfg.m, s)
+        total += len(states)
     assert total == 20
     _ok(12, "20 seeded trajectories stay inside the product box for all s")

@@ -178,3 +178,28 @@ def test_connection_consistency_with_bounds(basis32, desk_problem, desk_split,
     rep = rd.check_bounded_solution(record.trajectory, bounds, R1=20.0, R2=0.0)
     assert not rep.unbounded
     assert all(r <= 1.0 for r in rep.ratios.values())
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_fd_jacobian_matches_column_loop(basis32, m):
+    # the stacked evaluation may move the field's last bit (another BLAS
+    # path), which a central difference turns into eps |r| / h; every entry
+    # must stay inside that rounding floor of the one-column-at-a-time loop
+    from resodyn.connections import _fd_jacobian, _residual
+    cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis32.mu[0]),) * m, sigma=(0.0,) * m)
+    field = rd.make_field("arctan(40)", m)
+    c = 0.1 * np.random.default_rng(2).normal(size=(m, 32))
+    c[0, 0] = 3.0  # a coefficient above 1 scales its step
+    n = m * 32
+    loop = np.zeros((n, n))
+    floor = np.zeros((n, n))
+    for idx in range(n):
+        h = 1e-7 * max(1.0, abs(c.flat[idx]))
+        dp, dm = c.copy(), c.copy()
+        dp.flat[idx] += h
+        dm.flat[idx] -= h
+        rp = _residual(field, basis32, cfg, dp).ravel()
+        rm = _residual(field, basis32, cfg, dm).ravel()
+        loop[:, idx] = (rp - rm) / (2 * h)
+        floor[:, idx] = 2 * np.finfo(float).eps * (np.maximum(abs(rp), abs(rm)) + 1.0) / h
+    assert np.all(np.abs(_fd_jacobian(field, basis32, cfg, c) - loop) <= floor)

@@ -68,8 +68,10 @@ def test_check_bounded_linear_field_fails(basis32):
 
 
 def test_check_bounded_product_field(basis32):
-    field = _custom(2, lambda x, U, dU: np.vstack([np.sin(x) * np.cos(U[0] + U[1])] * 2),
-                    bound=1.0)
+    def fn(x, U, dU):
+        return np.stack([np.sin(x) * np.cos(U[..., 0, :] + U[..., 1, :])] * 2, axis=-2)
+
+    field = _custom(2, fn, bound=1.0)
     grid = SampleGrid.default(basis32, 2, seed=3)
     assert rd.check_bounded(field, grid).verdict == "holds"
 
@@ -172,3 +174,59 @@ def test_catalogue_errors(basis32):
         rd.make_field("constant-kernel(1,1)", 1)  # needs the basis
     with pytest.raises(ConfigurationError):
         rd.make_field("unknown-thing", 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("spec", ["arctan(40)", "-arctan(40)", "scaled-arctan(2, 0.5)",
+                                  "-scaled-arctan(2, 0.5)", "gaussian-decay",
+                                  "-gaussian-decay", "constant-kernel(1, 2, 2.5)",
+                                  "-constant-kernel(1, 2, 2.5)"])
+def test_catalogue_eval_on_stack_matches_members(basis32, spec, m):
+    field = rd.make_field(spec, m, basis=basis32)
+    gen = np.random.default_rng(11)
+    U = 3.0 * gen.normal(size=(6, m, basis32.x.size))
+    dU = gen.normal(size=U.shape)
+    stacked = field.eval(basis32.x, U, dU)
+    assert stacked.shape == U.shape
+    for i in range(U.shape[0]):
+        assert np.array_equal(stacked[i], field.eval(basis32.x, U[i], dU[i]))
+
+
+def test_eval_on_grid_matches_draw_loop(basis32):
+    from resodyn.fields import _eval_on_grid
+    field = rd.make_field("-scaled-arctan(3, 0.5)", 2)
+    grid = SampleGrid.default(basis32, 2, draws=30, seed=9)
+    n = grid.x.size
+    loop = np.array([field.eval(grid.x, np.repeat(u[:, None], n, axis=1),
+                                np.repeat(du[:, None], n, axis=1))
+                     for u, du in zip(grid.u_draws, grid.du_draws)])
+    assert np.array_equal(_eval_on_grid(field, grid), loop)
+
+
+def test_galerkin_F_stack_matches_members(basis32):
+    field = rd.make_field("arctan(40)", 2)
+    c = np.random.default_rng(5).normal(size=(4, 3, 2, 32))
+    stacked = rd.galerkin_F(field, basis32, rd.GalerkinState._trusted(c)).coeffs
+    assert stacked.shape == c.shape
+    for idx in np.ndindex(4, 3):
+        one = rd.galerkin_F(field, basis32, rd.GalerkinState(c[idx])).coeffs
+        assert np.max(np.abs(stacked[idx] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+@pytest.mark.parametrize("spec,k", [("scaled-arctan(2, 0.5)", 2), ("-arctan(40)", 1)])
+def test_verify_limits_matches_draw_loop(basis32, spec, k):
+    field = rd.make_field(spec, 2)
+    grid = SampleGrid.default(basis32, 2, u_box=10.0, du_box=10.0, draws=20, seed=4)
+    x, n = grid.x, grid.x.size
+    fp, fm = field.f_plus(x)[k - 1], field.f_minus(x)[k - 1]
+    s = 1e6
+    dev = 0.0
+    for uv, duv in zip(grid.u_draws, grid.du_draws):
+        for target, sval in ((fp, s), (fm, -s)):
+            uvec = uv.copy()
+            uvec[k - 1] = sval
+            vals = abs(sval) ** field.sigma[k - 1] * field.eval(
+                x, np.repeat(uvec[:, None], n, axis=1), np.repeat(duv[:, None], n, axis=1))[k - 1]
+            dev = max(dev, float(np.max(np.abs(vals - target))))
+    rep = rd.verify_limits(field, k, s_values=[1e2, 1e4, s], grid=grid)
+    assert rep.margin == 1e-3 - dev

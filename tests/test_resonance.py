@@ -210,3 +210,36 @@ def test_ll_report_serialization(basis32, desk_problem, desk_split, desk_field):
     rep = rd.evaluate_LL(desk_field, basis32, desk_split, desk_problem, "LL1+")
     d = rep.to_dict()
     assert d["condition"] == "LL1+" and d["verdict"] == "holds"
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_guiding_margin_matches_sample_loop(basis32, which):
+    # the per-sample reference draws in the same order: du, dv, uniform,
+    # raw, uniform, then evaluates one state at a time
+    cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis32.mu[0]), float(basis32.mu[1])),
+                           sigma=(0.0, 0.0))
+    split = rd.classify(basis32, cfg)
+    field = rd.make_field("-arctan(40)", 2)
+    R_grid, samples, v_radius, W_radius = [2.0, 5.0], 12, 10.0, 3.0
+    table = rd.guiding_margin(field, basis32, split, cfg, which=which, W_radius=W_radius,
+                              R_grid=R_grid, samples=samples, sign="-", seed=7)
+    rng = np.random.default_rng(7)
+    main = split.masks["P1" if which == 1 else "P2"]
+    other = split.masks["P2" if which == 1 else "P1"]
+    out = ~split.masks["Q0"]
+    weights = rd.spectral.fractional_weights(basis32, cfg) ** cfg.alpha
+    k = which - 1  # block 1 is component 1 (l = 1), block 2 component 2
+    for (R, margin), R_ref in zip(table.rows, R_grid):
+        worst = np.inf
+        for _ in range(samples):
+            u, v, w = (np.zeros((2, 32)) for _ in range(3))
+            du = rng.normal(size=main.sum())
+            u[main] = R_ref * du / np.linalg.norm(du)
+            dv = rng.normal(size=other.sum())
+            v[other] = dv * (v_radius * rng.uniform() / np.linalg.norm(dv))
+            w[out] = rng.normal(size=out.sum())
+            w *= W_radius * rng.uniform() / np.sqrt(np.sum((weights * w) ** 2))
+            F = rd.galerkin_F(field, basis32, rd.GalerkinState(u + v + w)).coeffs
+            worst = min(worst, -float(np.dot(F[k], u[k])))
+        assert R == R_ref
+        assert margin == pytest.approx(worst, rel=1e-12, abs=1e-14)

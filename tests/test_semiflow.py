@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 import resodyn as rd
 from resodyn.errors import ConfigurationError, DivergenceSignal, UnboundedModeError
+from resodyn.semiflow import trajectory_norms
 
 
 def _zero_field(m=1):
@@ -265,7 +268,6 @@ def test_trajectory_norms_recomputable(basis32, desk_problem, desk_split, desk_f
     u0 = rd.GalerkinState(0.1 * rng.normal(size=(1, 32)))
     settings = rd.IntegratorSettings(dt=1e-3, T=0.2, store_every=20)
     traj = rd.integrate(desk_field, basis32, desk_split, desk_problem, 1.0, u0, settings)
-    from resodyn.semiflow import trajectory_norms
     for i in range(traj.times.size):
         again = trajectory_norms(basis32, desk_split, desk_problem, traj.coeffs[i])
         assert np.abs(again - traj.norms[i]).max() <= 1e-10
@@ -287,10 +289,125 @@ def test_box_membership_and_sampling(basis32, desk_problem, desk_split, rng):
     box = rd.HomotopyBox(R0=2.0, R1=3.0, R2=0.0)
     states = rd.sample_states_in_box(basis32, desk_split, desk_problem, box,
                                      count=10, seed=4)
-    from resodyn.semiflow import trajectory_norms
     for st in states:
         norms = trajectory_norms(basis32, desk_split, desk_problem, st.coeffs)
         q = math.hypot(norms[4], norms[5])
         assert q <= box.R0 + 1.0
         assert norms[2] <= box.R1 + 1.0
         assert norms[3] <= box.R2 + 1.0
+
+
+# -- batched ensemble ---------------------------------------------------------
+
+_SMALL = rd.build_basis(rd.Domain1D(1.0, 32), 8)
+
+
+def _small_system(m):
+    lam = tuple(float(_SMALL.mu[0]) for _ in range(m))
+    cfg = rd.ProblemConfig(m=m, l=1, lam=lam, sigma=(0.0,) * m)
+    return rd.classify(_SMALL, cfg), cfg
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-300)
+
+
+@hsettings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                min_size=1, max_size=20))
+def test_ensemble_matches_serial(m, seed, s_values):
+    split, cfg = _small_system(m)
+    field = rd.make_field("-arctan(5)", m)
+    gen = np.random.default_rng(seed)
+    states = [rd.GalerkinState(gen.normal(size=(m, 8))) for _ in s_values]
+    settings = rd.IntegratorSettings(dt=1e-2, T=0.2, store_every=5)
+    ens = rd.integrate_ensemble(field, _SMALL, split, cfg, s_values, states, settings)
+    assert len(ens) == len(s_values)
+    for traj, s, u0 in zip(ens, s_values, states):
+        ref = rd.integrate(field, _SMALL, split, cfg, s, u0, settings)
+        assert not traj.diverged and traj.s == s
+        assert np.array_equal(traj.times, ref.times)
+        assert _max_rel(traj.coeffs, ref.coeffs) <= 1e-12
+        assert _max_rel(traj.norms, ref.norms) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_ensemble_keeps_pure_parity_exact(basis32, m):
+    cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis32.mu[0]),) * m, sigma=(0.0,) * m)
+    split = rd.classify(basis32, cfg)
+    field = rd.make_field("arctan(40)", m)
+    gen = np.random.default_rng(3)
+    states, odd = [], []
+    for i in range(6):
+        c = gen.normal(size=(m, 32))
+        sym = i % 2 == 0  # odd j: symmetric about L/2
+        c[:, basis32.parity_sym != sym] = 0.0
+        states.append(rd.GalerkinState(c))
+        odd.append(basis32.parity_sym == sym)
+    s_values = [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
+    settings = rd.IntegratorSettings(dt=1e-3, T=0.3, store_every=1)
+    for traj, keep in zip(rd.integrate_ensemble(field, basis32, split, cfg, s_values,
+                                                states, settings), odd):
+        assert traj.times.size == 301
+        assert np.all(traj.coeffs[:, :, ~keep] == 0.0)
+        assert np.any(traj.coeffs[-1][:, keep] != 0.0)
+
+
+def test_ensemble_divergent_member_leaves_stack(basis32):
+    cfg = rd.ProblemConfig(m=1, l=1, lam=(float(basis32.mu[1]),), sigma=(0.0,))
+    split = rd.classify(basis32, cfg)
+    field = rd.make_field("arctan(3)", 1)
+    settings = rd.IntegratorSettings(dt=1e-3, T=2.0, store_every=100)
+    # antisymmetric, so the odd field never feeds the growing symmetric mode
+    calm = rd.GalerkinState.unit(1, 32, 1, 4, amplitude=0.5)
+    wild = rd.GalerkinState.unit(1, 32, 1, 1)  # negative-block mode grows
+    s_values = [0.5, 1.0, 0.0]
+    states = [calm, wild, calm]
+    ens = rd.integrate_ensemble(field, basis32, split, cfg, s_values, states, settings)
+    with pytest.raises(DivergenceSignal) as err:
+        rd.integrate(field, basis32, split, cfg, 1.0, wild, settings)
+    partial = err.value.trajectory
+    assert ens[1].diverged and partial.diverged
+    assert np.array_equal(ens[1].times, partial.times)
+    assert ens[1].times[-1] == err.value.exit_time < 1.0
+    assert _max_rel(ens[1].coeffs, partial.coeffs) <= 1e-12
+    for i in (0, 2):
+        ref = rd.integrate(field, basis32, split, cfg, s_values[i], states[i], settings)
+        assert not ens[i].diverged
+        assert np.array_equal(ens[i].times, ref.times)
+        assert _max_rel(ens[i].coeffs, ref.coeffs) <= 1e-12
+
+
+def test_ensemble_rejects_mismatched_inputs(basis32, desk_problem, desk_split, desk_field):
+    settings = rd.IntegratorSettings(dt=1e-3, T=0.01)
+    u0 = rd.GalerkinState.zeros(1, 32)
+    with pytest.raises(ConfigurationError, match="one s value"):
+        rd.integrate_ensemble(desk_field, basis32, desk_split, desk_problem,
+                              [0.0, 1.0], [u0], settings)
+    with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+        rd.integrate_ensemble(desk_field, basis32, desk_split, desk_problem,
+                              [1.5], [u0], settings)
+    assert rd.integrate_ensemble(desk_field, basis32, desk_split, desk_problem,
+                                 [], [], settings) == []
+
+
+def test_homotopy_field_per_member_s(rng):
+    split, cfg = _small_system(2)
+    field = rd.make_field("arctan(40)", 2)
+    s_values = np.array([0.0, 0.3, 1.0, 0.0, 0.7])
+    c = rng.normal(size=(5, 2, 8))
+    H = rd.homotopy_field(field, _SMALL, split, s_values, rd.GalerkinState(c))
+    for i, s in enumerate(s_values):
+        one = rd.homotopy_field(field, _SMALL, split, float(s), rd.GalerkinState(c[i]))
+        assert _max_rel(H.coeffs[i], one.coeffs) <= 1e-14
+
+
+def test_trajectory_norms_stack_matches_rows(basis32, desk_problem, desk_split, rng):
+    c = rng.normal(size=(7, 1, 32))
+    stacked = trajectory_norms(basis32, desk_split, desk_problem, c)
+    assert stacked.shape == (7, 6)
+    for i in range(7):
+        one = trajectory_norms(basis32, desk_split, desk_problem, c[i])
+        assert one.shape == (6,)
+        assert np.array_equal(stacked[i], one)
