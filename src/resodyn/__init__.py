@@ -30,8 +30,7 @@ from .indexcalc import (ConnectionVerdict, HomotopyType, IndexReport,
                         index_K_infinity, index_partition,
                         nonresonance_at_origin, wedge)
 from .resonance import (DegreeSets, LLReport, MarginTable, degree_sets,
-                        evaluate_LL, guiding_margin, kernel_state,
-                        ll_functional)
+                        evaluate_LL, guiding_margin, ll_functional)
 from .semiflow import (AprioriBounds, BlowupReport, BoundReport, HomotopyBox,
                        IntegratorSettings, Trajectory, apriori_bounds,
                        blowup_demo, check_bounded_solution, homotopy_field,

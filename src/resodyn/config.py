@@ -37,10 +37,31 @@ def _parse_float_list(text) -> tuple[float, ...]:
     return tuple(float(v) for v in str(text).split(",") if str(v).strip())
 
 
-# a [run] value is parsed by the type of its default; keys match in any case,
-# since configparser lowercases them (T -> t, margin_R_grid -> margin_r_grid)
+# a [run] value is parsed by the type of its default
 _RUN_PARSERS = {tuple: _parse_float_list, int: int, float: float, str: str}
-_RUN_NAMES = {key.lower(): key for key in _RUN_DEFAULTS}
+_SECTION_KEYS = {
+    "domain": ("length", "J", "quad_nodes"),
+    "system": ("m", "l", "lambda", "sigma", "alpha", "resonance_tol"),
+    "field": ("name", "h"),
+    "run": tuple(_RUN_DEFAULTS),
+}
+
+
+def _section(sections: dict, name: str) -> dict:
+    """One section's entries under their canonical key names.
+
+    Keys match in any case, since configparser lowercases them (J -> j,
+    margin_R_grid -> margin_r_grid); an unknown key raises."""
+    names = {key.lower(): key for key in _SECTION_KEYS[name]}
+    out = {}
+    for key, val in sections.get(name, {}).items():
+        canonical = names.get(key.lower())
+        if canonical is None:
+            raise ConfigurationError(
+                f"unknown [{name}] key {key!r}; valid keys (in any case): "
+                f"{', '.join(_SECTION_KEYS[name])}")
+        out[canonical] = val
+    return out
 
 
 def _resolve_lambda(tokens, basis: SpectralBasis) -> tuple[float, ...]:
@@ -107,16 +128,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
             sections = json.load(fh)
     else:
         sections = _sections_from_ini(path)
+    for name in sections:
+        if name not in _SECTION_KEYS:
+            raise ConfigurationError(
+                f"unknown section [{name}]; valid sections: {', '.join(_SECTION_KEYS)}")
     for required in ("domain", "system", "field"):
         if required not in sections:
             raise ConfigurationError(f"config is missing the [{required}] section")
 
-    dom = sections["domain"]
-    sysc = sections["system"]
-    fld = sections["field"]
-    run_raw = sections.get("run", {})
+    dom = _section(sections, "domain")
+    sysc = _section(sections, "system")
+    fld = _section(sections, "field")
 
-    J = int(dom.get("j", dom.get("J", 32)))
+    J = int(dom.get("J", 32))
     length = float(dom.get("length", 1.0))
     quad_nodes = int(dom.get("quad_nodes", 2 * J + 16))
     basis = build_basis(Domain1D(length=length, quad_nodes=quad_nodes), J)
@@ -128,8 +152,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if len(sigma) == 1 and m > 1:
         sigma = sigma * m
     alpha = float(sysc.get("alpha", 0.8))
-    p_note = float(sysc.get("p_note", 2.0))
-    problem = ProblemConfig(m=m, l=l, lam=lam, sigma=sigma, alpha=alpha, p_note=p_note)
+    problem = ProblemConfig(m=m, l=l, lam=lam, sigma=sigma, alpha=alpha)
 
     field = make_field(str(fld["name"]), m, basis=basis)
     h_const = _parse_float_list(fld.get("h", "0"))
@@ -142,12 +165,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     split = classify(basis, problem, tol=tol)
 
     run = dict(_RUN_DEFAULTS)
-    for key, val in run_raw.items():
-        name = _RUN_NAMES.get(key.lower())
-        if name is None:
-            raise ConfigurationError(
-                f"unknown [run] key {key!r}; valid keys (in any case): "
-                f"{', '.join(_RUN_DEFAULTS)}")
+    for name, val in _section(sections, "run").items():
         run[name] = _RUN_PARSERS[type(_RUN_DEFAULTS[name])](val)
     for s in run["s_grid"]:
         if not (0.0 <= s <= 1.0):

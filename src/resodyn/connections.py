@@ -14,7 +14,7 @@ log = logging.getLogger(__name__)
 
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, GradientStructureError
-from .fields import NonlinearField, galerkin_F
+from .fields import NonlinearField, _u_jacobian, galerkin_F
 from .semiflow import IntegratorSettings, Trajectory, _assemble, _march
 from .spectral import GalerkinState, ProblemConfig, SpectralBasis
 
@@ -144,19 +144,8 @@ def discrete_linearization(field: NonlinearField, basis: SpectralBasis,
     coordinates, with K the Galerkin matrix of multiplication by the field's
     u-Jacobian along the state."""
     m, J = config.m, basis.J
-    x = basis.x
-    U = basis.values(at.coeffs)
-    dU = basis.dvalues(at.coeffs)
-    n = x.size
-    gprime = np.zeros((m, m, n))
-    for col in range(m):
-        Up = U.copy()
-        Um = U.copy()
-        Up[col] += fd_step
-        Um[col] -= fd_step
-        fp = np.asarray(field.eval(x, Up, dU))
-        fm = np.asarray(field.eval(x, Um, dU))
-        gprime[:, col, :] = (fp - fm) / (2 * fd_step)
+    gprime = _u_jacobian(field, basis.x, basis.values(at.coeffs), basis.dvalues(at.coeffs),
+                         fd_step)
     size = m * J
     K = np.zeros((size, size))
     for k in range(m):

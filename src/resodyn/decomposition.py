@@ -41,7 +41,6 @@ class SplitIndexSet:
     """
 
     labels: np.ndarray
-    resonance_tolerance: float
     gap: float
     nonresonant_components: tuple[int, ...] = ()
     masks: Mapping[str, np.ndarray] = field(init=False, repr=False)
@@ -117,8 +116,7 @@ def classify(basis: SpectralBasis, config: ProblemConfig,
             gap = min(gap, np.min(np.abs(d[~kernel])))
         if not kernel.any():
             nonres.append(k)
-    return SplitIndexSet(labels=labels, resonance_tolerance=tol, gap=float(gap),
-                         nonresonant_components=tuple(nonres))
+    return SplitIndexSet(labels=labels, gap=float(gap), nonresonant_components=tuple(nonres))
 
 
 def counts(split: SplitIndexSet) -> CountVector:

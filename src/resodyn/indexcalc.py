@@ -12,6 +12,7 @@ from scipy.linalg import eigh
 
 from .decomposition import CountVector
 from .errors import ConfigurationError, HypothesisError
+from .fields import _u_jacobian
 from .spectral import ProblemConfig, SpectralBasis
 
 __all__ = [
@@ -168,18 +169,8 @@ class LinearizationData:
         central finite differences at (x=midpoint, u=0, du=0)."""
         if field.jac0 is not None:
             return cls.from_G(field.jac0, config)
-        m = config.m
-        x = np.array([0.5])
-        G = np.zeros((m, m))
-        for col in range(m):
-            up = np.zeros((m, 1))
-            um = np.zeros((m, 1))
-            up[col, 0] = fd_step
-            um[col, 0] = -fd_step
-            dz = np.zeros((m, 1))
-            fp = np.asarray(field.eval(x, up, dz))[:, 0]
-            fm = np.asarray(field.eval(x, um, dz))[:, 0]
-            G[:, col] = (fp - fm) / (2 * fd_step)
+        zero = np.zeros((config.m, 1))
+        G = _u_jacobian(field, np.array([0.5]), zero, zero, fd_step)[:, :, 0]
         return cls.from_G(0.5 * (G + G.T), config)
 
 

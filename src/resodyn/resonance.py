@@ -1,5 +1,6 @@
 """Degree-of-resonance bookkeeping and the kernel-weighted resonance
-functionals, evaluated with sign-set quadrature split at eigenfunction roots."""
+functionals, evaluated in closed form from one sign-set quadrature per
+kernel component."""
 
 from __future__ import annotations
 
@@ -10,11 +11,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 from scipy.stats import qmc
 
 from .decomposition import SplitIndexSet
-from .errors import ConfigurationError, HypothesisError
+from .errors import ConfigurationError, EvaluationError, HypothesisError
 from .fields import NonlinearField, galerkin_F
 from .spectral import GalerkinState, ProblemConfig, SpectralBasis, fractional_weights
 
@@ -24,14 +24,10 @@ __all__ = [
     "MarginTable",
     "degree_sets",
     "block_modes",
-    "kernel_state",
     "ll_functional",
     "evaluate_LL",
     "guiding_margin",
 ]
-
-ROOT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DegreeSets:
@@ -93,58 +89,6 @@ def block_modes(split: SplitIndexSet, which: int) -> tuple[tuple[int, int], ...]
     return tuple((int(k) + 1, int(j) + 1) for k, j in np.argwhere(_block_mask(split, which)))
 
 
-def kernel_state(split: SplitIndexSet, which: int, direction: Sequence[float]) -> GalerkinState:
-    """Kernel-block coefficient vector -> GalerkinState (zeros elsewhere).
-
-    The entries follow the order of ``block_modes``."""
-    mask = _block_mask(split, which)
-    direction = np.asarray(direction, dtype=float)
-    dim = int(np.count_nonzero(mask))
-    if direction.shape != (dim,):
-        raise ConfigurationError(
-            f"direction must have {dim} entries for block {which}, got {direction.shape}"
-        )
-    c = np.zeros((split.m, split.J))
-    c[mask] = direction
-    return GalerkinState(c)
-
-
-def _component_roots(coeff_j: dict[int, float], basis: SpectralBasis) -> list[float]:
-    """Interior roots of u(x) = sum_j coeff_j phi_j(x) on (0, L).
-
-    Sign changes are bracketed on the quadrature-node grid (plus endpoints)
-    and refined by Brent's method to ROOT_TOL.
-    """
-    L = basis.domain.length
-    modes = sorted(coeff_j)
-    if not modes:
-        return []
-    norm = np.sqrt(2.0 / L)
-
-    def f(x):
-        return sum(coeff_j[j] * norm * np.sin(j * np.pi * x / L) for j in modes)
-
-    if len(modes) == 1:
-        j = modes[0]
-        return [i * L / j for i in range(1, j)]
-    # bracket on a grid finer than the highest oscillation present
-    grid = np.linspace(0.0, L, 8 * max(modes) + 1)
-    vals = np.array([f(x) for x in grid])
-    roots = []
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa == 0.0 and 0 < a < L:
-            roots.append(a)
-        elif fa * fb < 0:
-            roots.append(brentq(f, a, b, xtol=ROOT_TOL))
-    return sorted(r for r in roots if ROOT_TOL < r < L - ROOT_TOL)
-
-
-def _segment_rule(basis: SpectralBasis):
-    n = max(32, basis.domain.quad_nodes // 2)
-    xg, wg = leggauss(n)
-    return xg, wg
-
-
 def _graded_panels(a: float, b: float, levels: int = 40) -> list[tuple[float, float]]:
     """Panels of [a, b] refined geometrically toward both endpoints.
 
@@ -160,6 +104,91 @@ def _graded_panels(a: float, b: float, levels: int = 40) -> list[tuple[float, fl
     return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
 
 
+def _sign_set_integrals(field: NonlinearField, basis: SpectralBasis, m: int,
+                        components: Sequence[tuple[int, int]],
+                        sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """P_k and N_k for each (component k, kernel mode j) pair of an m-component
+    system.
+
+    With p = 1 - sigma and the segments of (0, L) between the roots i L / j
+    of phi_j, where phi_j has the sign (-1)^i on segment i,
+        P_k = int_{phi_j>0} f_k^+ |phi_j|^p - int_{phi_j<0} f_k^- |phi_j|^p,
+        N_k = int_{phi_j<0} f_k^+ |phi_j|^p - int_{phi_j>0} f_k^- |phi_j|^p,
+    so that u_k = d phi_j contributes |d|^p P_k for d > 0 and |d|^p N_k for
+    d < 0.  Every panel of every segment is evaluated in one stack, and
+    f_plus, f_minus are called once each on all nodes.
+    """
+    L = basis.domain.length
+    norm = np.sqrt(2.0 / L)
+    xg, wg = leggauss(max(32, basis.domain.quad_nodes // 2))
+    panels, owner, positive = [], [], []
+    for c, (k, j) in enumerate(components):
+        cuts = [0.0] + [i * L / j for i in range(1, j)] + [L]
+        for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            # phi_j vanishes at both segment ends, so for sigma > 0 the
+            # integrand has a root-power kink there; grade the panels
+            segment = _graded_panels(a, b) if sigma > 0 else [(a, b)]
+            panels += segment
+            owner += [c] * len(segment)
+            positive += [i % 2 == 0] * len(segment)
+    lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
+    owner, positive = np.array(owner, dtype=int), np.array(positive, dtype=bool)
+    rows, jmode = (np.array(components, dtype=int).reshape(-1, 2)[owner] - [1, 0]).T
+    half = 0.5 * (hi - lo)[:, None]
+    xs = half * xg + 0.5 * (lo + hi)[:, None]
+    ws = half * wg
+    weight = np.abs(norm * np.sin(jmode[:, None] * np.pi * xs / L)) ** (1.0 - sigma)
+    sums = {}
+    for name in ("f_plus", "f_minus"):
+        lim = np.asarray(getattr(field, name)(xs.ravel()), dtype=float)
+        if lim.shape != (m, xs.size):
+            raise ConfigurationError(f"{name} must return an (m, n) array on the nodes")
+        lim = lim.reshape(m, *xs.shape)[rows, np.arange(rows.size)]
+        if not np.all(np.isfinite(lim)):
+            panel, node = np.argwhere(~np.isfinite(lim))[0]
+            raise EvaluationError(
+                f"non-finite {name} value in component {rows[panel] + 1} "
+                f"at x={xs[panel, node]:.6g}")
+        sums[name] = np.sum(ws * lim * weight, axis=1)
+    fp, fm = sums["f_plus"], sums["f_minus"]
+    P = np.bincount(owner, np.where(positive, fp, -fm), minlength=len(components))
+    N = np.bincount(owner, np.where(positive, -fm, fp), minlength=len(components))
+    return P, N
+
+
+def _ll_values(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
+               config: ProblemConfig, which: int, directions: np.ndarray) -> np.ndarray:
+    """S for each row of ``directions`` (entries in ``block_modes`` order).
+
+    Each component of a kernel block carries exactly one kernel mode, so
+    u_k = d_i phi_j and S(d) = sum_{k in J} |d_i|^{1-sigma} (P_k if d_i > 0,
+    N_k if d_i < 0), with P_k, N_k from ``_sign_set_integrals``.
+    """
+    modes = block_modes(split, which)
+    if not modes:
+        raise ConfigurationError(f"kernel block {which} is trivial")
+    components = [k for k, _ in modes]
+    for k in components:
+        if components.count(k) > 1:
+            raise ConfigurationError(
+                f"component {k} has {components.count(k)} kernel modes in block {which}; "
+                "a classified split gives at most one")
+    if directions.shape[1:] != (len(modes),):
+        raise ConfigurationError(
+            f"direction must have {len(modes)} entries for block {which}, "
+            f"got {directions.shape[1:]}")
+    dsets = degree_sets(config)
+    Jset = dsets.J1 if which == 1 else dsets.J2
+    sigma = dsets.sigma_check1 if which == 1 else dsets.sigma_check2
+    active = [(i, k, j) for i, (k, j) in enumerate(modes) if k in Jset]
+    P, N = _sign_set_integrals(field, basis, config.m, [(k, j) for _, k, j in active], sigma)
+    total = np.zeros(directions.shape[0])
+    for (i, _, _), Pk, Nk in zip(active, P, N):
+        d = directions[:, i]
+        total += np.abs(d) ** (1.0 - sigma) * np.where(d > 0, Pk, np.where(d < 0, Nk, 0.0))
+    return total
+
+
 def ll_functional(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
                   config: ProblemConfig, which: int, direction: Sequence[float]) -> float:
     """Signless resonance sum S for one kernel direction.
@@ -167,52 +196,11 @@ def ll_functional(field: NonlinearField, basis: SpectralBasis, split: SplitIndex
     S = sum_{k in J} ( int_{u_k>0} f_k^+ |u_k|^{1-sigma_k}
                        - int_{u_k<0} f_k^- |u_k|^{1-sigma_k} ),
     where J is the argmin degree set of the block and u is the kernel element
-    encoded by ``direction``.  The sign conditions then read +-S > 0.
-    Quadrature subintervals are split at the roots of each u_k, where
-    |u_k|^{1-sigma} has a kink.
+    encoded by ``direction`` (entries in ``block_modes`` order).  The sign
+    conditions then read +-S > 0.
     """
-    modes = block_modes(split, which)
-    if not modes:
-        raise ConfigurationError(f"kernel block {which} is trivial")
-    dsets = degree_sets(config)
-    Jset = dsets.J1 if which == 1 else dsets.J2
-    state = kernel_state(split, which, direction)
-    L = basis.domain.length
-    fp_all = np.asarray(field.f_plus(basis.x), dtype=float)  # only for shape checks
-    if fp_all.shape != (config.m, basis.x.size):
-        raise ConfigurationError("f_plus must return an (m, n) array on the nodes")
-    xg, wg = _segment_rule(basis)
-    total = 0.0
-    for k in Jset:
-        coeff_j = {j: state.coeffs[k - 1, j - 1] for (kk, j) in modes if kk == k}
-        coeff_j = {j: c for j, c in coeff_j.items() if c != 0.0}
-        if not coeff_j:
-            continue
-        sigma_k = config.sigma[k - 1]
-        cuts = [0.0] + _component_roots(coeff_j, basis) + [L]
-        norm = np.sqrt(2.0 / L)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b - a <= ROOT_TOL:
-                continue
-            mid = 0.5 * (a + b)
-            sgn = np.sign(sum(c * norm * np.sin(j * np.pi * mid / L)
-                              for j, c in coeff_j.items()))
-            if sgn == 0:
-                continue
-            # u_k vanishes at both segment ends, so for sigma > 0 the
-            # integrand has a root-power kink there; grade the panels
-            panels = _graded_panels(a, b) if sigma_k > 0 else [(a, b)]
-            for lo, hi in panels:
-                xs = 0.5 * (hi - lo) * xg + 0.5 * (lo + hi)
-                ws = 0.5 * (hi - lo) * wg
-                uk = np.zeros_like(xs)
-                for j, c in coeff_j.items():
-                    uk += c * norm * np.sin(j * np.pi * xs / L)
-                weight = np.abs(uk) ** (1.0 - sigma_k)
-                limit_fn = field.f_plus if sgn > 0 else field.f_minus
-                lim = np.asarray(limit_fn(xs), dtype=float)[k - 1]
-                total += float(sgn) * float(np.sum(ws * lim * weight))
-    return total
+    direction = np.asarray(direction, dtype=float)
+    return float(_ll_values(field, basis, split, config, which, direction[None])[0])
 
 
 def _sphere_directions(dim: int, samples: int, seed: int) -> np.ndarray:
@@ -249,18 +237,13 @@ def evaluate_LL(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSe
     if dim == 0:
         return LLReport(condition, "vacuous", None, None, 0)
     dirs = _sphere_directions(dim, samples if dim >= 2 else 0, seed)
-    best = np.inf
-    best_dir = None
-    for d in dirs:
-        val = sign * ll_functional(field, basis, split, config, which, d)
-        if val < best:
-            best = val
-            best_dir = d
+    values = sign * _ll_values(field, basis, split, config, which, dirs)
+    best = int(np.argmin(values))  # the first of tied minima
     return LLReport(
         condition=condition,
-        verdict="holds" if best > 0 else "fails",
-        min_value=float(best),
-        argmin_direction=tuple(float(v) for v in best_dir),
+        verdict="holds" if values[best] > 0 else "fails",
+        min_value=float(values[best]),
+        argmin_direction=tuple(float(v) for v in dirs[best]),
         samples=len(dirs),
         sampled_only=dim >= 2,
     )

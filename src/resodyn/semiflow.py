@@ -110,19 +110,12 @@ class Trajectory:
     def norm_series(self, name: str) -> np.ndarray:
         return self.norms[:, NORM_NAMES.index(name)]
 
-    def to_csv(self, include_coeffs: bool = False) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        header = ["t", *NORM_NAMES]
-        m, J = self.coeffs.shape[1:]
-        if include_coeffs:
-            header += [f"c_{k + 1}_{j + 1}" for k in range(m) for j in range(J)]
-        writer.writerow(header)
-        for i, t in enumerate(self.times):
-            row = [f"{t:.17g}"] + [f"{v:.17g}" for v in self.norms[i]]
-            if include_coeffs:
-                row += [f"{v:.17g}" for v in self.coeffs[i].ravel()]
-            writer.writerow(row)
+        writer.writerow(["t", *NORM_NAMES])
+        for t, norms in zip(self.times, self.norms):
+            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in norms])
         return buf.getvalue()
 
 

@@ -141,8 +141,6 @@ class ProblemConfig:
 
     m equations, split index l, spectral shifts lambda_k, resonance degrees
     sigma_k, fractional exponent alpha.  delta = 1 + max(lambda) is derived.
-    p_note records the Lebesgue exponent of the ambient-space hypothesis; it
-    plays no numerical role here.
     """
 
     m: int
@@ -150,7 +148,6 @@ class ProblemConfig:
     lam: tuple[float, ...]
     sigma: tuple[float, ...]
     alpha: float = 0.8
-    p_note: float = 2.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -179,8 +176,6 @@ class ProblemConfig:
             )
         if not (0.75 < self.alpha < 1):
             raise ConfigurationError(f"alpha must lie in (3/4, 1), got {self.alpha}")
-        if self.p_note < 2:
-            raise ConfigurationError(f"p_note must be >= 2, got {self.p_note}")
 
     @property
     def delta(self) -> float:
@@ -232,17 +227,6 @@ class GalerkinState:
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(self.coeffs ** 2)))
-
-    def __add__(self, other: "GalerkinState") -> "GalerkinState":
-        return GalerkinState(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "GalerkinState") -> "GalerkinState":
-        return GalerkinState(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "GalerkinState":
-        return GalerkinState(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def build_basis(domain: Domain1D, J: int) -> SpectralBasis:

@@ -62,6 +62,39 @@ def test_unknown_run_key_exit_code(tmp_path, capsys):
     assert "typo_key" in err and "margin_R_grid" in err
 
 
+@pytest.mark.parametrize("section,line,named,listed", [
+    ("system", "sigam = 0.5", "'sigam'", "resonance_tol"),
+    ("system", "p_note = 2", "'p_note'", "resonance_tol"),
+    ("domain", "lenght = 2", "'lenght'", "quad_nodes"),
+    ("field", "gain = 3", "'gain'", "name, h"),
+    ("output", "dir = x", "[output]", "domain, system, field, run"),
+    ("Run", "T = 2", "[Run]", "domain, system, field, run"),
+], ids=["system", "p_note", "domain", "field", "section", "section-case"])
+def test_unknown_key_or_section_exit_code(tmp_path, capsys, section, line, named, listed):
+    sections = {"domain": ["J = 8", "quad_nodes = 32"],
+                "system": ["m = 1", "l = 1", "lambda = mu(1)", "sigma = 0"],
+                "field": ["name = arctan(40)"]}
+    sections.setdefault(section, []).append(line)
+    bad = tmp_path / "typo.ini"
+    bad.write_text("".join(f"[{name}]\n" + "".join(f"{entry}\n" for entry in entries)
+                           for name, entries in sections.items()))
+    assert cli.run_subcommand("index", bad, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert named in err and listed in err
+
+
+def test_json_keys_match_in_any_case(tmp_path):
+    path = tmp_path / "cased.json"
+    path.write_text(json.dumps({
+        "domain": {"J": 8, "Quad_Nodes": 40, "LENGTH": 2.0},
+        "system": {"M": 1, "L": 1, "Lambda": "mu(1)", "Sigma": 0, "Resonance_Tol": 1e-6},
+        "field": {"Name": "arctan(40)"}}))
+    exp = load_config(path)
+    assert exp.basis.x.size == 40 and exp.basis.domain.length == 2.0
+    assert exp.problem.lam == (float(exp.basis.mu[0]),)
+    assert exp.field.name == "arctan(40)"
+
+
 def test_etd_overflow_exit_code(tmp_path, capsys):
     path = tmp_path / "overflow.ini"
     path.write_text(

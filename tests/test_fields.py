@@ -146,6 +146,13 @@ def test_verify_limits_rejects_wrong_declaration(basis32):
     assert rep.witness["deviation"] > 1e-3
 
 
+def test_verify_limits_rejects_small_s(basis32):
+    field = rd.arctan_field(1)
+    for s in (1e5, float("nan")):
+        with pytest.raises(ConfigurationError, match="at least 1e6"):
+            rd.verify_limits(field, 1, s=s, basis=basis32)
+
+
 def test_bounded_field_projection_norm(basis32, desk_split, rng):
     field = rd.arctan_field(1, gain=40.0)
     bound = field.bound_C3 * math.sqrt(1 * basis32.domain.length)
@@ -228,5 +235,5 @@ def test_verify_limits_matches_draw_loop(basis32, spec, k):
             vals = abs(sval) ** field.sigma[k - 1] * field.eval(
                 x, np.repeat(uvec[:, None], n, axis=1), np.repeat(duv[:, None], n, axis=1))[k - 1]
             dev = max(dev, float(np.max(np.abs(vals - target))))
-    rep = rd.verify_limits(field, k, s_values=[1e2, 1e4, s], grid=grid)
+    rep = rd.verify_limits(field, k, s=s, grid=grid)
     assert rep.margin == 1e-3 - dev

@@ -198,8 +198,8 @@ def test_field_linearization_finite_differences(basis32):
 
     def fn(x, U, dU):
         out = np.empty_like(U)
-        out[0] = np.arctan(3.0 * U[0]) + 0.5 * U[1]
-        out[1] = 0.5 * U[0] - np.sin(U[1])
+        out[..., 0, :] = np.arctan(3.0 * U[..., 0, :]) + 0.5 * U[..., 1, :]
+        out[..., 1, :] = 0.5 * U[..., 0, :] - np.sin(U[..., 1, :])
         return out
 
     field = rd.NonlinearField(name="fd", m=2, eval=fn, sigma=np.zeros(2),

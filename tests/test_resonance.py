@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import resodyn as rd
-from resodyn.errors import HypothesisError
+from resodyn.decomposition import N1, PLUS
+from resodyn.errors import ConfigurationError, EvaluationError, HypothesisError
+from resodyn.resonance import _sphere_directions, block_modes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -141,22 +146,113 @@ def test_ll_fails_off_the_minimum_degree_set(basis32):
     assert rep.min_value <= 0.0
 
 
-def test_component_roots_multimode_combination(basis32):
-    # a two-mode sign combination: roots found by bracketing + refinement
-    from resodyn.resonance import _component_roots
+def _quad_oracle(field, basis, modes, sigma, direction):
+    """S(d) by adaptive quadrature of the defining integrals, one call per
+    sign segment of each u_k = d_i phi_j."""
+    L = basis.domain.length
+    total = 0.0
+    for (k, j), d in zip(modes, direction):
+        def u(x, d=d, j=j):
+            return d * math.sqrt(2.0 / L) * math.sin(j * math.pi * x / L)
+        for i in range(j):
+            a, b = i * L / j, (i + 1) * L / j
+            sgn = math.copysign(1.0, u(0.5 * (a + b)))
+            limit = field.f_plus if sgn > 0 else field.f_minus
+            val, err = quad(lambda x: limit(np.array([x]))[k - 1, 0]
+                            * abs(u(x)) ** (1.0 - sigma), a, b,
+                            epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert err < 1e-10
+            total += sgn * val
+    return total
 
-    roots = _component_roots({1: 1.0, 3: 1.0}, basis32)
-    # sqrt2(sin(pi x) + sin(3 pi x)) = 0 at x = 1/2 on (0, 1) ... plus the
-    # zeros of 2 cos(pi x) sin(2 pi x) interior: x = 1/2 only for sin pair?
-    # analytic: sin(pi x) + sin(3 pi x) = 2 sin(2 pi x) cos(pi x):
-    # interior zeros at x = 1/2 (cos) and sin(2 pi x) = 0 -> x = 1/2;
-    # so the set is {1/2}
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(0.5, abs=1e-11)
-    roots = _component_roots({2: 1.0, 4: 0.3}, basis32)
-    vals = [math.sin(2 * math.pi * r) + 0.3 * math.sin(4 * math.pi * r) for r in roots]
-    assert all(abs(v) <= 1e-9 for v in vals)
-    assert any(abs(r - 0.5) <= 1e-9 for r in roots)
+
+def _oracle_case(name, basis):
+    mu = [float(v) for v in basis.mu]
+    if name == "constant-kernel":
+        # x-dependent limits 1.5 phi_2 on the kernel mode j = 2: S(d) = 1.5 d
+        cfg = rd.ProblemConfig(m=1, l=1, lam=(mu[1],), sigma=(0.0,))
+        field = rd.constant_kernel_field(basis, 1, component=1, mode=2, amplitude=1.5)
+        return cfg, field, [[1.0], [-1.0], [0.3], [-2.5]]
+    if name == "mode-2-sigma-0.5":
+        cfg = rd.ProblemConfig(m=1, l=1, lam=(mu[1],), sigma=(0.5,))
+        field = rd.scaled_arctan_field(1, gain=2.0, sigma=0.5)
+        return cfg, field, [[1.0], [-1.0], [0.7], [-3.0]]
+    # a 2-D block (kernel modes j = 1 and j = 3) with sigma = 0.25
+    cfg = rd.ProblemConfig(m=2, l=2, lam=(mu[0], mu[2]), sigma=(0.25, 0.25))
+    field = rd.negate_field(rd.scaled_arctan_field(2, gain=3.0, sigma=0.25))
+    return cfg, field, np.random.default_rng(17).normal(size=(6, 2)).tolist()
+
+
+@pytest.mark.parametrize("name", ["constant-kernel", "mode-2-sigma-0.5", "2d-block-sigma-0.25"])
+def test_closed_form_matches_quad_oracle(basis32, name):
+    cfg, field, directions = _oracle_case(name, basis32)
+    split = rd.classify(basis32, cfg)
+    modes = block_modes(split, 1)
+    sigma = rd.degree_sets(cfg).sigma_check1
+    for d in directions:
+        value = rd.ll_functional(field, basis32, split, cfg, 1, d)
+        oracle = _quad_oracle(field, basis32, modes, sigma, d)
+        assert value == pytest.approx(oracle, rel=1e-8, abs=1e-8)
+
+
+def test_evaluate_ll_matches_direction_loop(basis32):
+    # the vectorized sweep against a loop of one-direction calls, with the
+    # first of tied minima kept
+    cfg, field, _ = _oracle_case("2d-block-sigma-0.25", basis32)
+    split = rd.classify(basis32, cfg)
+    for condition, sign in (("LL1+", 1.0), ("LL1-", -1.0)):
+        rep = rd.evaluate_LL(field, basis32, split, cfg, condition, samples=64, seed=5)
+        best, best_dir = np.inf, None
+        for d in _sphere_directions(2, 64, 5):
+            val = sign * rd.ll_functional(field, basis32, split, cfg, 1, d)
+            if val < best:
+                best, best_dir = val, d
+        assert rep.min_value == best
+        assert rep.argmin_direction == tuple(float(v) for v in best_dir)
+
+
+def test_two_kernel_modes_on_one_component_rejected(basis32, desk_problem, desk_field):
+    labels = np.full((1, 32), PLUS)
+    labels[0, [0, 2]] = N1
+    split = rd.SplitIndexSet(labels=labels, gap=1.0)
+    with pytest.raises(ConfigurationError, match="component 1 has 2 kernel modes"):
+        rd.ll_functional(desk_field, basis32, split, desk_problem, 1, [1.0, 0.0])
+    with pytest.raises(ConfigurationError, match="component 1 has 2 kernel modes"):
+        rd.evaluate_LL(desk_field, basis32, split, desk_problem, "LL1+")
+
+
+def test_nonfinite_limit_names_component(basis32):
+    cfg = rd.ProblemConfig(m=2, l=2, lam=(float(basis32.mu[0]),) * 2, sigma=(0.0, 0.0))
+    split = rd.classify(basis32, cfg)
+    base = rd.arctan_field(2)
+
+    def f_minus(x):
+        out = base.f_minus(x)
+        out[1, x > 0.5] = np.nan
+        return out
+
+    field = rd.NonlinearField(name="nan-limit", m=2, eval=base.eval, sigma=np.zeros(2),
+                              f_plus=base.f_plus, f_minus=f_minus)
+    with pytest.raises(EvaluationError, match="f_minus value in component 2"):
+        rd.ll_functional(field, basis32, split, cfg, 1, [0.6, 0.8])
+
+
+@settings(max_examples=200, deadline=None)
+@given(J=st.integers(1, 24), length=st.floats(0.2, 5.0), m=st.integers(1, 3),
+       picks=st.lists(st.tuples(st.integers(1, 24),
+                                st.sampled_from([0.0, 1e-9, -3e-9, 5e-8, 1e-3, -0.2, 0.4])),
+                      min_size=3, max_size=3),
+       tol=st.sampled_from([0.0, 1e-10, 1e-8, 1e-4, 1e-2, 0.05, 0.1, 0.5, 0.8, 1.0, 3.0]))
+def test_classify_gives_at_most_one_kernel_mode_per_component(J, length, m, picks, tol):
+    basis = rd.build_basis(rd.Domain1D(length, 2 * J + 16), J)
+    lam = tuple(float(basis.mu[min(j, J) - 1]) * (1.0 + rel) for j, rel in picks[:m])
+    cfg = rd.ProblemConfig(m=m, l=1, lam=lam, sigma=(0.0,) * m)
+    try:
+        split = rd.classify(basis, cfg, tol=tol)
+    except HypothesisError:
+        return
+    kernel = split.masks["Q0"]
+    assert np.all(np.count_nonzero(kernel, axis=1) <= 1)
 
 
 def test_degree_error_surfaces(basis32):
