@@ -23,7 +23,7 @@ sign_rep = rd.check_sign_condition(field, 1, "+", lambda x: np.zeros_like(x), gr
 print("sign condition (+, h=0):", sign_rep.verdict, f"margin {sign_rep.margin:.3e}")
 print("declared limits verified:", rd.verify_limits(field, 1, basis=basis).verdict)
 
-for name, fld in [("arctan(40)", field), ("-arctan(40)", rd.negate_field(field))]:
+for name, fld in [("arctan(40)", field), ("-arctan(40)", rd.make_field("-arctan(40)", 1))]:
     for condition in ("LL1+", "LL1-"):
         rep = rd.evaluate_LL(fld, basis, split, cfg, condition)
         extra = "" if rep.min_value is None else f" (min {rep.min_value:.6f})"

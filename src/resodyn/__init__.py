@@ -21,10 +21,8 @@ from .errors import (AmbiguousResonanceError, ConfigurationError,
                      GradientStructureError, HypothesisError, ResodynError,
                      UnboundedModeError)
 from .fields import (ConditionReport, NonlinearField, SampleGrid,
-                     arctan_field, check_bounded, check_sign_condition,
-                     constant_kernel_field, galerkin_F, gaussian_decay_field,
-                     make_field, negate_field, scaled_arctan_field,
-                     verify_limits)
+                     check_bounded, check_sign_condition, galerkin_F,
+                     make_field, verify_limits)
 from .indexcalc import (ConnectionVerdict, HomotopyType, IndexReport,
                         LinearizationData, connection_verdict, d_zero,
                         index_K_infinity, index_partition,

@@ -45,13 +45,15 @@ _SECTION_KEYS = {
     "field": ("name", "h"),
     "run": tuple(_RUN_DEFAULTS),
 }
+_REQUIRED_KEYS = {"system": ("m", "l", "lambda"), "field": ("name",)}
 
 
 def _section(sections: dict, name: str) -> dict:
     """One section's entries under their canonical key names.
 
     Keys match in any case, since configparser lowercases them (J -> j,
-    margin_R_grid -> margin_r_grid); an unknown key raises."""
+    margin_R_grid -> margin_r_grid); an unknown or a missing required key
+    raises."""
     names = {key.lower(): key for key in _SECTION_KEYS[name]}
     out = {}
     for key, val in sections.get(name, {}).items():
@@ -61,6 +63,9 @@ def _section(sections: dict, name: str) -> dict:
                 f"unknown [{name}] key {key!r}; valid keys (in any case): "
                 f"{', '.join(_SECTION_KEYS[name])}")
         out[canonical] = val
+    for key in _REQUIRED_KEYS.get(name, ()):
+        if key not in out:
+            raise ConfigurationError(f"config is missing the required key {key!r} in [{name}]")
     return out
 
 
@@ -155,6 +160,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     problem = ProblemConfig(m=m, l=l, lam=lam, sigma=sigma, alpha=alpha)
 
     field = make_field(str(fld["name"]), m, basis=basis)
+    for k, (given, declared) in enumerate(zip(problem.sigma, field.sigma), start=1):
+        if given != declared:
+            raise ConfigurationError(
+                f"[system] sigma of component {k} is {given:g}, but field "
+                f"{field.name} has degree {declared:g} there")
     h_const = _parse_float_list(fld.get("h", "0"))
     if len(h_const) == 1 and m > 1:
         h_const = h_const * m

@@ -5,8 +5,8 @@ conditions, asymptotic limits)."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -22,11 +22,6 @@ __all__ = [
     "check_sign_condition",
     "verify_limits",
     "make_field",
-    "arctan_field",
-    "scaled_arctan_field",
-    "gaussian_decay_field",
-    "constant_kernel_field",
-    "negate_field",
 ]
 
 
@@ -53,7 +48,6 @@ class NonlinearField:
     bound_C3: Optional[float] = None
     potential: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     jac0: Optional[np.ndarray] = None
-    params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
@@ -264,145 +258,146 @@ def verify_limits(field: NonlinearField, k: int, s: float = 1e6,
 # ---------------------------------------------------------------------------
 # catalogue
 
-def arctan_field(m: int, gain: float = 1.0) -> NonlinearField:
-    """f_k(u) = arctan(gain * u_k) componentwise; sigma = 0, limits +-pi/2 sgn(gain).
-
-    Carries the potential sum_k [u_k arctan(gain u_k) - log(1+gain^2 u_k^2)/(2 gain)].
-    """
-    if gain == 0:
-        raise ConfigurationError("arctan gain must be nonzero")
-    half_pi = np.pi / 2.0
-
-    def ev(x, U, dU):
-        # written in an explicitly odd form so that mirrored nodal data
-        # cancels bit-exactly regardless of the platform's libm
-        return np.sign(U) * np.arctan(gain * np.abs(U))
-
-    def f_plus(x):
-        return np.full((m, x.size), half_pi if gain > 0 else -half_pi)
-
-    def f_minus(x):
-        return np.full((m, x.size), -half_pi if gain > 0 else half_pi)
-
-    def potential(x, U):
-        return np.sum(U * np.arctan(gain * U) - np.log1p((gain * U) ** 2) / (2.0 * gain), axis=0)
-
-    return NonlinearField(
-        name=f"arctan({gain:g})", m=m, eval=ev, sigma=np.zeros(m),
-        f_plus=f_plus, f_minus=f_minus, bound_C3=half_pi, potential=potential,
-        jac0=gain * np.eye(m), params={"gain": gain},
-    )
+_HALF_PI = np.pi / 2.0
 
 
-def scaled_arctan_field(m: int, gain: float = 1.0, sigma: float = 0.5) -> NonlinearField:
-    """f_k(u) = arctan(gain u_k) / (1 + u_k^2)^{sigma/2}; degree-sigma resonance.
-
-    |s|^sigma f_k(.., s, ..) -> +-pi/2 sgn(gain), so the limits match the
-    plain arctan field while the perturbation itself decays.
-    """
-    if not (0 <= sigma <= 1):
-        raise ConfigurationError(f"sigma must lie in [0, 1], got {sigma}")
-    half_pi = np.pi / 2.0
-
-    def ev(x, U, dU):
-        return np.sign(U) * np.arctan(gain * np.abs(U)) / (1.0 + U ** 2) ** (sigma / 2.0)
-
-    def f_plus(x):
-        return np.full((m, x.size), half_pi if gain > 0 else -half_pi)
-
-    def f_minus(x):
-        return np.full((m, x.size), -half_pi if gain > 0 else half_pi)
-
-    return NonlinearField(
-        name=f"scaled-arctan({gain:g},{sigma:g})", m=m, eval=ev,
-        sigma=np.full(m, float(sigma)), f_plus=f_plus, f_minus=f_minus,
-        bound_C3=half_pi, jac0=gain * np.eye(m), params={"gain": gain, "sigma": sigma},
-    )
+def _odd_arctan(U, gain):
+    # written in an explicitly odd form so that mirrored nodal data
+    # cancels bit-exactly regardless of the platform's libm
+    return np.sign(U) * np.arctan(gain * np.abs(U))
 
 
-def gaussian_decay_field(m: int, sigma: float = 0.5) -> NonlinearField:
-    """f_k(u) = exp(-u_k^2); Gaussian decay dominates any power, limits 0.
+def _arctan_limits(gain, *_):
+    return (_HALF_PI, -_HALF_PI) if gain > 0 else (-_HALF_PI, _HALF_PI)
 
-    A strong-resonance-style example: both asymptotic limits vanish, so every
-    kernel-weighted resonance functional is identically zero.
-    """
+
+def _gaussian_potential(U, sigma):
     from scipy.special import erf
-
-    def ev(x, U, dU):
-        return np.exp(-U ** 2)
-
-    def zero(x):
-        return np.zeros((m, x.size))
-
-    def potential(x, U):
-        return np.sum(0.5 * np.sqrt(np.pi) * erf(U), axis=0)
-
-    return NonlinearField(
-        name="gaussian-decay", m=m, eval=ev, sigma=np.full(m, float(sigma)),
-        f_plus=zero, f_minus=zero, bound_C3=1.0, potential=potential,
-        jac0=np.zeros((m, m)), params={"sigma": sigma},
-    )
+    return np.sum(0.5 * np.sqrt(np.pi) * erf(U), axis=0)
 
 
-def constant_kernel_field(basis: SpectralBasis, m: int, component: int = 1,
-                          mode: int = 1, amplitude: float = 1.0) -> NonlinearField:
+class _Row(NamedTuple):
+    """A pointwise catalogue field f_k(u) = g(u_k).  Every callable takes the
+    field's arguments in ``defaults`` order (g and potential after U)."""
+
+    defaults: dict        # argument name -> default; the number of names is the arity
+    label: str            # the field's name, formatted with the arguments
+    g: Callable           # g(U, *args), applied to every component
+    limits: Callable      # (f^+, f^-), constant in x and equal for every component
+    sigma: Callable       # the degree of every component
+    C3: float             # sup |g|
+    slope: Callable       # g'(0), so jac0 = slope * I
+    potential: Optional[Callable]  # potential(U, *args) = sum_k G(u_k) with G' = g
+
+
+_ROWS = {
+    # carries the potential sum_k [u_k arctan(gain u_k) - log(1+gain^2 u_k^2)/(2 gain)]
+    "arctan": _Row(
+        defaults={"gain": 1.0}, label="arctan({0:g})", g=_odd_arctan,
+        limits=_arctan_limits, sigma=lambda gain: 0.0, C3=_HALF_PI,
+        slope=lambda gain: gain,
+        potential=lambda U, gain: np.sum(
+            U * np.arctan(gain * U) - np.log1p((gain * U) ** 2) / (2.0 * gain), axis=0)),
+    # degree-sigma resonance: |s|^sigma g(s) has the plain arctan limits while
+    # the perturbation itself decays
+    "scaled-arctan": _Row(
+        defaults={"gain": 1.0, "sigma": 0.5}, label="scaled-arctan({0:g},{1:g})",
+        g=lambda U, gain, sigma: _odd_arctan(U, gain) / (1.0 + U ** 2) ** (sigma / 2.0),
+        limits=_arctan_limits, sigma=lambda gain, sigma: sigma, C3=_HALF_PI,
+        slope=lambda gain, sigma: gain, potential=None),
+    # Gaussian decay dominates any power, so both limits vanish and every
+    # kernel-weighted resonance functional is identically zero
+    "gaussian-decay": _Row(
+        defaults={"sigma": 0.5}, label="gaussian-decay", g=lambda U, sigma: np.exp(-U ** 2),
+        limits=lambda sigma: (0.0, 0.0), sigma=lambda sigma: sigma, C3=1.0,
+        slope=lambda sigma: 0.0, potential=_gaussian_potential),
+}
+# every name make_field accepts, with its argument defaults
+_DEFAULTS = {name: row.defaults for name, row in _ROWS.items()}
+_DEFAULTS["constant-kernel"] = {"component": 1.0, "mode": 1.0, "amplitude": 1.0}
+
+
+def _pointwise(row: _Row, m: int, args: tuple) -> dict:
+    """The NonlinearField parts of a table row at the given arguments."""
+    g, pot = row.g, row.potential
+    fp, fm = row.limits(*args)
+    return dict(
+        name=row.label.format(*args), eval=lambda x, U, dU: g(U, *args),
+        sigma=np.full(m, float(row.sigma(*args))),
+        f_plus=lambda x: np.full((m, x.size), fp), f_minus=lambda x: np.full((m, x.size), fm),
+        bound_C3=row.C3, potential=None if pot is None else (lambda x, U: pot(U, *args)),
+        jac0=row.slope(*args) * np.eye(m))
+
+
+def _constant_kernel(m: int, basis: SpectralBasis, component: float, mode: float,
+                     amplitude: float) -> dict:
     """State-independent field F = amplitude * phi_mode e_component.
 
     When (component, mode) is a kernel mode of the shifted operator this is
     the classic counterexample field: the kernel projection of every solution
     drifts linearly and no bounded full solution exists.
     """
-    if not (1 <= component <= m):
-        raise ConfigurationError(f"component must lie in [1, {m}], got {component}")
-    if not (1 <= mode <= basis.J):
-        raise ConfigurationError(f"mode must lie in [1, {basis.J}], got {mode}")
+    if component != int(component) or not 1 <= component <= m:
+        raise ConfigurationError(f"component must be an integer in [1, {m}], got {component:g}")
+    if mode != int(mode) or not 1 <= mode <= basis.J:
+        raise ConfigurationError(f"mode must be an integer in [1, {basis.J}], got {mode:g}")
+    k, j = int(component), int(mode)
     L = basis.domain.length
     norm = np.sqrt(2.0 / L)
-    km, jm = component, mode
 
     def profile(x):
-        return amplitude * norm * np.sin(jm * np.pi * x / L)
+        return amplitude * norm * np.sin(j * np.pi * x / L)
 
     def ev(x, U, dU):
         out = np.zeros(np.shape(U))
-        out[..., km - 1, :] = profile(x)
+        out[..., k - 1, :] = profile(x)
         return out
 
-    def limit(x):
-        out = np.zeros((m, x.size))
-        out[km - 1] = profile(x)
-        return out
+    def limit(x):  # the field ignores the state, so its limits are its values
+        return ev(x, np.empty((m, x.size)), None)
 
-    def potential(x, U):
-        return profile(x) * U[km - 1]
-
-    return NonlinearField(
-        name=f"constant-kernel({component},{mode},{amplitude:g})", m=m, eval=ev,
-        sigma=np.zeros(m), f_plus=limit, f_minus=limit,
-        bound_C3=abs(amplitude) * norm, potential=potential, jac0=np.zeros((m, m)),
-        params={"component": component, "mode": mode, "amplitude": amplitude},
-    )
+    return dict(
+        name=f"constant-kernel({k},{j},{amplitude:g})", eval=ev, sigma=np.zeros(m),
+        f_plus=limit, f_minus=limit, bound_C3=abs(amplitude) * norm,
+        potential=lambda x, U: profile(x) * U[k - 1], jac0=np.zeros((m, m)))
 
 
-def negate_field(field: NonlinearField) -> NonlinearField:
-    """The field -f, with limits swapped and negated accordingly."""
-    base_eval, base_fp, base_fm = field.eval, field.f_plus, field.f_minus
-    base_pot = field.potential
+def _signed(sign: int, m: int, **parts) -> NonlinearField:
+    """The field, or for sign -1 its exact negation: the sign multiplies each
+    whole output (eval, limits, potential, jac0), never a gain or amplitude,
+    which would leave +0.0 where -f has -0.0; sigma and C3 are unchanged."""
+    if sign < 0:
+        parts["name"] = f"-({parts['name']})"
+        for key in ("eval", "f_plus", "f_minus", "potential"):
+            if parts[key] is not None:
+                parts[key] = lambda *a, fn=parts[key]: -fn(*a)
+        parts["jac0"] = -parts["jac0"]
+    return NonlinearField(m=m, **parts)
 
-    def ev(x, U, dU):
-        return -base_eval(x, U, dU)
 
-    def potential(x, U):
-        return -base_pot(x, U)
-
-    return NonlinearField(
-        name=f"-({field.name})", m=field.m, eval=ev, sigma=field.sigma.copy(),
-        f_plus=lambda x: -base_fp(x), f_minus=lambda x: -base_fm(x),
-        bound_C3=field.bound_C3,
-        potential=potential if base_pot is not None else None,
-        jac0=None if field.jac0 is None else -field.jac0,
-        params=dict(field.params),
-    )
+def _parse_args(spec: str, argstr: Optional[str], defaults: dict) -> tuple:
+    """The spec's arguments: none (every default) or exactly one per
+    parameter, all finite; a gain is nonzero and a degree lies in [0, 1]."""
+    try:
+        args = tuple(float(a) for a in argstr.split(",")) if argstr and argstr.strip() else ()
+    except ValueError:
+        raise ConfigurationError(f"cannot parse the arguments of field spec {spec!r}") from None
+    if not args:
+        args = tuple(defaults.values())
+    if len(args) != len(defaults):
+        raise ConfigurationError(
+            f"field spec {spec!r} takes no arguments or exactly {len(defaults)} "
+            f"({', '.join(defaults)}), got {len(args)}")
+    values = dict(zip(defaults, args))
+    for key, val in values.items():
+        if not np.isfinite(val):
+            raise ConfigurationError(f"field spec {spec!r}: {key} must be finite, got {val}")
+    if values.get("gain") == 0:
+        raise ConfigurationError(f"field spec {spec!r}: gain must be nonzero")
+    if not 0 <= values.get("sigma", 0.0) <= 1:
+        raise ConfigurationError(
+            f"field spec {spec!r}: sigma must lie in [0, 1], got {values['sigma']:g}")
+    return args
 
 
 _CATALOGUE_RE = re.compile(r"^\s*(-?)\s*([a-zA-Z-]+)\s*(?:\(([^)]*)\))?\s*$")
@@ -412,27 +407,23 @@ def make_field(spec: str, m: int, basis: Optional[SpectralBasis] = None) -> Nonl
     """Build a catalogue field from a name like ``arctan(40)``.
 
     Recognized names: ``arctan(gain)``, ``scaled-arctan(gain, sigma)``,
-    ``gaussian-decay`` or ``gaussian-decay(sigma)``, and
-    ``constant-kernel(component, mode, amplitude)`` (needs the basis).  A
-    leading ``-`` negates the field.
+    ``gaussian-decay(sigma)`` and ``constant-kernel(component, mode,
+    amplitude)`` (needs the basis).  A spec gives no arguments (every default)
+    or all of them.  A leading ``-`` negates the field exactly.
     """
     match = _CATALOGUE_RE.match(spec)
     if not match:
         raise ConfigurationError(f"cannot parse field spec {spec!r}")
     negate, name, argstr = match.groups()
-    args = [float(a) for a in argstr.split(",")] if argstr else []
-    if name == "arctan":
-        field = arctan_field(m, *(args or [1.0]))
-    elif name == "scaled-arctan":
-        field = scaled_arctan_field(m, *(args or [1.0, 0.5]))
-    elif name == "gaussian-decay":
-        field = gaussian_decay_field(m, *(args or [0.5]))
-    elif name == "constant-kernel":
-        if basis is None:
-            raise ConfigurationError("constant-kernel field needs the spectral basis")
-        comp, mode = (int(args[0]), int(args[1])) if len(args) >= 2 else (1, 1)
-        amp = args[2] if len(args) >= 3 else 1.0
-        field = constant_kernel_field(basis, m, comp, mode, amp)
+    defaults = _DEFAULTS.get(name)
+    if defaults is None:
+        raise ConfigurationError(
+            f"unknown catalogue field {name!r}; known fields: {', '.join(_DEFAULTS)}")
+    if name == "constant-kernel" and basis is None:
+        raise ConfigurationError("constant-kernel field needs the spectral basis")
+    args = _parse_args(spec, argstr, defaults)
+    if name == "constant-kernel":
+        parts = _constant_kernel(m, basis, *args)
     else:
-        raise ConfigurationError(f"unknown catalogue field {name!r}")
-    return negate_field(field) if negate else field
+        parts = _pointwise(_ROWS[name], m, args)
+    return _signed(-1 if negate else 1, m, **parts)

@@ -82,7 +82,7 @@ def test_criterion_03_kernel_identity_exact():
 
 def test_criterion_04_resonance_functional_values():
     basis = rd.build_basis(rd.Domain1D(1.0, 80), 32)
-    field = rd.arctan_field(1)
+    field = rd.make_field("arctan(1)", 1)
     for mode in (1, 2):
         cfg = rd.ProblemConfig(m=1, l=1, lam=(float(basis.mu[mode - 1]),), sigma=(0.0,))
         split = rd.classify(basis, cfg)
@@ -166,7 +166,7 @@ def test_criterion_08_product_flow_identity():
     basis = rd.build_basis(rd.Domain1D(1.0, 80), 32)
     cfg = rd.ProblemConfig(m=1, l=1, lam=(float(basis.mu[0]),), sigma=(0.0,))
     split = rd.classify(basis, cfg)
-    field = rd.arctan_field(1, gain=40.0)
+    field = rd.make_field("arctan(40)", 1)
     c = np.zeros((1, 32))
     c[0, 0] = 0.15   # kernel
     c[0, 1] = -0.2   # positive block

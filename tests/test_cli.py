@@ -83,6 +83,47 @@ def test_unknown_key_or_section_exit_code(tmp_path, capsys, section, line, named
     assert named in err and listed in err
 
 
+_SMALL_SECTIONS = {"domain": ["J = 8", "quad_nodes = 32"],
+                   "system": ["m = 1", "l = 1", "lambda = mu(1)", "sigma = 0"],
+                   "field": ["name = arctan(40)"]}
+
+
+def _write_ini(path, sections):
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{entry}\n" for entry in entries)
+                            for name, entries in sections.items()))
+    return path
+
+
+@pytest.mark.parametrize("section,key", [("system", "m"), ("system", "l"),
+                                         ("system", "lambda"), ("field", "name")])
+def test_missing_required_key_exit_code(tmp_path, capsys, section, key):
+    sections = {name: [entry for entry in entries if not entry.startswith(f"{key} =")]
+                for name, entries in _SMALL_SECTIONS.items()}
+    bad = _write_ini(tmp_path / "missing.ini", sections)
+    assert cli.run_subcommand("index", bad, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"missing the required key '{key}' in [{section}]" in err
+
+
+@pytest.mark.parametrize("name,named", [("arctan(1,2,3)", "got 3"),
+                                        ("scaled-arctan(0, 0.5)", "gain must be nonzero")])
+def test_bad_field_spec_exit_code(tmp_path, capsys, name, named):
+    bad = _write_ini(tmp_path / "field.ini", {**_SMALL_SECTIONS, "field": [f"name = {name}"]})
+    assert cli.run_subcommand("index", bad, out_dir=tmp_path / "out") == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system,component", [
+    (["m = 1", "l = 1", "lambda = mu(1)", "sigma = 0"], 1),
+    (["m = 2", "l = 1", "lambda = mu(1), mu(1)", "sigma = 0.5, 0"], 2),
+])
+def test_sigma_must_match_field_degrees(tmp_path, capsys, system, component):
+    bad = _write_ini(tmp_path / "sigma.ini", {**_SMALL_SECTIONS, "system": system,
+                                               "field": ["name = scaled-arctan(40, 0.5)"]})
+    assert cli.run_subcommand("index", bad, out_dir=tmp_path / "out") == 2
+    assert f"sigma of component {component} is 0," in capsys.readouterr().err
+
+
 def test_json_keys_match_in_any_case(tmp_path):
     path = tmp_path / "cased.json"
     path.write_text(json.dumps({

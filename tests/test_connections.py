@@ -88,7 +88,7 @@ def test_validate_potential_accepts_and_rejects(desk_field):
         potential=lambda x, U: np.sum(U ** 2, axis=0))
     with pytest.raises(GradientStructureError):
         rd.validate_potential(broken)
-    nopot = rd.gaussian_decay_field(1)
+    nopot = rd.make_field("gaussian-decay", 1)
     rd.validate_potential(nopot)  # gaussian field carries a valid potential
 
 
@@ -104,7 +104,7 @@ def test_unstable_directions_ordering(basis32, desk_problem, desk_field, desk_eq
 
 
 def test_no_unstable_directions_for_damped_field(basis32, desk_problem, desk_split):
-    field = rd.negate_field(rd.arctan_field(1, gain=40.0))
+    field = rd.make_field("-arctan(40)", 1)
     eqs = rd.find_equilibria(field, basis32, desk_split, desk_problem, [])
     origin = eqs[0]
     assert origin.is_origin and origin.morse_index == 0

@@ -1,11 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import resodyn as rd
 from resodyn.errors import ConfigurationError, EvaluationError
-from resodyn.fields import SampleGrid
+from resodyn.fields import _DEFAULTS, SampleGrid
 
 
 def _custom(m, fn, sigma=None, fp=None, fm=None, bound=None):
@@ -51,7 +53,7 @@ def test_galerkin_F_nonfinite_reports_node(basis32):
 
 
 def test_check_bounded_arctan(basis32):
-    field = rd.arctan_field(1)
+    field = rd.make_field("arctan(1)", 1)
     grid = SampleGrid.default(basis32, 1, seed=3)
     report = rd.check_bounded(field, grid)
     assert report.verdict == "holds"
@@ -77,7 +79,7 @@ def test_check_bounded_product_field(basis32):
 
 
 def test_sign_condition_arctan_holds(basis32):
-    field = rd.arctan_field(1, gain=40.0)
+    field = rd.make_field("arctan(40)", 1)
     grid = SampleGrid.default(basis32, 1, seed=5)
     rep = rd.check_sign_condition(field, 1, "+", lambda x: np.zeros_like(x), grid, l=1)
     assert rep.verdict == "holds"
@@ -85,7 +87,7 @@ def test_sign_condition_arctan_holds(basis32):
 
 
 def test_sign_condition_negated_fails_with_witness(basis32):
-    field = rd.negate_field(rd.arctan_field(1))
+    field = rd.make_field("-arctan(1)", 1)
     grid = SampleGrid.default(basis32, 1, seed=5)
     rep = rd.check_sign_condition(field, 1, "+", lambda x: np.zeros_like(x), grid, l=1)
     assert rep.verdict == "fails"
@@ -106,7 +108,7 @@ def test_sign_condition_with_offset_bound(basis32):
 
 
 def test_verify_limits_arctan(basis32):
-    field = rd.arctan_field(1)
+    field = rd.make_field("arctan(1)", 1)
     rep = rd.verify_limits(field, 1, basis=basis32)
     assert rep.verdict == "holds"
 
@@ -122,13 +124,13 @@ def test_verify_limits_degree_one(basis32):
 
 
 def test_verify_limits_gaussian_decay(basis32):
-    field = rd.gaussian_decay_field(1)
+    field = rd.make_field("gaussian-decay", 1)
     rep = rd.verify_limits(field, 1, basis=basis32)
     assert rep.verdict == "holds"
 
 
 def test_verify_limits_negated_field(basis32):
-    field = rd.negate_field(rd.arctan_field(1))
+    field = rd.make_field("-arctan(1)", 1)
     rep = rd.verify_limits(field, 1, basis=basis32)
     assert rep.verdict == "holds"
     # the declared limits are the negated originals, not the swapped ones
@@ -136,7 +138,7 @@ def test_verify_limits_negated_field(basis32):
 
 
 def test_verify_limits_rejects_wrong_declaration(basis32):
-    field = rd.arctan_field(1)
+    field = rd.make_field("arctan(1)", 1)
     wrong = rd.NonlinearField(
         name="wrong", m=1, eval=field.eval, sigma=field.sigma,
         f_plus=lambda x: np.zeros((1, x.size)), f_minus=field.f_minus,
@@ -147,14 +149,14 @@ def test_verify_limits_rejects_wrong_declaration(basis32):
 
 
 def test_verify_limits_rejects_small_s(basis32):
-    field = rd.arctan_field(1)
+    field = rd.make_field("arctan(1)", 1)
     for s in (1e5, float("nan")):
         with pytest.raises(ConfigurationError, match="at least 1e6"):
             rd.verify_limits(field, 1, s=s, basis=basis32)
 
 
 def test_bounded_field_projection_norm(basis32, desk_split, rng):
-    field = rd.arctan_field(1, gain=40.0)
+    field = rd.make_field("arctan(40)", 1)
     bound = field.bound_C3 * math.sqrt(1 * basis32.domain.length)
     for _ in range(5):
         u = rd.GalerkinState(rng.normal(size=(1, 32)))
@@ -164,13 +166,13 @@ def test_bounded_field_projection_norm(basis32, desk_split, rng):
 
 def test_catalogue_parsing(basis32):
     f = rd.make_field("arctan(40)", 2)
-    assert f.params["gain"] == 40.0 and f.m == 2
+    assert f.name == "arctan(40)" and f.m == 2
     f = rd.make_field("scaled-arctan(2, 0.5)", 1)
     assert f.sigma[0] == 0.5
     f = rd.make_field("gaussian-decay", 1)
     assert f.bound_C3 == 1.0
     f = rd.make_field("constant-kernel(1, 1, 2.5)", 1, basis=basis32)
-    assert f.params["amplitude"] == 2.5
+    assert f.name == "constant-kernel(1,1,2.5)"
     f = rd.make_field("-arctan(40)", 1)
     vals = f.eval(basis32.x[:1], np.array([[3.0]]), np.array([[0.0]]))
     assert vals[0, 0] == -np.arctan(120.0)
@@ -181,6 +183,70 @@ def test_catalogue_errors(basis32):
         rd.make_field("constant-kernel(1,1)", 1)  # needs the basis
     with pytest.raises(ConfigurationError):
         rd.make_field("unknown-thing", 1)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("arctan(1,2,3)", r"exactly 1 \(gain\), got 3"),
+    ("scaled-arctan(2)", r"exactly 2 \(gain, sigma\), got 1"),
+    ("constant-kernel(1)", r"exactly 3 \(component, mode, amplitude\), got 1"),
+    ("constant-kernel(1.5, 1)", "exactly 3"),
+    ("constant-kernel(1.5, 1, 1)", r"component must be an integer in \[1, 2\], got 1.5"),
+    ("constant-kernel(1, 2.5, 1)", r"mode must be an integer in \[1, 32\], got 2.5"),
+    ("arctan(inf)", "gain must be finite"),
+    ("arctan(nan)", "gain must be finite"),
+    ("-constant-kernel(1, 1, nan)", "amplitude must be finite"),
+    ("scaled-arctan(0, 0.5)", "gain must be nonzero"),
+    ("gaussian-decay(2)", r"sigma must lie in \[0, 1\], got 2"),
+    ("gaussian-decay(-0.5)", r"sigma must lie in \[0, 1\]"),
+    ("arctan(x)", "cannot parse the arguments"),
+])
+def test_make_field_rejects_bad_arguments(basis32, spec, message):
+    with pytest.raises(ConfigurationError, match=message):
+        rd.make_field(spec, 2, basis=basis32)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("spec", [*_DEFAULTS, "arctan(-40)", "scaled-arctan(-3, 0.25)",
+                                  "gaussian-decay(0.25)", "constant-kernel(1, 2, -2.5)"])
+def test_negation_is_exact_flip(basis32, spec, m):
+    field = rd.make_field(spec, m, basis=basis32)
+    neg = rd.make_field("-" + spec, m, basis=basis32)
+    x = basis32.x
+    U = 3.0 * np.random.default_rng(3).normal(size=(4, m, x.size))
+    U[0, :, :4], U[1, :, :4] = 0.0, -0.0
+    dU = np.zeros_like(U)
+    assert neg.name == f"-({field.name})"
+    assert _same_bits(neg.eval(x, U, dU), -field.eval(x, U, dU))
+    assert _same_bits(neg.f_plus(x), -field.f_plus(x))
+    assert _same_bits(neg.f_minus(x), -field.f_minus(x))
+    assert _same_bits(neg.jac0, -field.jac0)
+    assert _same_bits(neg.sigma, field.sigma) and neg.bound_C3 == field.bound_C3
+    assert (neg.potential is None) == (field.potential is None)
+    if field.potential is not None:
+        assert _same_bits(neg.potential(x, U[2]), -field.potential(x, U[2]))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("spec", [*_DEFAULTS, *("-" + name for name in _DEFAULTS)])
+def test_catalogue_declarations_hold(basis32, spec, m):
+    field = rd.make_field(spec, m, basis=basis32)
+    for k in range(1, m + 1):
+        assert rd.verify_limits(field, k, basis=basis32).verdict == "holds"
+    if field.potential is not None:
+        rd.validate_potential(field)
+
+
+def test_readme_catalogue_matches_make_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Field catalogue", 1)[1].split("\n## ", 1)[0]
+    forms = re.findall(r"^\| `([a-z-]+)\(([^)]*)\)`", section, flags=re.M)
+    assert {name: len(args.split(",")) for name, args in forms} == {
+        name: len(defaults) for name, defaults in _DEFAULTS.items()}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -175,7 +175,7 @@ def test_three_component_pipeline_integers(basis32):
     assert split.n2_modes == frozenset({(3, 1)})
     assert split.minus_modes == frozenset({(2, 1)})
 
-    field = rd.arctan_field(3, gain=40.0)
+    field = rd.make_field("arctan(40)", 3)
     ll1 = rd.evaluate_LL(field, basis32, split, cfg, "LL1+", samples=64, seed=7)
     ll2 = rd.evaluate_LL(field, basis32, split, cfg, "LL2+")
     assert ll1.verdict == "holds" and ll2.verdict == "holds"

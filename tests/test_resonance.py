@@ -52,7 +52,7 @@ def test_ll_functional_second_kernel(basis32, desk_field):
 
 
 def test_ll_functional_strong_resonance_zero(basis32, desk_problem, desk_split):
-    field = rd.gaussian_decay_field(1)
+    field = rd.make_field("gaussian-decay", 1)
     value = rd.ll_functional(field, basis32, desk_split, desk_problem, 1, [1.0])
     assert value == 0.0
 
@@ -67,7 +67,7 @@ def test_ll_homogeneity(basis32, desk_problem, desk_split, desk_field):
 def test_ll_homogeneity_fractional_degree(basis32):
     cfg = rd.ProblemConfig(m=1, l=1, lam=(float(basis32.mu[0]),), sigma=(0.5,))
     split = rd.classify(basis32, cfg)
-    field = rd.scaled_arctan_field(1, gain=1.0, sigma=0.5)
+    field = rd.make_field("scaled-arctan(1, 0.5)", 1)
     base = rd.ll_functional(field, basis32, split, cfg, 1, [1.0])
     for c in (2.0, 10.0):
         scaled = rd.ll_functional(field, basis32, split, cfg, 1, [c])
@@ -81,7 +81,7 @@ def test_ll_functional_intermediate_degree_oracle(basis32):
 
     cfg = rd.ProblemConfig(m=1, l=1, lam=(float(basis32.mu[0]),), sigma=(0.5,))
     split = rd.classify(basis32, cfg)
-    field = rd.scaled_arctan_field(1, gain=1.0, sigma=0.5)
+    field = rd.make_field("scaled-arctan(1, 0.5)", 1)
     value = rd.ll_functional(field, basis32, split, cfg, 1, [1.0])
     oracle, err = quad(lambda x: (math.pi / 2)
                        * (SQRT2 * math.sin(math.pi * x)) ** 0.5, 0.0, 1.0)
@@ -101,7 +101,7 @@ def test_evaluate_ll_desk(basis32, desk_problem, desk_split, desk_field):
 
 
 def test_evaluate_ll_antisymmetry(basis32, desk_problem, desk_split, desk_field):
-    neg = rd.negate_field(desk_field)
+    neg = rd.make_field("-arctan(40)", 1)
     plus = rd.evaluate_LL(neg, basis32, desk_split, desk_problem, "LL1+")
     minus = rd.evaluate_LL(neg, basis32, desk_split, desk_problem, "LL1-")
     assert plus.verdict == "fails"
@@ -118,7 +118,7 @@ def test_evaluate_ll_multidimensional_sampled(basis32):
     cfg = rd.ProblemConfig(m=2, l=2, lam=(float(basis32.mu[0]), float(basis32.mu[0])),
                            sigma=(0.0, 0.0))
     split = rd.classify(basis32, cfg)
-    field = rd.arctan_field(2, gain=40.0)
+    field = rd.make_field("arctan(40)", 2)
     rep = rd.evaluate_LL(field, basis32, split, cfg, "LL1+", samples=128, seed=11)
     assert rep.verdict == "holds"
     assert rep.sampled_only
@@ -133,7 +133,7 @@ def test_ll_fails_off_the_minimum_degree_set(basis32):
     cfg = rd.ProblemConfig(m=2, l=2, lam=(float(basis32.mu[0]), float(basis32.mu[0])),
                            sigma=(0.5, 0.0))
     split = rd.classify(basis32, cfg)
-    field = rd.arctan_field(2, gain=40.0)
+    field = rd.make_field("arctan(40)", 2)
     d = rd.degree_sets(cfg)
     assert d.J1 == (2,)
     modes = sorted(split.n1_modes)
@@ -171,15 +171,15 @@ def _oracle_case(name, basis):
     if name == "constant-kernel":
         # x-dependent limits 1.5 phi_2 on the kernel mode j = 2: S(d) = 1.5 d
         cfg = rd.ProblemConfig(m=1, l=1, lam=(mu[1],), sigma=(0.0,))
-        field = rd.constant_kernel_field(basis, 1, component=1, mode=2, amplitude=1.5)
+        field = rd.make_field("constant-kernel(1, 2, 1.5)", 1, basis=basis)
         return cfg, field, [[1.0], [-1.0], [0.3], [-2.5]]
     if name == "mode-2-sigma-0.5":
         cfg = rd.ProblemConfig(m=1, l=1, lam=(mu[1],), sigma=(0.5,))
-        field = rd.scaled_arctan_field(1, gain=2.0, sigma=0.5)
+        field = rd.make_field("scaled-arctan(2, 0.5)", 1)
         return cfg, field, [[1.0], [-1.0], [0.7], [-3.0]]
     # a 2-D block (kernel modes j = 1 and j = 3) with sigma = 0.25
     cfg = rd.ProblemConfig(m=2, l=2, lam=(mu[0], mu[2]), sigma=(0.25, 0.25))
-    field = rd.negate_field(rd.scaled_arctan_field(2, gain=3.0, sigma=0.25))
+    field = rd.make_field("-scaled-arctan(3, 0.25)", 2)
     return cfg, field, np.random.default_rng(17).normal(size=(6, 2)).tolist()
 
 
@@ -224,7 +224,7 @@ def test_two_kernel_modes_on_one_component_rejected(basis32, desk_problem, desk_
 def test_nonfinite_limit_names_component(basis32):
     cfg = rd.ProblemConfig(m=2, l=2, lam=(float(basis32.mu[0]),) * 2, sigma=(0.0, 0.0))
     split = rd.classify(basis32, cfg)
-    base = rd.arctan_field(2)
+    base = rd.make_field("arctan(1)", 2)
 
     def f_minus(x):
         out = base.f_minus(x)
@@ -286,7 +286,7 @@ def test_guiding_margin_zero_field(basis32, desk_problem, desk_split):
 
 
 def test_guiding_margin_sign_mirror(basis32, desk_problem, desk_split, desk_field):
-    neg = rd.negate_field(desk_field)
+    neg = rd.make_field("-arctan(40)", 1)
     plus = rd.guiding_margin(desk_field, basis32, desk_split, desk_problem, which=1,
                              W_radius=2.0, R_grid=[20.0], samples=16, sign="+", seed=2)
     minus = rd.guiding_margin(neg, basis32, desk_split, desk_problem, which=1,

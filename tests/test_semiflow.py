@@ -37,7 +37,7 @@ def test_homotopy_field_kernel_only_at_s0(basis32, desk_split, desk_field, rng):
 
 
 def test_homotopy_field_constant_kernel_forcing(basis32, desk_split, desk_problem):
-    field = rd.constant_kernel_field(basis32, 1, component=1, mode=1, amplitude=0.7)
+    field = rd.make_field("constant-kernel(1, 1, 0.7)", 1, basis=basis32)
     v0 = rd.galerkin_F(field, basis32, rd.GalerkinState.zeros(1, 32))
     for s in (0.0, 0.3, 1.0):
         u = rd.GalerkinState(np.random.default_rng(1).normal(size=(1, 32)))
@@ -165,7 +165,7 @@ def test_imex_small_system_runs(rng):
     basis = rd.build_basis(rd.Domain1D(1.0, 24), 4)
     cfg = rd.ProblemConfig(m=1, l=1, lam=(float(basis.mu[0]),), sigma=(0.0,))
     split = rd.classify(basis, cfg)
-    field = rd.arctan_field(1, gain=2.0)
+    field = rd.make_field("arctan(2)", 1)
     u0 = rd.GalerkinState(0.1 * rng.normal(size=(1, 4)))
     # dt * max|mu_j - lambda| just below 0.2, with T a whole multiple of dt
     dt = 0.2 / math.ceil(float(np.max(np.abs(basis.mu - cfg.lam[0]))))
