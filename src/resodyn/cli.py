@@ -244,20 +244,24 @@ def _stage_connect(exp: ExperimentConfig, ctx: dict) -> dict:
                     equilibria.append(eq)
         settings = IntegratorSettings(dt=float(run["dt"]), T=float(run["T"]),
                                       store_every=10)
-        for d_idx, (rate, direction) in enumerate(directions):
-            for eps in run["eps_grid"]:
-                result = shoot_connection(
-                    exp.field, exp.basis, exp.split, exp.problem, origin,
-                    direction, float(eps), settings, equilibria)
-                entry = {"direction": d_idx, "rate": rate, "eps": float(eps)}
-                if isinstance(result, ConnectionRecord):
-                    entry["outcome"] = "connected"
-                    entry.update(result.to_dict())
-                    records.append((d_idx, eps, result))
-                else:
-                    entry["outcome"] = "miss"
-                    entry.update(result.to_dict())
-                shots.append(entry)
+        # every direction x eps shot marches in one stack, in this order
+        grid = [(d_idx, rate, direction, float(eps))
+                for d_idx, (rate, direction) in enumerate(directions)
+                for eps in run["eps_grid"]]
+        results = shoot_connection(
+            exp.field, exp.basis, exp.split, exp.problem, origin,
+            [direction for _, _, direction, _ in grid], [eps for *_, eps in grid],
+            settings, equilibria)
+        for (d_idx, rate, _, eps), result in zip(grid, results):
+            entry = {"direction": d_idx, "rate": rate, "eps": eps}
+            if isinstance(result, ConnectionRecord):
+                entry["outcome"] = "connected"
+                entry.update(result.to_dict())
+                records.append((d_idx, eps, result))
+            else:
+                entry["outcome"] = "miss"
+                entry.update(result.to_dict())
+            shots.append(entry)
     ctx["connections"] = records
     return {
         "connection_predicted": predicted,
@@ -291,11 +295,8 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
         return 2
     stage = "load"
     try:
-        exp = load_config(config_path)
-        if seed is not None:
-            exp.run["seed"] = int(seed)
-        if s_grid is not None:
-            exp.run["s_grid"] = tuple(float(v) for v in s_grid)
+        overrides = {"seed": seed, "s_grid": s_grid}
+        exp = load_config(config_path, {k: v for k, v in overrides.items() if v is not None})
         out = Path(out_dir) if out_dir is not None else Path(exp.run["out"])
         out.mkdir(parents=True, exist_ok=True)
         report = {

@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from .decomposition import SplitIndexSet, classify
 from .errors import ConfigurationError
 from .fields import NonlinearField, make_field
+from .semiflow import IntegratorSettings
 from .spectral import Domain1D, ProblemConfig, SpectralBasis, build_basis
 
 __all__ = ["ExperimentConfig", "load_config"]
@@ -31,14 +33,52 @@ _RUN_DEFAULTS = {
 }
 
 
-def _parse_float_list(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(v) for v in str(text).split(",") if str(v).strip())
+def _number(section: str, key: str, value) -> float:
+    """One finite number."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"[{section}] {key} = {value!r} is not a number") from None
+    if not math.isfinite(out):
+        raise ConfigurationError(f"[{section}] {key} = {value!r} must be finite")
+    return out
 
 
-# a [run] value is parsed by the type of its default
-_RUN_PARSERS = {tuple: _parse_float_list, int: int, float: float, str: str}
+def _numbers(section: str, key: str, value) -> tuple[float, ...]:
+    """A comma list (or a JSON list) of at least one finite number."""
+    items = (value if isinstance(value, (list, tuple))
+             else [v for v in str(value).split(",") if v.strip()])
+    if not items:
+        raise ConfigurationError(f"[{section}] {key} needs at least one value")
+    return tuple(_number(section, key, v) for v in items)
+
+
+def _count(section: str, key: str, value, minimum: int = 1) -> int:
+    """A whole number >= minimum; 2.5, "2.5" and true are rejected, not
+    truncated."""
+    out = value
+    if isinstance(value, str):
+        try:
+            out = int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        out = int(value)
+    if isinstance(out, bool) or not isinstance(out, int):
+        raise ConfigurationError(f"[{section}] {key} = {value!r} is not a whole number")
+    if out < minimum:
+        raise ConfigurationError(f"[{section}] {key} = {out} must be >= {minimum}")
+    return out
+
+
+# a [run] value is parsed by the type of its default; its counts are >= 1,
+# except the seed count and the seed itself
+_RUN_MINIMUM = {"seeds": 0, "seed": 0}
+_RUN_PARSERS = {
+    tuple: _numbers, float: _number,
+    int: lambda section, key, value: _count(section, key, value, _RUN_MINIMUM.get(key, 1)),
+    str: lambda section, key, value: str(value),
+}
 _SECTION_KEYS = {
     "domain": ("length", "J", "quad_nodes"),
     "system": ("m", "l", "lambda", "sigma", "alpha", "resonance_tol"),
@@ -81,17 +121,14 @@ def _resolve_lambda(tokens, basis: SpectralBasis) -> tuple[float, ...]:
         tokens = [t.strip() for t in tokens.split(",") if t.strip()]
     out = []
     for tok in tokens:
-        if isinstance(tok, (int, float)):
-            out.append(float(tok))
-            continue
-        tok = tok.strip()
-        if tok.startswith("mu(") and tok.endswith(")"):
-            j = int(tok[3:-1])
-            if not (1 <= j <= basis.J):
+        tok = tok.strip() if isinstance(tok, str) else tok
+        if isinstance(tok, str) and tok.startswith("mu(") and tok.endswith(")"):
+            j = _count("system", "lambda", tok[3:-1])
+            if j > basis.J:
                 raise ConfigurationError(f"eigenvalue reference {tok} outside 1..{basis.J}")
             out.append(float(basis.mu[j - 1]))
         else:
-            out.append(float(tok))
+            out.append(_number("system", "lambda", tok))
     return tuple(out)
 
 
@@ -123,8 +160,11 @@ def _sections_from_ini(path: Path) -> dict:
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse, build, and validate an experiment file (INI or JSON)."""
+def load_config(path: str | Path, run_overrides: dict | None = None) -> ExperimentConfig:
+    """Parse, build, and validate an experiment file (INI or JSON).
+
+    ``run_overrides`` replaces [run] values (the command line's --seed and
+    --s-grid) before they are parsed and checked like the file's own."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
@@ -145,18 +185,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
     sysc = _section(sections, "system")
     fld = _section(sections, "field")
 
-    J = int(dom.get("J", 32))
-    length = float(dom.get("length", 1.0))
-    quad_nodes = int(dom.get("quad_nodes", 2 * J + 16))
+    J = _count("domain", "J", dom.get("J", 32))
+    length = _number("domain", "length", dom.get("length", 1.0))
+    quad_nodes = _count("domain", "quad_nodes", dom.get("quad_nodes", 2 * J + 16))
     basis = build_basis(Domain1D(length=length, quad_nodes=quad_nodes), J)
 
-    m = int(sysc["m"])
-    l = int(sysc["l"])
+    m = _count("system", "m", sysc["m"])
+    l = _count("system", "l", sysc["l"])
     lam = _resolve_lambda(sysc["lambda"], basis)
-    sigma = _parse_float_list(sysc.get("sigma", "0"))
+    sigma = _numbers("system", "sigma", sysc.get("sigma", "0"))
     if len(sigma) == 1 and m > 1:
         sigma = sigma * m
-    alpha = float(sysc.get("alpha", 0.8))
+    alpha = _number("system", "alpha", sysc.get("alpha", 0.8))
     problem = ProblemConfig(m=m, l=l, lam=lam, sigma=sigma, alpha=alpha)
 
     field = make_field(str(fld["name"]), m, basis=basis)
@@ -165,21 +205,27 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigurationError(
                 f"[system] sigma of component {k} is {given:g}, but field "
                 f"{field.name} has degree {declared:g} there")
-    h_const = _parse_float_list(fld.get("h", "0"))
+    h_const = _numbers("field", "h", fld.get("h", "0"))
     if len(h_const) == 1 and m > 1:
         h_const = h_const * m
     if len(h_const) != m:
         raise ConfigurationError(f"h must have 1 or {m} entries, got {len(h_const)}")
 
-    tol = float(sysc.get("resonance_tol", 1e-8))
+    tol = _number("system", "resonance_tol", sysc.get("resonance_tol", 1e-8))
+    if tol <= 0:
+        raise ConfigurationError(f"[system] resonance_tol = {tol!r} must be positive")
     split = classify(basis, problem, tol=tol)
 
     run = dict(_RUN_DEFAULTS)
-    for name, val in _section(sections, "run").items():
-        run[name] = _RUN_PARSERS[type(_RUN_DEFAULTS[name])](val)
+    given = {**_section(sections, "run"), **(run_overrides or {})}
+    for name, val in given.items():
+        run[name] = _RUN_PARSERS[type(_RUN_DEFAULTS[name])]("run", name, val)
     for s in run["s_grid"]:
         if not (0.0 <= s <= 1.0):
             raise ConfigurationError(f"s_grid values must lie in [0, 1], got {s}")
+    # dt, T and scheme are checked here, the step cap included, not when a
+    # stage first marches
+    IntegratorSettings(dt=run["dt"], T=run["T"], scheme=run["scheme"])
 
     raw = {k: dict(v) if isinstance(v, dict) else v for k, v in sections.items()}
     return ExperimentConfig(raw=raw, basis=basis, problem=problem, field=field,

@@ -283,8 +283,7 @@ class ShootMiss:
 
 def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
                      config: ProblemConfig, source: Equilibrium,
-                     direction: GalerkinState, eps: float,
-                     settings: IntegratorSettings,
+                     direction, eps, settings: IntegratorSettings,
                      equilibria: Sequence[Equilibrium],
                      settle_tol: float = 1e-4, dwell: float = 1.0,
                      direction_tol: float = 1e-6):
@@ -296,77 +295,145 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
     ``direction`` must be a unit eigenvector of the discrete linearization at
     the source with negative eigenvalue (an unstable direction of the
     forward flow); otherwise the shot is a miss by contract.  Returns a
-    ConnectionRecord or a ShootMiss.
+    ConnectionRecord or a ShootMiss.  ``direction`` and ``eps`` may also be
+    equal-length sequences, one shot per pair: every shot then marches in
+    one (B, m, J) stack, a connected shot leaves it as it settles, and the
+    results come back as a list in input order.
     """
-    d = direction.coeffs
-    nrm = np.sqrt(np.sum(d ** 2))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ConfigurationError(f"direction must be a unit state, norm={nrm}")
+    single = isinstance(direction, GalerkinState)
+    directions = [direction] if single else list(direction)
+    epsilons = [float(e) for e in ([eps] if single else eps)]
+    if len(directions) != len(epsilons):
+        raise ConfigurationError(
+            f"need one eps per direction, got {len(epsilons)} for {len(directions)}")
+    for d in directions:
+        nrm = np.sqrt(np.sum(d.coeffs ** 2))
+        if abs(nrm - 1.0) > 1e-8:
+            raise ConfigurationError(f"direction must be a unit state, norm={nrm}")
     L = discrete_linearization(field, basis, config, source.state)
-    flat = d.ravel()
-    theta = float(flat @ (L @ flat))
-    eig_residual = float(np.sqrt(np.sum((L @ flat - theta * flat) ** 2)))
-    if theta >= 0 or eig_residual > max(direction_tol, direction_tol * abs(theta)):
-        return ShootMiss(reason="not-unstable", closest_distance=float("inf"),
-                         closest_target=None, trajectory=None)
+    results: list = [None] * len(directions)
+    shots = []
+    for i, d in enumerate(directions):
+        flat = d.coeffs.ravel()
+        theta = float(flat @ (L @ flat))
+        eig_residual = float(np.sqrt(np.sum((L @ flat - theta * flat) ** 2)))
+        if theta >= 0 or eig_residual > max(direction_tol, direction_tol * abs(theta)):
+            results[i] = ShootMiss(reason="not-unstable", closest_distance=float("inf"),
+                                   closest_target=None, trajectory=None)
+        else:
+            shots.append(i)
+    if shots:
+        for i, result in zip(shots, _shoot_stack(
+                field, basis, split, config, source,
+                np.stack([source.state.coeffs + epsilons[i] * directions[i].coeffs
+                          for i in shots]),
+                settings, list(equilibria), settle_tol, dwell)):
+            results[i] = result
+    return results[0] if single else results
 
-    c = source.state.coeffs + eps * d
-    targets = list(equilibria)
+
+def _shoot_stack(field, basis, split, config, source, c0, settings, targets,
+                 settle_tol, dwell):
+    """March the (B, m, J) stack c0 and settle each member on its own.
+
+    The settle state (closest approach, the target being dwelt on and since
+    when) is held in arrays aligned with the rows of the marching stack; a
+    row that diverges or settles leaves the arrays and the stack together.
+    """
+    B = c0.shape[0]
     # never settle back onto the source itself
-    source_like = [np.sqrt(np.sum((eq.state.coeffs - source.state.coeffs) ** 2)) <= settle_tol
-                   for eq in targets]
-    has_energy = field.potential is not None
-    times, coeffs = [0.0], [c]
-    energies = [liapunov_energy(field, basis, config, GalerkinState(c))] if has_energy else None
-    inside_since = None
-    inside_target = None
-    closest = float("inf")
-    closest_target = None
+    candidates = np.array([
+        i for i, eq in enumerate(targets)
+        if not np.sqrt(np.sum((eq.state.coeffs - source.state.coeffs) ** 2)) <= settle_tol],
+        dtype=int)
+    goals = np.stack([targets[i].state.coeffs for i in candidates]) if candidates.size else None
+    times = [[0.0] for _ in range(B)]
+    coeffs = [[row] for row in c0]
+    results: list = [None] * B
+    # per row: member id, closest distance and its target (-1: none yet),
+    # the target dwelt on (-1: none) and since when
+    state = (np.arange(B), np.full(B, np.inf), np.full(B, -1), np.full(B, -1), np.zeros(B))
 
     def rhs(c, members):
         return galerkin_F(field, basis, GalerkinState._trusted(c)).coeffs
 
-    def record(t, c):
-        times.append(t)
-        coeffs.append(c)
-        if has_energy:
-            energies.append(liapunov_energy(field, basis, config, GalerkinState._trusted(c)))
-
-    diverged = False
-    for n, t, stack, _, hit in _march(rhs, basis, config, settings, c[None]):
-        c, diverged = stack[0], bool(hit[0])
-        stored = diverged or n % settings.store_every == 0 or n == settings.nsteps
-        if stored:
-            record(t, c)
-        if diverged:
+    march = _march(rhs, basis, config, settings, c0)
+    retire = None
+    while True:
+        try:
+            n, t, c, _, diverged = march.send(retire)
+        except StopIteration:
             break
-        dists = [float(np.sqrt(np.sum((c - eq.state.coeffs) ** 2))) for eq in targets]
-        best = None
-        for i, dist in enumerate(dists):
-            if source_like[i]:
-                continue
-            if dist < closest:
-                closest = dist
-                closest_target = i
-            if best is None and dist <= settle_tol:
-                best = i
-        if best is not None:
-            if inside_target == best and inside_since is not None:
-                if t - inside_since >= dwell:
-                    if not stored:
-                        record(t, c)
-                    traj = _assemble(basis, split, config, times, coeffs, 1.0, diverged=False)
-                    return ConnectionRecord(
-                        source=source, target=targets[best], trajectory=traj,
-                        terminal_distance=float(dists[best]),
-                        energy_profile=np.asarray(energies) if has_energy else None)
-            else:
-                inside_target = best
-                inside_since = t
-        else:
-            inside_target = None
-            inside_since = None
-    traj = _assemble(basis, split, config, times, coeffs, 1.0, diverged=diverged)
-    return ShootMiss(reason="divergent" if diverged else "horizon",
-                     closest_distance=closest, closest_target=closest_target,
-                     trajectory=traj)
+        retire = None
+        if diverged.any():
+            ids, closest, closest_target = state[:3]
+            for row in np.flatnonzero(diverged):
+                i = ids[row]
+                times[i].append(t)
+                coeffs[i].append(c[row])
+                results[i] = _miss(basis, split, config, "divergent", times[i], coeffs[i],
+                                   closest[row], closest_target[row])
+            state = tuple(a[~diverged] for a in state)
+            c = c[~diverged]
+        ids, closest, closest_target, inside_target, inside_since = state
+        stored = n % settings.store_every == 0 or n == settings.nsteps
+        if stored:
+            for i, row in zip(ids, c):
+                times[i].append(t)
+                coeffs[i].append(row)
+        if goals is None or ids.size == 0:
+            continue
+        # one C-ordered m*J run per distance, summed as np.sum sums one state
+        sq = (c[:, None] - goals) ** 2
+        dists = np.sqrt(sq.reshape(ids.size, goals.shape[0], -1).sum(axis=-1))
+        near = dists.min(axis=1)
+        closer = near < closest
+        if closer.any():
+            closest = np.where(closer, near, closest)
+            closest_target = np.where(closer, candidates[dists.argmin(axis=1)], closest_target)
+        if not near.min() <= settle_tol:
+            state = (ids, closest, closest_target, np.full(ids.size, -1), inside_since)
+            continue
+        within = dists <= settle_tol
+        inside = within.any(axis=1)
+        first = within.argmax(axis=1)
+        best = np.where(inside, candidates[first], -1)
+        stay = inside & (inside_target == best)
+        settled = stay & (t - inside_since >= dwell)
+        state = (ids, closest, closest_target, best, np.where(stay, inside_since, t))
+        if settled.any():
+            for k in np.flatnonzero(settled):
+                i = ids[k]
+                if not stored:
+                    times[i].append(t)
+                    coeffs[i].append(c[k])
+                results[i] = _record(field, basis, split, config, source,
+                                     targets[best[k]], times[i], coeffs[i],
+                                     float(dists[k, first[k]]))
+            # retire over the rows just yielded, the diverged ones included
+            retire = np.zeros(diverged.size, dtype=bool)
+            retire[np.flatnonzero(~diverged)[settled]] = True
+            state = tuple(a[~settled] for a in state)
+    for i, closest_i, target_i in zip(*state[:3]):
+        results[i] = _miss(basis, split, config, "horizon", times[i], coeffs[i],
+                           closest_i, target_i)
+    return results
+
+
+def _record(field, basis, split, config, source, target, times, coeffs, distance):
+    energies = None
+    if field.potential is not None:
+        energies = np.asarray([liapunov_energy(field, basis, config, GalerkinState._trusted(c))
+                               for c in coeffs])
+    return ConnectionRecord(
+        source=source, target=target,
+        trajectory=_assemble(basis, split, config, times, coeffs, 1.0, diverged=False),
+        terminal_distance=distance, energy_profile=energies)
+
+
+def _miss(basis, split, config, reason, times, coeffs, closest, closest_target):
+    return ShootMiss(
+        reason=reason, closest_distance=float(closest),
+        closest_target=None if closest_target < 0 else int(closest_target),
+        trajectory=_assemble(basis, split, config, times, coeffs, 1.0,
+                             diverged=reason == "divergent"))

@@ -11,7 +11,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.stats import qmc
 
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, EvaluationError, HypothesisError
@@ -207,10 +206,11 @@ def _sphere_directions(dim: int, samples: int, seed: int) -> np.ndarray:
     """+-e_i plus low-discrepancy sphere points (deterministic for a seed)."""
     dirs = [v for i in range(dim) for v in (np.eye(dim)[i], -np.eye(dim)[i])]
     if dim >= 2 and samples > 0:
-        sob = qmc.Sobol(d=dim, scramble=True, seed=seed)
-        pts = sob.random(samples)
-        from scipy.stats import norm as gauss
-        g = gauss.ppf(np.clip(pts, 1e-12, 1 - 1e-12))
+        # scipy.stats costs most of the import time; only >= 2-D blocks need it
+        from scipy.special import ndtri
+        from scipy.stats import qmc
+        pts = qmc.Sobol(d=dim, scramble=True, seed=seed).random(samples)
+        g = ndtri(np.clip(pts, 1e-12, 1 - 1e-12))
         lens = np.linalg.norm(g, axis=1)
         good = lens > 0
         dirs.extend(g[good] / lens[good, None])

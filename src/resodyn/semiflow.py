@@ -40,6 +40,11 @@ NORM_NAMES = ("l2", "fractional", "P1_seminorm", "P2_seminorm",
 
 SCHEMES = ("ETD1", "IMEX-Euler")
 
+# Most steps one run may take: a thousand times the 10 000 of the shipped
+# configs.  A horizon past it (T = 1e300 at dt = 1e-2, say) is refused
+# rather than marched without end.
+MAX_STEPS = 10 ** 7
+
 
 @dataclass(frozen=True)
 class IntegratorSettings:
@@ -50,7 +55,8 @@ class IntegratorSettings:
     accuracy only; the IMEX-Euler alternative must satisfy
     dt <= 0.25 / max|mu_J - lambda_k| (checked at integration time).  The
     horizon T must be a whole multiple of dt (to a relative 1e-9): no step
-    is partial, and no horizon is silently shortened.
+    is partial, and no horizon is silently shortened.  T / dt may not pass
+    MAX_STEPS.
     """
 
     dt: float
@@ -70,6 +76,9 @@ class IntegratorSettings:
         if self.store_every < 1:
             raise ConfigurationError("store_every must be >= 1")
         steps = self.T / self.dt
+        if not steps <= MAX_STEPS:
+            raise ConfigurationError(
+                f"T/dt = {steps!r} steps passes the cap MAX_STEPS = {MAX_STEPS}")
         if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigurationError(
                 f"T={self.T!r} must be a whole positive multiple of dt={self.dt!r} "
@@ -194,7 +203,9 @@ def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralB
     ``(n, t, c, members, diverged)`` after steps n = 1..nsteps, with
     ``diverged`` marking the rows whose L2 norm passed the divergence
     threshold or is not finite; those rows leave the stack after the yield,
-    and the loop stops when no row is left.
+    and the loop stops when no row is left.  A caller may also retire rows
+    by ``send``-ing a boolean mask over the rows just yielded; iterating
+    with ``for`` sends None, which retires nothing.
     """
     dt = settings.dt
     if settings.scheme == "IMEX-Euler":
@@ -215,9 +226,10 @@ def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralB
         else:
             c = (c + dt * H) / denom
         diverged = ~(np.sqrt((c ** 2).sum(axis=(-2, -1))) <= threshold)
-        yield n + 1, (n + 1) * dt, c, members, diverged
-        if diverged.any():
-            c, members = c[~diverged], members[~diverged]
+        retire = yield n + 1, (n + 1) * dt, c, members, diverged
+        leave = diverged if retire is None else diverged | retire
+        if leave.any():
+            c, members = c[~leave], members[~leave]
             if members.size == 0:
                 return
 

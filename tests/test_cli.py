@@ -105,6 +105,52 @@ def test_missing_required_key_exit_code(tmp_path, capsys, section, key):
     assert f"missing the required key '{key}' in [{section}]" in err
 
 
+@pytest.mark.parametrize("section,entry,named", [
+    ("domain", "J = 2.5", "[domain] J = '2.5' is not a whole number"),
+    ("field", "h = nan", "[field] h = 'nan' must be finite"),
+    ("run", "seeds = -1", "[run] seeds = -1 must be >= 0"),
+    ("run", "ll_samples = -5", "[run] ll_samples = -5 must be >= 1"),
+    ("run", "margin_R_grid =", "[run] margin_R_grid needs at least one value"),
+    ("system", "lambda = nan", "[system] lambda = 'nan' must be finite"),
+    ("run", "dt = nan", "[run] dt = 'nan' must be finite"),
+    ("run", "T = 1e300", "passes the cap MAX_STEPS"),
+], ids=["J", "h", "seeds", "ll_samples", "margin_R_grid", "lambda", "dt", "nsteps"])
+def test_bad_number_or_count_exit_code(tmp_path, capsys, section, entry, named):
+    # every case is caught at load, before any stage runs or marches
+    key = entry.split("=")[0]
+    sections = {name: [e for e in entries if not e.startswith(key)]
+                for name, entries in _SMALL_SECTIONS.items()}
+    sections.setdefault(section, []).append(entry)
+    bad = _write_ini(tmp_path / "bad.ini", sections)
+    assert cli.run_subcommand("index", bad, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "stage 'load'" in err and named in err
+
+
+@pytest.mark.parametrize("overrides,named", [
+    ({"seed": -1}, "[run] seed = -1 must be >= 0"),
+    ({"s_grid": [0.0, float("nan")]}, "[run] s_grid = nan must be finite"),
+    ({"s_grid": []}, "[run] s_grid needs at least one value"),
+])
+def test_bad_command_line_override_exit_code(tmp_path, capsys, overrides, named):
+    assert cli.run_subcommand("decompose", ARCTAN_CFG, out_dir=tmp_path, **overrides) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("J,ok", [(8.0, True), ("8", True), (8.5, False), (True, False)])
+def test_json_counts_are_not_truncated(tmp_path, J, ok):
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps({
+        "domain": {"J": J, "quad_nodes": 32},
+        "system": {"m": 1, "l": 1, "lambda": "mu(1)", "sigma": 0},
+        "field": {"name": "arctan(40)"}}))
+    if ok:
+        assert load_config(path).basis.J == 8
+    else:
+        with pytest.raises(ConfigurationError, match="whole number"):
+            load_config(path)
+
+
 @pytest.mark.parametrize("name,named", [("arctan(1,2,3)", "got 3"),
                                         ("scaled-arctan(0, 0.5)", "gain must be nonzero")])
 def test_bad_field_spec_exit_code(tmp_path, capsys, name, named):

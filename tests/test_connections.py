@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import resodyn as rd
-from resodyn.errors import GradientStructureError
+from resodyn.errors import ConfigurationError, GradientStructureError
 
 
 def _zero_field_with_potential(m=1):
@@ -203,3 +203,151 @@ def test_fd_jacobian_matches_column_loop(basis32, m):
         loop[:, idx] = (rp - rm) / (2 * h)
         floor[:, idx] = 2 * np.finfo(float).eps * (np.maximum(abs(rp), abs(rm)) + 1.0) / h
     assert np.all(np.abs(_fd_jacobian(field, basis32, cfg, c) - loop) <= floor)
+
+
+# -- batched shots ------------------------------------------------------------
+
+def _close(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        near = np.abs(a - b) <= 1e-14 + 1e-12 * np.abs(b)
+    return a.shape == b.shape and bool(np.all((a == b) | near))
+
+
+def _assert_same_shot(batched, single):
+    assert type(batched) is type(single)
+    if isinstance(single, rd.ShootMiss):
+        assert batched.reason == single.reason
+        assert batched.closest_target == single.closest_target
+        assert _close(batched.closest_distance, single.closest_distance)
+        if single.trajectory is None:
+            assert batched.trajectory is None
+            return
+    else:
+        assert batched.target is single.target
+        assert _close(batched.terminal_distance, single.terminal_distance)
+        assert _close(batched.energy_profile, single.energy_profile)
+    assert np.array_equal(batched.trajectory.times, single.trajectory.times)
+    assert batched.trajectory.diverged == single.trajectory.diverged
+    assert _close(batched.trajectory.coeffs, single.trajectory.coeffs)
+    assert _close(batched.trajectory.norms, single.trajectory.norms)
+
+
+def _shoot_both(field, basis, split, cfg, origin, directions, eps, settings, equilibria):
+    batched = rd.shoot_connection(field, basis, split, cfg, origin, directions, eps,
+                                  settings, equilibria)
+    single = [rd.shoot_connection(field, basis, split, cfg, origin, d, e, settings,
+                                  equilibria) for d, e in zip(directions, eps)]
+    assert isinstance(batched, list) and len(batched) == len(single)
+    for b, s in zip(batched, single):
+        _assert_same_shot(b, s)
+    return batched
+
+
+def test_batched_shots_match_single_desk(basis32, desk_problem, desk_split, desk_field,
+                                         desk_equilibria):
+    origin = next(eq for eq in desk_equilibria if eq.is_origin)
+    dirs = [d for _, d in rd.unstable_directions(desk_field, basis32, desk_problem, origin)]
+    settings = rd.IntegratorSettings(dt=1e-2, T=4.0, store_every=10)
+    shots = _shoot_both(desk_field, basis32, desk_split, desk_problem, origin,
+                        [d for d in dirs for _ in range(2)], [1e-3, -1e-3] * len(dirs),
+                        settings, desk_equilibria)
+    assert [type(r).__name__ for r in shots] == ["ShootMiss"] * 2 + ["ConnectionRecord"] * 2
+    # the kernel shot keeps marching after its stack mates have settled
+    assert shots[0].trajectory.times[-1] == 4.0 > shots[2].trajectory.times[-1]
+
+
+def test_batched_shots_match_single_two_components():
+    basis = rd.build_basis(rd.Domain1D(1.0, 48), 16)
+    cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]),) * 2, sigma=(0.0, 0.0))
+    split = rd.classify(basis, cfg)
+    field = rd.make_field("arctan(40)", 2)
+    equilibria = rd.find_equilibria(field, basis, split, cfg, [])
+    origin = equilibria[0]
+    dirs = [d for _, d in rd.unstable_directions(field, basis, cfg, origin)]
+    for d in dirs:
+        for eq in rd.find_equilibria(field, basis, split, cfg,
+                                     [rd.GalerkinState(0.05 * d.coeffs),
+                                      rd.GalerkinState(-0.05 * d.coeffs)]):
+            if all(np.sqrt(np.sum((eq.state.coeffs - o.state.coeffs) ** 2)) > 1e-6
+                   for o in equilibria):
+                equilibria.append(eq)
+    settings = rd.IntegratorSettings(dt=1e-2, T=4.0, store_every=10)
+    shots = _shoot_both(field, basis, split, cfg, origin,
+                        [d for d in dirs for _ in range(2)], [1e-3, -1e-3] * len(dirs),
+                        settings, equilibria)
+    kinds = {type(r).__name__ for r in shots}
+    assert kinds == {"ShootMiss", "ConnectionRecord"}
+
+
+def test_pure_parity_shot_stays_exact_in_mixed_stack(basis32, desk_problem, desk_split,
+                                                     desk_field, desk_equilibria):
+    origin = next(eq for eq in desk_equilibria if eq.is_origin)
+    (_, kernel), (_, second) = rd.unstable_directions(desk_field, basis32, desk_problem,
+                                                      origin)
+    assert np.all(second.coeffs[0, 0::2] == 0.0)  # antisymmetric about L/2
+    settings = rd.IntegratorSettings(dt=1e-2, T=4.0, store_every=1)
+    shots = rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, origin,
+                                [kernel, second, kernel], [1e-3, 1e-3, -1e-3], settings,
+                                desk_equilibria)
+    record = shots[1]
+    assert isinstance(record, rd.ConnectionRecord)
+    assert np.all(record.trajectory.coeffs[:, 0, 0::2] == 0.0)
+    assert np.any(record.trajectory.coeffs[-1, 0, 1::2] != 0.0)
+    # the symmetric shots fill the modes the antisymmetric one must not touch
+    assert np.any(shots[0].trajectory.coeffs[-1, 0, 0::2] != 0.0)
+
+
+def test_misses_report_first_closest_approach(basis32, desk_problem, desk_split, desk_field,
+                                             desk_equilibria):
+    # the horizon ends before either pair shot has dwelt long enough to settle
+    origin = next(eq for eq in desk_equilibria if eq.is_origin)
+    (_, kernel), (_, second) = rd.unstable_directions(desk_field, basis32, desk_problem,
+                                                      origin)
+    settings = rd.IntegratorSettings(dt=1e-2, T=1.5, store_every=1)
+    shots = rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, origin,
+                                [kernel, second, second], [1e-3, 1e-3, -1e-3], settings,
+                                desk_equilibria)
+    targets = [i for i, eq in enumerate(desk_equilibria) if not eq.is_origin]
+    for shot in shots:
+        assert shot.reason == "horizon"
+        dists = np.array([[np.sqrt(np.sum((c - desk_equilibria[i].state.coeffs) ** 2))
+                           for i in targets] for c in shot.trajectory.coeffs[1:]])
+        assert shot.closest_distance == dists.min()
+        # first in (step, target) order, as a serial scan finds it
+        assert shot.closest_target == targets[np.argmin(dists) % len(targets)]
+    assert shots[1].closest_target != shots[2].closest_target
+
+
+def test_batch_with_rejected_and_divergent_members(basis32, desk_problem, desk_split,
+                                                   desk_field, desk_equilibria):
+    origin = next(eq for eq in desk_equilibria if eq.is_origin)
+    (_, kernel), (_, second) = rd.unstable_directions(desk_field, basis32, desk_problem,
+                                                      origin)
+    stable = rd.GalerkinState.unit(1, 32, 1, 3)
+    # the kernel shot escapes past the threshold; the saddle pair has norm 0.024
+    settings = rd.IntegratorSettings(dt=1e-2, T=4.0, store_every=10,
+                                     divergence_threshold=1.0)
+    shots = _shoot_both(desk_field, basis32, desk_split, desk_problem, origin,
+                        [second, stable, kernel, second], [1e-3, 1e-3, 1e-3, -1e-3],
+                        settings, desk_equilibria)
+    assert shots[1].reason == "not-unstable" and shots[1].trajectory is None
+    assert shots[2].reason == "divergent" and shots[2].trajectory.diverged
+    assert shots[2].trajectory.times[-1] < 4.0
+    assert all(isinstance(shots[i], rd.ConnectionRecord) for i in (0, 3))
+
+
+def test_batched_shots_validate_inputs(basis32, desk_problem, desk_split, desk_field,
+                                       desk_equilibria):
+    origin = next(eq for eq in desk_equilibria if eq.is_origin)
+    settings = rd.IntegratorSettings(dt=1e-2, T=0.1)
+    unit = rd.GalerkinState.unit(1, 32, 1, 2)
+    with pytest.raises(ConfigurationError, match="one eps per direction"):
+        rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, origin,
+                            [unit, unit], [1e-3], settings, desk_equilibria)
+    with pytest.raises(ConfigurationError, match="unit state"):
+        rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, origin,
+                            [unit, rd.GalerkinState.unit(1, 32, 1, 2, 2.0)], [1e-3, 1e-3],
+                            settings, desk_equilibria)
+    assert rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, origin,
+                               [], [], settings, desk_equilibria) == []

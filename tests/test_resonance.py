@@ -339,3 +339,29 @@ def test_guiding_margin_matches_sample_loop(basis32, which):
             worst = min(worst, -float(np.dot(F[k], u[k])))
         assert R == R_ref
         assert margin == pytest.approx(worst, rel=1e-12, abs=1e-14)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(rd.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import resodyn; "
+         "print(sorted(k for k in sys.modules if k.startswith('scipy.stats')))"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("dim,samples,seed", [(2, 64, 5), (3, 512, 0), (4, 128, 9)])
+def test_sphere_directions_match_norm_ppf(dim, samples, seed):
+    # ndtri in place of scipy.stats.norm.ppf moves no bit
+    from scipy.stats import norm, qmc
+    pts = np.clip(qmc.Sobol(d=dim, scramble=True, seed=seed).random(samples),
+                  1e-12, 1 - 1e-12)
+    g = norm.ppf(pts)
+    lens = np.linalg.norm(g, axis=1)
+    axes = [sign * np.eye(dim)[i] for i in range(dim) for sign in (1.0, -1.0)]
+    expected = np.vstack([axes, g[lens > 0] / lens[lens > 0, None]])
+    assert np.array_equal(_sphere_directions(dim, samples, seed), expected)

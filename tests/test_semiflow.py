@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import resodyn as rd
 from resodyn.errors import ConfigurationError, DivergenceSignal, UnboundedModeError
-from resodyn.semiflow import trajectory_norms
+from resodyn.semiflow import MAX_STEPS, _march, trajectory_norms
 
 
 def _zero_field(m=1):
@@ -126,6 +126,18 @@ def test_nonpositive_or_nonfinite_step_rejected(dt, T):
                                         (2e-3, 10.0, 5000), (1e-2, 0.1, 10)])
 def test_horizon_multiple_of_dt_accepted(dt, T, steps):
     assert rd.IntegratorSettings(dt=dt, T=T).nsteps == steps
+
+
+@pytest.mark.parametrize("dt,T", [(1e-2, 1e300), (1e-300, 1e300), (1.0, MAX_STEPS + 1.0)])
+def test_step_count_above_cap_rejected(dt, T):
+    # constructing the settings is the whole test: nothing is marched
+    with pytest.raises(ConfigurationError, match="MAX_STEPS"):
+        rd.IntegratorSettings(dt=dt, T=T)
+
+
+def test_step_cap_far_above_shipped_horizons():
+    assert MAX_STEPS >= 100 * 10_000
+    assert rd.IntegratorSettings(dt=1.0, T=float(MAX_STEPS)).nsteps == MAX_STEPS
 
 
 def test_step_halving_first_order(basis32, desk_problem, desk_split, desk_field):
@@ -411,3 +423,36 @@ def test_trajectory_norms_stack_matches_rows(basis32, desk_problem, desk_split, 
         one = trajectory_norms(basis32, desk_split, desk_problem, c[i])
         assert one.shape == (6,)
         assert np.array_equal(stacked[i], one)
+
+
+@pytest.mark.parametrize("scheme", ["ETD1", "IMEX-Euler"])
+def test_march_retirement_by_send_keeps_rows_exact(scheme):
+    # m = 2 stacks take the matrix-matrix path at every stack size, so rows
+    # that stay in a shrinking stack are stepped bit for bit as before
+    split, cfg = _small_system(2)
+    field = rd.make_field("arctan(40)", 2)
+    gen = np.random.default_rng(11)
+    states = [rd.GalerkinState(gen.normal(size=(2, 8))) for _ in range(4)]
+    settings = rd.IntegratorSettings(dt=2.5e-4, T=5e-3, scheme=scheme)
+    ref = rd.integrate_ensemble(field, _SMALL, split, cfg, [1.0] * 4, states, settings)
+
+    def rhs(c, members):
+        return rd.galerkin_F(field, _SMALL, rd.GalerkinState(c)).coeffs
+
+    leave_at = {1: 3, 2: 7, 0: 20}  # member -> step after which it is retired
+    seen = {i: [] for i in range(4)}
+    march = _march(rhs, _SMALL, cfg, settings, np.stack([u.coeffs for u in states]))
+    retire = None
+    while True:
+        try:
+            n, t, c, members, diverged = march.send(retire)
+        except StopIteration:
+            break
+        assert not diverged.any()
+        for row, i in enumerate(members):
+            seen[i].append(c[row])
+        retire = np.array([leave_at.get(int(i)) == n for i in members])
+    for i in range(4):
+        steps = leave_at.get(i, settings.nsteps)
+        assert len(seen[i]) == steps
+        assert np.array_equal(np.stack(seen[i]), ref[i].coeffs[1:steps + 1])
