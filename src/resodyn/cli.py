@@ -25,7 +25,7 @@ from .fields import SampleGrid, check_bounded, check_sign_condition, verify_limi
 from .indexcalc import (IndexReport, LinearizationData, connection_verdict,
                         d_zero, index_K_infinity, nonresonance_at_origin)
 from .resonance import evaluate_LL, guiding_margin
-from .semiflow import (HomotopyBox, IntegratorSettings, apriori_bounds,
+from .semiflow import (HomotopyBox, apriori_bounds,
                        check_bounded_solution, integrate_ensemble,
                        sample_states_in_box)
 from .spectral import GalerkinState
@@ -179,8 +179,6 @@ def _stage_simulate(exp: ExperimentConfig, ctx: dict) -> dict:
         R2=R2 if R2 is not None else float("inf"),
     )
     ctx["margins_csv"] = margins1.to_csv()
-    settings = IntegratorSettings(dt=float(run["dt"]), T=float(run["T"]),
-                                  scheme=run["scheme"], store_every=10)
     # an uncertified kernel radius leaves the box unbounded there; sample
     # seeds from the largest margin radius instead
     fallback = float(max(run["margin_R_grid"]))
@@ -196,12 +194,11 @@ def _stage_simulate(exp: ExperimentConfig, ctx: dict) -> dict:
              for i, u0 in enumerate(seeds) for s in run["s_grid"]]
     ensemble = integrate_ensemble(exp.field, exp.basis, exp.split, exp.problem,
                                   [s for _, s, _ in pairs], [u0 for _, _, u0 in pairs],
-                                  settings)
+                                  exp.settings)
     runs = []
     trajectories = {}
     for (label, s, _), traj in zip(pairs, ensemble):
-        rep = check_bounded_solution(traj, bounds, box.R1, box.R2,
-                                     tol_drift=settings.tol_drift)
+        rep = check_bounded_solution(traj, bounds, box.R1, box.R2)
         trajectories[label] = traj
         runs.append({
             "label": label, "s": s, "diverged": traj.diverged,
@@ -242,8 +239,6 @@ def _stage_connect(exp: ExperimentConfig, ctx: dict) -> dict:
                 if all(np.sqrt(np.sum((eq.state.coeffs - other.state.coeffs) ** 2)) > 1e-6
                        for other in equilibria):
                     equilibria.append(eq)
-        settings = IntegratorSettings(dt=float(run["dt"]), T=float(run["T"]),
-                                      store_every=10)
         # every direction x eps shot marches in one stack, in this order
         grid = [(d_idx, rate, direction, float(eps))
                 for d_idx, (rate, direction) in enumerate(directions)
@@ -251,7 +246,7 @@ def _stage_connect(exp: ExperimentConfig, ctx: dict) -> dict:
         results = shoot_connection(
             exp.field, exp.basis, exp.split, exp.problem, origin,
             [direction for _, _, direction, _ in grid], [eps for *_, eps in grid],
-            settings, equilibria)
+            exp.settings, equilibria)
         for (d_idx, rate, _, eps), result in zip(grid, results):
             entry = {"direction": d_idx, "rate": rate, "eps": eps}
             if isinstance(result, ConnectionRecord):

@@ -142,6 +142,7 @@ class ExperimentConfig:
     field: NonlinearField
     split: SplitIndexSet
     h_const: tuple[float, ...]
+    settings: IntegratorSettings
     run: dict = dc_field(default_factory=dict)
 
     @property
@@ -224,9 +225,10 @@ def load_config(path: str | Path, run_overrides: dict | None = None) -> Experime
         if not (0.0 <= s <= 1.0):
             raise ConfigurationError(f"s_grid values must lie in [0, 1], got {s}")
     # dt, T and scheme are checked here, the step cap included, not when a
-    # stage first marches
-    IntegratorSettings(dt=run["dt"], T=run["T"], scheme=run["scheme"])
+    # stage first marches; simulate and connect both march with these
+    settings = IntegratorSettings(dt=run["dt"], T=run["T"], scheme=run["scheme"],
+                                  store_every=10)
 
     raw = {k: dict(v) if isinstance(v, dict) else v for k, v in sections.items()}
     return ExperimentConfig(raw=raw, basis=basis, problem=problem, field=field,
-                            split=split, h_const=tuple(h_const), run=run)
+                            split=split, h_const=tuple(h_const), settings=settings, run=run)

@@ -337,8 +337,8 @@ def _shoot_stack(field, basis, split, config, source, c0, settings, targets,
     """March the (B, m, J) stack c0 and settle each member on its own.
 
     The settle state (closest approach, the target being dwelt on and since
-    when) is held in arrays aligned with the rows of the marching stack; a
-    row that diverges or settles leaves the arrays and the stack together.
+    when, the target settled on) is held in arrays indexed by member id and
+    updated through the members that ``_march`` passes to ``settle``.
     """
     B = c0.shape[0]
     # never settle back onto the source itself
@@ -347,76 +347,53 @@ def _shoot_stack(field, basis, split, config, source, c0, settings, targets,
         if not np.sqrt(np.sum((eq.state.coeffs - source.state.coeffs) ** 2)) <= settle_tol],
         dtype=int)
     goals = np.stack([targets[i].state.coeffs for i in candidates]) if candidates.size else None
-    times = [[0.0] for _ in range(B)]
-    coeffs = [[row] for row in c0]
-    results: list = [None] * B
-    # per row: member id, closest distance and its target (-1: none yet),
-    # the target dwelt on (-1: none) and since when
-    state = (np.arange(B), np.full(B, np.inf), np.full(B, -1), np.full(B, -1), np.zeros(B))
+    # per member: closest distance and its target (-1: none yet), the target
+    # dwelt on (-1: none) and since when, the target settled on and its distance
+    closest, closest_target = np.full(B, np.inf), np.full(B, -1)
+    inside_target, inside_since = np.full(B, -1), np.zeros(B)
+    settled_target, settled_distance = np.full(B, -1), np.zeros(B)
 
     def rhs(c, members):
         return galerkin_F(field, basis, GalerkinState._trusted(c)).coeffs
 
-    march = _march(rhs, basis, config, settings, c0)
-    retire = None
-    while True:
-        try:
-            n, t, c, _, diverged = march.send(retire)
-        except StopIteration:
-            break
-        retire = None
-        if diverged.any():
-            ids, closest, closest_target = state[:3]
-            for row in np.flatnonzero(diverged):
-                i = ids[row]
-                times[i].append(t)
-                coeffs[i].append(c[row])
-                results[i] = _miss(basis, split, config, "divergent", times[i], coeffs[i],
-                                   closest[row], closest_target[row])
-            state = tuple(a[~diverged] for a in state)
-            c = c[~diverged]
-        ids, closest, closest_target, inside_target, inside_since = state
-        stored = n % settings.store_every == 0 or n == settings.nsteps
-        if stored:
-            for i, row in zip(ids, c):
-                times[i].append(t)
-                coeffs[i].append(row)
-        if goals is None or ids.size == 0:
-            continue
+    def settle(t, c, members):
         # one C-ordered m*J run per distance, summed as np.sum sums one state
         sq = (c[:, None] - goals) ** 2
-        dists = np.sqrt(sq.reshape(ids.size, goals.shape[0], -1).sum(axis=-1))
+        dists = np.sqrt(sq.reshape(members.size, goals.shape[0], -1).sum(axis=-1))
         near = dists.min(axis=1)
-        closer = near < closest
+        closer = near < closest[members]
         if closer.any():
-            closest = np.where(closer, near, closest)
-            closest_target = np.where(closer, candidates[dists.argmin(axis=1)], closest_target)
+            closest[members[closer]] = near[closer]
+            closest_target[members[closer]] = candidates[dists[closer].argmin(axis=1)]
         if not near.min() <= settle_tol:
-            state = (ids, closest, closest_target, np.full(ids.size, -1), inside_since)
-            continue
+            inside_target[members] = -1
+            return False
         within = dists <= settle_tol
         inside = within.any(axis=1)
         first = within.argmax(axis=1)
         best = np.where(inside, candidates[first], -1)
-        stay = inside & (inside_target == best)
-        settled = stay & (t - inside_since >= dwell)
-        state = (ids, closest, closest_target, best, np.where(stay, inside_since, t))
-        if settled.any():
-            for k in np.flatnonzero(settled):
-                i = ids[k]
-                if not stored:
-                    times[i].append(t)
-                    coeffs[i].append(c[k])
-                results[i] = _record(field, basis, split, config, source,
-                                     targets[best[k]], times[i], coeffs[i],
-                                     float(dists[k, first[k]]))
-            # retire over the rows just yielded, the diverged ones included
-            retire = np.zeros(diverged.size, dtype=bool)
-            retire[np.flatnonzero(~diverged)[settled]] = True
-            state = tuple(a[~settled] for a in state)
-    for i, closest_i, target_i in zip(*state[:3]):
-        results[i] = _miss(basis, split, config, "horizon", times[i], coeffs[i],
-                           closest_i, target_i)
+        stay = inside & (inside_target[members] == best)
+        settled = stay & (t - inside_since[members] >= dwell)
+        inside_target[members] = best
+        inside_since[members] = np.where(stay, inside_since[members], t)
+        if not settled.any():
+            return False
+        settled_target[members[settled]] = best[settled]
+        settled_distance[members[settled]] = dists[settled, first[settled]]
+        return settled
+
+    times, coeffs, diverged = _march(rhs, basis, config, settings, c0,
+                                     None if goals is None else settle)
+    results = []
+    for i in range(B):
+        if settled_target[i] >= 0:
+            results.append(_record(field, basis, split, config, source,
+                                   targets[settled_target[i]], times[i], coeffs[i],
+                                   float(settled_distance[i])))
+        else:
+            results.append(_miss(basis, split, config,
+                                 "divergent" if diverged[i] else "horizon",
+                                 times[i], coeffs[i], closest[i], closest_target[i]))
     return results
 
 

@@ -7,7 +7,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from numbers import Integral
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,21 +49,20 @@ MAX_STEPS = 10 ** 7
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Step size, horizon, scheme, and the drift tolerance of the
-    boundedness detector.
+    """Step size, horizon, scheme, sample spacing and divergence threshold.
 
     ETD1 is exact on the diagonal linear part, so its step size is limited by
     accuracy only; the IMEX-Euler alternative must satisfy
     dt <= 0.25 / max|mu_J - lambda_k| (checked at integration time).  The
     horizon T must be a whole multiple of dt (to a relative 1e-9): no step
     is partial, and no horizon is silently shortened.  T / dt may not pass
-    MAX_STEPS.
+    MAX_STEPS.  ``store_every`` is a whole number >= 1 and
+    ``divergence_threshold`` is positive (inf disables the guard).
     """
 
     dt: float
     T: float
     scheme: str = "ETD1"
-    tol_drift: float = 1e-3
     store_every: int = 1
     divergence_threshold: float = 1e8
 
@@ -71,10 +71,13 @@ class IntegratorSettings:
             raise ConfigurationError("dt and T must be positive and finite")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.tol_drift <= 0:
-            raise ConfigurationError("tol_drift must be positive")
-        if self.store_every < 1:
-            raise ConfigurationError("store_every must be >= 1")
+        if (isinstance(self.store_every, bool) or not isinstance(self.store_every, Integral)
+                or self.store_every < 1):
+            raise ConfigurationError(
+                f"store_every must be a whole number >= 1, got {self.store_every!r}")
+        if not self.divergence_threshold > 0:
+            raise ConfigurationError(
+                f"divergence_threshold must be positive, got {self.divergence_threshold!r}")
         steps = self.T / self.dt
         if not steps <= MAX_STEPS:
             raise ConfigurationError(
@@ -191,21 +194,24 @@ def _etd_factors(basis: SpectralBasis, config: ProblemConfig, dt: float):
 
 
 def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralBasis,
-           config: ProblemConfig, settings: IntegratorSettings,
-           c: np.ndarray) -> Iterator[tuple]:
+           config: ProblemConfig, settings: IntegratorSettings, c0: np.ndarray,
+           settle: Optional[Callable] = None) -> tuple[list, list, np.ndarray]:
     """The one time-stepping loop for u' = -A u + rhs(u), from the (B, m, J)
-    stack c at t = 0.
+    stack c0 at t = 0.
 
     ETD1: u_{n+1} = e^{-dt A} u_n + dt phi1(dt A) rhs(u_n), exact on the
     linear part (Cox & Matthews, JCP 176, 2002); IMEX-Euler treats the
     linear part implicitly.  ``rhs(c, members)`` gets the active rows and
-    their indices into the original stack.  Yields fresh
-    ``(n, t, c, members, diverged)`` after steps n = 1..nsteps, with
-    ``diverged`` marking the rows whose L2 norm passed the divergence
-    threshold or is not finite; those rows leave the stack after the yield,
-    and the loop stops when no row is left.  A caller may also retire rows
-    by ``send``-ing a boolean mask over the rows just yielded; iterating
-    with ``for`` sends None, which retires nothing.
+    their member ids (indices into c0).  After each step, a row whose L2
+    norm passed the divergence threshold or is not finite has diverged;
+    ``settle(t, c, members)``, if given, sees the other rows and returns a
+    boolean mask of those to retire (or False).  A diverged or retired row
+    leaves the stack, and the loop stops when no row is left.
+
+    Returns ``(times, coeffs, diverged)``: each member's recorded times and
+    states, in member order, and a boolean array of the members that
+    diverged.  A member is recorded at t = 0, after every
+    ``store_every``-th step and the last one, and on the step it leaves.
     """
     dt = settings.dt
     if settings.scheme == "IMEX-Euler":
@@ -218,20 +224,38 @@ def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralB
     else:
         E, P = _etd_factors(basis, config, dt)
     threshold = settings.divergence_threshold
-    members = np.arange(c.shape[0])
-    for n in range(settings.nsteps):
+    times = [[0.0] for _ in c0]
+    coeffs = [[row] for row in c0]
+    diverged = np.zeros(len(c0), dtype=bool)
+    c, members = c0, np.arange(len(c0))
+    for n in range(1, settings.nsteps + 1):
         H = rhs(c, members)
         if settings.scheme == "ETD1":
             c = E * c + dt * P * H
         else:
             c = (c + dt * H) / denom
-        diverged = ~(np.sqrt((c ** 2).sum(axis=(-2, -1))) <= threshold)
-        retire = yield n + 1, (n + 1) * dt, c, members, diverged
-        leave = diverged if retire is None else diverged | retire
-        if leave.any():
-            c, members = c[~leave], members[~leave]
-            if members.size == 0:
-                return
+        t = n * dt
+        hit = ~(np.sqrt((c ** 2).sum(axis=(-2, -1))) <= threshold)
+        leave = hit
+        if settle is not None:
+            live = ~hit if hit.any() else slice(None)
+            rows = members[live]
+            done = settle(t, c[live], rows) if rows.size else False
+            if done is not False:
+                leave = hit.copy()
+                leave[live] |= done
+        stored = n % settings.store_every == 0 or n == settings.nsteps
+        gone = leave.any()
+        if stored or gone:
+            diverged[members[hit]] = True
+            for row in (range(members.size) if stored else np.flatnonzero(leave)):
+                times[members[row]].append(t)
+                coeffs[members[row]].append(c[row])
+            if gone:
+                c, members = c[~leave], members[~leave]
+                if members.size == 0:
+                    break
+    return times, coeffs, diverged
 
 
 def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
@@ -259,17 +283,8 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     def rhs(c, members):
         return homotopy_field(field, basis, split, s[members], GalerkinState._trusted(c)).coeffs
 
-    c0 = np.stack([u0.coeffs for u0 in states])
-    times = [[0.0] for _ in states]
-    coeffs = [[u0.coeffs] for u0 in states]
-    diverged = np.zeros(s.size, dtype=bool)
-    for n, t, c, members, hit in _march(rhs, basis, config, settings, c0):
-        stored = n % settings.store_every == 0 or n == settings.nsteps
-        if stored or hit.any():
-            diverged[members[hit]] = True
-            for row in (range(members.size) if stored else np.flatnonzero(hit)):
-                times[members[row]].append(t)
-                coeffs[members[row]].append(c[row])
+    times, coeffs, diverged = _march(rhs, basis, config, settings,
+                                     np.stack([u0.coeffs for u0 in states]))
     return [_assemble(basis, split, config, times[i], coeffs[i], s[i], diverged[i])
             for i in range(s.size)]
 

@@ -195,6 +195,18 @@ def test_etd_overflow_exit_code(tmp_path, capsys):
     assert "stage 'simulate'" in err and "(k=1, j=1)" in err
 
 
+def test_connect_marches_with_the_configured_scheme(tmp_path, capsys):
+    # IMEX-Euler at dt = 1e-3 is unstable on this spectrum; connect must say
+    # so, as simulate does, rather than shoot with ETD1
+    path = tmp_path / "imex.ini"
+    path.write_text((REPO / "configs" / "arctan40_resonant.ini").read_text()
+                    .replace("scheme = ETD1", "scheme = IMEX-Euler"))
+    assert load_config(path).settings.scheme == "IMEX-Euler"
+    assert cli.run_subcommand("connect", path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "stage 'connect'" in err and "IMEX-Euler requires dt" in err
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigurationError):
         load_config(tmp_path / "nope.ini")

@@ -426,7 +426,7 @@ def test_trajectory_norms_stack_matches_rows(basis32, desk_problem, desk_split, 
 
 
 @pytest.mark.parametrize("scheme", ["ETD1", "IMEX-Euler"])
-def test_march_retirement_by_send_keeps_rows_exact(scheme):
+def test_march_retirement_by_settle_keeps_rows_exact(scheme):
     # m = 2 stacks take the matrix-matrix path at every stack size, so rows
     # that stay in a shrinking stack are stepped bit for bit as before
     split, cfg = _small_system(2)
@@ -440,19 +440,69 @@ def test_march_retirement_by_send_keeps_rows_exact(scheme):
         return rd.galerkin_F(field, _SMALL, rd.GalerkinState(c)).coeffs
 
     leave_at = {1: 3, 2: 7, 0: 20}  # member -> step after which it is retired
-    seen = {i: [] for i in range(4)}
-    march = _march(rhs, _SMALL, cfg, settings, np.stack([u.coeffs for u in states]))
-    retire = None
-    while True:
-        try:
-            n, t, c, members, diverged = march.send(retire)
-        except StopIteration:
-            break
-        assert not diverged.any()
-        for row, i in enumerate(members):
-            seen[i].append(c[row])
-        retire = np.array([leave_at.get(int(i)) == n for i in members])
+
+    def settle(t, c, members):
+        n = round(t / settings.dt)
+        return np.array([leave_at.get(int(i)) == n for i in members])
+
+    times, coeffs, diverged = _march(rhs, _SMALL, cfg, settings,
+                                     np.stack([u.coeffs for u in states]), settle)
+    assert not diverged.any()
     for i in range(4):
         steps = leave_at.get(i, settings.nsteps)
-        assert len(seen[i]) == steps
-        assert np.array_equal(np.stack(seen[i]), ref[i].coeffs[1:steps + 1])
+        assert len(times[i]) == steps + 1
+        assert np.array_equal(times[i], ref[i].times[:steps + 1])
+        assert np.array_equal(np.stack(coeffs[i]), ref[i].coeffs[:steps + 1])
+
+
+def test_march_recording_rule():
+    # store_every = 3 over 10 steps: stored steps are 3, 6, 9 and the last
+    split, cfg = _small_system(1)
+    settings = rd.IntegratorSettings(dt=0.01, T=0.1, store_every=3)
+    steps = []
+
+    def rhs(c, members):
+        steps.append(members.copy())
+        H = np.zeros_like(c)
+        if len(steps) == 5:  # member 2 blows up on step 5
+            H[members == 2] = 1e12
+        return H
+
+    retire_at = {0: 6, 1: 7}
+    seen = []
+
+    def settle(t, c, members):
+        n = round(t / settings.dt)
+        seen.append(members.copy())
+        return np.array([retire_at.get(int(i)) == n for i in members])
+
+    c0 = np.tile(np.arange(1.0, 9.0), (4, 1, 1))
+    times, coeffs, diverged = _march(rhs, _SMALL, cfg, settings, c0, settle)
+    dt = settings.dt
+    assert np.array_equal(times[0], np.array([0, 3, 6]) * dt)
+    assert np.array_equal(times[1], np.array([0, 3, 6, 7]) * dt)
+    assert np.array_equal(times[2], np.array([0, 3, 5]) * dt)
+    assert np.array_equal(times[3], np.array([0, 3, 6, 9, 10]) * dt)
+    assert diverged.tolist() == [False, False, True, False]
+    assert np.sqrt(np.sum(coeffs[2][-1] ** 2)) > settings.divergence_threshold
+    for i in range(4):
+        assert len(coeffs[i]) == len(times[i])
+        assert np.all(np.diff(times[i]) > 0)
+    # a diverged row is never shown to settle, and a left row is never stepped
+    assert seen[4].tolist() == [0, 1, 3]
+    assert [s.tolist() for s in steps[6:]] == [[1, 3], [3], [3], [3]]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"store_every": 2.5}, {"store_every": math.nan}, {"store_every": True},
+    {"divergence_threshold": math.nan}, {"divergence_threshold": -1.0},
+    {"divergence_threshold": 0.0},
+], ids=["store_every=2.5", "store_every=nan", "store_every=True",
+        "threshold=nan", "threshold=-1", "threshold=0"])
+def test_bad_integrator_settings_rejected(kwargs):
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        rd.IntegratorSettings(dt=1e-3, T=1.0, **kwargs)
+
+
+def test_infinite_divergence_threshold_accepted():
+    assert rd.IntegratorSettings(dt=1e-3, T=1.0, divergence_threshold=math.inf).nsteps == 1000
