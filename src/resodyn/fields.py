@@ -36,7 +36,9 @@ class NonlinearField:
     *verified* numerically by verify_limits, never inferred.  ``potential``
     (optional) evaluates a scalar potential ftilde(x, u) with
     d ftilde / d s_k = f_k, enabling the energy functional.  ``jac0`` is the
-    u-Jacobian at (x, 0, 0) when known analytically.
+    u-Jacobian at (x, 0, 0) when known analytically.  A field that does not
+    read u' (every catalogue field) sets ``reads_du=False``, and
+    ``galerkin_F`` then skips the nodal derivative and passes ``dU=None``.
     """
 
     name: str
@@ -48,6 +50,7 @@ class NonlinearField:
     bound_C3: Optional[float] = None
     potential: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     jac0: Optional[np.ndarray] = None
+    reads_du: bool = True
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
@@ -109,13 +112,14 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
     """Coefficients <f_k(., u(.), u'(.)), phi_j> by folded quadrature.
 
     ``u.coeffs`` may be one (m, J) matrix or a (..., m, J) stack; the stack
-    is evaluated row-wise through the same folded tables.
+    is evaluated row-wise through the same folded tables.  u' is evaluated
+    only for a field that ``reads_du``.
     """
     c = u.coeffs
     rows = c.reshape(-1, c.shape[-1])
     nodal = c.shape[:-1] + (basis.x.size,)
-    U = basis.values(rows).reshape(nodal)
-    dU = basis.dvalues(rows).reshape(nodal)
+    U = basis._fold(rows, basis._phi_fold, flip=False).reshape(nodal)
+    dU = basis._fold(rows, basis._dphi_fold, flip=True).reshape(nodal) if field.reads_du else None
     fv = np.asarray(field.eval(basis.x, U, dU), dtype=float)
     if fv.shape != nodal:
         raise EvaluationError(f"field returned shape {fv.shape}, expected {nodal}")
@@ -124,7 +128,7 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
         raise EvaluationError(
             f"non-finite field value in component {k + 1} at node x={basis.x[i]:.6g}"
         )
-    return GalerkinState._trusted(basis.project(fv.reshape(-1, nodal[-1])).reshape(c.shape))
+    return GalerkinState._trusted(basis._project(fv.reshape(-1, nodal[-1])).reshape(c.shape))
 
 
 def _u_jacobian(field: NonlinearField, x: np.ndarray, U: np.ndarray, dU: np.ndarray,
@@ -326,7 +330,7 @@ def _pointwise(row: _Row, m: int, args: tuple) -> dict:
         sigma=np.full(m, float(row.sigma(*args))),
         f_plus=lambda x: np.full((m, x.size), fp), f_minus=lambda x: np.full((m, x.size), fm),
         bound_C3=row.C3, potential=None if pot is None else (lambda x, U: pot(U, *args)),
-        jac0=row.slope(*args) * np.eye(m))
+        jac0=row.slope(*args) * np.eye(m), reads_du=False)
 
 
 def _constant_kernel(m: int, basis: SpectralBasis, component: float, mode: float,
@@ -359,7 +363,7 @@ def _constant_kernel(m: int, basis: SpectralBasis, component: float, mode: float
     return dict(
         name=f"constant-kernel({k},{j},{amplitude:g})", eval=ev, sigma=np.zeros(m),
         f_plus=limit, f_minus=limit, bound_C3=abs(amplitude) * norm,
-        potential=lambda x, U: profile(x) * U[k - 1], jac0=np.zeros((m, m)))
+        potential=lambda x, U: profile(x) * U[k - 1], jac0=np.zeros((m, m)), reads_du=False)
 
 
 def _signed(sign: int, m: int, **parts) -> NonlinearField:

@@ -159,9 +159,10 @@ def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitInde
 
     At s=1 the three projections telescope back to F(u); at s=0 only the
     kernel projection of the kernel-restricted field survives.  ``u`` may be
-    a (B, m, J) stack with one s per member (``s`` of shape (B,)); F(u) is
-    evaluated only for the members with 0 < s < 1, since at s = 1 it equals
-    the kernel-restricted evaluation and at s = 0 it is not needed.
+    a (B, m, J) stack with one s per member (``s`` of shape (B,)).  One
+    stacked ``galerkin_F`` call evaluates every member's kernel-restricted
+    state and F(u) of the members with 0 < s < 1 (at s = 1 F(u) is the
+    restricted evaluation, at s = 0 it is not needed).
     """
     s = np.asarray(s, dtype=float)
     if not ((0.0 <= s) & (s <= 1.0)).all():
@@ -171,11 +172,13 @@ def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     q0 = split.masks["Q0"]  # its complement is X- + X+
     c = u.coeffs
     sc = s[..., None, None]
-    f_inner = galerkin_F(field, basis, GalerkinState._trusted(np.where(q0, c, sc * c))).coeffs
-    f_full = np.where(sc == 0.0, 0.0, f_inner)
+    inner = np.where(q0, c, sc * c).reshape((-1,) + q0.shape)
     mid = (0.0 < s) & (s < 1.0)  # for a scalar s, True selects the whole state
-    if mid.any():
-        f_full[mid] = galerkin_F(field, basis, GalerkinState._trusted(c[mid])).coeffs
+    n = len(inner)
+    f = galerkin_F(field, basis, GalerkinState._trusted(np.concatenate([inner, c[mid]]))).coeffs
+    f_inner = f[:n].reshape(c.shape)
+    f_full = np.where(sc == 0.0, 0.0, f_inner)
+    f_full[mid] = f[n:]
     return GalerkinState._trusted(np.where(q0, f_inner, sc * f_full))
 
 
@@ -184,7 +187,7 @@ def _etd_factors(basis: SpectralBasis, config: ProblemConfig, dt: float):
     # e^{-z} overflows on strongly growing modes; name the worst one
     if np.max(-z) > OVERFLOW_EXPONENT:
         k, j = np.unravel_index(int(np.argmin(z)), z.shape)
-        raise UnboundedModeError(k + 1, j + 1, float(-z[k, j]))
+        raise UnboundedModeError(k + 1, int(basis.order[j]) + 1, float(-z[k, j]))
     E = np.exp(-z)
     # phi1(z) = (1 - e^{-z})/z with the analytic limit 1 at z = 0; resonance
     # puts exact zeros on the diagonal, so the limit branch is load-bearing
@@ -216,10 +219,12 @@ def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralB
     dt = settings.dt
     if settings.scheme == "IMEX-Euler":
         rates = basis.mu[None, :] - config.lam_array()[:, None]
-        limit = 0.25 / float(np.max(np.abs(rates)))
+        k, j = np.unravel_index(int(np.argmax(np.abs(rates))), rates.shape)
+        limit = 0.25 / abs(float(rates[k, j]))
         if dt > limit:
             raise ConfigurationError(
-                f"IMEX-Euler requires dt <= {limit:.3e} for this spectrum, got {dt}")
+                f"IMEX-Euler requires dt <= {limit:.3e} for this spectrum (set by mode "
+                f"({k + 1}, {int(basis.order[j]) + 1})), got {dt}")
         denom = 1.0 + dt * rates
     else:
         E, P = _etd_factors(basis, config, dt)
@@ -269,7 +274,9 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     finite leaves the stack; its partial trajectory comes back with
     ``diverged=True``.  The others are unaffected: each row of the stack is
     stepped as it would be on its own, up to the last bits that the BLAS
-    path of a stacked product can move (README, "Numerical notes").
+    path of a stacked product can move (README, "Numerical notes").  The
+    march runs in ``basis.blocked()`` order, with the stack and the split
+    permuted once; recorded states return to natural order once, at the end.
     """
     s = np.asarray(s_values, dtype=float).reshape(-1)
     if s.size != len(states):
@@ -280,12 +287,18 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     if any(u0.coeffs.shape != (config.m, basis.J) for u0 in states):
         raise ConfigurationError("initial state shape mismatch")
 
-    def rhs(c, members):
-        return homotopy_field(field, basis, split, s[members], GalerkinState._trusted(c)).coeffs
+    blocked = basis.blocked()
+    blocked_split = replace(split, labels=split.labels[:, blocked.order])
 
-    times, coeffs, diverged = _march(rhs, basis, config, settings,
-                                     np.stack([u0.coeffs for u0 in states]))
-    return [_assemble(basis, split, config, times[i], coeffs[i], s[i], diverged[i])
+    def rhs(c, members):
+        return homotopy_field(field, blocked, blocked_split, s[members],
+                              GalerkinState._trusted(c)).coeffs
+
+    times, coeffs, diverged = _march(rhs, blocked, config, settings,
+                                     np.stack([u0.coeffs[:, blocked.order] for u0 in states]))
+    natural = np.argsort(blocked.order)
+    return [_assemble(basis, split, config, times[i], np.asarray(coeffs[i])[..., natural],
+                      s[i], diverged[i])
             for i in range(s.size)]
 
 
@@ -356,7 +369,7 @@ def blowup_demo(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfi
     const_field = NonlinearField(
         name="blowup-forcing", m=m, eval=const_eval, sigma=np.zeros(m),
         f_plus=lambda x: vvals[:, : x.size], f_minus=lambda x: vvals[:, : x.size],
-        bound_C3=float(np.max(np.abs(vvals))),
+        bound_C3=float(np.max(np.abs(vvals))), reads_du=False,
     )
     start = u0 if u0 is not None else GalerkinState.zeros(m, basis.J)
     traj = integrate(const_field, basis, split, config, 1.0, start, settings)

@@ -16,7 +16,7 @@ accuracy is unchanged for generic data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -58,10 +58,13 @@ class SpectralBasis:
 
     ``mu`` holds the eigenvalues (J,) and ``phi`` the basis values on all
     nodes, shape (J, nq).  ``parity_sym`` marks modes that are symmetric
-    about length/2 (odd j); the remaining modes are antisymmetric.  The
-    ``_*_fold`` tables (symmetric rows, antisymmetric rows, midpoint) are
+    about length/2 (odd j); the remaining modes are antisymmetric.  ``order``
+    gives the natural index j - 1 of every stored mode (``arange(J)`` unless
+    ``blocked()``).  The ``_*_fold`` tables (symmetric rows, antisymmetric
+    rows, the midpoint entries of the one parity block nonzero there) are
     split once, in the memory order of the products they feed: a contiguous
     copy of the transposed ``project`` tables would change the last bit.
+    Only the parity selectors ``_sym`` and ``_anti`` depend on the order.
     """
 
     domain: Domain1D
@@ -72,10 +75,26 @@ class SpectralBasis:
     phi: np.ndarray = field(repr=False)
     dphi: np.ndarray = field(repr=False)
     parity_sym: np.ndarray = field(repr=False)
+    order: np.ndarray = field(repr=False)
+    _sym: object = field(repr=False)
+    _anti: object = field(repr=False)
     _half: int = field(repr=False)
     _phi_fold: tuple = field(repr=False)
     _dphi_fold: tuple = field(repr=False)
     _project_fold: tuple = field(repr=False)
+
+    def blocked(self) -> "SpectralBasis":
+        """The same basis with its modes stored symmetric first: its parity
+        selectors are slices, so the fold gathers and scatters nothing, and
+        its results are this basis's, columns permuted by ``order``, bit for bit.
+        """
+        sym = np.flatnonzero(self.parity_sym)
+        perm = np.concatenate([sym, np.flatnonzero(~self.parity_sym)])
+        mu = self.mu[perm]
+        mu.flags.writeable = False
+        return replace(self, mu=mu, phi=self.phi[perm], dphi=self.dphi[perm],
+                       parity_sym=self.parity_sym[perm], order=self.order[perm],
+                       _sym=slice(0, sym.size), _anti=slice(sym.size, self.J))
 
     # -- nodal evaluation ---------------------------------------------------
 
@@ -85,21 +104,24 @@ class SpectralBasis:
         The second half of the nodes is filled by the parity fold, so states
         with pure parity produce exactly (anti)symmetric nodal data.
         """
-        return self._fold_values(coeffs, self._phi_fold, flip=False)
+        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        return self._fold(coeffs, self._phi_fold, flip=False)
 
     def dvalues(self, coeffs: np.ndarray) -> np.ndarray:
         """Nodal values of the spatial derivative u_k', shape (m, nq).
 
         Differentiation swaps the mirror parity of every mode.
         """
-        return self._fold_values(coeffs, self._dphi_fold, flip=True)
-
-    def _fold_values(self, coeffs, tables, flip):
-        table_s, table_a, table_mid = tables
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        sym = self.parity_sym
-        vs = coeffs[:, sym] @ table_s
-        va = coeffs[:, ~sym] @ table_a
+        return self._fold(coeffs, self._dphi_fold, flip=True)
+
+    def _fold(self, coeffs, tables, flip):
+        """``values`` (or, flipped, ``dvalues``) of 2-D float rows, uncoerced."""
+        table_s, table_a, table_mid = tables
+        cs = coeffs[:, self._sym]
+        ca = coeffs[:, self._anti]
+        vs = cs @ table_s
+        va = ca @ table_a
         nq = self.x.size
         h = self._half
         out = np.empty((coeffs.shape[0], nq))
@@ -107,7 +129,8 @@ class SpectralBasis:
         mirrored = (va - vs) if flip else (vs - va)
         out[:, nq - h:] = mirrored[:, ::-1]
         if nq % 2:
-            out[:, h] = coeffs @ table_mid
+            # only the block that is symmetric after the map is nonzero there
+            out[:, h] = (ca if flip else cs) @ table_mid
         return out
 
     def project(self, fvals: np.ndarray) -> np.ndarray:
@@ -116,18 +139,21 @@ class SpectralBasis:
         Equivalent to ``(phi * w) @ f`` up to reassociation; the fold makes
         the parity cancellation happen elementwise, before any reduction.
         """
+        return self._project(np.atleast_2d(np.asarray(fvals, dtype=float)))
+
+    def _project(self, fvals):
+        """``project`` of 2-D float rows, uncoerced."""
         weighted_s, weighted_a, weighted_mid = self._project_fold
-        fvals = np.atleast_2d(np.asarray(fvals, dtype=float))
         h = self._half
         nq = self.x.size
-        sym = self.parity_sym
         f1 = fvals[:, :h]
         f2 = fvals[:, nq - h:][:, ::-1]
-        out = np.empty((fvals.shape[0], self.J))
-        out[:, sym] = (f1 + f2) @ weighted_s
-        out[:, ~sym] = (f1 - f2) @ weighted_a
+        ps = (f1 + f2) @ weighted_s
         if nq % 2:
-            out += np.outer(fvals[:, h], weighted_mid)
+            ps += np.outer(fvals[:, h], weighted_mid)
+        out = np.empty((fvals.shape[0], self.J))
+        out[:, self._sym] = ps
+        out[:, self._anti] = (f1 - f2) @ weighted_a
         return out
 
     def gram(self) -> np.ndarray:
@@ -275,14 +301,14 @@ def build_basis(domain: Domain1D, J: int) -> SpectralBasis:
         dphi[:, h] = dphi_mid
 
     mu.flags.writeable = False
-    sym, anti = parity_sym, ~parity_sym
+    sym, anti = np.flatnonzero(parity_sym), np.flatnonzero(~parity_sym)
     weighted_h = phi_h * w[:h]
     return SpectralBasis(
         domain=domain, J=J, mu=mu, x=x, w=w, phi=phi, dphi=dphi,
-        parity_sym=parity_sym, _half=h,
-        _phi_fold=(phi_h[sym], phi_h[anti], phi_mid),
-        _dphi_fold=(dphi_h[sym], dphi_h[anti], dphi_mid),
-        _project_fold=(weighted_h[sym].T, weighted_h[anti].T, w[h] * phi_mid),
+        parity_sym=parity_sym, order=np.arange(J), _sym=sym, _anti=anti, _half=h,
+        _phi_fold=(phi_h[sym], phi_h[anti], phi_mid[sym]),
+        _dphi_fold=(dphi_h[sym], dphi_h[anti], dphi_mid[anti]),
+        _project_fold=(weighted_h[sym].T, weighted_h[anti].T, w[h] * phi_mid[sym]),
     )
 
 

@@ -303,3 +303,39 @@ def test_verify_limits_matches_draw_loop(basis32, spec, k):
             dev = max(dev, float(np.max(np.abs(vals - target))))
     rep = rd.verify_limits(field, k, s=s, grid=grid)
     assert rep.margin == 1e-3 - dev
+
+
+def _count_derivative_folds(monkeypatch):
+    """Count nodal derivative evaluations, public or inside galerkin_F."""
+    calls = []
+    fold = rd.SpectralBasis._fold
+
+    def counted(self, coeffs, tables, flip):
+        calls.append(flip)
+        return fold(self, coeffs, tables, flip)
+
+    monkeypatch.setattr(rd.SpectralBasis, "_fold", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [*_DEFAULTS, *("-" + name for name in _DEFAULTS)])
+def test_catalogue_fields_skip_derivative(basis32, spec, monkeypatch):
+    field = rd.make_field(spec, 2, basis=basis32)
+    seen = []
+    ev = field.eval
+    field.eval = lambda x, U, dU: seen.append(dU) or ev(x, U, dU)
+    calls = _count_derivative_folds(monkeypatch)
+    c = np.random.default_rng(2).normal(size=(5, 2, 32))
+    rd.galerkin_F(field, basis32, rd.GalerkinState._trusted(c))
+    assert field.reads_du is False
+    assert calls == [False] and seen == [None]
+
+
+def test_custom_field_keeps_derivative(basis32, monkeypatch):
+    field = _custom(2, lambda x, U, dU: dU)
+    assert field.reads_du
+    calls = _count_derivative_folds(monkeypatch)
+    c = np.random.default_rng(4).normal(size=(2, 32))
+    F = rd.galerkin_F(field, basis32, rd.GalerkinState(c)).coeffs
+    assert calls == [False, True]
+    assert np.array_equal(F, basis32.project(basis32.dvalues(c)))

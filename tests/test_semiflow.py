@@ -506,3 +506,83 @@ def test_bad_integrator_settings_rejected(kwargs):
 
 def test_infinite_divergence_threshold_accepted():
     assert rd.IntegratorSettings(dt=1e-3, T=1.0, divergence_threshold=math.inf).nsteps == 1000
+
+
+# -- blocked march, one stacked evaluation per step ---------------------------
+
+def _two_call_homotopy(field, basis, split, s, c):
+    """H(s, u) with the restricted stack and the interior-s members
+    evaluated by two separate galerkin_F calls."""
+    q0 = split.masks["Q0"]
+    sc = s[:, None, None]
+    f_inner = rd.galerkin_F(field, basis,
+                            rd.GalerkinState._trusted(np.where(q0, c, sc * c))).coeffs
+    f_full = np.where(sc == 0.0, 0.0, f_inner)
+    mid = (0.0 < s) & (s < 1.0)
+    if mid.any():
+        f_full[mid] = rd.galerkin_F(field, basis, rd.GalerkinState._trusted(c[mid])).coeffs
+    return np.where(q0, f_inner, sc * f_full)
+
+
+@pytest.mark.parametrize("B", [1, 2, 7, 38, 100])
+def test_homotopy_field_is_one_stacked_call(basis32, B, monkeypatch):
+    # stacking can move the last bit (a 38-row stack at J = 32 already does),
+    # so the one-call result is bounded against the two-call one, not equated
+    import resodyn.semiflow as semiflow
+    cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis32.mu[0]), float(basis32.mu[1])),
+                           sigma=(0.0, 0.0))
+    split = rd.classify(basis32, cfg)
+    field = rd.make_field("arctan(40)", 2)
+    c = np.random.default_rng(B).normal(size=(B, 2, 32))
+    s = np.resize([0.0, 0.25, 0.5, 1.0], B)
+    calls = []
+    monkeypatch.setattr(semiflow, "galerkin_F",
+                        lambda *a: calls.append(a[2].coeffs.shape[0]) or rd.galerkin_F(*a))
+    H = rd.homotopy_field(field, basis32, split, s, rd.GalerkinState(c)).coeffs
+    assert calls == [B + int(np.count_nonzero((0.0 < s) & (s < 1.0)))]
+    assert _max_rel(H, _two_call_homotopy(field, basis32, split, s, c)) <= 1e-12
+    at_one = rd.homotopy_field(field, basis32, split, np.ones(B), rd.GalerkinState(c)).coeffs
+    assert np.array_equal(at_one, rd.galerkin_F(field, basis32, rd.GalerkinState(c)).coeffs)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_interior_s_march_keeps_pure_parity_exact_at_odd_nodes(m):
+    basis = rd.build_basis(rd.Domain1D(1.0, 81), 32)
+    cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis.mu[0]),) * m, sigma=(0.0,) * m)
+    split = rd.classify(basis, cfg)
+    field = rd.make_field("-arctan(40)", m)
+    gen = np.random.default_rng(8)
+    states, keeps = [], []
+    for sym in (True, False, True, False):
+        c = gen.normal(size=(m, 32))
+        c[:, basis.parity_sym != sym] = 0.0
+        states.append(rd.GalerkinState(c))
+        keeps.append(basis.parity_sym == sym)
+    settings = rd.IntegratorSettings(dt=1e-3, T=0.2, store_every=10)
+    ens = rd.integrate_ensemble(field, basis, split, cfg, [0.25, 0.5, 0.5, 0.75],
+                                states, settings)
+    for traj, keep in zip(ens, keeps):
+        assert np.all(traj.coeffs[:, :, ~keep] == 0.0)
+        assert np.any(traj.coeffs[-1][:, keep] != 0.0)
+
+
+def test_blocked_march_errors_name_the_natural_mode():
+    # eigenvalues grow with j, so the worst ETD mode is always j = 1, first
+    # in both orders; with J odd the IMEX limit is set by the symmetric mode
+    # j = J, which the blocked order stores at index (J - 1) / 2
+    basis = rd.build_basis(rd.Domain1D(1.0, 50), 17)
+    cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]), float(basis.mu[1])),
+                           sigma=(0.0, 0.0))
+    split = rd.classify(basis, cfg)
+    field = rd.make_field("arctan(2)", 2)
+    u0 = [rd.GalerkinState.unit(2, 17, 1, 2)]
+    imex = rd.IntegratorSettings(dt=1e-3, T=1e-2, scheme="IMEX-Euler")
+    with pytest.raises(ConfigurationError, match=r"set by mode \(1, 17\)"):
+        rd.integrate_ensemble(field, basis, split, cfg, [0.5], u0, imex)
+    cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]), float(basis.mu[14])),
+                           sigma=(0.0, 0.0))
+    split = rd.classify(basis, cfg)
+    with pytest.raises(UnboundedModeError) as err:
+        rd.integrate_ensemble(field, basis, split, cfg, [0.5], u0,
+                              rd.IntegratorSettings(dt=0.4, T=0.8))
+    assert (err.value.component, err.value.mode) == (2, 1)

@@ -62,6 +62,39 @@ def test_folded_tables_match_dense_products(quad_nodes, rng):
         assert np.abs(folded - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+_BLOCK_SIZES = [*range(1, 41), 64, 100, 200]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("quad_nodes", [80, 81])
+def test_blocked_fold_is_exact(quad_nodes, m):
+    # the blocked fold reads views where the natural one gathers; equal bits
+    # are a property of the BLAS, so every stack size is checked, not assumed
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), 32)
+    blocked = basis.blocked()
+    order = blocked.order
+    natural = np.argsort(order)
+    ns = int(basis.parity_sym.sum())
+    assert sorted(order) == list(range(32)) and blocked.blocked().order.tolist() == order.tolist()
+    assert blocked.parity_sym[:ns].all() and not blocked.parity_sym[ns:].any()
+    assert np.array_equal(blocked.mu, basis.mu[order]) and not blocked.mu.flags.writeable
+    field = rd.make_field("-arctan(40)", m)
+    custom = rd.NonlinearField(name="u+u'", m=m, eval=lambda x, U, dU: np.arctan(U) + dU,
+                               sigma=np.zeros(m), f_plus=None, f_minus=None)
+    gen = np.random.default_rng(quad_nodes + m)
+    for B in _BLOCK_SIZES:
+        c = gen.normal(size=(B, m, 32))
+        rows = c.reshape(-1, 32)
+        f = gen.normal(size=(B * m, quad_nodes))
+        assert np.array_equal(blocked.values(rows[:, order]), basis.values(rows))
+        assert np.array_equal(blocked.dvalues(rows[:, order]), basis.dvalues(rows))
+        assert np.array_equal(blocked.project(f)[:, natural], basis.project(f))
+        for fld in (field, custom):
+            F = rd.galerkin_F(fld, blocked, rd.GalerkinState._trusted(c[..., order])).coeffs
+            assert np.array_equal(F[..., natural], rd.galerkin_F(fld, basis,
+                                                                 rd.GalerkinState._trusted(c)).coeffs)
+
+
 def test_apply_A_kernel_mode(basis32, desk_problem):
     u = rd.GalerkinState.unit(1, 32, 1, 1)
     out = rd.apply_A(basis32, desk_problem, u)
