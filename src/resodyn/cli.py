@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .connections import (ConnectionRecord, find_equilibria, shoot_connection,
+from .connections import (DEDUP_TOL, ConnectionRecord, find_equilibria, shoot_connection,
                           unstable_directions)
 from .decomposition import counts
 from .errors import ConfigurationError
@@ -236,7 +236,7 @@ def _stage_connect(exp: ExperimentConfig, ctx: dict) -> dict:
                             GalerkinState(-seed_scale * direction.coeffs)]
             for eq in find_equilibria(exp.field, exp.basis, exp.split, exp.problem,
                                       newton_seeds):
-                if all(np.sqrt(np.sum((eq.state.coeffs - other.state.coeffs) ** 2)) > 1e-6
+                if all(np.sqrt(np.sum((eq.state.coeffs - other.state.coeffs) ** 2)) > DEDUP_TOL
                        for other in equilibria):
                     equilibria.append(eq)
         # every direction x eps shot marches in one stack, in this order

@@ -15,7 +15,7 @@ log = logging.getLogger(__name__)
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, GradientStructureError
 from .fields import NonlinearField, _u_jacobian, galerkin_F
-from .semiflow import IntegratorSettings, Trajectory, _assemble, _march
+from .semiflow import IntegratorSettings, Trajectory, integrate_ensemble
 from .spectral import GalerkinState, ProblemConfig, SpectralBasis
 
 __all__ = [
@@ -29,6 +29,14 @@ __all__ = [
     "validate_potential",
     "shoot_connection",
 ]
+
+NEWTON_TOL = 1e-10          # residual norm at which a Newton seed has converged
+NEWTON_MAX_ITER = 100       # Newton iterations per seed
+DEDUP_TOL = 1e-6            # L2 distance under which two equilibria are one
+LINEARIZATION_FD_STEP = 1e-6  # step of the field's u-Jacobian in the linearization
+SETTLE_TOL = 1e-4           # a shot settles once it stays this close to one target
+DWELL = 1.0                 # ... and stays there this many time units
+DIRECTION_TOL = 1e-6        # eigen-residual bound (absolute or relative) of a direction
 
 
 @dataclass(frozen=True)
@@ -73,9 +81,7 @@ def _fd_jacobian(field, basis, config, c, step=1e-7):
 
 
 def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
-                    config: ProblemConfig, seeds: Sequence[GalerkinState],
-                    residual_tol: float = 1e-10, max_iter: int = 100,
-                    dedup_tol: float = 1e-6) -> list[Equilibrium]:
+                    config: ProblemConfig, seeds: Sequence[GalerkinState]) -> list[Equilibrium]:
     """Damped Newton on -A u + F(u) = 0 from each seed.
 
     Finite-difference Jacobian, backtracking on the residual norm;
@@ -87,7 +93,7 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
 
     zero = GalerkinState.zeros(m, J)
     origin_res = float(np.sqrt(np.sum(_residual(field, basis, config, zero.coeffs) ** 2)))
-    if origin_res <= residual_tol:
+    if origin_res <= NEWTON_TOL:
         found.append(Equilibrium(
             state=zero, residual=origin_res,
             morse_index=_morse_index(field, basis, config, zero),
@@ -98,10 +104,10 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
         if c.shape != (m, J):
             raise ConfigurationError(f"seed shape {c.shape} != ({m}, {J})")
         converged = False
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             r = _residual(field, basis, config, c)
             rnorm = np.sqrt(np.sum(r ** 2))
-            if rnorm <= residual_tol:
+            if rnorm <= NEWTON_TOL:
                 converged = True
                 break
             jac = _fd_jacobian(field, basis, config, c)
@@ -127,25 +133,24 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
                             _residual(field, basis, config, c) ** 2))))
             continue
         state = GalerkinState(c)
-        if any(np.sqrt(np.sum((c - eq.state.coeffs) ** 2)) <= dedup_tol for eq in found):
+        if any(np.sqrt(np.sum((c - eq.state.coeffs) ** 2)) <= DEDUP_TOL for eq in found):
             continue
         rfinal = float(np.sqrt(np.sum(_residual(field, basis, config, c) ** 2)))
         found.append(Equilibrium(
             state=state, residual=rfinal,
             morse_index=_morse_index(field, basis, config, state),
-            is_origin=bool(np.sqrt(np.sum(c ** 2)) <= dedup_tol)))
+            is_origin=bool(np.sqrt(np.sum(c ** 2)) <= DEDUP_TOL)))
     return found
 
 
 def discrete_linearization(field: NonlinearField, basis: SpectralBasis,
-                           config: ProblemConfig, at: GalerkinState,
-                           fd_step: float = 1e-6) -> np.ndarray:
+                           config: ProblemConfig, at: GalerkinState) -> np.ndarray:
     """Self-adjoint matrix diag(mu_j - lambda_k) - K(u*) in flattened (k, j)
     coordinates, with K the Galerkin matrix of multiplication by the field's
-    u-Jacobian along the state."""
+    u-Jacobian along the state (u' is folded only for a field that reads it)."""
     m, J = config.m, basis.J
-    gprime = _u_jacobian(field, basis.x, basis.values(at.coeffs), basis.dvalues(at.coeffs),
-                         fd_step)
+    dU = basis.dvalues(at.coeffs) if field.reads_du else None
+    gprime = _u_jacobian(field, basis.x, basis.values(at.coeffs), dU, LINEARIZATION_FD_STEP)
     size = m * J
     K = np.zeros((size, size))
     for k in range(m):
@@ -227,18 +232,16 @@ def validate_potential(field: NonlinearField, samples: int = 32, seed: int = 0,
 
 
 def liapunov_energy(field: NonlinearField, basis: SpectralBasis, config: ProblemConfig,
-                    u: GalerkinState, check_potential: bool = False) -> float:
+                    u: GalerkinState) -> float:
     """Energy E(u) = 1/2 sum (mu_j - lambda_k) c_{k,j}^2 - int ftilde(x, u(x)) dx.
 
     The quadratic part carries the spectral shifts and the potential enters
     with a minus sign, which is the convention that makes E nonincreasing
-    along u' = -A u + F(u) when F is the u-gradient of ftilde; the sign is
-    validated numerically rather than assumed.
+    along u' = -A u + F(u) when F is the u-gradient of ftilde
+    (``validate_potential`` checks that gradient numerically).
     """
     if field.potential is None:
         raise GradientStructureError(f"field {field.name!r} declares no potential")
-    if check_potential:
-        validate_potential(field)
     weights = basis.mu[None, :] - config.lam_array()[:, None]
     quad = 0.5 * float(np.sum(weights * u.coeffs ** 2))
     U = basis.values(u.coeffs)
@@ -284,21 +287,20 @@ class ShootMiss:
 def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
                      config: ProblemConfig, source: Equilibrium,
                      direction, eps, settings: IntegratorSettings,
-                     equilibria: Sequence[Equilibrium],
-                     settle_tol: float = 1e-4, dwell: float = 1.0,
-                     direction_tol: float = 1e-6):
-    """Integrate from source + eps * direction, with the step of
-    ``settings.scheme``, until the state dwells within ``settle_tol`` of
-    some other equilibrium for at least ``dwell`` time units, or the
-    horizon runs out.
+                     equilibria: Sequence[Equilibrium]):
+    """Integrate from source + eps * direction at s = 1, with the step of
+    ``settings.scheme``, until the state dwells within SETTLE_TOL of some
+    other equilibrium for at least DWELL time units, or the horizon runs
+    out.
 
     ``direction`` must be a unit eigenvector of the discrete linearization at
     the source with negative eigenvalue (an unstable direction of the
     forward flow); otherwise the shot is a miss by contract.  Returns a
     ConnectionRecord or a ShootMiss.  ``direction`` and ``eps`` may also be
     equal-length sequences, one shot per pair: every shot then marches in
-    one (B, m, J) stack, a connected shot leaves it as it settles, and the
-    results come back as a list in input order.
+    one (B, m, J) stack through ``integrate_ensemble``, a connected shot
+    leaves it as it settles, and the results come back as a list in input
+    order.
     """
     single = isinstance(direction, GalerkinState)
     directions = [direction] if single else list(direction)
@@ -317,34 +319,32 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
         flat = d.coeffs.ravel()
         theta = float(flat @ (L @ flat))
         eig_residual = float(np.sqrt(np.sum((L @ flat - theta * flat) ** 2)))
-        if theta >= 0 or eig_residual > max(direction_tol, direction_tol * abs(theta)):
+        if theta >= 0 or eig_residual > max(DIRECTION_TOL, DIRECTION_TOL * abs(theta)):
             results[i] = ShootMiss(reason="not-unstable", closest_distance=float("inf"),
                                    closest_target=None, trajectory=None)
         else:
             shots.append(i)
     if shots:
-        for i, result in zip(shots, _shoot_stack(
-                field, basis, split, config, source,
-                np.stack([source.state.coeffs + epsilons[i] * directions[i].coeffs
-                          for i in shots]),
-                settings, list(equilibria), settle_tol, dwell)):
+        starts = [GalerkinState._trusted(source.state.coeffs + epsilons[i] * directions[i].coeffs)
+                  for i in shots]
+        for i, result in zip(shots, _shoot_stack(field, basis, split, config, source, starts,
+                                                 settings, list(equilibria))):
             results[i] = result
     return results[0] if single else results
 
 
-def _shoot_stack(field, basis, split, config, source, c0, settings, targets,
-                 settle_tol, dwell):
-    """March the (B, m, J) stack c0 and settle each member on its own.
+def _shoot_stack(field, basis, split, config, source, starts, settings, targets):
+    """March the shots from ``starts`` at s = 1 and settle each one on its own.
 
     The settle state (closest approach, the target being dwelt on and since
     when, the target settled on) is held in arrays indexed by member id and
-    updated through the members that ``_march`` passes to ``settle``.
+    updated through the members that the march passes to ``settle``.
     """
-    B = c0.shape[0]
+    B = len(starts)
     # never settle back onto the source itself
     candidates = np.array([
         i for i, eq in enumerate(targets)
-        if not np.sqrt(np.sum((eq.state.coeffs - source.state.coeffs) ** 2)) <= settle_tol],
+        if not np.sqrt(np.sum((eq.state.coeffs - source.state.coeffs) ** 2)) <= SETTLE_TOL],
         dtype=int)
     goals = np.stack([targets[i].state.coeffs for i in candidates]) if candidates.size else None
     # per member: closest distance and its target (-1: none yet), the target
@@ -352,9 +352,6 @@ def _shoot_stack(field, basis, split, config, source, c0, settings, targets,
     closest, closest_target = np.full(B, np.inf), np.full(B, -1)
     inside_target, inside_since = np.full(B, -1), np.zeros(B)
     settled_target, settled_distance = np.full(B, -1), np.zeros(B)
-
-    def rhs(c, members):
-        return galerkin_F(field, basis, GalerkinState._trusted(c)).coeffs
 
     def settle(t, c, members):
         # one C-ordered m*J run per distance, summed as np.sum sums one state
@@ -365,15 +362,15 @@ def _shoot_stack(field, basis, split, config, source, c0, settings, targets,
         if closer.any():
             closest[members[closer]] = near[closer]
             closest_target[members[closer]] = candidates[dists[closer].argmin(axis=1)]
-        if not near.min() <= settle_tol:
+        if not near.min() <= SETTLE_TOL:
             inside_target[members] = -1
             return False
-        within = dists <= settle_tol
+        within = dists <= SETTLE_TOL
         inside = within.any(axis=1)
         first = within.argmax(axis=1)
         best = np.where(inside, candidates[first], -1)
         stay = inside & (inside_target[members] == best)
-        settled = stay & (t - inside_since[members] >= dwell)
+        settled = stay & (t - inside_since[members] >= DWELL)
         inside_target[members] = best
         inside_since[members] = np.where(stay, inside_since[members], t)
         if not settled.any():
@@ -382,35 +379,26 @@ def _shoot_stack(field, basis, split, config, source, c0, settings, targets,
         settled_distance[members[settled]] = dists[settled, first[settled]]
         return settled
 
-    times, coeffs, diverged = _march(rhs, basis, config, settings, c0,
-                                     None if goals is None else settle)
+    trajectories = integrate_ensemble(field, basis, split, config, np.ones(B), starts, settings,
+                                      None if goals is None else settle)
     results = []
-    for i in range(B):
+    for i, traj in enumerate(trajectories):
         if settled_target[i] >= 0:
-            results.append(_record(field, basis, split, config, source,
-                                   targets[settled_target[i]], times[i], coeffs[i],
-                                   float(settled_distance[i])))
+            results.append(_record(field, basis, config, source, targets[settled_target[i]],
+                                   traj, float(settled_distance[i])))
         else:
-            results.append(_miss(basis, split, config,
-                                 "divergent" if diverged[i] else "horizon",
-                                 times[i], coeffs[i], closest[i], closest_target[i]))
+            target = int(closest_target[i])
+            results.append(ShootMiss(
+                reason="divergent" if traj.diverged else "horizon",
+                closest_distance=float(closest[i]),
+                closest_target=None if target < 0 else target, trajectory=traj))
     return results
 
 
-def _record(field, basis, split, config, source, target, times, coeffs, distance):
+def _record(field, basis, config, source, target, trajectory, distance):
     energies = None
     if field.potential is not None:
         energies = np.asarray([liapunov_energy(field, basis, config, GalerkinState._trusted(c))
-                               for c in coeffs])
-    return ConnectionRecord(
-        source=source, target=target,
-        trajectory=_assemble(basis, split, config, times, coeffs, 1.0, diverged=False),
-        terminal_distance=distance, energy_profile=energies)
-
-
-def _miss(basis, split, config, reason, times, coeffs, closest, closest_target):
-    return ShootMiss(
-        reason=reason, closest_distance=float(closest),
-        closest_target=None if closest_target < 0 else int(closest_target),
-        trajectory=_assemble(basis, split, config, times, coeffs, 1.0,
-                             diverged=reason == "divergent"))
+                               for c in trajectory.coeffs])
+    return ConnectionRecord(source=source, target=target, trajectory=trajectory,
+                            terminal_distance=distance, energy_profile=energies)

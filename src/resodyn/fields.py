@@ -131,17 +131,18 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
     return GalerkinState._trusted(basis._project(fv.reshape(-1, nodal[-1])).reshape(c.shape))
 
 
-def _u_jacobian(field: NonlinearField, x: np.ndarray, U: np.ndarray, dU: np.ndarray,
-                step: float) -> np.ndarray:
+def _u_jacobian(field: NonlinearField, x: np.ndarray, U: np.ndarray,
+                dU: Optional[np.ndarray], step: float) -> np.ndarray:
     """Central-difference u-Jacobian of the field on the nodes, shape (m, m, n):
     entry [k, col] is (f_k(U + h e_col) - f_k(U - h e_col)) / 2h, all 2 m
-    shifted states in one stacked evaluation."""
+    shifted states in one stacked evaluation (``dU=None`` is passed on)."""
     m = U.shape[0]
     shifted = np.broadcast_to(U, (2, m, m, x.size)).copy()
     cols = np.arange(m)
     shifted[0, cols, cols] += step
     shifted[1, cols, cols] -= step
-    f = np.asarray(field.eval(x, shifted, np.broadcast_to(dU, shifted.shape)))
+    dU = None if dU is None else np.broadcast_to(dU, shifted.shape)
+    f = np.asarray(field.eval(x, shifted, dU))
     return ((f[0] - f[1]) / (2 * step)).transpose(1, 0, 2)
 
 

@@ -28,6 +28,8 @@ __all__ = [
     "guiding_margin",
 ]
 
+V_RADIUS = 10.0  # radius of the complementary kernel ball guiding_margin draws v from
+
 @dataclass(frozen=True)
 class DegreeSets:
     """Minima of the resonance degrees and their argmin index sets.
@@ -282,11 +284,11 @@ def _block_inner(config: ProblemConfig, fcoeffs: np.ndarray, ucoeffs: np.ndarray
 def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
                    config: ProblemConfig, which: int, W_radius: float,
                    R_grid: Sequence[float], samples: int = 64, sign: str = "+",
-                   v_radius: float = 10.0, seed: int = 0) -> MarginTable:
+                   seed: int = 0) -> MarginTable:
     """Empirical lower bounds for the kernel-drift functional.
 
     For each R, samples (u, v, w) with ||u|| = R in the block kernel, v in
-    the complementary kernel ball of radius ``v_radius``, and w in the
+    the complementary kernel ball of radius V_RADIUS, and w in the
     X- + X+ ball of fractional radius ``W_radius``; returns the minimum of
     +-<F(u+v+w), u>_which over the samples.  A positive margin at and beyond
     some radius supports the guiding estimate behind the a priori bounds.
@@ -315,7 +317,7 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
             u[i][main_mask] = R * du
             if n_other:
                 dv = rng.normal(size=n_other)
-                dv *= v_radius * rng.uniform() / np.linalg.norm(dv)
+                dv *= V_RADIUS * rng.uniform() / np.linalg.norm(dv)
                 v[i][other_mask] = dv
             if n_out:
                 raw = w[i]

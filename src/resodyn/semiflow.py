@@ -46,6 +46,9 @@ SCHEMES = ("ETD1", "IMEX-Euler")
 # rather than marched without end.
 MAX_STEPS = 10 ** 7
 
+DRIFT_TOL = 1e-3  # kernel-seminorm slope above which a run is flagged unbounded
+BOX_FILL = 0.9    # share of each box radius that sampled initial states fill
+
 
 @dataclass(frozen=True)
 class IntegratorSettings:
@@ -164,13 +167,22 @@ def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     state and F(u) of the members with 0 < s < 1 (at s = 1 F(u) is the
     restricted evaluation, at s = 0 it is not needed).
     """
+    return GalerkinState._trusted(
+        _homotopy(field, basis, split.masks["Q0"], _checked_s(s), u.coeffs))
+
+
+def _checked_s(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if not ((0.0 <= s) & (s <= 1.0)).all():
         raise ConfigurationError(f"s must lie in [0, 1], got {s}")
+    return s
+
+
+def _homotopy(field, basis, q0, s, c):
+    """``homotopy_field`` on arrays, s unchecked: ``q0`` is the Q0 mask in
+    the order of ``basis`` (its complement is X- + X+)."""
     if (s == 1.0).all():
-        return galerkin_F(field, basis, u)
-    q0 = split.masks["Q0"]  # its complement is X- + X+
-    c = u.coeffs
+        return galerkin_F(field, basis, GalerkinState._trusted(c)).coeffs
     sc = s[..., None, None]
     inner = np.where(q0, c, sc * c).reshape((-1,) + q0.shape)
     mid = (0.0 < s) & (s < 1.0)  # for a scalar s, True selects the whole state
@@ -179,7 +191,7 @@ def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     f_inner = f[:n].reshape(c.shape)
     f_full = np.where(sc == 0.0, 0.0, f_inner)
     f_full[mid] = f[n:]
-    return GalerkinState._trusted(np.where(q0, f_inner, sc * f_full))
+    return np.where(q0, f_inner, sc * f_full)
 
 
 def _etd_factors(basis: SpectralBasis, config: ProblemConfig, dt: float):
@@ -265,20 +277,24 @@ def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralB
 
 def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
                        config: ProblemConfig, s_values: Sequence[float],
-                       states: Sequence[GalerkinState],
-                       settings: IntegratorSettings) -> list[Trajectory]:
+                       states: Sequence[GalerkinState], settings: IntegratorSettings,
+                       settle: Optional[Callable] = None) -> list[Trajectory]:
     """March u' = -A u + H(s_i, u) from states[i] for every member i at once,
-    as one (B, m, J) stack, with the step of ``settings.scheme``.
+    as one (B, m, J) stack, with the step of ``settings.scheme``: the one
+    road into ``_march`` (``simulate``, ``connect`` at s = 1 and the
+    product-flow check at s = 0).
 
     A member whose L2 norm passes the divergence threshold or stops being
     finite leaves the stack; its partial trajectory comes back with
     ``diverged=True``.  The others are unaffected: each row of the stack is
     stepped as it would be on its own, up to the last bits that the BLAS
-    path of a stacked product can move (README, "Numerical notes").  The
-    march runs in ``basis.blocked()`` order, with the stack and the split
-    permuted once; recorded states return to natural order once, at the end.
+    path of a stacked product can move (README, "Numerical notes").
+    ``settle(t, c, members)``, if given, is ``_march``'s retirement hook.
+    s is checked once; the march runs in ``basis.blocked()`` order, and the
+    rows ``settle`` sees and the recorded states come back in natural order
+    as C-ordered arrays, so that sums over them run as over a natural state.
     """
-    s = np.asarray(s_values, dtype=float).reshape(-1)
+    s = _checked_s(s_values).reshape(-1)
     if s.size != len(states):
         raise ConfigurationError(
             f"need one s value per initial state, got {s.size} for {len(states)}")
@@ -288,18 +304,22 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
         raise ConfigurationError("initial state shape mismatch")
 
     blocked = basis.blocked()
-    blocked_split = replace(split, labels=split.labels[:, blocked.order])
+    q0 = split.masks["Q0"][:, blocked.order]
+    natural = np.argsort(blocked.order)
 
     def rhs(c, members):
-        return homotopy_field(field, blocked, blocked_split, s[members],
-                              GalerkinState._trusted(c)).coeffs
+        return _homotopy(field, blocked, q0, s[members], c)
+
+    def settle_natural(t, c, members):
+        return settle(t, np.take(c, natural, axis=-1), members)
 
     times, coeffs, diverged = _march(rhs, blocked, config, settings,
-                                     np.stack([u0.coeffs[:, blocked.order] for u0 in states]))
-    natural = np.argsort(blocked.order)
-    return [_assemble(basis, split, config, times[i], np.asarray(coeffs[i])[..., natural],
-                      s[i], diverged[i])
-            for i in range(s.size)]
+                                     np.stack([u0.coeffs[:, blocked.order] for u0 in states]),
+                                     None if settle is None else settle_natural)
+    coeffs = [np.take(np.asarray(c), natural, axis=-1) for c in coeffs]
+    return [Trajectory(times=np.asarray(t), coeffs=c, s=float(si), diverged=bool(d),
+                       norms=trajectory_norms(basis, split, config, c))
+            for t, c, si, d in zip(times, coeffs, s, diverged)]
 
 
 def integrate(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
@@ -315,13 +335,6 @@ def integrate(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
     if traj.diverged:
         raise DivergenceSignal(exit_time=float(traj.times[-1]), trajectory=traj)
     return traj
-
-
-def _assemble(basis, split, config, times, coeffs, s, diverged):
-    coeffs = np.asarray(coeffs)
-    return Trajectory(times=np.asarray(times), coeffs=coeffs,
-                      norms=trajectory_norms(basis, split, config, coeffs),
-                      s=float(s), diverged=bool(diverged))
 
 
 @dataclass(frozen=True)
@@ -458,14 +471,13 @@ def _ratio(value: float, bound: float) -> float:
 
 
 def check_bounded_solution(trajectory: Trajectory, bounds: AprioriBounds,
-                           R1: float, R2: float, transient_fraction: float = 0.2,
-                           tol_drift: float = 1e-3) -> BoundReport:
+                           R1: float, R2: float, transient_fraction: float = 0.2) -> BoundReport:
     """Check the four componentwise norms against their radii after the
     transient, and flag kernel drift.
 
     Boundedness detection is window growth: the run is flagged unbounded if
     the linear-fit slope of the first-block kernel seminorm over the last
-    half of the horizon exceeds tol_drift (or the integrator diverged).
+    half of the horizon exceeds DRIFT_TOL (or the integrator diverged).
     """
     n = trajectory.times.size
     start = int(np.floor(transient_fraction * n))
@@ -487,7 +499,7 @@ def check_bounded_solution(trajectory: Trajectory, bounds: AprioriBounds,
     t = trajectory.times[half]
     p1 = trajectory.norm_series("P1_seminorm")[half]
     slope = float(np.polyfit(t, p1, 1)[0]) if t.size >= 2 else 0.0
-    unbounded = trajectory.diverged or slope > tol_drift
+    unbounded = trajectory.diverged or slope > DRIFT_TOL
     return BoundReport(ratios=ratios, maxima=maxima, slope_P1=slope,
                        unbounded=unbounded, transient_fraction=transient_fraction)
 
@@ -518,9 +530,9 @@ class HomotopyBox:
 
 def sample_states_in_box(basis: SpectralBasis, split: SplitIndexSet,
                          config: ProblemConfig, box: HomotopyBox, count: int,
-                         seed: int = 0, fill: float = 0.9) -> list[GalerkinState]:
-    """Random initial states strictly inside the box (fill < 1 keeps them off
-    the boundary)."""
+                         seed: int = 0) -> list[GalerkinState]:
+    """Random initial states strictly inside the box (BOX_FILL < 1 keeps them
+    off the boundary)."""
     rng = np.random.default_rng(seed)
     weights = fractional_weights(basis, config) ** config.alpha
     masks = split.masks
@@ -536,14 +548,14 @@ def sample_states_in_box(basis: SpectralBasis, split: SplitIndexSet,
             vec = rng.normal(size=k)
             nrm = np.linalg.norm(vec)
             if nrm > 0:
-                vec *= fill * radius * rng.uniform() / nrm
+                vec *= BOX_FILL * radius * rng.uniform() / nrm
             c[mask] = vec
         k = int(out_mask.sum())
         if k:
             vec = rng.normal(size=k)
             frac = np.linalg.norm(weights[out_mask] * vec)
             if frac > 0:
-                vec *= fill * (box.R0 + 1.0) * rng.uniform() / frac
+                vec *= BOX_FILL * (box.R0 + 1.0) * rng.uniform() / frac
             c[out_mask] = vec
         states.append(GalerkinState(c))
     return states
@@ -557,23 +569,18 @@ def product_flow_check(field: NonlinearField, basis: SpectralBasis,
 
     At s=0 the deformed system decouples into the kernel-only reduced flow
     and the linear semigroup on the complement; the full trajectory must
-    agree with their superposition.
+    agree with their superposition at every stored time.  The reduced flow
+    is the s=0 march from Q0 u0: its kernel modes step as c + dt Q0 F(c)
+    (E = P = 1) and its complement stays 0.
     """
     settings = replace(settings, T=T)
-    full = integrate(field, basis, split, config, 0.0, u0, settings)
     kmask = split.masks["Q0"]
-    kc = np.where(kmask, u0.coeffs, 0.0)
+    full = integrate(field, basis, split, config, 0.0, u0, settings)
+    kernel = integrate(field, basis, split, config, 0.0,
+                       GalerkinState(np.where(kmask, u0.coeffs, 0.0)), settings)
     out0 = GalerkinState(np.where(kmask, 0.0, u0.coeffs))
-    kernel_track = {0: kc.copy()}
-    c = kc.copy()
-    for n in range(settings.nsteps):
-        fk = galerkin_F(field, basis, GalerkinState(c)).coeffs
-        c = c + settings.dt * np.where(kmask, fk, 0.0)
-        kernel_track[n + 1] = c.copy()
     worst = 0.0
-    for i, t in enumerate(full.times):
-        step = int(round(t / settings.dt))
-        linear = semigroup_apply(basis, config, t, out0).coeffs
-        combined = kernel_track[step] + linear
-        worst = max(worst, float(np.sqrt(np.sum((full.coeffs[i] - combined) ** 2))))
+    for t, c, kc in zip(full.times, full.coeffs, kernel.coeffs):
+        combined = kc + semigroup_apply(basis, config, t, out0).coeffs
+        worst = max(worst, float(np.sqrt(np.sum((c - combined) ** 2))))
     return worst

@@ -129,8 +129,9 @@ class SpectralBasis:
         mirrored = (va - vs) if flip else (vs - va)
         out[:, nq - h:] = mirrored[:, ::-1]
         if nq % 2:
-            # only the block that is symmetric after the map is nonzero there
-            out[:, h] = (ca if flip else cs) @ table_mid
+            # only the block that is symmetric after the map is nonzero there;
+            # C-ordered rows, so that a gather and a view take one gemv path
+            out[:, h] = np.ascontiguousarray(ca if flip else cs) @ table_mid
         return out
 
     def project(self, fvals: np.ndarray) -> np.ndarray:

@@ -339,3 +339,35 @@ def test_custom_field_keeps_derivative(basis32, monkeypatch):
     F = rd.galerkin_F(field, basis32, rd.GalerkinState(c)).coeffs
     assert calls == [False, True]
     assert np.array_equal(F, basis32.project(basis32.dvalues(c)))
+
+
+def _linearization_config(basis):
+    return rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]), float(basis.mu[1])),
+                            sigma=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("spec", [*_DEFAULTS, *("-" + name for name in _DEFAULTS)])
+def test_linearization_skips_derivative(basis32, spec, monkeypatch):
+    field = rd.make_field(spec, 2, basis=basis32)
+    seen = []
+    ev = field.eval
+    field.eval = lambda x, U, dU: seen.append(dU) or ev(x, U, dU)
+    calls = _count_derivative_folds(monkeypatch)
+    at = rd.GalerkinState(0.3 * np.random.default_rng(6).normal(size=(2, 32)))
+    rd.discrete_linearization(field, basis32, _linearization_config(basis32), at)
+    assert True not in calls
+    assert seen == [None]
+
+
+def test_linearization_keeps_derivative_for_custom_field(basis32, monkeypatch):
+    seen = []
+    field = _custom(2, lambda x, U, dU: seen.append(dU) or np.sin(U) + 0.1 * dU)
+    assert field.reads_du
+    calls = _count_derivative_folds(monkeypatch)
+    c = 0.3 * np.random.default_rng(7).normal(size=(2, 32))
+    rd.discrete_linearization(field, basis32, _linearization_config(basis32),
+                              rd.GalerkinState(c))
+    assert calls.count(True) == 1
+    dU, = seen
+    assert dU.shape == (2, 2, 2, basis32.x.size)
+    assert np.array_equal(dU, np.broadcast_to(basis32.dvalues(c), dU.shape))

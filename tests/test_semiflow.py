@@ -586,3 +586,101 @@ def test_blocked_march_errors_name_the_natural_mode():
         rd.integrate_ensemble(field, basis, split, cfg, [0.5], u0,
                               rd.IntegratorSettings(dt=0.4, T=0.8))
     assert (err.value.component, err.value.mode) == (2, 1)
+
+
+# -- one march: settle hook, s checked once, product flow -----------------------
+
+@pytest.mark.parametrize("nodes", [80, 81])
+def test_settle_rows_and_records_are_natural_and_c_ordered(nodes):
+    # at s = 1 the blocked march is the natural-order one bit for bit, so a
+    # natural _march of F(u) is the oracle for the rows settle sees
+    basis = rd.build_basis(rd.Domain1D(1.0, nodes), 16)
+    cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]), float(basis.mu[1])),
+                           sigma=(0.0, 0.0))
+    split = rd.classify(basis, cfg)
+    field = rd.make_field("arctan(40)", 2)
+    gen = np.random.default_rng(5)
+    states = [rd.GalerkinState(0.3 * gen.normal(size=(2, 16))) for _ in range(3)]
+    settings = rd.IntegratorSettings(dt=1e-3, T=0.02)
+
+    def retire(log):
+        def settle(t, c, members):
+            log.append((t, c, members.copy()))
+            return members == 1 if round(t / settings.dt) == 7 else False
+        return settle
+
+    seen, natural = [], []
+    ens = rd.integrate_ensemble(field, basis, split, cfg, np.ones(3), states, settings,
+                                retire(seen))
+    _march(lambda c, members: rd.galerkin_F(field, basis, rd.GalerkinState._trusted(c)).coeffs,
+           basis, cfg, settings, np.stack([u.coeffs for u in states]), retire(natural))
+    assert len(seen) == len(natural) == settings.nsteps
+    for (t, c, members), (t_ref, c_ref, members_ref) in zip(seen, natural):
+        assert t == t_ref and np.array_equal(members, members_ref)
+        assert c.flags["C_CONTIGUOUS"]
+        assert np.array_equal(c, c_ref)
+        for row, i in zip(c, members):
+            step, = np.flatnonzero(ens[i].times == t)
+            assert np.array_equal(row, ens[i].coeffs[step])
+    assert len(ens[1].times) == 8 and len(ens[0].times) == settings.nsteps + 1
+    for traj in ens:
+        assert traj.coeffs.flags["C_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, -math.inf])
+def test_s_outside_unit_interval_rejected_before_any_step(bad, monkeypatch):
+    import resodyn.semiflow as semiflow
+    split, cfg = _small_system(1)
+    field = rd.make_field("arctan(40)", 1)
+    u0 = rd.GalerkinState.zeros(1, 8)
+    settings = rd.IntegratorSettings(dt=1e-3, T=0.01)
+    calls = []
+    monkeypatch.setattr(semiflow, "_march", lambda *a: calls.append("march"))
+    monkeypatch.setattr(semiflow, "galerkin_F", lambda *a: calls.append("F"))
+    with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+        rd.integrate_ensemble(field, _SMALL, split, cfg, [0.5, bad], [u0, u0], settings)
+    with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+        rd.homotopy_field(field, _SMALL, split, bad, u0)
+    with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+        rd.homotopy_field(field, _SMALL, split, np.array([1.0, bad]),
+                          rd.GalerkinState(np.zeros((2, 1, 8))))
+    assert calls == []
+
+
+def _explicit_kernel_track(field, basis, split, u0, settings):
+    """The explicit recursion c_{n+1} = c_n + dt Q0 F(c_n) from Q0 u0, every step."""
+    kmask = split.masks["Q0"]
+    c = np.where(kmask, u0.coeffs, 0.0)
+    track = [c]
+    for _ in range(settings.nsteps):
+        fk = rd.galerkin_F(field, basis, rd.GalerkinState(c)).coeffs
+        c = c + settings.dt * np.where(kmask, fk, 0.0)
+        track.append(c)
+    return np.stack(track)
+
+
+@pytest.mark.parametrize("scheme", ["ETD1", "IMEX-Euler"])
+@pytest.mark.parametrize("nodes", [80, 81])
+@pytest.mark.parametrize("m", [1, 2])
+def test_s0_kernel_march_is_the_explicit_recursion(m, nodes, scheme):
+    basis = rd.build_basis(rd.Domain1D(1.0, nodes), 8)
+    cfg = rd.ProblemConfig(m=m, l=1, lam=tuple(float(mu) for mu in basis.mu[:m]),
+                           sigma=(0.0,) * m)
+    split = rd.classify(basis, cfg)
+    field = rd.make_field("arctan(40)", m)
+    u0 = rd.GalerkinState(0.3 * np.random.default_rng(nodes + m).normal(size=(m, 8)))
+    settings = rd.IntegratorSettings(dt=2e-4, T=0.02, scheme=scheme, store_every=7)
+    track = _explicit_kernel_track(field, basis, split, u0, settings)
+    kmask = split.masks["Q0"]
+    kernel = rd.integrate(field, basis, split, cfg, 0.0,
+                          rd.GalerkinState(np.where(kmask, u0.coeffs, 0.0)), settings)
+    steps = np.rint(kernel.times / settings.dt).astype(int)
+    assert steps.tolist() == [*range(0, settings.nsteps, 7), settings.nsteps]
+    assert np.array_equal(kernel.coeffs, track[steps])
+    # the check itself: the full s = 0 run against the recursion plus the semigroup
+    full = rd.integrate(field, basis, split, cfg, 0.0, u0, settings)
+    out0 = rd.GalerkinState(np.where(kmask, 0.0, u0.coeffs))
+    worst = max(float(np.sqrt(np.sum(
+        (c - track[n] - rd.semigroup_apply(basis, cfg, t, out0).coeffs) ** 2)))
+        for t, c, n in zip(full.times, full.coeffs, steps))
+    assert rd.product_flow_check(field, basis, split, cfg, u0, 0.02, settings) == worst

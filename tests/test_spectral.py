@@ -95,6 +95,29 @@ def test_blocked_fold_is_exact(quad_nodes, m):
                                                                  rd.GalerkinState._trusted(c)).coeffs)
 
 
+@pytest.mark.parametrize("quad_nodes", [48, 49, 80, 81])
+def test_blocked_fold_is_exact_on_c_ordered_rows(quad_nodes):
+    # the march hands the blocked fold C-ordered rows (its parity blocks are
+    # strided views), the natural fold gathers them; at odd node counts the
+    # midpoint product must not depend on that layout
+    for J in range(2, quad_nodes // 3):
+        basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), J)
+        blocked = basis.blocked()
+        order, natural = blocked.order, np.argsort(blocked.order)
+        gen = np.random.default_rng(J)
+        for B in (1, 2, 3, 6, 17):
+            rows = gen.normal(size=(B, J))
+            brows = np.ascontiguousarray(rows[:, order])
+            assert np.array_equal(blocked.values(brows), basis.values(rows))
+            assert np.array_equal(blocked.dvalues(brows), basis.dvalues(rows))
+            c = gen.normal(size=(B, 2, J))
+            field = rd.make_field("arctan(40)", 2)
+            F = rd.galerkin_F(field, blocked,
+                              rd.GalerkinState._trusted(np.take(c, order, axis=-1))).coeffs
+            assert np.array_equal(np.take(F, natural, axis=-1),
+                                  rd.galerkin_F(field, basis, rd.GalerkinState._trusted(c)).coeffs)
+
+
 def test_apply_A_kernel_mode(basis32, desk_problem):
     u = rd.GalerkinState.unit(1, 32, 1, 1)
     out = rd.apply_A(basis32, desk_problem, u)
