@@ -114,6 +114,14 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
     ``u.coeffs`` may be one (m, J) matrix or a (..., m, J) stack; the stack
     is evaluated row-wise through the same folded tables.  u' is evaluated
     only for a field that ``reads_du``.
+
+    A non-finite field value raises EvaluationError naming its component
+    and node.  The check scans the coefficients (J per row), not the nodal
+    values: the fold's products spread inf and NaN to coefficients of the
+    row (0 * inf is NaN), so the nodal values are scanned only when a
+    coefficient is not finite.  If every nodal value is finite (the
+    quadrature sum itself overflowed), the coefficients are returned as they
+    are, for the march's divergence guard.
     """
     c = u.coeffs
     rows = c.reshape(-1, c.shape[-1])
@@ -123,12 +131,15 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
     fv = np.asarray(field.eval(basis.x, U, dU), dtype=float)
     if fv.shape != nodal:
         raise EvaluationError(f"field returned shape {fv.shape}, expected {nodal}")
-    if not np.all(np.isfinite(fv)):
-        *_, k, i = np.argwhere(~np.isfinite(fv))[0]
-        raise EvaluationError(
-            f"non-finite field value in component {k + 1} at node x={basis.x[i]:.6g}"
-        )
-    return GalerkinState._trusted(basis._project(fv.reshape(-1, nodal[-1])).reshape(c.shape))
+    out = basis._project(fv.reshape(-1, nodal[-1]))
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(fv)
+        if bad.any():
+            *_, k, i = np.argwhere(bad)[0]
+            raise EvaluationError(
+                f"non-finite field value in component {k + 1} at node x={basis.x[i]:.6g}"
+            )
+    return GalerkinState._trusted(out.reshape(c.shape))
 
 
 def _u_jacobian(field: NonlinearField, x: np.ndarray, U: np.ndarray,

@@ -4,8 +4,6 @@ kernel component."""
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -15,6 +13,7 @@ from numpy.polynomial.legendre import leggauss
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, EvaluationError, HypothesisError
 from .fields import NonlinearField, galerkin_F
+from .semiflow import _csv_table
 from .spectral import GalerkinState, ProblemConfig, SpectralBasis, fractional_weights
 
 __all__ = [
@@ -260,12 +259,7 @@ class MarginTable:
     rows: tuple[tuple[float, float], ...]  # (R, margin)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["R", "margin"])
-        for R, margin in self.rows:
-            writer.writerow([f"{R:.17g}", f"{margin:.17g}"])
-        return buf.getvalue()
+        return _csv_table(("R", "margin"), self.rows)
 
     def to_dict(self) -> dict:
         return {"which": self.which, "sign": self.sign,

@@ -4,11 +4,9 @@ flow identity."""
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from numbers import Integral
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -126,12 +124,16 @@ class Trajectory:
         return self.norms[:, NORM_NAMES.index(name)]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["t", *NORM_NAMES])
-        for t, norms in zip(self.times, self.norms):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in norms])
-        return buf.getvalue()
+        return _csv_table(("t", *NORM_NAMES), np.column_stack([self.times, self.norms]))
+
+
+def _csv_table(header: Sequence[str], table) -> str:
+    """CSV text of a float table in one format pass: the header row, then
+    every value as ``%.17g``, comma-separated, with ``\\r\\n`` line ends (the
+    ``csv`` module's dialect; no value needs quoting)."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    return ",".join(header) + "\r\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def trajectory_norms(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfig,
@@ -162,13 +164,18 @@ def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitInde
 
     At s=1 the three projections telescope back to F(u); at s=0 only the
     kernel projection of the kernel-restricted field survives.  ``u`` may be
-    a (B, m, J) stack with one s per member (``s`` of shape (B,)).  One
-    stacked ``galerkin_F`` call evaluates every member's kernel-restricted
-    state and F(u) of the members with 0 < s < 1 (at s = 1 F(u) is the
-    restricted evaluation, at s = 0 it is not needed).
+    a (B, m, J) stack with one s per member (``s`` of shape (B,)) or one
+    s for all.  The call builds the plan of its stack composition
+    (``_plan``) and applies it once, as every march step does: one stacked
+    ``galerkin_F`` call evaluates every member's kernel-restricted state and
+    F(u) of the members with 0 < s < 1 (at s = 1 F(u) is the restricted
+    evaluation, at s = 0 it is not needed).
     """
-    return GalerkinState._trusted(
-        _homotopy(field, basis, split.masks["Q0"], _checked_s(s), u.coeffs))
+    c = u.coeffs
+    s = np.broadcast_to(_checked_s(s), c.shape[:-2]).reshape(-1)
+    q0 = split.masks["Q0"]
+    H = _homotopy(field, basis, _plan(q0, s), c.reshape((-1,) + q0.shape))
+    return GalerkinState._trusted(H.reshape(c.shape))
 
 
 def _checked_s(s) -> np.ndarray:
@@ -178,20 +185,57 @@ def _checked_s(s) -> np.ndarray:
     return s
 
 
-def _homotopy(field, basis, q0, s, c):
-    """``homotopy_field`` on arrays, s unchecked: ``q0`` is the Q0 mask in
-    the order of ``basis`` (its complement is X- + X+)."""
+class _Plan(NamedTuple):
+    """H(s, .) for one stack composition (one s per row), built once.
+
+    Every row is evaluated at its restricted state W u, with W = 1 on Q0
+    and s elsewhere, and the rows with 0 < s < 1 once more at u: ``rows``
+    picks the states of that one stacked evaluation and ``scale`` is W for
+    the first B of them and 1 for the rest.  H is W times the entries that
+    ``gather`` picks from its result: the restricted evaluation on Q0 and
+    at s = 1, F(u) off Q0 at interior s.  ``zero`` masks the entries off Q0
+    of the rows with s = 0, where H is +0.0 (None if there are none).
+    """
+
+    rows: np.ndarray
+    scale: np.ndarray
+    gather: np.ndarray
+    W: np.ndarray
+    zero: Optional[np.ndarray]
+
+
+def _plan(q0: np.ndarray, s: np.ndarray) -> Optional[_Plan]:
+    """The plan of the rows ``s`` (shape (B,)), with ``q0`` the Q0 mask in
+    the order of the basis it is applied with; None when every s is 1, where
+    H is F."""
     if (s == 1.0).all():
+        return None
+    sc = s[:, None, None]
+    W = np.where(q0, 1.0, sc)
+    mid = np.flatnonzero((0.0 < s) & (s < 1.0))
+    B, k = s.size, mid.size
+    flat = np.arange((B + k) * q0.size).reshape((B + k,) + q0.shape)
+    gather = flat[:B].copy()
+    gather[mid] = np.where(q0, flat[mid], flat[B:])
+    zero = ~q0 & (sc == 0.0)
+    return _Plan(rows=np.concatenate([np.arange(B), mid]),
+                 scale=np.concatenate([W, np.ones((k,) + q0.shape)]),
+                 gather=gather, W=W, zero=zero if zero.any() else None)
+
+
+def _homotopy(field, basis, plan, c):
+    """H of the (B, m, J) stack ``c`` by ``plan``, in the order of ``basis``.
+
+    ``W * c`` is ``where(Q0, c, s c)`` bit for bit, since 1.0 * x == x, and
+    so is ``W * g`` for ``where(Q0, g, s g)``.
+    """
+    if plan is None:
         return galerkin_F(field, basis, GalerkinState._trusted(c)).coeffs
-    sc = s[..., None, None]
-    inner = np.where(q0, c, sc * c).reshape((-1,) + q0.shape)
-    mid = (0.0 < s) & (s < 1.0)  # for a scalar s, True selects the whole state
-    n = len(inner)
-    f = galerkin_F(field, basis, GalerkinState._trusted(np.concatenate([inner, c[mid]]))).coeffs
-    f_inner = f[:n].reshape(c.shape)
-    f_full = np.where(sc == 0.0, 0.0, f_inner)
-    f_full[mid] = f[n:]
-    return np.where(q0, f_inner, sc * f_full)
+    stack = plan.scale * c.take(plan.rows, axis=0)
+    H = plan.W * galerkin_F(field, basis, GalerkinState._trusted(stack)).coeffs.take(plan.gather)
+    if plan.zero is not None:
+        H[plan.zero] = 0.0
+    return H
 
 
 def _etd_factors(basis: SpectralBasis, config: ProblemConfig, dt: float):
@@ -240,6 +284,7 @@ def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralB
         denom = 1.0 + dt * rates
     else:
         E, P = _etd_factors(basis, config, dt)
+        dtP = dt * P  # dt * P * H evaluates dt * P first
     threshold = settings.divergence_threshold
     times = [[0.0] for _ in c0]
     coeffs = [[row] for row in c0]
@@ -248,7 +293,7 @@ def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralB
     for n in range(1, settings.nsteps + 1):
         H = rhs(c, members)
         if settings.scheme == "ETD1":
-            c = E * c + dt * P * H
+            c = E * c + dtP * H
         else:
             c = (c + dt * H) / denom
         t = n * dt
@@ -290,7 +335,9 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     stepped as it would be on its own, up to the last bits that the BLAS
     path of a stacked product can move (README, "Numerical notes").
     ``settle(t, c, members)``, if given, is ``_march``'s retirement hook.
-    s is checked once; the march runs in ``basis.blocked()`` order, and the
+    s is checked once, and H(s, .) is planned once per stack composition
+    (``_plan``): at the start and again only when rows leave, so a step
+    classifies no s.  The march runs in ``basis.blocked()`` order, and the
     rows ``settle`` sees and the recorded states come back in natural order
     as C-ordered arrays, so that sums over them run as over a natural state.
     """
@@ -307,8 +354,14 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     q0 = split.masks["Q0"][:, blocked.order]
     natural = np.argsort(blocked.order)
 
+    plan, planned = None, None
+
     def rhs(c, members):
-        return _homotopy(field, blocked, q0, s[members], c)
+        # _march hands over a new members array only when rows leave
+        nonlocal plan, planned
+        if members is not planned:
+            plan, planned = _plan(q0, s[members]), members
+        return _homotopy(field, blocked, plan, c)
 
     def settle_natural(t, c, members):
         return settle(t, np.take(c, natural, axis=-1), members)

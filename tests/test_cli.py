@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import resodyn.cli as cli
@@ -336,3 +337,64 @@ def test_main_entrypoint(tmp_path, capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "resodyn spectrum: ok" in out
+
+
+# component 2 sits off resonance (lambda = 3 < mu(1)), so it has no kernel
+# mode: at s = 0 the whole of its restricted evaluation is dropped from H
+_NAN_SECTIONS = {"domain": ["J = 16", "quad_nodes = {nodes}"],
+                 "system": ["m = 2", "l = 1", "lambda = mu(1), 3", "sigma = 0, 0"],
+                 "field": ["name = arctan(40)"],
+                 "run": ["dt = 1e-3", "T = 0.05", "s_grid = 0, 0.5, 1", "seeds = 2",
+                         "eps_grid = 1e-3", "margin_R_grid = 5", "margin_samples = 2",
+                         "ll_samples = 4"]}
+
+
+# simulate marches the members (seed, s) = (0, 0), (0, 0.5), (0, 1), (1, 0),
+# (1, 0.5), (1, 1): stack rows 0-5 are their restricted states and rows 6, 7
+# the full states of the two s = 0.5 members; connect marches s = 1 shots
+@pytest.mark.parametrize("subcommand,row", [
+    ("simulate", 0), ("simulate", 1), ("simulate", 6), ("connect", 0),
+], ids=["simulate-s0", "simulate-mid-restricted", "simulate-mid-full", "connect"])
+@pytest.mark.parametrize("nodes", [80, 81])
+def test_nan_in_the_middle_of_a_march_exit_code(tmp_path, monkeypatch, capsys,
+                                                subcommand, row, nodes):
+    import resodyn.semiflow as semiflow
+
+    sections = {name: [entry.format(nodes=nodes) for entry in entries]
+                for name, entries in _NAN_SECTIONS.items()}
+    path = _write_ini(tmp_path / "nan.ini", sections)
+    march, marching, calls = semiflow._march, [], []
+
+    def flagged_march(*args, **kwargs):
+        marching.append(True)
+        return march(*args, **kwargs)
+
+    node, k = nodes // 2, 5  # the midpoint node of the odd rule
+
+    def patched_load(*args, **kwargs):
+        exp = load_config(*args, **kwargs)
+        clean = exp.field.eval
+
+        def eval_with_nan(x, U, dU):
+            out = clean(x, U, dU)
+            if marching:
+                calls.append(U.shape)
+                if len(calls) == k:
+                    out = np.array(out)
+                    out[row, 1, node] = np.nan
+            return out
+
+        monkeypatch.setattr(exp.field, "eval", eval_with_nan)
+        return exp
+
+    monkeypatch.setattr(semiflow, "_march", flagged_march)
+    monkeypatch.setattr(cli, "load_config", patched_load)
+    assert cli.run_subcommand(subcommand, path, out_dir=tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    x = load_config(path).basis.x
+    assert f"runtime failure in stage '{subcommand}'" in err
+    assert f"non-finite field value in component 2 at node x={x[node]:.6g}" in err
+    # the march stops at the evaluation that returned the NaN
+    assert len(calls) == k
+    if subcommand == "simulate":
+        assert calls[0][0] == 8

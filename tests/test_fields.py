@@ -52,6 +52,45 @@ def test_galerkin_F_nonfinite_reports_node(basis32):
         rd.galerkin_F(field, basis32, rd.GalerkinState.zeros(1, 32))
 
 
+def _nodal_scan_message(basis, fv):
+    """The message of the nodal finite scan that galerkin_F ran on every call
+    before it checked the coefficients first."""
+    *_, k, i = np.argwhere(~np.isfinite(fv))[0]
+    return f"non-finite field value in component {k + 1} at node x={basis.x[i]:.6g}"
+
+
+@pytest.mark.parametrize("nodes", [80, 81])
+def test_galerkin_F_nonfinite_anywhere_names_the_first_node(nodes):
+    # a non-finite value at any node of any row makes its coefficients
+    # non-finite, so the coefficient check never lets one through, and the
+    # nodal scan behind it names what the old per-call scan named
+    basis = rd.build_basis(rd.Domain1D(1.0, nodes), 16)
+    gen = np.random.default_rng(nodes)
+    clean = 0.5 * gen.normal(size=(3, 2, nodes))
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in range(3):
+            for k in range(2):
+                for i in range(nodes):
+                    fv = clean.copy()
+                    fv[row, k, i] = bad
+                    fv[2, 1, (i + 7) % nodes] = -bad  # a second one, later in C order
+                    field = _custom(2, lambda x, U, dU, fv=fv: fv)
+                    # inf - inf in the fold warns before the error
+                    with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as err:
+                        rd.galerkin_F(field, basis, rd.GalerkinState(np.zeros((3, 2, 16))))
+                    assert str(err.value) == _nodal_scan_message(basis, fv)
+
+
+def test_galerkin_F_quadrature_overflow_is_returned():
+    # every nodal value finite, the quadrature sum overflows: returned as
+    # before, with the non-finite coefficients for the march's guard to see
+    basis = rd.build_basis(rd.Domain1D(1.0, 81), 16)
+    field = _custom(1, lambda x, U, dU: np.full_like(U, 1.5e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rd.galerkin_F(field, basis, rd.GalerkinState.zeros(1, 16))
+    assert not np.isfinite(out.coeffs).all()
+
+
 def test_check_bounded_arctan(basis32):
     field = rd.make_field("arctan(1)", 1)
     grid = SampleGrid.default(basis32, 1, seed=3)

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import resodyn as rd
 from resodyn.decomposition import N1, PLUS
 from resodyn.errors import ConfigurationError, EvaluationError, HypothesisError
-from resodyn.resonance import _sphere_directions, block_modes
+from resodyn.resonance import MarginTable, _sphere_directions, block_modes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -300,6 +300,21 @@ def test_margin_table_csv(basis32, desk_problem, desk_split, desk_field):
     text = table.to_csv()
     assert text.splitlines()[0] == "R,margin"
     assert len(text.splitlines()) == 2
+
+
+def test_margin_table_csv_matches_csv_writer():
+    import csv
+    import io
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-310, 1e300,
+              -1e300, 1e-300, -1e-300, 0.1, 20.0, -1 / 3]
+    rows = tuple(zip(values, values[::-1]))
+    buf = io.StringIO()
+    writer = csv.writer(buf)  # the formatter the one-pass CSV replaced
+    writer.writerow(["R", "margin"])
+    for R, margin in rows:
+        writer.writerow([f"{R:.17g}", f"{margin:.17g}"])
+    assert MarginTable(which=1, sign="+", rows=rows).to_csv() == buf.getvalue()
+    assert MarginTable(which=1, sign="+", rows=()).to_csv() == "R,margin\r\n"
 
 
 def test_ll_report_serialization(basis32, desk_problem, desk_split, desk_field):

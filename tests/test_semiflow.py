@@ -684,3 +684,137 @@ def test_s0_kernel_march_is_the_explicit_recursion(m, nodes, scheme):
         (c - track[n] - rd.semigroup_apply(basis, cfg, t, out0).coeffs) ** 2)))
         for t, c, n in zip(full.times, full.coeffs, steps))
     assert rd.product_flow_check(field, basis, split, cfg, u0, 0.02, settings) == worst
+
+
+# -- planned H step and one-pass CSV against their reference formulas ---------
+
+def _where_homotopy(field, basis, q0, s, c):
+    """H(s, u) of a (B, m, J) stack by the where-formula the per-composition
+    plan replaced: one stacked galerkin_F call of the restricted states and
+    the interior-s states, then masks rebuilt from s."""
+    sc = s[:, None, None]
+    mid = (0.0 < s) & (s < 1.0)
+    n = len(c)
+    f = rd.galerkin_F(field, basis, rd.GalerkinState._trusted(
+        np.concatenate([np.where(q0, c, sc * c), c[mid]]))).coeffs
+    f_inner = f[:n]
+    f_full = np.where(sc == 0.0, 0.0, f_inner)
+    f_full[mid] = f[n:]
+    return np.where(q0, f_inner, sc * f_full)
+
+
+def _same_bits(a, b):
+    """array_equal that also tells -0.0 from +0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _plan_system(m, nodes):
+    # at m = 2 the second component is off resonance: no kernel mode at all
+    basis = rd.build_basis(rd.Domain1D(1.0, nodes), 16)
+    lam = (float(basis.mu[0]), 3.0)[:m]
+    cfg = rd.ProblemConfig(m=m, l=1, lam=lam, sigma=(0.0,) * m)
+    return basis, rd.classify(basis, cfg), cfg
+
+
+@pytest.mark.parametrize("nodes", [80, 81])
+@pytest.mark.parametrize("m", [1, 2])
+def test_homotopy_field_matches_where_formula(m, nodes):
+    basis, split, _ = _plan_system(m, nodes)
+    field = rd.make_field("-arctan(40)", m)
+    q0 = split.masks["Q0"]
+    gen = np.random.default_rng(10 * m + nodes)
+    for s in ([0.0, 0.3, 1.0, 0.7, 0.0, 1.0, 0.5], [1.0] * 3, [0.0] * 4, [0.25] * 2,
+              [0.0, 1.0], [1.0, 0.5]):
+        s = np.array(s)
+        c = gen.normal(size=(s.size, m, 16))
+        c[0, 0, 1] = -0.0
+        H = rd.homotopy_field(field, basis, split, s, rd.GalerkinState(c)).coeffs
+        assert _same_bits(H, _where_homotopy(field, basis, q0, s, c))
+    for s in (0.0, 0.6, 1.0):  # one state, one s
+        c = gen.normal(size=(m, 16))
+        H = rd.homotopy_field(field, basis, split, s, rd.GalerkinState(c)).coeffs
+        assert H.shape == (m, 16)
+        assert _same_bits(H, _where_homotopy(field, basis, q0, np.array([s]), c[None])[0])
+
+
+@pytest.mark.parametrize("nodes", [80, 81])
+@pytest.mark.parametrize("m", [1, 2])
+def test_march_plan_matches_homotopy_field(m, nodes, monkeypatch):
+    # every planned step of a march whose stack loses rows twice (two members
+    # diverge on the first step, two retire at t = 4 dt) equals the public
+    # homotopy_field and the where-formula on the same stack, bit for bit
+    import resodyn.semiflow as semiflow
+    basis, split, cfg = _plan_system(m, nodes)
+    field = rd.make_field("arctan(40)", m)
+    s = np.array([0.0, 0.3, 1.0, 0.7, 0.0, 1.0, 0.5, 0.0])
+    gen = np.random.default_rng(m + nodes)
+    scale = np.where(np.isin(np.arange(s.size), [2, 3]), 50.0, 0.1)
+    states = [rd.GalerkinState(a * gen.normal(size=(m, 16)) / 4.0) for a in scale]
+    blocked = basis.blocked()
+    natural = np.argsort(blocked.order)
+    q0_blocked = split.masks["Q0"][:, blocked.order]
+    plan, homotopy, steps = semiflow._plan, semiflow._homotopy, []
+
+    def recording_plan(q0, s_rows):
+        steps.append(("plan", s_rows.copy()))
+        return plan(q0, s_rows)
+
+    def recording_homotopy(field_, basis_, plan_, c):
+        H = homotopy(field_, basis_, plan_, c)
+        steps.append(("step", c.copy(), H.copy()))
+        return H
+
+    def settle(t, c, members):
+        return np.isin(members, [0, 6]) if t >= 4 * 1e-3 - 1e-12 else False
+
+    monkeypatch.setattr(semiflow, "_plan", recording_plan)
+    monkeypatch.setattr(semiflow, "_homotopy", recording_homotopy)
+    settings = rd.IntegratorSettings(dt=1e-3, T=1e-2, divergence_threshold=5.0)
+    trajs = rd.integrate_ensemble(field, basis, split, cfg, s, states, settings, settle=settle)
+    monkeypatch.undo()
+    assert [t.diverged for t in trajs] == [i in (2, 3) for i in range(s.size)]
+
+    heights, s_rows = [], None
+    for entry in steps:
+        if entry[0] == "plan":
+            s_rows = entry[1]
+            continue
+        _, c, H = entry
+        heights.append(len(c))
+        assert _same_bits(H, _where_homotopy(field, blocked, q0_blocked, s_rows, c))
+        public = rd.homotopy_field(field, basis, split, s_rows,
+                                   rd.GalerkinState(np.take(c, natural, axis=-1))).coeffs
+        assert _same_bits(H, np.take(public, blocked.order, axis=-1))
+    assert sorted(set(heights), reverse=True) == [8, 6, 4]
+    assert [entry[0] for entry in steps].count("plan") == 3
+
+
+def _csv_writer_reference(header, rows):
+    """The csv.writer formatter that the one-pass CSV replaced."""
+    import csv
+    import io
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.17g}" for v in row])
+    return buf.getvalue()
+
+
+_CSV_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-310, 1e300,
+               -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 0.1, -1 / 3, 12345.678]
+
+
+def test_trajectory_csv_matches_csv_writer():
+    from resodyn.semiflow import NORM_NAMES
+    gen = np.random.default_rng(11)
+    n = 61
+    times = gen.normal(size=n)
+    norms = gen.normal(size=(n, 6)) * 10.0 ** gen.integers(-300, 300, size=(n, 6))
+    flat = norms.reshape(-1)
+    flat[:len(_CSV_VALUES)] = _CSV_VALUES
+    times[:len(_CSV_VALUES)] = _CSV_VALUES[::-1]
+    traj = rd.Trajectory(times=times, coeffs=np.zeros((n, 1, 4)), norms=norms, s=1.0)
+    text = traj.to_csv()
+    assert text == _csv_writer_reference(["t", *NORM_NAMES], np.column_stack([times, norms]))
+    assert text.count("\r\n") == n + 1
