@@ -23,7 +23,7 @@ from .decomposition import counts
 from .errors import ConfigurationError
 from .fields import SampleGrid, check_bounded, check_sign_condition, verify_limits
 from .indexcalc import (IndexReport, LinearizationData, connection_verdict,
-                        d_zero, index_K_infinity, nonresonance_at_origin)
+                        d_zero, nonresonance_at_origin)
 from .resonance import evaluate_LL, guiding_margin
 from .semiflow import (HomotopyBox, apriori_bounds,
                        check_bounded_solution, integrate_ensemble,
@@ -129,7 +129,6 @@ def _stage_index(exp: ExperimentConfig, ctx: dict) -> dict:
     nonres = nonresonance_at_origin(exp.basis, lin)
     d0 = d_zero(exp.basis, exp.problem, lin) if nonres else None
     verdict = connection_verdict(cv, d0 if d0 is not None else 0, ll1, ll2, nonres)
-    h_inf, tag = index_K_infinity(cv, ll1, ll2)
     report = IndexReport(
         counts=cv, d0=d0,
         ll_flags={k: v.verdict for k, v in ctx["ll_reports"].items()},
@@ -414,15 +413,10 @@ def main(argv=None) -> None:
     s_grid = None
     if args.s_grid is not None:
         s_grid = [float(v) for v in args.s_grid.split(",") if v.strip()]
-    write_json = True
-    write_csv = True
-    if args.json and not args.csv:
-        write_csv = False
-    if args.csv and not args.json:
-        write_json = False
     code = run_subcommand(args.subcommand, args.config, out_dir=args.out,
                           seed=args.seed, s_grid=s_grid,
-                          write_json=write_json, write_csv=write_csv)
+                          write_json=args.json or not args.csv,
+                          write_csv=args.csv or not args.json)
     sys.exit(code)
 
 

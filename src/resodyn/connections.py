@@ -16,7 +16,7 @@ from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, GradientStructureError
 from .fields import NonlinearField, _u_jacobian, galerkin_F
 from .semiflow import IntegratorSettings, Trajectory, integrate_ensemble
-from .spectral import GalerkinState, ProblemConfig, SpectralBasis
+from .spectral import GalerkinState, ProblemConfig, SpectralBasis, diag_A
 
 __all__ = [
     "Equilibrium",
@@ -60,9 +60,8 @@ class Equilibrium:
 
 
 def _residual(field, basis, config, c):
-    weights = basis.mu[None, :] - config.lam_array()[:, None]
     F = galerkin_F(field, basis, GalerkinState(c)).coeffs
-    return -weights * c + F
+    return -diag_A(basis, config) * c + F
 
 
 def _fd_jacobian(field, basis, config, c, step=1e-7):
@@ -135,9 +134,8 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
         state = GalerkinState(c)
         if any(np.sqrt(np.sum((c - eq.state.coeffs) ** 2)) <= DEDUP_TOL for eq in found):
             continue
-        rfinal = float(np.sqrt(np.sum(_residual(field, basis, config, c) ** 2)))
         found.append(Equilibrium(
-            state=state, residual=rfinal,
+            state=state, residual=float(rnorm),
             morse_index=_morse_index(field, basis, config, state),
             is_origin=bool(np.sqrt(np.sum(c ** 2)) <= DEDUP_TOL)))
     return found
@@ -159,8 +157,7 @@ def discrete_linearization(field: NonlinearField, basis: SpectralBasis,
             block = basis.project(gprime[k, kp][None, :] * basis.phi)
             K[k * J:(k + 1) * J, kp * J:(kp + 1) * J] = block
     K = 0.5 * (K + K.T)
-    diag = (basis.mu[None, :] - config.lam_array()[:, None]).ravel()
-    return np.diag(diag) - K
+    return np.diag(diag_A(basis, config).ravel()) - K
 
 
 def _morse_index(field, basis, config, state, tol=1e-10):
@@ -242,8 +239,7 @@ def liapunov_energy(field: NonlinearField, basis: SpectralBasis, config: Problem
     """
     if field.potential is None:
         raise GradientStructureError(f"field {field.name!r} declares no potential")
-    weights = basis.mu[None, :] - config.lam_array()[:, None]
-    quad = 0.5 * float(np.sum(weights * u.coeffs ** 2))
+    quad = 0.5 * float(np.sum(diag_A(basis, config) * u.coeffs ** 2))
     U = basis.values(u.coeffs)
     pot = float(np.sum(basis.w * np.asarray(field.potential(basis.x, U))))
     return quad - pot

@@ -14,7 +14,7 @@ from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, DivergenceSignal, UnboundedModeError
 from .fields import NonlinearField, galerkin_F
 from .spectral import (OVERFLOW_EXPONENT, GalerkinState, ProblemConfig, SpectralBasis,
-                       fractional_weights, semigroup_apply)
+                       diag_A, fractional_weights, semigroup_apply)
 
 __all__ = [
     "IntegratorSettings",
@@ -205,9 +205,8 @@ class _Plan(NamedTuple):
 
 
 def _plan(q0: np.ndarray, s: np.ndarray) -> Optional[_Plan]:
-    """The plan of the rows ``s`` (shape (B,)), with ``q0`` the Q0 mask in
-    the order of the basis it is applied with; None when every s is 1, where
-    H is F."""
+    """The plan of the rows ``s`` (shape (B,)) for the (m, J) Q0 mask
+    ``q0``; None when every s is 1, where H is F."""
     if (s == 1.0).all():
         return None
     sc = s[:, None, None]
@@ -224,7 +223,7 @@ def _plan(q0: np.ndarray, s: np.ndarray) -> Optional[_Plan]:
 
 
 def _homotopy(field, basis, plan, c):
-    """H of the (B, m, J) stack ``c`` by ``plan``, in the order of ``basis``.
+    """H of the (B, m, J) stack ``c`` by ``plan``.
 
     ``W * c`` is ``where(Q0, c, s c)`` bit for bit, since 1.0 * x == x, and
     so is ``W * g`` for ``where(Q0, g, s g)``.
@@ -239,11 +238,11 @@ def _homotopy(field, basis, plan, c):
 
 
 def _etd_factors(basis: SpectralBasis, config: ProblemConfig, dt: float):
-    z = dt * (basis.mu[None, :] - config.lam_array()[:, None])
+    z = dt * diag_A(basis, config)
     # e^{-z} overflows on strongly growing modes; name the worst one
     if np.max(-z) > OVERFLOW_EXPONENT:
         k, j = np.unravel_index(int(np.argmin(z)), z.shape)
-        raise UnboundedModeError(k + 1, int(basis.order[j]) + 1, float(-z[k, j]))
+        raise UnboundedModeError(k + 1, j + 1, float(-z[k, j]))
     E = np.exp(-z)
     # phi1(z) = (1 - e^{-z})/z with the analytic limit 1 at z = 0; resonance
     # puts exact zeros on the diagonal, so the limit branch is load-bearing
@@ -263,7 +262,8 @@ def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralB
     linear part implicitly.  ``rhs(c, members)`` gets the active rows and
     their member ids (indices into c0).  After each step, a row whose L2
     norm passed the divergence threshold or is not finite has diverged;
-    ``settle(t, c, members)``, if given, sees the other rows and returns a
+    ``settle(t, c, members)``, if given, sees the other rows, read-only
+    (with no diverged row they are the march's own array), and returns a
     boolean mask of those to retire (or False).  A diverged or retired row
     leaves the stack, and the loop stops when no row is left.
 
@@ -274,13 +274,13 @@ def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralB
     """
     dt = settings.dt
     if settings.scheme == "IMEX-Euler":
-        rates = basis.mu[None, :] - config.lam_array()[:, None]
+        rates = diag_A(basis, config)
         k, j = np.unravel_index(int(np.argmax(np.abs(rates))), rates.shape)
         limit = 0.25 / abs(float(rates[k, j]))
         if dt > limit:
             raise ConfigurationError(
                 f"IMEX-Euler requires dt <= {limit:.3e} for this spectrum (set by mode "
-                f"({k + 1}, {int(basis.order[j]) + 1})), got {dt}")
+                f"({k + 1}, {j + 1})), got {dt}")
         denom = 1.0 + dt * rates
     else:
         E, P = _etd_factors(basis, config, dt)
@@ -337,9 +337,8 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     ``settle(t, c, members)``, if given, is ``_march``'s retirement hook.
     s is checked once, and H(s, .) is planned once per stack composition
     (``_plan``): at the start and again only when rows leave, so a step
-    classifies no s.  The march runs in ``basis.blocked()`` order, and the
-    rows ``settle`` sees and the recorded states come back in natural order
-    as C-ordered arrays, so that sums over them run as over a natural state.
+    classifies no s.  The rows ``settle`` sees and the recorded states are
+    C-ordered, so that sums over them run as over one state.
     """
     s = _checked_s(s_values).reshape(-1)
     if s.size != len(states):
@@ -350,10 +349,7 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     if any(u0.coeffs.shape != (config.m, basis.J) for u0 in states):
         raise ConfigurationError("initial state shape mismatch")
 
-    blocked = basis.blocked()
-    q0 = split.masks["Q0"][:, blocked.order]
-    natural = np.argsort(blocked.order)
-
+    q0 = split.masks["Q0"]
     plan, planned = None, None
 
     def rhs(c, members):
@@ -361,18 +357,13 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
         nonlocal plan, planned
         if members is not planned:
             plan, planned = _plan(q0, s[members]), members
-        return _homotopy(field, blocked, plan, c)
+        return _homotopy(field, basis, plan, c)
 
-    def settle_natural(t, c, members):
-        return settle(t, np.take(c, natural, axis=-1), members)
-
-    times, coeffs, diverged = _march(rhs, blocked, config, settings,
-                                     np.stack([u0.coeffs[:, blocked.order] for u0 in states]),
-                                     None if settle is None else settle_natural)
-    coeffs = [np.take(np.asarray(c), natural, axis=-1) for c in coeffs]
+    times, coeffs, diverged = _march(rhs, basis, config, settings,
+                                     np.stack([u0.coeffs for u0 in states]), settle)
     return [Trajectory(times=np.asarray(t), coeffs=c, s=float(si), diverged=bool(d),
                        norms=trajectory_norms(basis, split, config, c))
-            for t, c, si, d in zip(times, coeffs, s, diverged)]
+            for t, c, si, d in zip(times, map(np.asarray, coeffs), s, diverged)]
 
 
 def integrate(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,

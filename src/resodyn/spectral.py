@@ -16,7 +16,7 @@ accuracy is unchanged for generic data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -58,13 +58,12 @@ class SpectralBasis:
 
     ``mu`` holds the eigenvalues (J,) and ``phi`` the basis values on all
     nodes, shape (J, nq).  ``parity_sym`` marks modes that are symmetric
-    about length/2 (odd j); the remaining modes are antisymmetric.  ``order``
-    gives the natural index j - 1 of every stored mode (``arange(J)`` unless
-    ``blocked()``).  The ``_*_fold`` tables (symmetric rows, antisymmetric
-    rows, the midpoint entries of the one parity block nonzero there) are
-    split once, in the memory order of the products they feed: a contiguous
-    copy of the transposed ``project`` tables would change the last bit.
-    Only the parity selectors ``_sym`` and ``_anti`` depend on the order.
+    about length/2 (odd j, the columns ``0::2`` of a coefficient matrix);
+    the remaining modes (even j, ``1::2``) are antisymmetric.  The
+    ``_*_fold`` tables (symmetric rows, antisymmetric rows, the midpoint
+    entries of the one parity block nonzero there) are split once, in the
+    memory order of the products they feed: a contiguous copy of the
+    transposed ``project`` tables would change the last bit.
     """
 
     domain: Domain1D
@@ -75,26 +74,10 @@ class SpectralBasis:
     phi: np.ndarray = field(repr=False)
     dphi: np.ndarray = field(repr=False)
     parity_sym: np.ndarray = field(repr=False)
-    order: np.ndarray = field(repr=False)
-    _sym: object = field(repr=False)
-    _anti: object = field(repr=False)
     _half: int = field(repr=False)
     _phi_fold: tuple = field(repr=False)
     _dphi_fold: tuple = field(repr=False)
     _project_fold: tuple = field(repr=False)
-
-    def blocked(self) -> "SpectralBasis":
-        """The same basis with its modes stored symmetric first: its parity
-        selectors are slices, so the fold gathers and scatters nothing, and
-        its results are this basis's, columns permuted by ``order``, bit for bit.
-        """
-        sym = np.flatnonzero(self.parity_sym)
-        perm = np.concatenate([sym, np.flatnonzero(~self.parity_sym)])
-        mu = self.mu[perm]
-        mu.flags.writeable = False
-        return replace(self, mu=mu, phi=self.phi[perm], dphi=self.dphi[perm],
-                       parity_sym=self.parity_sym[perm], order=self.order[perm],
-                       _sym=slice(0, sym.size), _anti=slice(sym.size, self.J))
 
     # -- nodal evaluation ---------------------------------------------------
 
@@ -118,8 +101,10 @@ class SpectralBasis:
     def _fold(self, coeffs, tables, flip):
         """``values`` (or, flipped, ``dvalues``) of 2-D float rows, uncoerced."""
         table_s, table_a, table_mid = tables
-        cs = coeffs[:, self._sym]
-        ca = coeffs[:, self._anti]
+        # the parity blocks as C-ordered copies, so that the products take
+        # one BLAS path whatever numpy does with a stride-2 operand
+        cs = np.ascontiguousarray(coeffs[:, 0::2])
+        ca = np.ascontiguousarray(coeffs[:, 1::2])
         vs = cs @ table_s
         va = ca @ table_a
         nq = self.x.size
@@ -129,9 +114,8 @@ class SpectralBasis:
         mirrored = (va - vs) if flip else (vs - va)
         out[:, nq - h:] = mirrored[:, ::-1]
         if nq % 2:
-            # only the block that is symmetric after the map is nonzero there;
-            # C-ordered rows, so that a gather and a view take one gemv path
-            out[:, h] = np.ascontiguousarray(ca if flip else cs) @ table_mid
+            # only the block that is symmetric after the map is nonzero there
+            out[:, h] = (ca if flip else cs) @ table_mid
         return out
 
     def project(self, fvals: np.ndarray) -> np.ndarray:
@@ -153,8 +137,8 @@ class SpectralBasis:
         if nq % 2:
             ps += np.outer(fvals[:, h], weighted_mid)
         out = np.empty((fvals.shape[0], self.J))
-        out[:, self._sym] = ps
-        out[:, self._anti] = (f1 - f2) @ weighted_a
+        out[:, 0::2] = ps
+        out[:, 1::2] = (f1 - f2) @ weighted_a
         return out
 
     def gram(self) -> np.ndarray:
@@ -306,7 +290,7 @@ def build_basis(domain: Domain1D, J: int) -> SpectralBasis:
     weighted_h = phi_h * w[:h]
     return SpectralBasis(
         domain=domain, J=J, mu=mu, x=x, w=w, phi=phi, dphi=dphi,
-        parity_sym=parity_sym, order=np.arange(J), _sym=sym, _anti=anti, _half=h,
+        parity_sym=parity_sym, _half=h,
         _phi_fold=(phi_h[sym], phi_h[anti], phi_mid[sym]),
         _dphi_fold=(dphi_h[sym], dphi_h[anti], dphi_mid[anti]),
         _project_fold=(weighted_h[sym].T, weighted_h[anti].T, w[h] * phi_mid[sym]),
@@ -320,11 +304,15 @@ def _check_shapes(basis: SpectralBasis, config: ProblemConfig, u: GalerkinState)
         )
 
 
+def diag_A(basis: SpectralBasis, config: ProblemConfig) -> np.ndarray:
+    """The diagonal of A, mu_j - lambda_k, shape (m, J)."""
+    return basis.mu[None, :] - config.lam_array()[:, None]
+
+
 def apply_A(basis: SpectralBasis, config: ProblemConfig, u: GalerkinState) -> GalerkinState:
     """Diagonal action (A u)_{k,j} = (mu_j - lambda_k) c_{k,j}."""
     _check_shapes(basis, config, u)
-    weights = basis.mu[None, :] - config.lam_array()[:, None]
-    return GalerkinState(weights * u.coeffs)
+    return GalerkinState(diag_A(basis, config) * u.coeffs)
 
 
 def semigroup_apply(basis: SpectralBasis, config: ProblemConfig, t: float,
@@ -337,7 +325,7 @@ def semigroup_apply(basis: SpectralBasis, config: ProblemConfig, t: float,
     _check_shapes(basis, config, u)
     if not np.isfinite(t):
         raise ConfigurationError(f"t must be finite, got {t}")
-    z = -t * (basis.mu[None, :] - config.lam_array()[:, None])
+    z = -t * diag_A(basis, config)
     overflow = z > OVERFLOW_EXPONENT
     # only modes actually present in the state can make it unbounded
     hot = overflow & (u.coeffs != 0.0)

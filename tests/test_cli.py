@@ -339,6 +339,19 @@ def test_main_entrypoint(tmp_path, capsys):
     assert "resodyn spectrum: ok" in out
 
 
+@pytest.mark.parametrize("flags,written", [
+    ([], {"report.json", "spectrum.csv"}),
+    (["--json"], {"report.json"}),
+    (["--csv"], {"spectrum.csv"}),
+    (["--json", "--csv"], {"report.json", "spectrum.csv"}),
+], ids=["neither", "json", "csv", "both"])
+def test_main_output_flags_choose_the_files(tmp_path, capsys, flags, written):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--config", str(ARCTAN_CFG), "--out", str(tmp_path), *flags])
+    assert exc.value.code == 0
+    assert {p.name for p in tmp_path.iterdir()} == written
+
+
 # component 2 sits off resonance (lambda = 3 < mu(1)), so it has no kernel
 # mode: at s = 0 the whole of its restricted evaluation is dropped from H
 _NAN_SECTIONS = {"domain": ["J = 16", "quad_nodes = {nodes}"],

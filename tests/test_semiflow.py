@@ -508,7 +508,7 @@ def test_infinite_divergence_threshold_accepted():
     assert rd.IntegratorSettings(dt=1e-3, T=1.0, divergence_threshold=math.inf).nsteps == 1000
 
 
-# -- blocked march, one stacked evaluation per step ---------------------------
+# -- one stacked evaluation per step ------------------------------------------
 
 def _two_call_homotopy(field, basis, split, s, c):
     """H(s, u) with the restricted stack and the interior-s members
@@ -567,9 +567,8 @@ def test_interior_s_march_keeps_pure_parity_exact_at_odd_nodes(m):
 
 
 def test_blocked_march_errors_name_the_natural_mode():
-    # eigenvalues grow with j, so the worst ETD mode is always j = 1, first
-    # in both orders; with J odd the IMEX limit is set by the symmetric mode
-    # j = J, which the blocked order stores at index (J - 1) / 2
+    # eigenvalues grow with j, so the worst ETD mode is always j = 1; the
+    # IMEX limit is set by the last mode j = J: both are named as (k, j)
     basis = rd.build_basis(rd.Domain1D(1.0, 50), 17)
     cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]), float(basis.mu[1])),
                            sigma=(0.0, 0.0))
@@ -592,8 +591,8 @@ def test_blocked_march_errors_name_the_natural_mode():
 
 @pytest.mark.parametrize("nodes", [80, 81])
 def test_settle_rows_and_records_are_natural_and_c_ordered(nodes):
-    # at s = 1 the blocked march is the natural-order one bit for bit, so a
-    # natural _march of F(u) is the oracle for the rows settle sees
+    # at s = 1 H is F(u) bit for bit, so a bare _march of galerkin_F is the
+    # oracle for the rows settle sees
     basis = rd.build_basis(rd.Domain1D(1.0, nodes), 16)
     cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]), float(basis.mu[1])),
                            sigma=(0.0, 0.0))
@@ -750,9 +749,6 @@ def test_march_plan_matches_homotopy_field(m, nodes, monkeypatch):
     gen = np.random.default_rng(m + nodes)
     scale = np.where(np.isin(np.arange(s.size), [2, 3]), 50.0, 0.1)
     states = [rd.GalerkinState(a * gen.normal(size=(m, 16)) / 4.0) for a in scale]
-    blocked = basis.blocked()
-    natural = np.argsort(blocked.order)
-    q0_blocked = split.masks["Q0"][:, blocked.order]
     plan, homotopy, steps = semiflow._plan, semiflow._homotopy, []
 
     def recording_plan(q0, s_rows):
@@ -781,10 +777,9 @@ def test_march_plan_matches_homotopy_field(m, nodes, monkeypatch):
             continue
         _, c, H = entry
         heights.append(len(c))
-        assert _same_bits(H, _where_homotopy(field, blocked, q0_blocked, s_rows, c))
-        public = rd.homotopy_field(field, basis, split, s_rows,
-                                   rd.GalerkinState(np.take(c, natural, axis=-1))).coeffs
-        assert _same_bits(H, np.take(public, blocked.order, axis=-1))
+        assert _same_bits(H, _where_homotopy(field, basis, split.masks["Q0"], s_rows, c))
+        public = rd.homotopy_field(field, basis, split, s_rows, rd.GalerkinState(c)).coeffs
+        assert _same_bits(H, public)
     assert sorted(set(heights), reverse=True) == [8, 6, 4]
     assert [entry[0] for entry in steps].count("plan") == 3
 

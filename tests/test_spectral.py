@@ -62,60 +62,117 @@ def test_folded_tables_match_dense_products(quad_nodes, rng):
         assert np.abs(folded - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-_BLOCK_SIZES = [*range(1, 41), 64, 100, 200]
+def _gather_fold(basis, coeffs, tables, flip):
+    """The gather-and-scatter fold that the slice fold replaced: the parity
+    blocks are gathered by fancy indexing of the natural columns."""
+    sym, anti = np.flatnonzero(basis.parity_sym), np.flatnonzero(~basis.parity_sym)
+    table_s, table_a, table_mid = tables
+    cs, ca = coeffs[:, sym], coeffs[:, anti]
+    vs, va = cs @ table_s, ca @ table_a
+    nq, h = basis.x.size, basis._half
+    out = np.empty((coeffs.shape[0], nq))
+    out[:, :h] = vs + va
+    out[:, nq - h:] = ((va - vs) if flip else (vs - va))[:, ::-1]
+    if nq % 2:
+        out[:, h] = np.ascontiguousarray(ca if flip else cs) @ table_mid
+    return out
+
+
+def _gather_project(basis, fvals):
+    """The gather-and-scatter projection that the slice one replaced."""
+    weighted_s, weighted_a, weighted_mid = basis._project_fold
+    nq, h = basis.x.size, basis._half
+    f1, f2 = fvals[:, :h], fvals[:, nq - h:][:, ::-1]
+    ps = (f1 + f2) @ weighted_s
+    if nq % 2:
+        ps += np.outer(fvals[:, h], weighted_mid)
+    out = np.empty((fvals.shape[0], basis.J))
+    out[:, np.flatnonzero(basis.parity_sym)] = ps
+    out[:, np.flatnonzero(~basis.parity_sym)] = (f1 - f2) @ weighted_a
+    return out
+
+
+def _gather_galerkin_F(field, basis, c):
+    rows = c.reshape(-1, c.shape[-1])
+    nodal = c.shape[:-1] + (basis.x.size,)
+    U = _gather_fold(basis, rows, basis._phi_fold, flip=False).reshape(nodal)
+    dU = _gather_fold(basis, rows, basis._dphi_fold, flip=True).reshape(nodal)
+    fv = np.asarray(field.eval(basis.x, U, dU if field.reads_du else None), dtype=float)
+    return _gather_project(basis, fv.reshape(-1, nodal[-1])).reshape(c.shape)
+
+
+def _layouts(a):
+    """``a`` C-ordered, F-ordered, as every second row of a taller array and
+    as every second column of a wider one: equal values, four memory layouts."""
+    tall = np.zeros((2 * a.shape[0], a.shape[1]))
+    tall[::2] = a
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return a, np.asfortranarray(a), tall[::2], wide[:, ::2]
+
+
+# 1 runs as a matrix-vector product; the others straddle the row counts at
+# which OpenBLAS switches matrix-matrix kernels for these table shapes
+_ROW_COUNTS = [*range(1, 41), 64, 75, 76, 77, 100, 101, 150, 151, 152, 200, 300]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("quad_nodes", [80, 81])
 def test_blocked_fold_is_exact(quad_nodes, m):
-    # the blocked fold reads views where the natural one gathers; equal bits
-    # are a property of the BLAS, so every stack size is checked, not assumed
+    # the fold reads its parity blocks as stride-2 slices where the earlier
+    # fold gathered them; equal bits are a property of the BLAS, so every
+    # stack size of m-component states is checked, not assumed
     basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), 32)
-    blocked = basis.blocked()
-    order = blocked.order
-    natural = np.argsort(order)
-    ns = int(basis.parity_sym.sum())
-    assert sorted(order) == list(range(32)) and blocked.blocked().order.tolist() == order.tolist()
-    assert blocked.parity_sym[:ns].all() and not blocked.parity_sym[ns:].any()
-    assert np.array_equal(blocked.mu, basis.mu[order]) and not blocked.mu.flags.writeable
+    assert not basis.mu.flags.writeable
     field = rd.make_field("-arctan(40)", m)
     custom = rd.NonlinearField(name="u+u'", m=m, eval=lambda x, U, dU: np.arctan(U) + dU,
                                sigma=np.zeros(m), f_plus=None, f_minus=None)
     gen = np.random.default_rng(quad_nodes + m)
-    for B in _BLOCK_SIZES:
+    for B in [*range(1, 41), 64, 100, 200]:
         c = gen.normal(size=(B, m, 32))
         rows = c.reshape(-1, 32)
         f = gen.normal(size=(B * m, quad_nodes))
-        assert np.array_equal(blocked.values(rows[:, order]), basis.values(rows))
-        assert np.array_equal(blocked.dvalues(rows[:, order]), basis.dvalues(rows))
-        assert np.array_equal(blocked.project(f)[:, natural], basis.project(f))
+        assert np.array_equal(basis.values(rows),
+                              _gather_fold(basis, rows, basis._phi_fold, flip=False))
+        assert np.array_equal(basis.dvalues(rows),
+                              _gather_fold(basis, rows, basis._dphi_fold, flip=True))
+        assert np.array_equal(basis.project(f), _gather_project(basis, f))
         for fld in (field, custom):
-            F = rd.galerkin_F(fld, blocked, rd.GalerkinState._trusted(c[..., order])).coeffs
-            assert np.array_equal(F[..., natural], rd.galerkin_F(fld, basis,
-                                                                 rd.GalerkinState._trusted(c)).coeffs)
+            F = rd.galerkin_F(fld, basis, rd.GalerkinState._trusted(c)).coeffs
+            assert np.array_equal(F, _gather_galerkin_F(fld, basis, c))
 
 
 @pytest.mark.parametrize("quad_nodes", [48, 49, 80, 81])
 def test_blocked_fold_is_exact_on_c_ordered_rows(quad_nodes):
-    # the march hands the blocked fold C-ordered rows (its parity blocks are
-    # strided views), the natural fold gathers them; at odd node counts the
-    # midpoint product must not depend on that layout
-    for J in range(2, quad_nodes // 3):
+    # the march hands the fold C-ordered rows; they, and F-ordered, row- and
+    # column-strided copies of them, must fold to the gather fold's bits for
+    # every J and row count, also at the odd node counts' midpoint
+    field = {m: rd.make_field("-arctan(40)", m) for m in (1, 2, 3)}
+    custom = {m: rd.NonlinearField(name="u+u'", m=m, eval=lambda x, U, dU: np.arctan(U) + dU,
+                                   sigma=np.zeros(m), f_plus=None, f_minus=None)
+              for m in (1, 2, 3)}
+    for J in (8, 15, 16, 17, 24, 32):
+        if quad_nodes < 2 * J + 16:
+            continue
         basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), J)
-        blocked = basis.blocked()
-        order, natural = blocked.order, np.argsort(blocked.order)
-        gen = np.random.default_rng(J)
-        for B in (1, 2, 3, 6, 17):
-            rows = gen.normal(size=(B, J))
-            brows = np.ascontiguousarray(rows[:, order])
-            assert np.array_equal(blocked.values(brows), basis.values(rows))
-            assert np.array_equal(blocked.dvalues(brows), basis.dvalues(rows))
-            c = gen.normal(size=(B, 2, J))
-            field = rd.make_field("arctan(40)", 2)
-            F = rd.galerkin_F(field, blocked,
-                              rd.GalerkinState._trusted(np.take(c, order, axis=-1))).coeffs
-            assert np.array_equal(np.take(F, natural, axis=-1),
-                                  rd.galerkin_F(field, basis, rd.GalerkinState._trusted(c)).coeffs)
+        assert not basis.mu.flags.writeable
+        gen = np.random.default_rng(quad_nodes + J)
+        for R in _ROW_COUNTS:
+            c = gen.normal(size=(R, J))
+            f = gen.normal(size=(R, quad_nodes))
+            for rows, fvals in zip(_layouts(c), _layouts(f)):
+                assert np.array_equal(basis.values(rows),
+                                      _gather_fold(basis, rows, basis._phi_fold, flip=False))
+                assert np.array_equal(basis.dvalues(rows),
+                                      _gather_fold(basis, rows, basis._dphi_fold, flip=True))
+                assert np.array_equal(basis.project(fvals), _gather_project(basis, fvals))
+            for m in (1, 2, 3):
+                if R % m:
+                    continue
+                stack = c.reshape(R // m, m, J)
+                for fld in (field[m], custom[m]):
+                    F = rd.galerkin_F(fld, basis, rd.GalerkinState._trusted(stack)).coeffs
+                    assert np.array_equal(F, _gather_galerkin_F(fld, basis, stack))
 
 
 def test_apply_A_kernel_mode(basis32, desk_problem):
