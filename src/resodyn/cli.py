@@ -155,29 +155,20 @@ def _stage_simulate(exp: ExperimentConfig, ctx: dict) -> dict:
     run = exp.run
     C6 = _bound_constant(exp)
     bounds = apriori_bounds(exp.basis, exp.split, exp.problem, C6)
-    sign1 = "+" if ctx.get("signs", ("+", "+"))[0] != "-" else "-"
-    margins1 = guiding_margin(
-        exp.field, exp.basis, exp.split, exp.problem, which=1,
-        W_radius=max(bounds.R0_minus, bounds.R0_plus),
-        R_grid=run["margin_R_grid"], samples=run["margin_samples"],
-        sign=sign1, seed=exp.seed)
-    R1 = next((R for R, margin in margins1.rows if margin > 0), None)
-    margins2 = None
-    R2 = 0.0
-    if exp.problem.l < exp.problem.m and ctx["counts"].n2 > 0:
-        sign2 = "+" if ctx.get("signs", ("+", "+"))[1] != "-" else "-"
-        margins2 = guiding_margin(
-            exp.field, exp.basis, exp.split, exp.problem, which=2,
+    # a vacuous block 2 has no margins and radius 0; a block whose margins are
+    # never positive has no certified radius (inf)
+    margins, radius = {}, {2: 0.0}
+    blocks = (1, 2) if exp.problem.l < exp.problem.m and ctx["counts"].n2 > 0 else (1,)
+    for which in blocks:
+        margins[which] = guiding_margin(
+            exp.field, exp.basis, exp.split, exp.problem, which=which,
             W_radius=max(bounds.R0_minus, bounds.R0_plus),
             R_grid=run["margin_R_grid"], samples=run["margin_samples"],
-            sign=sign2, seed=exp.seed + 1)
-        R2 = next((R for R, margin in margins2.rows if margin > 0), None)
-    box = HomotopyBox(
-        R0=max(bounds.R0_minus, bounds.R0_plus),
-        R1=R1 if R1 is not None else float("inf"),
-        R2=R2 if R2 is not None else float("inf"),
-    )
-    ctx["margins_csv"] = margins1.to_csv()
+            sign="-" if ctx["signs"][which - 1] == "-" else "+", seed=exp.seed + which - 1)
+        radius[which] = next((R for R, margin in margins[which].rows if margin > 0),
+                             float("inf"))
+    box = HomotopyBox(R0=max(bounds.R0_minus, bounds.R0_plus), R1=radius[1], R2=radius[2])
+    ctx["margins_csv"] = margins[1].to_csv()
     # an uncertified kernel radius leaves the box unbounded there; sample
     # seeds from the largest margin radius instead
     fallback = float(max(run["margin_R_grid"]))
@@ -209,8 +200,8 @@ def _stage_simulate(exp: ExperimentConfig, ctx: dict) -> dict:
         "C6": C6,
         "bounds": bounds.to_dict(),
         "box": box.to_dict(),
-        "margins_block1": margins1.to_dict(),
-        "margins_block2": margins2.to_dict() if margins2 is not None else "vacuous",
+        "margins_block1": margins[1].to_dict(),
+        "margins_block2": margins[2].to_dict() if 2 in margins else "vacuous",
         "runs": runs,
     }
 

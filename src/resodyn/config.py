@@ -224,10 +224,12 @@ def load_config(path: str | Path, run_overrides: dict | None = None) -> Experime
     for s in run["s_grid"]:
         if not (0.0 <= s <= 1.0):
             raise ConfigurationError(f"s_grid values must lie in [0, 1], got {s}")
-    # dt, T and scheme are checked here, the step cap included, not when a
-    # stage first marches; simulate and connect both march with these
+    # dt, T and scheme are checked here, the step cap, the IMEX-Euler limit
+    # and the ETD overflow included, not when a stage first marches;
+    # simulate and connect both march with these
     settings = IntegratorSettings(dt=run["dt"], T=run["T"], scheme=run["scheme"],
                                   store_every=10)
+    settings.step_factors(basis, problem)
 
     raw = {k: dict(v) if isinstance(v, dict) else v for k, v in sections.items()}
     return ExperimentConfig(raw=raw, basis=basis, problem=problem, field=field,

@@ -320,29 +320,17 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
                                    closest_target=None, trajectory=None)
         else:
             shots.append(i)
-    if shots:
-        starts = [GalerkinState._trusted(source.state.coeffs + epsilons[i] * directions[i].coeffs)
-                  for i in shots]
-        for i, result in zip(shots, _shoot_stack(field, basis, split, config, source, starts,
-                                                 settings, list(equilibria))):
-            results[i] = result
-    return results[0] if single else results
 
-
-def _shoot_stack(field, basis, split, config, source, starts, settings, targets):
-    """March the shots from ``starts`` at s = 1 and settle each one on its own.
-
-    The settle state (closest approach, the target being dwelt on and since
-    when, the target settled on) is held in arrays indexed by member id and
-    updated through the members that the march passes to ``settle``.
-    """
-    B = len(starts)
+    # every shot marches at s = 1 (none if no direction is unstable) and
+    # settles on its own; the settle state is held in arrays indexed by member
+    # id (the position in ``shots``), updated through the members ``settle`` sees
+    B = len(shots)
     # never settle back onto the source itself
     candidates = np.array([
-        i for i, eq in enumerate(targets)
+        i for i, eq in enumerate(equilibria)
         if not np.sqrt(np.sum((eq.state.coeffs - source.state.coeffs) ** 2)) <= SETTLE_TOL],
         dtype=int)
-    goals = np.stack([targets[i].state.coeffs for i in candidates]) if candidates.size else None
+    goals = np.stack([equilibria[i].state.coeffs for i in candidates]) if candidates.size else None
     # per member: closest distance and its target (-1: none yet), the target
     # dwelt on (-1: none) and since when, the target settled on and its distance
     closest, closest_target = np.full(B, np.inf), np.full(B, -1)
@@ -375,26 +363,24 @@ def _shoot_stack(field, basis, split, config, source, starts, settings, targets)
         settled_distance[members[settled]] = dists[settled, first[settled]]
         return settled
 
+    starts = [GalerkinState._trusted(source.state.coeffs + epsilons[i] * directions[i].coeffs)
+              for i in shots]
     trajectories = integrate_ensemble(field, basis, split, config, np.ones(B), starts, settings,
                                       None if goals is None else settle)
-    results = []
-    for i, traj in enumerate(trajectories):
-        if settled_target[i] >= 0:
-            results.append(_record(field, basis, config, source, targets[settled_target[i]],
-                                   traj, float(settled_distance[i])))
+    for b, (i, traj) in enumerate(zip(shots, trajectories)):
+        if settled_target[b] >= 0:
+            energies = None
+            if field.potential is not None:
+                energies = np.asarray([
+                    liapunov_energy(field, basis, config, GalerkinState._trusted(c))
+                    for c in traj.coeffs])
+            results[i] = ConnectionRecord(
+                source=source, target=equilibria[settled_target[b]], trajectory=traj,
+                terminal_distance=float(settled_distance[b]), energy_profile=energies)
         else:
-            target = int(closest_target[i])
-            results.append(ShootMiss(
+            target = int(closest_target[b])
+            results[i] = ShootMiss(
                 reason="divergent" if traj.diverged else "horizon",
-                closest_distance=float(closest[i]),
-                closest_target=None if target < 0 else target, trajectory=traj))
-    return results
-
-
-def _record(field, basis, config, source, target, trajectory, distance):
-    energies = None
-    if field.potential is not None:
-        energies = np.asarray([liapunov_energy(field, basis, config, GalerkinState._trusted(c))
-                               for c in trajectory.coeffs])
-    return ConnectionRecord(source=source, target=target, trajectory=trajectory,
-                            terminal_distance=distance, energy_profile=energies)
+                closest_distance=float(closest[b]),
+                closest_target=None if target < 0 else target, trajectory=traj)
+    return results[0] if single else results

@@ -11,7 +11,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .decomposition import SplitIndexSet
-from .errors import ConfigurationError, EvaluationError, HypothesisError
+from .errors import ConfigurationError, EvaluationError
 from .fields import NonlinearField, galerkin_F
 from .semiflow import _csv_table
 from .spectral import GalerkinState, ProblemConfig, SpectralBasis, fractional_weights
@@ -63,17 +63,14 @@ class LLReport:
 
 
 def degree_sets(config: ProblemConfig) -> DegreeSets:
-    """sigma-check minima with their argmin sets J1 (and J2 when l < m)."""
+    """sigma-check minima with their argmin sets J1 (and J2 when l < m);
+    ProblemConfig has already refused a minimum >= 1."""
     sig = np.asarray(config.sigma)
     s1 = float(np.min(sig[: config.l]))
-    if s1 >= 1:
-        raise HypothesisError(f"min(sigma_1..sigma_l)={s1} must be < 1")
     J1 = tuple(int(k) for k in range(1, config.l + 1) if sig[k - 1] == s1)
     if config.l == config.m:
         return DegreeSets(sigma_check1=s1, J1=J1, sigma_check2=None, J2=())
     s2 = float(np.min(sig[config.l:]))
-    if s2 >= 1:
-        raise HypothesisError(f"min(sigma_(l+1)..sigma_m)={s2} must be < 1")
     J2 = tuple(int(k) for k in range(config.l + 1, config.m + 1) if sig[k - 1] == s2)
     return DegreeSets(sigma_check1=s1, J1=J1, sigma_check2=s2, J2=J2)
 
@@ -231,8 +228,6 @@ def evaluate_LL(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSe
         raise ConfigurationError(f"unknown condition {condition!r}")
     which = 1 if condition.startswith("LL1") else 2
     sign = 1.0 if condition.endswith("+") else -1.0
-    if which == 2 and config.l == config.m:
-        return LLReport(condition, "vacuous", None, None, 0)
     modes = block_modes(split, which)
     dim = len(modes)
     if dim == 0:

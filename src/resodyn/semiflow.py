@@ -54,7 +54,8 @@ class IntegratorSettings:
 
     ETD1 is exact on the diagonal linear part, so its step size is limited by
     accuracy only; the IMEX-Euler alternative must satisfy
-    dt <= 0.25 / max|mu_J - lambda_k| (checked at integration time).  The
+    dt <= 0.25 / max|mu_J - lambda_k| (``step_factors`` checks it, and
+    ``load_config`` calls that when the experiment loads).  The
     horizon T must be a whole multiple of dt (to a relative 1e-9): no step
     is partial, and no horizon is silently shortened.  T / dt may not pass
     MAX_STEPS.  ``store_every`` is a whole number >= 1 and
@@ -91,6 +92,36 @@ class IntegratorSettings:
     @property
     def nsteps(self) -> int:
         return int(round(self.T / self.dt))
+
+    def step_factors(self, basis: SpectralBasis, config: ProblemConfig):
+        """The per-mode (m, J) factors of one step of ``self.scheme``:
+        ``(E, dt * P)`` for ETD1, with E = e^{-dt A} and P = phi1(dt A), and
+        ``1 + dt * A`` for IMEX-Euler.
+
+        Raises ConfigurationError when dt passes the IMEX-Euler limit and
+        UnboundedModeError when e^{-dt A} overflows, each naming its mode.
+        """
+        dt = self.dt
+        if self.scheme == "IMEX-Euler":
+            rates = diag_A(basis, config)
+            k, j = np.unravel_index(int(np.argmax(np.abs(rates))), rates.shape)
+            limit = 0.25 / abs(float(rates[k, j]))
+            if dt > limit:
+                raise ConfigurationError(
+                    f"IMEX-Euler requires dt <= {limit:.3e} for this spectrum (set by mode "
+                    f"({k + 1}, {j + 1})), got {dt}")
+            return 1.0 + dt * rates
+        z = dt * diag_A(basis, config)
+        # e^{-z} overflows on strongly growing modes; name the worst one
+        if np.max(-z) > OVERFLOW_EXPONENT:
+            k, j = np.unravel_index(int(np.argmin(z)), z.shape)
+            raise UnboundedModeError(k + 1, j + 1, float(-z[k, j]))
+        E = np.exp(-z)
+        # phi1(z) = (1 - e^{-z})/z with the analytic limit 1 at z = 0; resonance
+        # puts exact zeros on the diagonal, so the limit branch is load-bearing
+        small = np.abs(z) < 1e-12
+        P = np.where(small, 1.0, (1.0 - E) / np.where(small, 1.0, z))
+        return E, dt * P  # dt * P * H evaluates dt * P first
 
 
 @dataclass(frozen=True)
@@ -237,65 +268,59 @@ def _homotopy(field, basis, plan, c):
     return H
 
 
-def _etd_factors(basis: SpectralBasis, config: ProblemConfig, dt: float):
-    z = dt * diag_A(basis, config)
-    # e^{-z} overflows on strongly growing modes; name the worst one
-    if np.max(-z) > OVERFLOW_EXPONENT:
-        k, j = np.unravel_index(int(np.argmin(z)), z.shape)
-        raise UnboundedModeError(k + 1, j + 1, float(-z[k, j]))
-    E = np.exp(-z)
-    # phi1(z) = (1 - e^{-z})/z with the analytic limit 1 at z = 0; resonance
-    # puts exact zeros on the diagonal, so the limit branch is load-bearing
-    small = np.abs(z) < 1e-12
-    P = np.where(small, 1.0, (1.0 - E) / np.where(small, 1.0, z))
-    return E, P
+def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
+                       config: ProblemConfig, s_values: Sequence[float],
+                       states: Sequence[GalerkinState], settings: IntegratorSettings,
+                       settle: Optional[Callable] = None) -> list[Trajectory]:
+    """March u' = -A u + H(s_i, u) from states[i] for every member i at once,
+    as one (B, m, J) stack: the one time-stepping loop (``simulate``,
+    ``connect`` at s = 1 and the product-flow check at s = 0).
 
-
-def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralBasis,
-           config: ProblemConfig, settings: IntegratorSettings, c0: np.ndarray,
-           settle: Optional[Callable] = None) -> tuple[list, list, np.ndarray]:
-    """The one time-stepping loop for u' = -A u + rhs(u), from the (B, m, J)
-    stack c0 at t = 0.
-
-    ETD1: u_{n+1} = e^{-dt A} u_n + dt phi1(dt A) rhs(u_n), exact on the
+    ETD1: u_{n+1} = e^{-dt A} u_n + dt phi1(dt A) H(u_n), exact on the
     linear part (Cox & Matthews, JCP 176, 2002); IMEX-Euler treats the
-    linear part implicitly.  ``rhs(c, members)`` gets the active rows and
-    their member ids (indices into c0).  After each step, a row whose L2
-    norm passed the divergence threshold or is not finite has diverged;
-    ``settle(t, c, members)``, if given, sees the other rows, read-only
-    (with no diverged row they are the march's own array), and returns a
-    boolean mask of those to retire (or False).  A diverged or retired row
-    leaves the stack, and the loop stops when no row is left.
+    linear part implicitly.  s is checked once, and H(s, .) is planned
+    (``_plan``) at the start and again only when rows leave, so a step
+    classifies no s.
 
-    Returns ``(times, coeffs, diverged)``: each member's recorded times and
-    states, in member order, and a boolean array of the members that
-    diverged.  A member is recorded at t = 0, after every
-    ``store_every``-th step and the last one, and on the step it leaves.
+    After each step, a row whose L2 norm passed the divergence threshold or
+    is not finite has diverged; ``settle(t, c, members)``, if given, sees
+    the other rows, read-only (with no diverged row they are the march's
+    own array), with their member ids (indices into ``states``), and
+    returns a boolean mask of those to retire (or False).  A diverged or
+    retired row leaves the stack, and the loop stops when no row is left.
+    A member is recorded at t = 0, after every ``store_every``-th step and
+    the last one, and on the step it leaves; a diverged member's partial
+    trajectory comes back with ``diverged=True``.  The others are
+    unaffected: each row of the stack is stepped as it would be on its own,
+    up to the last bits that the BLAS path of a stacked product can move
+    (README, "Numerical notes").  The rows ``settle`` sees and the recorded
+    states are C-ordered, so that sums over them run as over one state.
     """
-    dt = settings.dt
-    if settings.scheme == "IMEX-Euler":
-        rates = diag_A(basis, config)
-        k, j = np.unravel_index(int(np.argmax(np.abs(rates))), rates.shape)
-        limit = 0.25 / abs(float(rates[k, j]))
-        if dt > limit:
-            raise ConfigurationError(
-                f"IMEX-Euler requires dt <= {limit:.3e} for this spectrum (set by mode "
-                f"({k + 1}, {j + 1})), got {dt}")
-        denom = 1.0 + dt * rates
-    else:
-        E, P = _etd_factors(basis, config, dt)
-        dtP = dt * P  # dt * P * H evaluates dt * P first
-    threshold = settings.divergence_threshold
-    times = [[0.0] for _ in c0]
-    coeffs = [[row] for row in c0]
-    diverged = np.zeros(len(c0), dtype=bool)
-    c, members = c0, np.arange(len(c0))
+    s = _checked_s(s_values).reshape(-1)
+    if s.size != len(states):
+        raise ConfigurationError(
+            f"need one s value per initial state, got {s.size} for {len(states)}")
+    if s.size == 0:
+        return []
+    if any(u0.coeffs.shape != (config.m, basis.J) for u0 in states):
+        raise ConfigurationError("initial state shape mismatch")
+
+    factors = settings.step_factors(basis, config)
+    dt, threshold = settings.dt, settings.divergence_threshold
+    q0 = split.masks["Q0"]
+    c = np.stack([u0.coeffs for u0 in states])
+    members = np.arange(s.size)
+    plan = _plan(q0, s)
+    times = [[0.0] for _ in c]
+    coeffs = [[row] for row in c]
+    diverged = np.zeros(s.size, dtype=bool)
     for n in range(1, settings.nsteps + 1):
-        H = rhs(c, members)
+        H = _homotopy(field, basis, plan, c)
         if settings.scheme == "ETD1":
+            E, dtP = factors
             c = E * c + dtP * H
         else:
-            c = (c + dt * H) / denom
+            c = (c + dt * H) / factors
         t = n * dt
         hit = ~(np.sqrt((c ** 2).sum(axis=(-2, -1))) <= threshold)
         leave = hit
@@ -317,50 +342,7 @@ def _march(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], basis: SpectralB
                 c, members = c[~leave], members[~leave]
                 if members.size == 0:
                     break
-    return times, coeffs, diverged
-
-
-def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
-                       config: ProblemConfig, s_values: Sequence[float],
-                       states: Sequence[GalerkinState], settings: IntegratorSettings,
-                       settle: Optional[Callable] = None) -> list[Trajectory]:
-    """March u' = -A u + H(s_i, u) from states[i] for every member i at once,
-    as one (B, m, J) stack, with the step of ``settings.scheme``: the one
-    road into ``_march`` (``simulate``, ``connect`` at s = 1 and the
-    product-flow check at s = 0).
-
-    A member whose L2 norm passes the divergence threshold or stops being
-    finite leaves the stack; its partial trajectory comes back with
-    ``diverged=True``.  The others are unaffected: each row of the stack is
-    stepped as it would be on its own, up to the last bits that the BLAS
-    path of a stacked product can move (README, "Numerical notes").
-    ``settle(t, c, members)``, if given, is ``_march``'s retirement hook.
-    s is checked once, and H(s, .) is planned once per stack composition
-    (``_plan``): at the start and again only when rows leave, so a step
-    classifies no s.  The rows ``settle`` sees and the recorded states are
-    C-ordered, so that sums over them run as over one state.
-    """
-    s = _checked_s(s_values).reshape(-1)
-    if s.size != len(states):
-        raise ConfigurationError(
-            f"need one s value per initial state, got {s.size} for {len(states)}")
-    if s.size == 0:
-        return []
-    if any(u0.coeffs.shape != (config.m, basis.J) for u0 in states):
-        raise ConfigurationError("initial state shape mismatch")
-
-    q0 = split.masks["Q0"]
-    plan, planned = None, None
-
-    def rhs(c, members):
-        # _march hands over a new members array only when rows leave
-        nonlocal plan, planned
-        if members is not planned:
-            plan, planned = _plan(q0, s[members]), members
-        return _homotopy(field, basis, plan, c)
-
-    times, coeffs, diverged = _march(rhs, basis, config, settings,
-                                     np.stack([u0.coeffs for u0 in states]), settle)
+                plan = _plan(q0, s[members])
     return [Trajectory(times=np.asarray(t), coeffs=c, s=float(si), diverged=bool(d),
                        norms=trajectory_norms(basis, split, config, c))
             for t, c, si, d in zip(times, map(np.asarray, coeffs), s, diverged)]

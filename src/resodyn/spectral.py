@@ -127,7 +127,9 @@ class SpectralBasis:
         return self._project(np.atleast_2d(np.asarray(fvals, dtype=float)))
 
     def _project(self, fvals):
-        """``project`` of 2-D float rows, uncoerced."""
+        """``project`` of 2-D float rows, copied C-ordered first so that every
+        memory layout takes the same BLAS path and rounds the same."""
+        fvals = np.ascontiguousarray(fvals)
         weighted_s, weighted_a, weighted_mid = self._project_fold
         h = self._half
         nq = self.x.size

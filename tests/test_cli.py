@@ -191,21 +191,38 @@ def test_etd_overflow_exit_code(tmp_path, capsys):
         "[field]\nname = arctan(40)\n"
         "[run]\ndt = 0.1\nT = 1\ns_grid = 1\nseeds = 1\n"
         "margin_R_grid = 5\nmargin_samples = 2\nll_samples = 4\n")
+    # the march's factors are checked when the config loads, before any stage
     assert cli.run_subcommand("simulate", path, out_dir=tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert "stage 'simulate'" in err and "(k=1, j=1)" in err
+    assert "stage 'load'" in err and "(k=1, j=1)" in err
 
 
 def test_connect_marches_with_the_configured_scheme(tmp_path, capsys):
-    # IMEX-Euler at dt = 1e-3 is unstable on this spectrum; connect must say
-    # so, as simulate does, rather than shoot with ETD1
+    # IMEX-Euler at dt = 1e-3 is unstable on this spectrum: the config is
+    # refused when it loads, before any stage runs
     path = tmp_path / "imex.ini"
     path.write_text((REPO / "configs" / "arctan40_resonant.ini").read_text()
                     .replace("scheme = ETD1", "scheme = IMEX-Euler"))
-    assert load_config(path).settings.scheme == "IMEX-Euler"
     assert cli.run_subcommand("connect", path, out_dir=tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "stage 'connect'" in err and "IMEX-Euler requires dt" in err
+    assert "stage 'load'" in err and "IMEX-Euler requires dt" in err
+    # under the IMEX-Euler limit (0.25 / (63 pi^2) at J = 8), connect shoots
+    # with the configured scheme: the shots miss on the short horizon, and
+    # their closest approaches differ from those of ETD1
+    closest = {}
+    for scheme in ("ETD1", "IMEX-Euler"):
+        path = _write_ini(tmp_path / f"{scheme}.ini", {
+            "domain": ["J = 8", "quad_nodes = 32"],
+            "system": ["m = 1", "l = 1", "lambda = mu(1)", "sigma = 0"],
+            "field": ["name = arctan(40)"],
+            "run": [f"scheme = {scheme}", "dt = 2.5e-4", "T = 0.25", "ll_samples = 4"]})
+        assert load_config(path).settings.scheme == scheme
+        out = tmp_path / scheme
+        assert cli.run_subcommand("connect", path, out_dir=out) == 0
+        shots = json.loads((out / "report.json").read_text())["stages"]["connect"]["shots"]
+        assert len(shots) == 4 and {shot["outcome"] for shot in shots} == {"miss"}
+        closest[scheme] = [shot["closest_distance"] for shot in shots]
+    assert closest["ETD1"] != closest["IMEX-Euler"]
 
 
 def test_load_config_missing_file(tmp_path):
@@ -376,11 +393,12 @@ def test_nan_in_the_middle_of_a_march_exit_code(tmp_path, monkeypatch, capsys,
     sections = {name: [entry.format(nodes=nodes) for entry in entries]
                 for name, entries in _NAN_SECTIONS.items()}
     path = _write_ini(tmp_path / "nan.ini", sections)
-    march, marching, calls = semiflow._march, [], []
+    homotopy, marching, calls = semiflow._homotopy, [], []
 
-    def flagged_march(*args, **kwargs):
+    def flagged_homotopy(*args, **kwargs):
+        # every march step evaluates H through _homotopy; Newton does not
         marching.append(True)
-        return march(*args, **kwargs)
+        return homotopy(*args, **kwargs)
 
     node, k = nodes // 2, 5  # the midpoint node of the odd rule
 
@@ -400,7 +418,7 @@ def test_nan_in_the_middle_of_a_march_exit_code(tmp_path, monkeypatch, capsys,
         monkeypatch.setattr(exp.field, "eval", eval_with_nan)
         return exp
 
-    monkeypatch.setattr(semiflow, "_march", flagged_march)
+    monkeypatch.setattr(semiflow, "_homotopy", flagged_homotopy)
     monkeypatch.setattr(cli, "load_config", patched_load)
     assert cli.run_subcommand(subcommand, path, out_dir=tmp_path / "out") == 1
     err = capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import resodyn as rd
 from resodyn.errors import ConfigurationError, DivergenceSignal, UnboundedModeError
-from resodyn.semiflow import MAX_STEPS, _march, trajectory_norms
+from resodyn.semiflow import MAX_STEPS, trajectory_norms
 
 
 def _zero_field(m=1):
@@ -428,7 +428,8 @@ def test_trajectory_norms_stack_matches_rows(basis32, desk_problem, desk_split, 
 @pytest.mark.parametrize("scheme", ["ETD1", "IMEX-Euler"])
 def test_march_retirement_by_settle_keeps_rows_exact(scheme):
     # m = 2 stacks take the matrix-matrix path at every stack size, so rows
-    # that stay in a shrinking stack are stepped bit for bit as before
+    # that stay in a shrinking stack are stepped bit for bit as in the full
+    # one; at s = 1 H is galerkin_F bit for bit, and no plan is built
     split, cfg = _small_system(2)
     field = rd.make_field("arctan(40)", 2)
     gen = np.random.default_rng(11)
@@ -436,38 +437,38 @@ def test_march_retirement_by_settle_keeps_rows_exact(scheme):
     settings = rd.IntegratorSettings(dt=2.5e-4, T=5e-3, scheme=scheme)
     ref = rd.integrate_ensemble(field, _SMALL, split, cfg, [1.0] * 4, states, settings)
 
-    def rhs(c, members):
-        return rd.galerkin_F(field, _SMALL, rd.GalerkinState(c)).coeffs
-
     leave_at = {1: 3, 2: 7, 0: 20}  # member -> step after which it is retired
 
     def settle(t, c, members):
         n = round(t / settings.dt)
         return np.array([leave_at.get(int(i)) == n for i in members])
 
-    times, coeffs, diverged = _march(rhs, _SMALL, cfg, settings,
-                                     np.stack([u.coeffs for u in states]), settle)
-    assert not diverged.any()
+    ens = rd.integrate_ensemble(field, _SMALL, split, cfg, [1.0] * 4, states, settings, settle)
+    assert not any(traj.diverged for traj in ens)
     for i in range(4):
         steps = leave_at.get(i, settings.nsteps)
-        assert len(times[i]) == steps + 1
-        assert np.array_equal(times[i], ref[i].times[:steps + 1])
-        assert np.array_equal(np.stack(coeffs[i]), ref[i].coeffs[:steps + 1])
+        assert len(ens[i].times) == steps + 1
+        assert np.array_equal(ens[i].times, ref[i].times[:steps + 1])
+        assert np.array_equal(ens[i].coeffs, ref[i].coeffs[:steps + 1])
 
 
 def test_march_recording_rule():
     # store_every = 3 over 10 steps: stored steps are 3, 6, 9 and the last
     split, cfg = _small_system(1)
     settings = rd.IntegratorSettings(dt=0.01, T=0.1, store_every=3)
-    steps = []
+    heights = []
 
-    def rhs(c, members):
-        steps.append(members.copy())
-        H = np.zeros_like(c)
-        if len(steps) == 5:  # member 2 blows up on step 5
-            H[members == 2] = 1e12
-        return H
+    def zero_eval(x, U, dU):
+        # H is 0 except on the fifth evaluation, where member 2 (still row 2
+        # of the s = 1 stack) blows up
+        heights.append(U.shape[0])
+        out = np.zeros_like(U)
+        if len(heights) == 5:
+            out[2] = 1e12
+        return out
 
+    field = rd.NonlinearField(name="zero-then-blowup", m=1, eval=zero_eval, sigma=np.zeros(1),
+                              f_plus=None, f_minus=None, reads_du=False)
     retire_at = {0: 6, 1: 7}
     seen = []
 
@@ -476,21 +477,21 @@ def test_march_recording_rule():
         seen.append(members.copy())
         return np.array([retire_at.get(int(i)) == n for i in members])
 
-    c0 = np.tile(np.arange(1.0, 9.0), (4, 1, 1))
-    times, coeffs, diverged = _march(rhs, _SMALL, cfg, settings, c0, settle)
+    states = [rd.GalerkinState(np.arange(1.0, 9.0)[None]) for _ in range(4)]
+    ens = rd.integrate_ensemble(field, _SMALL, split, cfg, [1.0] * 4, states, settings, settle)
     dt = settings.dt
-    assert np.array_equal(times[0], np.array([0, 3, 6]) * dt)
-    assert np.array_equal(times[1], np.array([0, 3, 6, 7]) * dt)
-    assert np.array_equal(times[2], np.array([0, 3, 5]) * dt)
-    assert np.array_equal(times[3], np.array([0, 3, 6, 9, 10]) * dt)
-    assert diverged.tolist() == [False, False, True, False]
-    assert np.sqrt(np.sum(coeffs[2][-1] ** 2)) > settings.divergence_threshold
-    for i in range(4):
-        assert len(coeffs[i]) == len(times[i])
-        assert np.all(np.diff(times[i]) > 0)
+    assert np.array_equal(ens[0].times, np.array([0, 3, 6]) * dt)
+    assert np.array_equal(ens[1].times, np.array([0, 3, 6, 7]) * dt)
+    assert np.array_equal(ens[2].times, np.array([0, 3, 5]) * dt)
+    assert np.array_equal(ens[3].times, np.array([0, 3, 6, 9, 10]) * dt)
+    assert [traj.diverged for traj in ens] == [False, False, True, False]
+    assert np.sqrt(np.sum(ens[2].coeffs[-1] ** 2)) > settings.divergence_threshold
+    for traj in ens:
+        assert len(traj.coeffs) == len(traj.times)
+        assert np.all(np.diff(traj.times) > 0)
     # a diverged row is never shown to settle, and a left row is never stepped
     assert seen[4].tolist() == [0, 1, 3]
-    assert [s.tolist() for s in steps[6:]] == [[1, 3], [3], [3], [3]]
+    assert heights == [4, 4, 4, 4, 4, 3, 2, 1, 1, 1]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -589,10 +590,24 @@ def test_blocked_march_errors_name_the_natural_mode():
 
 # -- one march: settle hook, s checked once, product flow -----------------------
 
+def _etd1_settle_loop(field, basis, cfg, settings, c, settle):
+    """ETD1 written out at s = 1, where H is F: c <- e^{-dt A} c + dt phi1(dt A) F(c),
+    with ``settle`` shown every step's rows and the rows it retires dropped."""
+    z = settings.dt * (basis.mu[None, :] - np.asarray(cfg.lam)[:, None])  # dt A
+    E = np.exp(-z)
+    small = np.abs(z) < 1e-12
+    dtP = settings.dt * np.where(small, 1.0, (1.0 - E) / np.where(small, 1.0, z))
+    members = np.arange(len(c))
+    for n in range(1, settings.nsteps + 1):
+        c = E * c + dtP * rd.galerkin_F(field, basis, rd.GalerkinState._trusted(c)).coeffs
+        done = settle(n * settings.dt, c, members)
+        if done is not False:
+            c, members = c[~done], members[~done]
+
+
 @pytest.mark.parametrize("nodes", [80, 81])
 def test_settle_rows_and_records_are_natural_and_c_ordered(nodes):
-    # at s = 1 H is F(u) bit for bit, so a bare _march of galerkin_F is the
-    # oracle for the rows settle sees
+    # a hand-written ETD1 loop is the oracle for the rows settle sees
     basis = rd.build_basis(rd.Domain1D(1.0, nodes), 16)
     cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]), float(basis.mu[1])),
                            sigma=(0.0, 0.0))
@@ -611,8 +626,8 @@ def test_settle_rows_and_records_are_natural_and_c_ordered(nodes):
     seen, natural = [], []
     ens = rd.integrate_ensemble(field, basis, split, cfg, np.ones(3), states, settings,
                                 retire(seen))
-    _march(lambda c, members: rd.galerkin_F(field, basis, rd.GalerkinState._trusted(c)).coeffs,
-           basis, cfg, settings, np.stack([u.coeffs for u in states]), retire(natural))
+    _etd1_settle_loop(field, basis, cfg, settings, np.stack([u.coeffs for u in states]),
+                      retire(natural))
     assert len(seen) == len(natural) == settings.nsteps
     for (t, c, members), (t_ref, c_ref, members_ref) in zip(seen, natural):
         assert t == t_ref and np.array_equal(members, members_ref)
@@ -634,7 +649,7 @@ def test_s_outside_unit_interval_rejected_before_any_step(bad, monkeypatch):
     u0 = rd.GalerkinState.zeros(1, 8)
     settings = rd.IntegratorSettings(dt=1e-3, T=0.01)
     calls = []
-    monkeypatch.setattr(semiflow, "_march", lambda *a: calls.append("march"))
+    monkeypatch.setattr(semiflow, "_plan", lambda *a: calls.append("plan"))
     monkeypatch.setattr(semiflow, "galerkin_F", lambda *a: calls.append("F"))
     with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
         rd.integrate_ensemble(field, _SMALL, split, cfg, [0.5, bad], [u0, u0], settings)

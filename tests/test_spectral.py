@@ -146,7 +146,9 @@ def test_blocked_fold_is_exact(quad_nodes, m):
 def test_blocked_fold_is_exact_on_c_ordered_rows(quad_nodes):
     # the march hands the fold C-ordered rows; they, and F-ordered, row- and
     # column-strided copies of them, must fold to the gather fold's bits for
-    # every J and row count, also at the odd node counts' midpoint
+    # every J and row count, also at the odd node counts' midpoint; project
+    # copies its rows C-ordered, so every layout projects to the bits of the
+    # gather projection of the C-ordered rows
     field = {m: rd.make_field("-arctan(40)", m) for m in (1, 2, 3)}
     custom = {m: rd.NonlinearField(name="u+u'", m=m, eval=lambda x, U, dU: np.arctan(U) + dU,
                                    sigma=np.zeros(m), f_plus=None, f_minus=None)
@@ -165,7 +167,7 @@ def test_blocked_fold_is_exact_on_c_ordered_rows(quad_nodes):
                                       _gather_fold(basis, rows, basis._phi_fold, flip=False))
                 assert np.array_equal(basis.dvalues(rows),
                                       _gather_fold(basis, rows, basis._dphi_fold, flip=True))
-                assert np.array_equal(basis.project(fvals), _gather_project(basis, fvals))
+                assert np.array_equal(basis.project(fvals), _gather_project(basis, f))
             for m in (1, 2, 3):
                 if R % m:
                     continue
