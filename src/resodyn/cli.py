@@ -21,7 +21,8 @@ from .connections import (DEDUP_TOL, ConnectionRecord, find_equilibria, shoot_co
                           unstable_directions)
 from .decomposition import counts
 from .errors import ConfigurationError
-from .fields import SampleGrid, check_bounded, check_sign_condition, verify_limits
+from .fields import (SampleGrid, _bounded_report, _eval_on_grid, _sign_report,
+                     verify_limits)
 from .indexcalc import (IndexReport, LinearizationData, connection_verdict,
                         d_zero, nonresonance_at_origin)
 from .resonance import evaluate_LL, guiding_margin
@@ -66,17 +67,16 @@ def _stage_decompose(exp: ExperimentConfig, ctx: dict) -> dict:
 
 def _stage_check(exp: ExperimentConfig, ctx: dict) -> dict:
     grid = SampleGrid.default(exp.basis, exp.problem.m, seed=exp.seed)
-    f2 = check_bounded(exp.field, grid)
+    # one evaluation on the grid serves F2 and every sign condition
+    vals = _eval_on_grid(exp.field, grid)
+    f2 = _bounded_report(exp.field, grid, vals)
     sign_reports = {}
     c_flags = {}
     for sign in ("+", "-"):
-        per_component = []
-        for k in range(1, exp.problem.m + 1):
-            h_k = exp.h_const[k - 1]
-            rep = check_sign_condition(
-                exp.field, k, sign, lambda x, hv=h_k: np.full(x.shape, hv),
-                grid, l=exp.problem.l)
-            per_component.append(rep)
+        per_component = [
+            _sign_report(exp.field, k, sign, np.full(grid.x.shape, exp.h_const[k - 1]),
+                         grid, vals, exp.problem.l)
+            for k in range(1, exp.problem.m + 1)]
         block1 = all(r.verdict == "holds" for r in per_component[: exp.problem.l])
         block2_reports = per_component[exp.problem.l:]
         block2 = all(r.verdict == "holds" for r in block2_reports) if block2_reports else None

@@ -158,10 +158,11 @@ def _u_jacobian(field: NonlinearField, x: np.ndarray, U: np.ndarray,
 
 
 def _eval_on_grid(field: NonlinearField, grid: SampleGrid):
-    """Field values on every (draw, node) pair; shape (draws, m, n)."""
+    """Field values on every (draw, node) pair; shape (draws, m, n).  A field
+    that does not read u' gets ``dU=None``."""
     n = grid.x.size
     U = np.repeat(grid.u_draws[:, :, None], n, axis=2)
-    dU = np.repeat(grid.du_draws[:, :, None], n, axis=2)
+    dU = np.repeat(grid.du_draws[:, :, None], n, axis=2) if field.reads_du else None
     return np.asarray(field.eval(grid.x, U, dU), dtype=float)
 
 
@@ -172,7 +173,12 @@ def check_bounded(field: NonlinearField, grid: SampleGrid) -> ConditionReport:
     empirical maximum is reported, and the check fails if the maximum keeps
     growing with the sampling box (compared against the half-size box).
     """
-    vals = _eval_on_grid(field, grid)
+    return _bounded_report(field, grid, _eval_on_grid(field, grid))
+
+
+def _bounded_report(field: NonlinearField, grid: SampleGrid,
+                    vals: np.ndarray) -> ConditionReport:
+    """``check_bounded`` from the field's values on ``grid``."""
     max_full = float(np.max(np.abs(vals)))
     i, k, nidx = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
     witness = {
@@ -210,14 +216,20 @@ def check_sign_condition(field: NonlinearField, k: int, sign: str,
     """
     if sign not in ("+", "-"):
         raise ConfigurationError(f"sign must be '+' or '-', got {sign!r}")
-    s = 1.0 if sign == "+" else -1.0
-    sigma_k = field.sigma[k - 1]
     hvals = np.asarray(h_k(grid.x), dtype=float)
     if hvals.ndim == 0:
         hvals = np.full(grid.x.shape, float(hvals))
-    vals = _eval_on_grid(field, grid)[:, k - 1, :]  # (draws, n)
+    return _sign_report(field, k, sign, hvals, grid, _eval_on_grid(field, grid), l)
+
+
+def _sign_report(field: NonlinearField, k: int, sign: str, hvals: np.ndarray,
+                 grid: SampleGrid, vals: np.ndarray, l: Optional[int]) -> ConditionReport:
+    """``check_sign_condition`` from h_k on the nodes and the field's values
+    on ``grid``."""
+    s = 1.0 if sign == "+" else -1.0
+    sigma_k = field.sigma[k - 1]
     uk = grid.u_draws[:, k - 1][:, None]
-    lhs = s * vals * np.abs(uk) ** sigma_k * np.sign(uk)
+    lhs = s * vals[:, k - 1, :] * np.abs(uk) ** sigma_k * np.sign(uk)
     margins = lhs - hvals[None, :]
     worst = float(np.min(margins))
     i, nidx = np.unravel_index(int(np.argmin(margins)), margins.shape)

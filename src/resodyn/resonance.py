@@ -4,17 +4,20 @@ kernel component."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, EvaluationError
 from .fields import NonlinearField, galerkin_F
 from .semiflow import _csv_table
-from .spectral import GalerkinState, ProblemConfig, SpectralBasis, fractional_weights
+from .spectral import (GalerkinState, ProblemConfig, SpectralBasis, _gauss_legendre,
+                       fractional_weights)
 
 __all__ = [
     "DegreeSets",
@@ -117,7 +120,7 @@ def _sign_set_integrals(field: NonlinearField, basis: SpectralBasis, m: int,
     """
     L = basis.domain.length
     norm = np.sqrt(2.0 / L)
-    xg, wg = leggauss(max(32, basis.domain.quad_nodes // 2))
+    xg, wg = _gauss_legendre(max(32, basis.domain.quad_nodes // 2))
     panels, owner, positive = [], [], []
     for c, (k, j) in enumerate(components):
         cuts = [0.0] + [i * L / j for i in range(1, j)] + [L]
@@ -200,15 +203,72 @@ def ll_functional(field: NonlinearField, basis: SpectralBasis, split: SplitIndex
     return float(_ll_values(field, basis, split, config, which, direction[None])[0])
 
 
+@lru_cache(maxsize=None)
+def _sobol_direction_numbers() -> tuple[np.ndarray, np.ndarray]:
+    """scipy's primitive polynomials and initial direction numbers (Joe and
+    Kuo), read from its data file once and shared read-only; ``scipy.stats``
+    itself is not imported."""
+    import scipy
+    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    poly.flags.writeable = False
+    vinit.flags.writeable = False
+    return poly, vinit
+
+
+def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of ``scipy.stats.qmc.Sobol(d=dim, scramble=True,
+    seed=seed)``, bit for bit, with its warning for an n that is not a
+    power of 2.
+
+    The direction numbers of each dimension follow the Bratley-Fox
+    recurrence of its primitive polynomial.  default_rng(seed) draws, in
+    scipy's order, a digital shift and one lower-triangular GF(2) matrix
+    per dimension with unit diagonal (LMS scrambling, acting on the bits
+    from the most significant down).  Point 0 is the shift, and point i + 1
+    is point i XOR the scrambled direction number at the lowest zero bit of
+    i (Gray-code order).
+    """
+    poly, vinit = _sobol_direction_numbers()
+    bits = 30  # scipy's default: the points are multiples of 2**-30
+    v = np.ones((dim, bits), dtype=np.int64)
+    for d in range(1, dim):
+        p = int(poly[d])
+        deg = p.bit_length() - 1
+        row = [int(a) for a in vinit[d, :deg]]
+        for j in range(deg, bits):
+            new = row[j - deg]
+            for k in range(deg):
+                if (p >> (deg - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[d] = row
+    pos = np.arange(bits)
+    v <<= bits - 1 - pos  # direction number j as an integer multiple of 2**-bits
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ (1 << pos)
+    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
+    ltm[:, pos, pos] = 1
+    digits = (v[:, :, None] >> (bits - 1 - pos)) & 1  # (dim, j, digit r from the top)
+    scrambled = (np.einsum("drs,djs->djr", ltm, digits) & 1) @ (1 << (bits - 1 - pos))
+    if n & (n - 1):
+        warnings.warn("The balance properties of Sobol' points require"
+                      " n to be a power of 2.", stacklevel=2)
+    i = np.arange(max(n - 1, 0), dtype=np.uint32)
+    col = np.bitwise_count(i ^ (i + 1)) - 1  # the lowest zero bit of i
+    walk = np.bitwise_xor.accumulate(scrambled[:, col].T, axis=0)
+    return np.vstack([shift, walk ^ shift])[:n] * 2.0 ** -bits
+
+
 def _sphere_directions(dim: int, samples: int, seed: int) -> np.ndarray:
-    """+-e_i plus low-discrepancy sphere points (deterministic for a seed)."""
+    """+-e_i plus low-discrepancy sphere points (deterministic for a seed):
+    scrambled Sobol' points mapped through the normal quantile and
+    normalised."""
     dirs = [v for i in range(dim) for v in (np.eye(dim)[i], -np.eye(dim)[i])]
     if dim >= 2 and samples > 0:
-        # scipy.stats costs most of the import time; only >= 2-D blocks need it
-        from scipy.special import ndtri
-        from scipy.stats import qmc
-        pts = qmc.Sobol(d=dim, scramble=True, seed=seed).random(samples)
-        g = ndtri(np.clip(pts, 1e-12, 1 - 1e-12))
+        from scipy.special import ndtri  # only >= 2-D blocks need it
+        g = ndtri(np.clip(_sobol(dim, samples, seed), 1e-12, 1 - 1e-12))
         lens = np.linalg.norm(g, axis=1)
         good = lens > 0
         dirs.extend(g[good] / lens[good, None])

@@ -17,6 +17,7 @@ accuracy is unchanged for generic data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -242,6 +243,16 @@ class GalerkinState:
         return float(np.sqrt(np.sum(self.coeffs ** 2)))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per n; the
+    nodes and weights are shared, so they are read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def build_basis(domain: Domain1D, J: int) -> SpectralBasis:
     """Construct the first J Dirichlet sine eigenpairs with quadrature tables.
 
@@ -257,7 +268,7 @@ def build_basis(domain: Domain1D, J: int) -> SpectralBasis:
         )
     L = domain.length
     nq = domain.quad_nodes
-    x0, w0 = leggauss(nq)
+    x0, w0 = _gauss_legendre(nq)
     # exact mirror symmetry of the rule about the midpoint
     x0 = 0.5 * (x0 - x0[::-1])
     w0 = 0.5 * (w0 + w0[::-1])

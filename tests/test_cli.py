@@ -429,3 +429,50 @@ def test_nan_in_the_middle_of_a_march_exit_code(tmp_path, monkeypatch, capsys,
     assert len(calls) == k
     if subcommand == "simulate":
         assert calls[0][0] == 8
+
+
+def _check_stage_fields(m, basis):
+    """Every catalogue field once (two negated), and a u'-reading field with
+    no declared C3, whose F2 check also evaluates the half-size grid."""
+    from resodyn.fields import NonlinearField, make_field
+    zeros = lambda x: np.zeros((m, x.size))  # noqa: E731
+    return [make_field("arctan(7)", m), make_field("-scaled-arctan(3, 0.5)", m),
+            make_field("gaussian-decay(0.25)", m),
+            make_field("-constant-kernel(1, 1, 2)", m, basis=basis),
+            NonlinearField(name="no-C3", m=m, eval=lambda x, U, dU: np.arctan(U + 1e-3 * dU),
+                           sigma=np.full(m, 0.25), f_plus=zeros, f_minus=zeros)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("which", range(5))
+def test_check_stage_evaluates_the_grid_once(tmp_path, m, which):
+    import dataclasses
+    from resodyn.fields import SampleGrid, check_bounded, check_sign_condition
+    path = tmp_path / "check.ini"
+    path.write_text(
+        "[domain]\nJ = 8\nquad_nodes = 32\n"
+        f"[system]\nm = {m}\nl = 1\nlambda = {', '.join(['mu(1)'] * m)}\nsigma = 0\n"
+        f"[field]\nname = arctan(7)\nh = {', '.join(str(-0.1 * k) for k in range(m))}\n"
+        "[run]\nseed = 11\n")
+    exp = load_config(path)
+    field = _check_stage_fields(m, exp.basis)[which]
+    grid = SampleGrid.default(exp.basis, m, seed=exp.seed)
+    on_grid = []
+    ev = field.eval
+
+    def counted(x, U, dU):
+        if U.shape == (200, m, x.size) and np.array_equal(U[..., 0], grid.u_draws):
+            on_grid.append(dU)
+        return ev(x, U, dU)
+
+    field.eval = counted
+    out = cli._stage_check(dataclasses.replace(exp, field=field), {})
+    assert len(on_grid) == 1
+    assert (on_grid[0] is None) == (not field.reads_du)
+    field.eval = ev
+    assert out["F2"] == check_bounded(field, grid).to_dict()
+    for sign in ("+", "-"):
+        assert out["sign_conditions"][sign] == [
+            check_sign_condition(field, k, sign, lambda x, h=h: np.full(x.shape, h), grid,
+                                 l=1).to_dict()
+            for k, h in enumerate(exp.h_const, start=1)]

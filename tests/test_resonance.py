@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import resodyn as rd
 from resodyn.decomposition import N1, PLUS
 from resodyn.errors import ConfigurationError, EvaluationError, HypothesisError
-from resodyn.resonance import MarginTable, _sphere_directions, block_modes
+from resodyn.resonance import MarginTable, _sobol, _sphere_directions, block_modes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -381,3 +381,64 @@ def test_sphere_directions_match_norm_ppf(dim, samples, seed):
     axes = [sign * np.eye(dim)[i] for i in range(dim) for sign in (1.0, -1.0)]
     expected = np.vstack([axes, g[lens > 0] / lens[lens > 0, None]])
     assert np.array_equal(_sphere_directions(dim, samples, seed), expected)
+
+
+# index on a 2-D kernel block (the sampled sphere) and the m = 2 connect case
+_INDEX_M2 = ("[domain]\nlength = 1.3\nJ = 16\nquad_nodes = 48\n"
+             "[system]\nm = 2\nl = 2\nlambda = mu(1), mu(1)\nsigma = 0.5\n"
+             "[field]\nname = scaled-arctan(20, 0.5)\n[run]\nll_samples = 64\n")
+_CONNECT_M2 = ("[domain]\nlength = 1.0\nJ = 16\nquad_nodes = 48\n"
+               "[system]\nm = 2\nl = 2\nlambda = mu(1), mu(1)\nsigma = 0\n"
+               "[field]\nname = arctan(45)\n"
+               "[run]\ndt = 0.01\nT = 4.0\neps_grid = 0.001, -0.001\nseed = 1005\n"
+               "ll_samples = 16\n")
+
+
+def test_pipeline_leaves_scipy_stats_unloaded(tmp_path):
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(rd.__file__).resolve().parents[1])
+    (tmp_path / "index.ini").write_text(_INDEX_M2)
+    (tmp_path / "connect.ini").write_text(_CONNECT_M2)
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); from resodyn.cli import run_subcommand\n"
+        f"codes = [run_subcommand(name, {str(tmp_path)!r} + f'/{{name}}.ini', "
+        f"out_dir={str(tmp_path)!r} + f'/out_{{name}}') for name in ('index', 'connect')]\n"
+        "print(codes, sorted(k for k in sys.modules if k.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    index = json.loads((tmp_path / "out_index" / "report.json").read_text())
+    assert index["stages"]["ll"]["LL1+"]["sampled_only"]
+    connect = json.loads((tmp_path / "out_connect" / "report.json").read_text())
+    assert connect["stages"]["connect"]["shots"]
+
+
+@pytest.mark.parametrize("dim", [*range(1, 9), 40])
+def test_sobol_matches_scipy(dim):
+    import warnings
+    from scipy.stats import qmc
+    for seed in range(10):
+        for n in (1, 2, 3, 100, 128, 512, 1000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                expected = qmc.Sobol(d=dim, scramble=True, seed=seed).random(n)
+                got = _sobol(dim, n, seed)
+            assert np.array_equal(got, expected), (dim, seed, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 128, 1000])
+def test_sobol_warns_like_scipy(n):
+    import warnings
+    from scipy.stats import qmc
+    caught = []
+    for draw in (lambda: qmc.Sobol(d=3, scramble=True, seed=4).random(n),
+                 lambda: _sobol(3, n, 4)):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            draw()
+        caught.append([(w.category, str(w.message)) for w in seen])
+    assert caught[0] == caught[1]
+    assert len(caught[1]) == (0 if n & (n - 1) == 0 else 1)

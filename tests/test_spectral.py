@@ -5,6 +5,7 @@ import pytest
 
 import resodyn as rd
 from resodyn.errors import ConfigurationError, HypothesisError, UnboundedModeError
+from resodyn.spectral import _gauss_legendre
 
 
 def test_analytic_spectrum_unit_interval(basis32):
@@ -311,3 +312,13 @@ def test_problem_config_rejects_bad_alpha():
 def test_problem_config_sigma_one_allowed_off_minimum():
     cfg = rd.ProblemConfig(m=2, l=2, lam=(1.0, 1.0), sigma=(0.0, 1.0))
     assert cfg.sigma == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [32, 48, 81])
+def test_gauss_legendre_is_memoised_and_read_only(n):
+    from numpy.polynomial.legendre import leggauss
+    x, w = _gauss_legendre(n)
+    assert _gauss_legendre(n)[0] is x
+    for got, expected in zip((x, w), leggauss(n)):
+        assert np.array_equal(got, expected)
+        assert not got.flags.writeable
