@@ -8,15 +8,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
-
-log = logging.getLogger(__name__)
 
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, GradientStructureError
 from .fields import NonlinearField, _u_jacobian, galerkin_F
 from .semiflow import IntegratorSettings, Trajectory, integrate_ensemble
-from .spectral import GalerkinState, ProblemConfig, SpectralBasis, diag_A
+from .spectral import GalerkinState, ProblemConfig, SpectralBasis, _eigh, diag_A
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "Equilibrium",
@@ -165,6 +164,24 @@ def _morse_index(field, basis, config, state, tol=1e-10):
     return int(np.sum(np.linalg.eigvalsh(L) < -tol))
 
 
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """Connected-component labels of a symmetric boolean pattern, numbered
+    by each component's smallest index (scipy.sparse.csgraph's order).
+
+    Every node takes the smallest label among itself and its neighbours,
+    then the label of its label, until nothing changes; a label never
+    leaves its component and ends at the component's smallest index.
+    """
+    n = pattern.shape[0]
+    labels = np.arange(n)
+    while True:
+        reached = np.minimum(labels, np.where(pattern, labels, n).min(axis=1))
+        reached = reached[reached]
+        if np.array_equal(reached, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = reached
+
+
 def _block_eigh(L: np.ndarray):
     """Symmetric eigensolve respecting the exact sparsity blocks of L.
 
@@ -173,17 +190,14 @@ def _block_eigh(L: np.ndarray):
     connected component keeps eigenvectors exactly supported on their block,
     so shooting along them cannot leak into a decoupled group.
     """
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse import csr_matrix
-
     n = L.shape[0]
-    ncomp, labels = connected_components(csr_matrix(L != 0.0), directed=False)
+    labels = _components(L != 0.0)
     vals = np.empty(n)
     vecs = np.zeros((n, n))
     pos = 0
-    for comp in range(ncomp):
+    for comp in range(labels.max() + 1):
         idx = np.flatnonzero(labels == comp)
-        sub_vals, sub_vecs = eigh(L[np.ix_(idx, idx)])
+        sub_vals, sub_vecs = _eigh(L[np.ix_(idx, idx)])
         vals[pos:pos + idx.size] = sub_vals
         vecs[np.ix_(idx, range(pos, pos + idx.size))] = sub_vecs
         pos += idx.size

@@ -8,12 +8,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .decomposition import CountVector
 from .errors import ConfigurationError, HypothesisError
 from .fields import _u_jacobian
-from .spectral import ProblemConfig, SpectralBasis
+from .spectral import ProblemConfig, SpectralBasis, _eigh
 
 __all__ = [
     "HomotopyType",
@@ -157,7 +156,7 @@ class LinearizationData:
         if np.max(np.abs(G - G.T)) > 1e-12:
             raise ConfigurationError("G must be symmetric to 1e-12")
         shifted = G + np.diag(config.lam_array())
-        theta, O = eigh(shifted)
+        theta, O = _eigh(shifted)
         residual = np.max(np.abs(O.T @ shifted @ O - np.diag(theta)))
         if residual > 1e-10:
             raise ConfigurationError(f"diagonalization residual {residual:.2e} exceeds 1e-10")

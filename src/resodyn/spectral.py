@@ -16,8 +16,12 @@ accuracy is unchanged for generic data.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -251,6 +255,48 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+@lru_cache(maxsize=None)
+def _flapack():
+    """scipy's f2py wrappers of LAPACK, loaded once per process without
+    importing the ``scipy.linalg`` package, whose imports cost about 0.3 s."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg is imported and loaded it
+        return sys.modules[name]
+    import scipy
+    linalg = Path(scipy.__file__).parent / "linalg"
+    paths = [linalg / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK wrappers not found: none of {', '.join(map(str, paths))}",
+                          name=name, path=str(paths[0]))
+    loader = ExtensionFileLoader(name, str(path))
+    module = module_from_spec(spec_from_loader(name, loader))
+    loader.exec_module(module)
+    # CPython files a single-phase extension module under its name; take it
+    # out, so that sys.modules still says scipy.linalg was not imported (a
+    # later import of it makes its own module around the same functions)
+    sys.modules.pop(name, None)
+    return module
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.eigh(a)`` with its defaults, bit for bit, for a real
+    symmetric float64 matrix: ascending eigenvalues and orthonormal
+    eigenvectors (columns) from LAPACK dsyevr on the lower triangle.
+
+    A non-finite entry raises scipy's ``ValueError``, a failed solve
+    ``numpy.linalg.LinAlgError``.
+    """
+    a = np.asarray_chkfinite(a)
+    lapack = _flapack()
+    lwork, liwork, _ = lapack.dsyevr_lwork(n=a.shape[0], lower=1)  # info 0 for any n >= 0
+    w, v, _, _, info = lapack.dsyevr(a=a, compute_v=1, lower=1, overwrite_a=0,
+                                     lwork=int(lwork), liwork=int(liwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info = {info}")
+    return w, v
 
 
 def build_basis(domain: Domain1D, J: int) -> SpectralBasis:

@@ -277,6 +277,20 @@ def test_runtime_error_exit_code(tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_nonfinite_linearization_exit_code(tmp_path, monkeypatch, capsys, value):
+    # a field whose u-Jacobian at 0 is not finite fails the eigensolve in
+    # 'index' with scipy's check_finite message
+    from resodyn import fields
+    row = fields._ROWS["arctan"]
+    monkeypatch.setitem(fields._ROWS, "arctan", row._replace(slope=lambda gain: value))
+    with np.errstate(invalid="ignore"):
+        code = cli.run_subcommand("index", ARCTAN_CFG, out_dir=tmp_path)
+    assert code == 1
+    assert ("runtime failure in stage 'index': array must not contain infs or NaNs"
+            in capsys.readouterr().err)
+
+
 def test_reports_are_reproducible(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

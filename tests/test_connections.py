@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import resodyn as rd
+from resodyn.connections import _components
 from resodyn.errors import ConfigurationError, GradientStructureError
 
 
@@ -351,3 +352,23 @@ def test_batched_shots_validate_inputs(basis32, desk_problem, desk_split, desk_f
                             settings, desk_equilibria)
     assert rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, origin,
                                [], [], settings, desk_equilibria) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 128])
+def test_component_labels_match_scipy(n):
+    # numbered by smallest index, as scipy.sparse.csgraph numbers them
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    rng = np.random.default_rng(n)
+    chain = rng.permutation(n)  # one component as a path in shuffled order
+    path = np.zeros((n, n), dtype=bool)
+    path[chain[:-1], chain[1:]] = True
+    patterns = [np.zeros((n, n), dtype=bool), np.eye(n, dtype=bool),
+                np.ones((n, n), dtype=bool), path | path.T]
+    for density in (0.005, 0.02, 0.05, 0.2, 0.6):
+        for _ in range(8):
+            p = rng.uniform(size=(n, n)) < density
+            patterns.append(p | p.T)
+    for p in patterns:
+        _, expected = connected_components(csr_matrix(p), directed=False)
+        assert np.array_equal(_components(p), expected)

@@ -357,6 +357,36 @@ def test_guiding_margin_matches_sample_loop(basis32, which):
         assert margin == pytest.approx(worst, rel=1e-12, abs=1e-14)
 
 
+# scipy packages that no run imports: numpy Sobol' points stand in for
+# scipy.stats, _eigh loads scipy's LAPACK wrappers without scipy.linalg, and
+# _block_eigh labels its components without scipy.sparse
+_UNLOADED = ("scipy.stats", "scipy.linalg", "scipy.sparse")
+
+
+def _loaded(prefixes) -> str:
+    """Python source printing the sorted loaded modules under ``prefixes``."""
+    return f"sorted(k for k in sys.modules if k.startswith({tuple(prefixes)!r}))"
+
+
+def _modules_after_runs(tmp_path, inis: dict, prefixes) -> str:
+    """Run each subcommand on its INI text in one fresh process; returns the
+    exit codes and the loaded modules under ``prefixes`` as printed."""
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(rd.__file__).resolve().parents[1])
+    for name, text in inis.items():
+        (tmp_path / f"{name}.ini").write_text(text)
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); from resodyn.cli import run_subcommand\n"
+        f"codes = [run_subcommand(name, {str(tmp_path)!r} + f'/{{name}}.ini', "
+        f"out_dir={str(tmp_path)!r} + f'/out_{{name}}') for name in {tuple(inis)!r}]\n"
+        f"print(codes, {_loaded(prefixes)})")
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_import_leaves_scipy_stats_unloaded():
     import subprocess
     import sys
@@ -364,8 +394,8 @@ def test_import_leaves_scipy_stats_unloaded():
     src = str(Path(rd.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys; sys.path.insert(0, {src!r}); import resodyn; "
-         "print(sorted(k for k in sys.modules if k.startswith('scipy.stats')))"],
+         f"import sys; sys.path.insert(0, {src!r}); import resodyn.cli; "
+         f"print({_loaded(_UNLOADED)})"],
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -392,26 +422,36 @@ _CONNECT_M2 = ("[domain]\nlength = 1.0\nJ = 16\nquad_nodes = 48\n"
                "[field]\nname = arctan(45)\n"
                "[run]\ndt = 0.01\nT = 4.0\neps_grid = 0.001, -0.001\nseed = 1005\n"
                "ll_samples = 16\n")
+# simulate with 1-D kernel blocks and the m = 1 connect case: no scipy.special
+_SIMULATE_M2_L1 = ("[domain]\nlength = 1.0\nJ = 16\nquad_nodes = 48\n"
+                   "[system]\nm = 2\nl = 1\nlambda = mu(1), mu(1)\nsigma = 0\n"
+                   "[field]\nname = arctan(40)\n"
+                   "[run]\ndt = 0.01\nT = 0.2\nseeds = 2\ns_grid = 0, 1\n")
+_CONNECT_M1 = ("[domain]\nlength = 1.0\nJ = 16\nquad_nodes = 48\n"
+               "[system]\nm = 1\nl = 1\nlambda = mu(1)\nsigma = 0\n"
+               "[field]\nname = arctan(45)\n"
+               "[run]\ndt = 0.01\nT = 4.0\neps_grid = 0.001, -0.001\nseed = 1000\n")
 
 
 def test_pipeline_leaves_scipy_stats_unloaded(tmp_path):
     import json
-    import subprocess
-    import sys
-    from pathlib import Path
-    src = str(Path(rd.__file__).resolve().parents[1])
-    (tmp_path / "index.ini").write_text(_INDEX_M2)
-    (tmp_path / "connect.ini").write_text(_CONNECT_M2)
-    script = (
-        f"import sys; sys.path.insert(0, {src!r}); from resodyn.cli import run_subcommand\n"
-        f"codes = [run_subcommand(name, {str(tmp_path)!r} + f'/{{name}}.ini', "
-        f"out_dir={str(tmp_path)!r} + f'/out_{{name}}') for name in ('index', 'connect')]\n"
-        "print(codes, sorted(k for k in sys.modules if k.startswith('scipy.stats')))")
-    out = subprocess.run([sys.executable, "-c", script],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    inis = {"index": _INDEX_M2, "connect": _CONNECT_M2}
+    assert _modules_after_runs(tmp_path, inis, _UNLOADED) == "[0, 0] []"
     index = json.loads((tmp_path / "out_index" / "report.json").read_text())
     assert index["stages"]["ll"]["LL1+"]["sampled_only"]
+    connect = json.loads((tmp_path / "out_connect" / "report.json").read_text())
+    assert connect["stages"]["connect"]["shots"]
+
+
+def test_pipeline_without_sampled_sphere_leaves_array_api_unloaded(tmp_path):
+    # scipy.linalg and scipy.special import scipy._lib._array_api (which pulls
+    # in numpy.testing and numpy.f2py); a run that needs neither skips it
+    import json
+    inis = {"simulate": _SIMULATE_M2_L1, "connect": _CONNECT_M1}
+    prefixes = ("scipy._lib._array_api", *_UNLOADED)
+    assert _modules_after_runs(tmp_path, inis, prefixes) == "[0, 0] []"
+    simulate = json.loads((tmp_path / "out_simulate" / "report.json").read_text())
+    assert simulate["stages"]["simulate"]
     connect = json.loads((tmp_path / "out_connect" / "report.json").read_text())
     assert connect["stages"]["connect"]["shots"]
 

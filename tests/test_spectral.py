@@ -1,11 +1,20 @@
+import contextlib
+import io
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import resodyn as rd
+from resodyn import cli, connections, indexcalc, spectral
+from resodyn.config import load_config
 from resodyn.errors import ConfigurationError, HypothesisError, UnboundedModeError
-from resodyn.spectral import _gauss_legendre
+from resodyn.spectral import _eigh, _gauss_legendre
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_analytic_spectrum_unit_interval(basis32):
@@ -322,3 +331,115 @@ def test_gauss_legendre_is_memoised_and_read_only(n):
     for got, expected in zip((x, w), leggauss(n)):
         assert np.array_equal(got, expected)
         assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("matrix", ["G", "L"])
+def test_nonfinite_eigh_input_raises_scipys_error(basis32, desk_problem, desk_field,
+                                                   matrix, value):
+    # the message of scipy's check_finite; dsyevr itself takes NaN silently
+    # (from_G's symmetry test is False for NaN)
+    with pytest.raises(ValueError, match=r"^array must not contain infs or NaNs$"):
+        if matrix == "G":
+            cfg = rd.ProblemConfig(m=2, l=1, lam=(1.0, 1.0), sigma=(0.0, 0.0))
+            with np.errstate(invalid="ignore"):
+                rd.LinearizationData.from_G(np.diag([value, 1.0]), cfg)
+        else:
+            L = rd.discrete_linearization(desk_field, basis32, desk_problem,
+                                          rd.GalerkinState.zeros(1, basis32.J))
+            L[2, 2] = value
+            connections._block_eigh(L)
+
+
+def _eigh_oracle_matrices(tmp: Path) -> list[np.ndarray]:
+    """Random symmetric matrices (n = 1-64), c I and random diagonal ones
+    (n = 1-8, where numpy's syevd returns other eigenvectors), and every
+    matrix the program itself hands to _eigh: G + diag(lambda) of the
+    shipped configs and of every workload generator at seeds 0-11, and the
+    component blocks of the linearizations solved by the shoot-connect
+    rounds at seeds 1-3."""
+    rng = np.random.default_rng(15)
+    mats = []
+    for n in range(1, 65):
+        a = rng.normal(size=(n, n))
+        mats.append(a + a.T)
+    for n in range(1, 9):
+        mats += [c * np.eye(n) for c in (0.0, 1.0, -1.0, 2.5, -40.0)]
+        mats.append(np.diag(rng.normal(size=n)))
+    seen = []
+
+    def record(a):
+        seen.append(np.array(a))
+        return _eigh(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(REPO / "bench"))
+        import workloads
+        mp.setattr(indexcalc, "_eigh", record)
+        mp.setattr(connections, "_eigh", record)
+        for path in sorted((REPO / "configs").iterdir()):
+            exp = load_config(path)
+            rd.LinearizationData.from_field(exp.field, exp.problem)
+        for workload in workloads.WORKLOADS:
+            for seed in range(12):
+                for exp in workloads.round_for(workload, seed):
+                    path = tmp / f"{exp.name}.ini"
+                    path.write_text(exp.ini())
+                    loaded = load_config(path)
+                    rd.LinearizationData.from_field(loaded.field, loaded.problem)
+        n_shifted = len(seen)
+        for seed in (1, 2, 3):
+            for exp in workloads.round_for("shoot-connect", seed):
+                path = tmp / f"{exp.name}.ini"
+                path.write_text(exp.ini())
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.run_subcommand("connect", path, out_dir=tmp / "out") == 0
+    blocks = len(seen) - n_shifted
+    assert n_shifted > 300 and blocks > 0 and max(b.shape[0] for b in seen[n_shifted:]) > 1
+    return mats + seen
+
+
+_EIGH_ORACLE = """
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+if {scipy_first}:
+    import scipy.linalg
+from resodyn.spectral import _eigh, _flapack
+with np.load({path!r}) as stored:
+    mats = [stored[f"m{{i}}"] for i in range(len(stored.files))]
+got = [_eigh(a) for a in mats]
+assert ("scipy.linalg" in sys.modules) == {scipy_first}
+import scipy.linalg
+assert (_flapack() is sys.modules["scipy.linalg._flapack"]) == {scipy_first}
+bad = [i for i, (a, mine) in enumerate(zip(mats, got))
+       if not all(map(np.array_equal, mine, scipy.linalg.eigh(a)))]
+print(len(mats), bad)
+"""
+
+
+@pytest.fixture(scope="module")
+def eigh_oracle_file(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("eigh")
+    mats = _eigh_oracle_matrices(tmp)
+    np.savez(tmp / "mats.npz", **{f"m{i}": a for i, a in enumerate(mats)})
+    return tmp / "mats.npz", len(mats)
+
+
+@pytest.mark.parametrize("scipy_first", [True, False])
+def test_eigh_matches_scipy_linalg(eigh_oracle_file, scipy_first):
+    # both (w, v) array_equal to scipy.linalg.eigh, with scipy.linalg
+    # imported before the first _eigh call (its own _flapack) and after it
+    path, count = eigh_oracle_file
+    script = _EIGH_ORACLE.format(src=str(REPO / "src"), scipy_first=scipy_first, path=str(path))
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [str(count), "[]"]
+
+
+def test_missing_lapack_module_names_the_path(monkeypatch):
+    # no fallback to scipy.linalg: a scipy without the module is an ImportError
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(spectral, "EXTENSION_SUFFIXES", [".absent.so"])
+    with pytest.raises(ImportError, match=r"linalg/_flapack\.absent\.so"):
+        spectral._flapack.__wrapped__()
