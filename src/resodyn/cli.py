@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .connections import (DEDUP_TOL, ConnectionRecord, find_equilibria, shoot_connection,
+from .connections import (ConnectionRecord, find_equilibria, shoot_connection,
                           unstable_directions)
 from .decomposition import counts
 from .errors import ConfigurationError
@@ -208,27 +208,20 @@ def _stage_simulate(exp: ExperimentConfig, ctx: dict) -> dict:
 
 def _stage_connect(exp: ExperimentConfig, ctx: dict) -> dict:
     run = exp.run
-    index_report = ctx.get("index")
-    predicted = bool(index_report and index_report.verdict.connection_predicted)
     rng = np.random.default_rng(exp.seed)
     m, J = exp.problem.m, exp.basis.J
     seeds = [GalerkinState(0.05 * rng.normal(size=(m, J)) / np.sqrt(m * J))
              for _ in range(4)]
+    origin = next(iter(find_equilibria(exp.field, exp.basis, exp.split, exp.problem, [])), None)
+    directions = ([] if origin is None
+                  else unstable_directions(exp.field, exp.basis, exp.problem, origin))
+    # one Newton search: the random seeds, then +- 0.05 d for each unstable
+    # direction d of the origin, in direction order
+    seeds += [GalerkinState(sign * 0.05 * d.coeffs) for _, d in directions for sign in (1, -1)]
     equilibria = find_equilibria(exp.field, exp.basis, exp.split, exp.problem, seeds)
-    origin = next((eq for eq in equilibria if eq.is_origin), None)
     shots = []
     records = []
     if origin is not None:
-        directions = unstable_directions(exp.field, exp.basis, exp.problem, origin)
-        for rate, direction in directions:
-            seed_scale = 0.05
-            newton_seeds = [GalerkinState(seed_scale * direction.coeffs),
-                            GalerkinState(-seed_scale * direction.coeffs)]
-            for eq in find_equilibria(exp.field, exp.basis, exp.split, exp.problem,
-                                      newton_seeds):
-                if all(np.sqrt(np.sum((eq.state.coeffs - other.state.coeffs) ** 2)) > DEDUP_TOL
-                       for other in equilibria):
-                    equilibria.append(eq)
         # every direction x eps shot marches in one stack, in this order
         grid = [(d_idx, rate, direction, float(eps))
                 for d_idx, (rate, direction) in enumerate(directions)
@@ -249,7 +242,7 @@ def _stage_connect(exp: ExperimentConfig, ctx: dict) -> dict:
             shots.append(entry)
     ctx["connections"] = records
     return {
-        "connection_predicted": predicted,
+        "connection_predicted": ctx["index"].verdict.connection_predicted,
         "equilibria": [eq.to_dict() for eq in equilibria],
         "shots": shots,
         "connections_found": len(records),
@@ -293,11 +286,10 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
         }
         ctx: dict = {}
         for stage in _STAGE_CHAIN[name]:
-            if name == "full" and stage == "connect":
-                idx = ctx.get("index")
-                if not (idx and idx.verdict.connection_predicted):
-                    report["stages"]["connect"] = "skipped: no connection predicted"
-                    continue
+            if (name == "full" and stage == "connect"
+                    and not ctx["index"].verdict.connection_predicted):
+                report["stages"]["connect"] = "skipped: no connection predicted"
+                continue
             report["stages"][stage] = _STAGE_FUNCS[stage](exp, ctx)
         report["verdicts"] = _summarize(report, ctx)
         if write_json:
@@ -326,7 +318,8 @@ def _json_default(obj):
 
 
 def _sanitize(obj):
-    """Strict-JSON copy: non-finite floats become descriptive strings."""
+    """Strict-JSON copy: tuples become lists, non-finite floats become
+    descriptive strings."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

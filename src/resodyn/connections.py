@@ -32,7 +32,8 @@ __all__ = [
 NEWTON_TOL = 1e-10          # residual norm at which a Newton seed has converged
 NEWTON_MAX_ITER = 100       # Newton iterations per seed
 DEDUP_TOL = 1e-6            # L2 distance under which two equilibria are one
-LINEARIZATION_FD_STEP = 1e-6  # step of the field's u-Jacobian in the linearization
+NEWTON_FD_STEP = 1e-7       # relative central-difference step of the Newton Jacobian
+MORSE_TOL = 1e-10           # a linearization eigenvalue below -MORSE_TOL is unstable
 SETTLE_TOL = 1e-4           # a shot settles once it stays this close to one target
 DWELL = 1.0                 # ... and stays there this many time units
 DIRECTION_TOL = 1e-6        # eigen-residual bound (absolute or relative) of a direction
@@ -42,9 +43,9 @@ DIRECTION_TOL = 1e-6        # eigen-residual bound (absolute or relative) of a d
 class Equilibrium:
     """Newton-certified stationary point of u' = -A u + F(u).
 
-    ``morse_index`` counts the negative eigenvalues of the self-adjoint
-    discrete linearization diag(mu_j - lambda_k) - K(u*), i.e. the unstable
-    directions of the forward flow.
+    ``morse_index`` counts the eigenvalues below -MORSE_TOL of the
+    self-adjoint discrete linearization diag(mu_j - lambda_k) - K(u*), i.e.
+    the unstable directions of the forward flow.
     """
 
     state: GalerkinState
@@ -63,13 +64,13 @@ def _residual(field, basis, config, c):
     return -diag_A(basis, config) * c + F
 
 
-def _fd_jacobian(field, basis, config, c, step=1e-7):
+def _fd_jacobian(field, basis, config, c):
     """Central differences, every column from one stacked residual evaluation
-    of the 2 m J states c +- h_i e_i with h_i = step * max(1, |c_i|)."""
+    of the 2 m J states c +- h_i e_i with h_i = NEWTON_FD_STEP * max(1, |c_i|)."""
     m, J = c.shape
     n = m * J
     base = c.ravel()
-    h = step * np.maximum(1.0, np.abs(base))
+    h = NEWTON_FD_STEP * np.maximum(1.0, np.abs(base))
     shifted = np.tile(base, (2, n, 1))
     diag = np.arange(n)
     shifted[0, diag, diag] += h
@@ -83,8 +84,9 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
     """Damped Newton on -A u + F(u) = 0 from each seed.
 
     Finite-difference Jacobian, backtracking on the residual norm;
-    non-converged seeds are dropped.  Results are deduplicated by L2
-    distance, and the origin is prepended whenever the field vanishes there.
+    non-converged seeds are dropped.  Results keep seed order, each dropped
+    when within DEDUP_TOL (L2) of an earlier one, and the origin is
+    prepended whenever the field vanishes there.
     """
     m, J = config.m, basis.J
     found: list[Equilibrium] = []
@@ -114,21 +116,18 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
             except np.linalg.LinAlgError:
                 break
             lam_damp = 1.0
-            improved = False
             for _ in range(30):
                 trial = c + lam_damp * delta
                 tnorm = np.sqrt(np.sum(_residual(field, basis, config, trial) ** 2))
                 if tnorm < rnorm:
-                    c = trial
-                    improved = True
+                    c, rnorm = trial, tnorm
                     break
                 lam_damp *= 0.5
-            if not improved:
+            else:
                 break
         if not converged:
             log.warning("Newton did not converge from seed %d (|R| = %.3e); discarded",
-                        seed_idx, float(np.sqrt(np.sum(
-                            _residual(field, basis, config, c) ** 2))))
+                        seed_idx, float(rnorm))
             continue
         state = GalerkinState(c)
         if any(np.sqrt(np.sum((c - eq.state.coeffs) ** 2)) <= DEDUP_TOL for eq in found):
@@ -147,7 +146,7 @@ def discrete_linearization(field: NonlinearField, basis: SpectralBasis,
     u-Jacobian along the state (u' is folded only for a field that reads it)."""
     m, J = config.m, basis.J
     dU = basis.dvalues(at.coeffs) if field.reads_du else None
-    gprime = _u_jacobian(field, basis.x, basis.values(at.coeffs), dU, LINEARIZATION_FD_STEP)
+    gprime = _u_jacobian(field, basis.x, basis.values(at.coeffs), dU)
     size = m * J
     K = np.zeros((size, size))
     for k in range(m):
@@ -159,9 +158,9 @@ def discrete_linearization(field: NonlinearField, basis: SpectralBasis,
     return np.diag(diag_A(basis, config).ravel()) - K
 
 
-def _morse_index(field, basis, config, state, tol=1e-10):
+def _morse_index(field, basis, config, state):
     L = discrete_linearization(field, basis, config, state)
-    return int(np.sum(np.linalg.eigvalsh(L) < -tol))
+    return int(np.sum(np.linalg.eigvalsh(L) < -MORSE_TOL))
 
 
 def _components(pattern: np.ndarray) -> np.ndarray:
@@ -207,15 +206,12 @@ def _block_eigh(L: np.ndarray):
 
 def unstable_directions(field: NonlinearField, basis: SpectralBasis,
                         config: ProblemConfig, eq: Equilibrium) -> list[tuple[float, GalerkinState]]:
-    """(eigenvalue, unit direction) pairs with negative linearization
-    eigenvalue, most unstable first."""
+    """(eigenvalue, unit direction) pairs with linearization eigenvalue
+    below -MORSE_TOL, most unstable first: one per unit of the Morse index."""
     L = discrete_linearization(field, basis, config, eq.state)
     vals, vecs = _block_eigh(L)
-    out = []
-    for i in range(vals.size):
-        if vals[i] < 0:
-            out.append((float(vals[i]), GalerkinState(vecs[:, i].reshape(config.m, basis.J))))
-    return out
+    return [(float(vals[i]), GalerkinState(vecs[:, i].reshape(config.m, basis.J)))
+            for i in np.flatnonzero(vals < -MORSE_TOL)]
 
 
 def validate_potential(field: NonlinearField, samples: int = 32, seed: int = 0,
@@ -226,8 +222,7 @@ def validate_potential(field: NonlinearField, samples: int = 32, seed: int = 0,
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.05, 0.95, size=samples)
     U = rng.uniform(-3.0, 3.0, size=(field.m, samples))
-    dU = np.zeros_like(U)
-    f = np.asarray(field.eval(x, U, dU))
+    f = np.asarray(field.eval(x, U, np.zeros_like(U) if field.reads_du else None))
     for k in range(field.m):
         Up = U.copy()
         Um = U.copy()

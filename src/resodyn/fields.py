@@ -24,6 +24,8 @@ __all__ = [
     "make_field",
 ]
 
+U_JACOBIAN_STEP = 1e-6  # central-difference step of the field's u-Jacobian
+
 
 @dataclass
 class NonlinearField:
@@ -31,14 +33,16 @@ class NonlinearField:
 
     ``eval(x, U, dU)`` is vectorized over nodes and states: x has shape
     (n,), U and dU shape (..., m, n) with any leading batch axes, and the
-    result has the shape of U.  ``f_plus``/``f_minus`` return the
+    result has the shape of U; ``eval`` must not write into U or dU, which
+    may be read-only views.  ``f_plus``/``f_minus`` return the
     declared asymptotic limits as (m, n) arrays on the given nodes; they are
     *verified* numerically by verify_limits, never inferred.  ``potential``
     (optional) evaluates a scalar potential ftilde(x, u) with
     d ftilde / d s_k = f_k, enabling the energy functional.  ``jac0`` is the
     u-Jacobian at (x, 0, 0) when known analytically.  A field that does not
-    read u' (every catalogue field) sets ``reads_du=False``, and
-    ``galerkin_F`` then skips the nodal derivative and passes ``dU=None``.
+    read u' (every catalogue field) sets ``reads_du=False``; every
+    evaluation then passes ``dU=None`` (``galerkin_F`` skips the nodal
+    derivative).
     """
 
     name: str
@@ -143,26 +147,28 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
 
 
 def _u_jacobian(field: NonlinearField, x: np.ndarray, U: np.ndarray,
-                dU: Optional[np.ndarray], step: float) -> np.ndarray:
+                dU: Optional[np.ndarray]) -> np.ndarray:
     """Central-difference u-Jacobian of the field on the nodes, shape (m, m, n):
-    entry [k, col] is (f_k(U + h e_col) - f_k(U - h e_col)) / 2h, all 2 m
-    shifted states in one stacked evaluation (``dU=None`` is passed on)."""
+    entry [k, col] is (f_k(U + h e_col) - f_k(U - h e_col)) / 2h with
+    h = U_JACOBIAN_STEP, all 2 m shifted states in one stacked evaluation
+    (``dU=None`` is passed on)."""
     m = U.shape[0]
     shifted = np.broadcast_to(U, (2, m, m, x.size)).copy()
     cols = np.arange(m)
-    shifted[0, cols, cols] += step
-    shifted[1, cols, cols] -= step
+    shifted[0, cols, cols] += U_JACOBIAN_STEP
+    shifted[1, cols, cols] -= U_JACOBIAN_STEP
     dU = None if dU is None else np.broadcast_to(dU, shifted.shape)
     f = np.asarray(field.eval(x, shifted, dU))
-    return ((f[0] - f[1]) / (2 * step)).transpose(1, 0, 2)
+    return ((f[0] - f[1]) / (2 * U_JACOBIAN_STEP)).transpose(1, 0, 2)
 
 
 def _eval_on_grid(field: NonlinearField, grid: SampleGrid):
-    """Field values on every (draw, node) pair; shape (draws, m, n).  A field
-    that does not read u' gets ``dU=None``."""
-    n = grid.x.size
-    U = np.repeat(grid.u_draws[:, :, None], n, axis=2)
-    dU = np.repeat(grid.du_draws[:, :, None], n, axis=2) if field.reads_du else None
+    """Field values on every (draw, node) pair; shape (draws, m, n).  U and
+    dU are read-only broadcast views of the draws, and a field that does not
+    read u' gets ``dU=None``."""
+    shape = grid.u_draws.shape + grid.x.shape
+    U = np.broadcast_to(grid.u_draws[:, :, None], shape)
+    dU = np.broadcast_to(grid.du_draws[:, :, None], shape) if field.reads_du else None
     return np.asarray(field.eval(grid.x, U, dU), dtype=float)
 
 
@@ -262,18 +268,15 @@ def verify_limits(field: NonlinearField, k: int, s: float = 1e6,
             raise ConfigurationError("verify_limits needs a grid or a basis")
         grid = SampleGrid.default(basis, field.m, u_box=10.0, du_box=10.0,
                                   draws=draws, seed=seed)
-    x = grid.x
-    n = x.size
     sigma_k = field.sigma[k - 1]
-    fp = np.asarray(field.f_plus(x), dtype=float)[k - 1]
-    fm = np.asarray(field.f_minus(x), dtype=float)[k - 1]
-    # every (sign, draw) state in one evaluation: axes (sign, draw, m, n)
-    u = np.broadcast_to(grid.u_draws, (2,) + grid.u_draws.shape).copy()
-    u[..., k - 1] = np.array([s, -s])[:, None]
-    U = np.repeat(u[..., None], n, axis=-1)
-    dU = np.repeat(np.broadcast_to(grid.du_draws, u.shape)[..., None], n, axis=-1)
-    vals = abs(s) ** sigma_k * np.asarray(field.eval(x, U, dU))[..., k - 1, :]
-    final = float(np.max(np.abs(vals - np.stack([fp, fm])[:, None, :])))
+    fp = np.asarray(field.f_plus(grid.x), dtype=float)[k - 1]
+    fm = np.asarray(field.f_minus(grid.x), dtype=float)[k - 1]
+    # every (sign, draw) state in one evaluation, the + draws before the -
+    u = np.tile(grid.u_draws, (2, 1))
+    u[:, k - 1] = np.repeat([s, -s], grid.u_draws.shape[0])
+    stacked = SampleGrid(grid.x, u, np.tile(grid.du_draws, (2, 1)))
+    vals = abs(s) ** sigma_k * _eval_on_grid(field, stacked)[:, k - 1, :]
+    final = float(np.max(np.abs(vals - np.repeat([fp, fm], grid.u_draws.shape[0], axis=0))))
     verdict = "holds" if final <= tol else "fails"
     witness = None if verdict == "holds" else {"s": float(s), "deviation": final}
     return ConditionReport(

@@ -163,13 +163,14 @@ class LinearizationData:
         return cls(G=G, theta=theta, O=O)
 
     @classmethod
-    def from_field(cls, field, config: ProblemConfig, fd_step: float = 1e-6) -> "LinearizationData":
+    def from_field(cls, field, config: ProblemConfig) -> "LinearizationData":
         """Use the field's analytic u-Jacobian at zero when available, else
-        central finite differences at (x=midpoint, u=0, du=0)."""
+        central finite differences at (x=midpoint, u=0, du=0; ``dU=None`` for
+        a field that does not read u')."""
         if field.jac0 is not None:
             return cls.from_G(field.jac0, config)
         zero = np.zeros((config.m, 1))
-        G = _u_jacobian(field, np.array([0.5]), zero, zero, fd_step)[:, :, 0]
+        G = _u_jacobian(field, np.array([0.5]), zero, zero if field.reads_du else None)[:, :, 0]
         return cls.from_G(0.5 * (G + G.T), config)
 
 

@@ -5,7 +5,7 @@ kernel component."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
@@ -55,14 +55,7 @@ class LLReport:
     sampled_only: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "min_value": self.min_value,
-            "argmin_direction": list(self.argmin_direction) if self.argmin_direction else None,
-            "samples": self.samples,
-            "sampled_only": self.sampled_only,
-        }
+        return asdict(self)
 
 
 def degree_sets(config: ProblemConfig) -> DegreeSets:

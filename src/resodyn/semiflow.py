@@ -4,7 +4,7 @@ flow identity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -449,9 +449,7 @@ class AprioriBounds:
     R0_plus: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("c", "C5", "C6", "C7", "alpha", "norm_Qminus", "norm_Qplus",
-                 "R0_minus", "R0_plus")}
+        return asdict(self)
 
 
 def apriori_bounds(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfig,
@@ -485,9 +483,7 @@ class BoundReport:
     transient_fraction: float
 
     def to_dict(self) -> dict:
-        return {"ratios": dict(self.ratios), "maxima": dict(self.maxima),
-                "slope_P1": self.slope_P1, "unbounded": self.unbounded,
-                "transient_fraction": self.transient_fraction}
+        return asdict(self)
 
 
 def _ratio(value: float, bound: float) -> float:
@@ -551,7 +547,7 @@ class HomotopyBox:
         return bool(np.all(self.membership(trajectory)))
 
     def to_dict(self) -> dict:
-        return {"R0": self.R0, "R1": self.R1, "R2": self.R2}
+        return asdict(self)
 
 
 def sample_states_in_box(basis: SpectralBasis, split: SplitIndexSet,

@@ -350,6 +350,32 @@ def test_connect_subcommand_finds_orbit(tmp_path, small_config):
     assert any((out / "trajectories").glob("connection_*.csv"))
 
 
+@pytest.mark.parametrize("config", ["small", "two_component"])
+def test_connect_runs_one_newton_search_after_the_origin(tmp_path, small_config, monkeypatch,
+                                                         config):
+    from resodyn.connections import unstable_directions
+    path = small_config if config == "small" else JSON_CFG
+    exp = load_config(path)
+    search = cli.find_equilibria
+    calls = []
+
+    def recorded(*args):
+        calls.append((len(args[-1]), search(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "find_equilibria", recorded)
+    assert cli.run_subcommand("connect", path, out_dir=tmp_path / "out") == 0
+    (first, (origin,)), (second, equilibria) = calls
+    directions = unstable_directions(exp.field, exp.basis, exp.problem, origin)
+    assert first == 0 and origin.is_origin
+    assert second == 4 + 2 * len(directions) and len(directions) > 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["stages"]["connect"]["equilibria"] == [eq.to_dict() for eq in equilibria]
+    # every equilibrium's Morse index counts its unstable directions
+    for eq in equilibria:
+        assert eq.morse_index == len(unstable_directions(exp.field, exp.basis, exp.problem, eq))
+
+
 def test_verdict_fields_complete(tmp_path):
     assert cli.run_subcommand("index", ARCTAN_CFG, out_dir=tmp_path) == 0
     report = json.loads((tmp_path / "report.json").read_text())

@@ -112,6 +112,21 @@ def test_no_unstable_directions_for_damped_field(basis32, desk_problem, desk_spl
     assert rd.unstable_directions(field, basis32, desk_problem, origin) == []
 
 
+def test_morse_index_counts_the_unstable_directions(basis32, desk_problem, desk_field,
+                                                    desk_equilibria):
+    for eq in desk_equilibria:
+        dirs = rd.unstable_directions(desk_field, basis32, desk_problem, eq)
+        assert eq.morse_index == len(dirs)
+
+
+def test_nearly_neutral_origin_is_not_unstable(basis32, desk_problem, desk_split):
+    # the resonant mode's eigenvalue is -1e-12, above -MORSE_TOL
+    field = rd.make_field("arctan(1e-12)", 1)
+    origin, = rd.find_equilibria(field, basis32, desk_split, desk_problem, [])
+    assert origin.is_origin and origin.morse_index == 0
+    assert rd.unstable_directions(field, basis32, desk_problem, origin) == []
+
+
 def test_shoot_miss_by_contract_on_stable_direction(basis32, desk_problem, desk_split,
                                                     desk_field, desk_equilibria):
     origin = next(eq for eq in desk_equilibria if eq.is_origin)
@@ -263,16 +278,11 @@ def test_batched_shots_match_single_two_components():
     cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]),) * 2, sigma=(0.0, 0.0))
     split = rd.classify(basis, cfg)
     field = rd.make_field("arctan(40)", 2)
-    equilibria = rd.find_equilibria(field, basis, split, cfg, [])
-    origin = equilibria[0]
+    origin, = rd.find_equilibria(field, basis, split, cfg, [])
     dirs = [d for _, d in rd.unstable_directions(field, basis, cfg, origin)]
-    for d in dirs:
-        for eq in rd.find_equilibria(field, basis, split, cfg,
-                                     [rd.GalerkinState(0.05 * d.coeffs),
-                                      rd.GalerkinState(-0.05 * d.coeffs)]):
-            if all(np.sqrt(np.sum((eq.state.coeffs - o.state.coeffs) ** 2)) > 1e-6
-                   for o in equilibria):
-                equilibria.append(eq)
+    equilibria = rd.find_equilibria(field, basis, split, cfg,
+                                    [rd.GalerkinState(sign * 0.05 * d.coeffs)
+                                     for d in dirs for sign in (1, -1)])
     settings = rd.IntegratorSettings(dt=1e-2, T=4.0, store_every=10)
     shots = _shoot_both(field, basis, split, cfg, origin,
                         [d for d in dirs for _ in range(2)], [1e-3, -1e-3] * len(dirs),

@@ -380,6 +380,29 @@ def test_custom_field_keeps_derivative(basis32, monkeypatch):
     assert np.array_equal(F, basis32.project(basis32.dvalues(c)))
 
 
+def test_fields_without_derivative_get_no_du_in_the_checks(basis32):
+    seen = []
+
+    def ev(x, U, dU):
+        assert dU is None
+        seen.append(U.shape)
+        return np.arctan(U)
+
+    field = rd.NonlinearField(
+        name="no-du", m=2, eval=ev, sigma=np.zeros(2),
+        f_plus=lambda x: np.full((2, x.size), np.pi / 2),
+        f_minus=lambda x: np.full((2, x.size), -np.pi / 2), bound_C3=np.pi / 2,
+        potential=lambda x, U: np.sum(U * np.arctan(U) - 0.5 * np.log1p(U ** 2), axis=0),
+        reads_du=False)
+    for k in (1, 2):
+        assert rd.verify_limits(field, k, basis=basis32).verdict == "holds"
+    rd.validate_potential(field)
+    cfg = _linearization_config(basis32)
+    lin = rd.LinearizationData.from_field(field, cfg)
+    assert np.allclose(lin.G, np.eye(2), atol=1e-8)
+    assert len(seen) == 4
+
+
 def _linearization_config(basis):
     return rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]), float(basis.mu[1])),
                             sigma=(0.0, 0.0))
