@@ -17,8 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .connections import (ConnectionRecord, find_equilibria, shoot_connection,
-                          unstable_directions)
+from .connections import ConnectionRecord, find_equilibria, shoot_connection
 from .decomposition import counts
 from .errors import ConfigurationError
 from .fields import (SampleGrid, _bounded_report, _eval_on_grid, _sign_report,
@@ -213,8 +212,7 @@ def _stage_connect(exp: ExperimentConfig, ctx: dict) -> dict:
     seeds = [GalerkinState(0.05 * rng.normal(size=(m, J)) / np.sqrt(m * J))
              for _ in range(4)]
     origin = next(iter(find_equilibria(exp.field, exp.basis, exp.split, exp.problem, [])), None)
-    directions = ([] if origin is None
-                  else unstable_directions(exp.field, exp.basis, exp.problem, origin))
+    directions = () if origin is None else origin.unstable
     # one Newton search: the random seeds, then +- 0.05 d for each unstable
     # direction d of the origin, in direction order
     seeds += [GalerkinState(sign * 0.05 * d.coeffs) for _, d in directions for sign in (1, -1)]
@@ -294,8 +292,7 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
         report["verdicts"] = _summarize(report, ctx)
         if write_json:
             (out / "report.json").write_text(
-                json.dumps(_sanitize(report), indent=2, sort_keys=True,
-                           default=_json_default) + "\n")
+                json.dumps(_sanitize(report), indent=2, sort_keys=True) + "\n")
         if write_csv:
             _write_csv_outputs(out, ctx)
         _print_summary(report)
@@ -307,14 +304,6 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure in stage {stage!r}: {exc}", file=sys.stderr)
         return 1
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _sanitize(obj):

@@ -37,21 +37,31 @@ MORSE_TOL = 1e-10           # a linearization eigenvalue below -MORSE_TOL is uns
 SETTLE_TOL = 1e-4           # a shot settles once it stays this close to one target
 DWELL = 1.0                 # ... and stays there this many time units
 DIRECTION_TOL = 1e-6        # eigen-residual bound (absolute or relative) of a direction
+POTENTIAL_SAMPLES = 32      # random points at which validate_potential checks the gradient
+POTENTIAL_SEED = 0
+POTENTIAL_TOL = 1e-6        # largest central-difference error of the potential's gradient
+POTENTIAL_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Newton-certified stationary point of u' = -A u + F(u).
-
-    ``morse_index`` counts the eigenvalues below -MORSE_TOL of the
-    self-adjoint discrete linearization diag(mu_j - lambda_k) - K(u*), i.e.
-    the unstable directions of the forward flow.
+    """Newton-certified stationary point of u' = -A u + F(u), as accepted by
+    ``find_equilibria``: ``linearization`` is the read-only self-adjoint
+    discrete linearization diag(mu_j - lambda_k) - K(u*) there, and
+    ``unstable`` its (eigenvalue, unit eigenvector) pairs with eigenvalue
+    below -MORSE_TOL, most unstable first (the unstable directions of the
+    forward flow), which ``morse_index`` counts.
     """
 
     state: GalerkinState
     residual: float
-    morse_index: int
     is_origin: bool
+    linearization: np.ndarray
+    unstable: tuple[tuple[float, GalerkinState], ...]
+
+    @property
+    def morse_index(self) -> int:
+        return len(self.unstable)
 
     def to_dict(self) -> dict:
         return {"residual": self.residual, "morse_index": self.morse_index,
@@ -60,7 +70,7 @@ class Equilibrium:
 
 
 def _residual(field, basis, config, c):
-    F = galerkin_F(field, basis, GalerkinState(c)).coeffs
+    F = galerkin_F(field, basis, GalerkinState._trusted(c)).coeffs
     return -diag_A(basis, config) * c + F
 
 
@@ -84,21 +94,17 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
     """Damped Newton on -A u + F(u) = 0 from each seed.
 
     Finite-difference Jacobian, backtracking on the residual norm;
-    non-converged seeds are dropped.  Results keep seed order, each dropped
-    when within DEDUP_TOL (L2) of an earlier one, and the origin is
-    prepended whenever the field vanishes there.
+    non-converged seeds are dropped.  The candidates are the origin, whenever
+    the field vanishes there, then the seeds' roots in seed order; each is
+    dropped when within DEDUP_TOL (L2) of an earlier one.  This is the one
+    place that linearizes an equilibrium: every accepted one carries its
+    ``discrete_linearization`` and that matrix's unstable spectrum, solved
+    once by ``_block_eigh``.
     """
     m, J = config.m, basis.J
-    found: list[Equilibrium] = []
-
-    zero = GalerkinState.zeros(m, J)
-    origin_res = float(np.sqrt(np.sum(_residual(field, basis, config, zero.coeffs) ** 2)))
-    if origin_res <= NEWTON_TOL:
-        found.append(Equilibrium(
-            state=zero, residual=origin_res,
-            morse_index=_morse_index(field, basis, config, zero),
-            is_origin=True))
-
+    zero = np.zeros((m, J))
+    origin_res = np.sqrt(np.sum(_residual(field, basis, config, zero) ** 2))
+    roots = [(zero, origin_res)] if origin_res <= NEWTON_TOL else []
     for seed_idx, seed in enumerate(seeds):
         c = np.atleast_2d(np.asarray(seed.coeffs, dtype=float)).copy()
         if c.shape != (m, J):
@@ -125,17 +131,25 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
                 lam_damp *= 0.5
             else:
                 break
-        if not converged:
+        if converged:
+            roots.append((c, rnorm))
+        else:
             log.warning("Newton did not converge from seed %d (|R| = %.3e); discarded",
                         seed_idx, float(rnorm))
-            continue
-        state = GalerkinState(c)
+
+    found: list[Equilibrium] = []
+    for c, rnorm in roots:
         if any(np.sqrt(np.sum((c - eq.state.coeffs) ** 2)) <= DEDUP_TOL for eq in found):
             continue
+        state = GalerkinState(c)
+        L = discrete_linearization(field, basis, config, state)
+        vals, vecs = _block_eigh(L)
+        L.flags.writeable = vecs.flags.writeable = False  # shared by every reader
         found.append(Equilibrium(
             state=state, residual=float(rnorm),
-            morse_index=_morse_index(field, basis, config, state),
-            is_origin=bool(np.sqrt(np.sum(c ** 2)) <= DEDUP_TOL)))
+            is_origin=bool(np.sqrt(np.sum(c ** 2)) <= DEDUP_TOL), linearization=L,
+            unstable=tuple((float(vals[i]), GalerkinState(vecs[:, i].reshape(m, J)))
+                           for i in np.flatnonzero(vals < -MORSE_TOL))))
     return found
 
 
@@ -156,11 +170,6 @@ def discrete_linearization(field: NonlinearField, basis: SpectralBasis,
             K[k * J:(k + 1) * J, kp * J:(kp + 1) * J] = block
     K = 0.5 * (K + K.T)
     return np.diag(diag_A(basis, config).ravel()) - K
-
-
-def _morse_index(field, basis, config, state):
-    L = discrete_linearization(field, basis, config, state)
-    return int(np.sum(np.linalg.eigvalsh(L) < -MORSE_TOL))
 
 
 def _components(pattern: np.ndarray) -> np.ndarray:
@@ -207,33 +216,33 @@ def _block_eigh(L: np.ndarray):
 def unstable_directions(field: NonlinearField, basis: SpectralBasis,
                         config: ProblemConfig, eq: Equilibrium) -> list[tuple[float, GalerkinState]]:
     """(eigenvalue, unit direction) pairs with linearization eigenvalue
-    below -MORSE_TOL, most unstable first: one per unit of the Morse index."""
-    L = discrete_linearization(field, basis, config, eq.state)
-    vals, vecs = _block_eigh(L)
-    return [(float(vals[i]), GalerkinState(vecs[:, i].reshape(config.m, basis.J)))
-            for i in np.flatnonzero(vals < -MORSE_TOL)]
+    below -MORSE_TOL, most unstable first: one per unit of the Morse index.
+    ``find_equilibria`` solved them when it accepted ``eq`` (under this
+    field, basis and config); this lists ``eq.unstable``."""
+    return list(eq.unstable)
 
 
-def validate_potential(field: NonlinearField, samples: int = 32, seed: int = 0,
-                       tol: float = 1e-6, fd_step: float = 1e-5) -> None:
-    """Check d potential / d s_k = f_k by central differences at random points."""
+def validate_potential(field: NonlinearField) -> None:
+    """Check d potential / d s_k = f_k by central differences (step
+    POTENTIAL_FD_STEP) at POTENTIAL_SAMPLES random points, to POTENTIAL_TOL."""
     if field.potential is None:
         raise GradientStructureError(f"field {field.name!r} declares no potential")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.05, 0.95, size=samples)
-    U = rng.uniform(-3.0, 3.0, size=(field.m, samples))
+    rng = np.random.default_rng(POTENTIAL_SEED)
+    x = rng.uniform(0.05, 0.95, size=POTENTIAL_SAMPLES)
+    U = rng.uniform(-3.0, 3.0, size=(field.m, POTENTIAL_SAMPLES))
     f = np.asarray(field.eval(x, U, np.zeros_like(U) if field.reads_du else None))
     for k in range(field.m):
         Up = U.copy()
         Um = U.copy()
-        Up[k] += fd_step
-        Um[k] -= fd_step
-        dpot = (np.asarray(field.potential(x, Up)) - np.asarray(field.potential(x, Um))) / (2 * fd_step)
+        Up[k] += POTENTIAL_FD_STEP
+        Um[k] -= POTENTIAL_FD_STEP
+        dpot = ((np.asarray(field.potential(x, Up)) - np.asarray(field.potential(x, Um)))
+                / (2 * POTENTIAL_FD_STEP))
         err = float(np.max(np.abs(dpot - f[k])))
-        if err > tol:
+        if err > POTENTIAL_TOL:
             raise GradientStructureError(
                 f"potential inconsistent with component {k + 1}: "
-                f"finite-difference error {err:.3e} > {tol:g}"
+                f"finite-difference error {err:.3e} > {POTENTIAL_TOL:g}"
             )
 
 
@@ -298,14 +307,14 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
     other equilibrium for at least DWELL time units, or the horizon runs
     out.
 
-    ``direction`` must be a unit eigenvector of the discrete linearization at
-    the source with negative eigenvalue (an unstable direction of the
-    forward flow); otherwise the shot is a miss by contract.  Returns a
-    ConnectionRecord or a ShootMiss.  ``direction`` and ``eps`` may also be
-    equal-length sequences, one shot per pair: every shot then marches in
-    one (B, m, J) stack through ``integrate_ensemble``, a connected shot
-    leaves it as it settles, and the results come back as a list in input
-    order.
+    ``source`` comes from ``find_equilibria``.  ``direction`` must be a unit
+    eigenvector of ``source.linearization`` with negative eigenvalue (an
+    unstable direction of the forward flow); otherwise the shot is a miss by
+    contract.  Returns a ConnectionRecord or a ShootMiss.  ``direction`` and
+    ``eps`` may also be equal-length sequences, one shot per pair: every shot
+    then marches in one (B, m, J) stack through ``integrate_ensemble``, a
+    connected shot leaves it as it settles, and the results come back as a
+    list in input order.
     """
     single = isinstance(direction, GalerkinState)
     directions = [direction] if single else list(direction)
@@ -317,7 +326,7 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
         nrm = np.sqrt(np.sum(d.coeffs ** 2))
         if abs(nrm - 1.0) > 1e-8:
             raise ConfigurationError(f"direction must be a unit state, norm={nrm}")
-    L = discrete_linearization(field, basis, config, source.state)
+    L = source.linearization
     results: list = [None] * len(directions)
     shots = []
     for i, d in enumerate(directions):

@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 U_JACOBIAN_STEP = 1e-6  # central-difference step of the field's u-Jacobian
+LIMIT_DRAWS = 20        # sampled (u, du) draws of verify_limits without a grid
+LIMIT_TOL = 1e-3        # deviation at s above which verify_limits rejects the limits
 
 
 @dataclass
@@ -254,12 +256,13 @@ def _sign_report(field: NonlinearField, k: int, sign: str, hvals: np.ndarray,
 
 def verify_limits(field: NonlinearField, k: int, s: float = 1e6,
                   grid: Optional[SampleGrid] = None, basis: Optional[SpectralBasis] = None,
-                  draws: int = 20, seed: int = 0, tol: float = 1e-3) -> ConditionReport:
+                  seed: int = 0) -> ConditionReport:
     """Check |s|^sigma_k f_k(x, u +- s e_k, du) -> f_k^{+-}(x) over samples.
 
     The declared limits are rejected when the deviation at ``s`` (at least
-    1e6) exceeds ``tol``.  Uniformity is checked only over the finite sample
-    set.
+    1e6) exceeds LIMIT_TOL.  Without a ``grid``, the samples are LIMIT_DRAWS
+    draws of ``SampleGrid.default``.  Uniformity is checked only over the
+    finite sample set.
     """
     if not s >= 1e6:
         raise ConfigurationError(f"s must be at least 1e6, got {s}")
@@ -267,7 +270,7 @@ def verify_limits(field: NonlinearField, k: int, s: float = 1e6,
         if basis is None:
             raise ConfigurationError("verify_limits needs a grid or a basis")
         grid = SampleGrid.default(basis, field.m, u_box=10.0, du_box=10.0,
-                                  draws=draws, seed=seed)
+                                  draws=LIMIT_DRAWS, seed=seed)
     sigma_k = field.sigma[k - 1]
     fp = np.asarray(field.f_plus(grid.x), dtype=float)[k - 1]
     fm = np.asarray(field.f_minus(grid.x), dtype=float)[k - 1]
@@ -277,10 +280,10 @@ def verify_limits(field: NonlinearField, k: int, s: float = 1e6,
     stacked = SampleGrid(grid.x, u, np.tile(grid.du_draws, (2, 1)))
     vals = abs(s) ** sigma_k * _eval_on_grid(field, stacked)[:, k - 1, :]
     final = float(np.max(np.abs(vals - np.repeat([fp, fm], grid.u_draws.shape[0], axis=0))))
-    verdict = "holds" if final <= tol else "fails"
+    verdict = "holds" if final <= LIMIT_TOL else "fails"
     witness = None if verdict == "holds" else {"s": float(s), "deviation": final}
     return ConditionReport(
-        "LIMITS", verdict, margin=tol - final, witness=witness,
+        "LIMITS", verdict, margin=LIMIT_TOL - final, witness=witness,
         detail=f"component {k}: sup deviation {final:.3e} at s={s:.3g} "
                f"(checked on {grid.u_draws.shape[0]} samples only)",
     )

@@ -27,6 +27,8 @@ __all__ = [
     "connection_verdict",
 ]
 
+RESONANCE_TOL = 1e-8  # relative gap |theta_k - mu_j| at or below which the origin is resonant
+
 SIGN_PAIRS = {
     ("+", "+"): "plus_plus",
     ("-", "-"): "minus_minus",
@@ -174,8 +176,7 @@ class LinearizationData:
         return cls.from_G(0.5 * (G + G.T), config)
 
 
-def d_zero(basis: SpectralBasis, config: ProblemConfig, lin: LinearizationData,
-           tol: float = 1e-8) -> int:
+def d_zero(basis: SpectralBasis, config: ProblemConfig, lin: LinearizationData) -> int:
     """Count of eigenvalues below the shifted matrix spectrum:
     sum_k #{ j : mu_j < theta_k }.
 
@@ -192,7 +193,7 @@ def d_zero(basis: SpectralBasis, config: ProblemConfig, lin: LinearizationData,
         )
     for t in theta:
         scale = max(1.0, abs(t))
-        if np.any(np.abs(mu - t) <= tol * scale):
+        if np.any(np.abs(mu - t) <= RESONANCE_TOL * scale):
             raise HypothesisError(
                 f"theta={t:.8g} coincides with an eigenvalue of the diffusion "
                 "operator; the linearization at the origin is resonant"
@@ -213,14 +214,13 @@ def d_zero(basis: SpectralBasis, config: ProblemConfig, lin: LinearizationData,
     return count
 
 
-def nonresonance_at_origin(basis: SpectralBasis, lin: LinearizationData,
-                           tol: float = 1e-8) -> bool:
+def nonresonance_at_origin(basis: SpectralBasis, lin: LinearizationData) -> bool:
     """True iff the spectra of the diffusion operator and of G + Lambda are
-    disjoint: min |theta_k - mu_j| > tol (relative)."""
+    disjoint: min |theta_k - mu_j| > RESONANCE_TOL (relative)."""
     mu = basis.mu
     for t in lin.theta:
         scale = max(1.0, abs(t), float(np.max(np.abs(mu))))
-        if np.min(np.abs(mu - t)) <= tol * scale:
+        if np.min(np.abs(mu - t)) <= RESONANCE_TOL * scale:
             return False
     return True
 
@@ -285,9 +285,5 @@ class IndexReport:
             "d0": self.d0,
             "ll": self.ll_flags,
             "conditions": self.c_flags,
-            "h_K_zero": self.verdict.to_dict()["h_K_zero"],
-            "h_K_infinity": self.verdict.to_dict()["h_K_infinity"],
-            "theorem_applied": self.verdict.theorem_applied,
-            "connection_predicted": self.verdict.connection_predicted,
-            "reason": self.verdict.reason,
+            **self.verdict.to_dict(),
         }

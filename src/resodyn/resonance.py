@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 V_RADIUS = 10.0  # radius of the complementary kernel ball guiding_margin draws v from
+PANEL_LEVELS = 40  # geometric refinements toward each end of a sign-set interval
 
 @dataclass(frozen=True)
 class DegreeSets:
@@ -82,7 +83,7 @@ def block_modes(split: SplitIndexSet, which: int) -> tuple[tuple[int, int], ...]
     return tuple((int(k) + 1, int(j) + 1) for k, j in np.argwhere(_block_mask(split, which)))
 
 
-def _graded_panels(a: float, b: float, levels: int = 40) -> list[tuple[float, float]]:
+def _graded_panels(a: float, b: float) -> list[tuple[float, float]]:
     """Panels of [a, b] refined geometrically toward both endpoints.
 
     The sign-set integrand behaves like (distance to endpoint)^{1-sigma}
@@ -91,8 +92,8 @@ def _graded_panels(a: float, b: float, levels: int = 40) -> list[tuple[float, fl
     """
     c = 0.5 * (a + b)
     cuts = [a]
-    cuts += [a + (c - a) * 2.0 ** (-k) for k in range(levels, 0, -1)]
-    cuts += [b - (b - c) * 2.0 ** (-k) for k in range(1, levels + 1)]
+    cuts += [a + (c - a) * 2.0 ** (-k) for k in range(PANEL_LEVELS, 0, -1)]
+    cuts += [b - (b - c) * 2.0 ** (-k) for k in range(1, PANEL_LEVELS + 1)]
     cuts.append(b)
     return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
 

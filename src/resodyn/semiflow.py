@@ -45,6 +45,7 @@ SCHEMES = ("ETD1", "IMEX-Euler")
 MAX_STEPS = 10 ** 7
 
 DRIFT_TOL = 1e-3  # kernel-seminorm slope above which a run is flagged unbounded
+TRANSIENT_FRACTION = 0.2  # leading share of a trajectory that the bound check skips
 BOX_FILL = 0.9    # share of each box radius that sampled initial states fill
 
 
@@ -314,7 +315,8 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     times = [[0.0] for _ in c]
     coeffs = [[row] for row in c]
     diverged = np.zeros(s.size, dtype=bool)
-    for n in range(1, settings.nsteps + 1):
+    nsteps = settings.nsteps
+    for n in range(1, nsteps + 1):
         H = _homotopy(field, basis, plan, c)
         if settings.scheme == "ETD1":
             E, dtP = factors
@@ -331,7 +333,7 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
             if done is not False:
                 leave = hit.copy()
                 leave[live] |= done
-        stored = n % settings.store_every == 0 or n == settings.nsteps
+        stored = n % settings.store_every == 0 or n == nsteps
         gone = leave.any()
         if stored or gone:
             diverged[members[hit]] = True
@@ -385,7 +387,6 @@ class BlowupReport:
 
 def blowup_demo(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfig,
                 v0: GalerkinState, T: float,
-                settings: Optional[IntegratorSettings] = None,
                 u0: Optional[GalerkinState] = None) -> tuple[Trajectory, BlowupReport]:
     """Integrate u' = -A u + v0 for a kernel-valued constant forcing.
 
@@ -398,7 +399,6 @@ def blowup_demo(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfi
         raise ConfigurationError("v0 must be supported on kernel modes only")
     if not np.any(v0.coeffs != 0.0):
         raise ConfigurationError("v0 must be nonzero")
-    settings = IntegratorSettings(dt=1e-3, T=T) if settings is None else replace(settings, T=T)
     vvals = basis.values(v0.coeffs)
     m = config.m
 
@@ -411,7 +411,7 @@ def blowup_demo(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfi
         bound_C3=float(np.max(np.abs(vvals))), reads_du=False,
     )
     start = u0 if u0 is not None else GalerkinState.zeros(m, basis.J)
-    traj = integrate(const_field, basis, split, config, 1.0, start, settings)
+    traj = integrate(const_field, basis, split, config, 1.0, start, IntegratorSettings(1e-3, T))
     slopes, expected = {}, {}
     max_res = 0.0
     for k, j in np.argwhere(kmask):
@@ -493,16 +493,16 @@ def _ratio(value: float, bound: float) -> float:
 
 
 def check_bounded_solution(trajectory: Trajectory, bounds: AprioriBounds,
-                           R1: float, R2: float, transient_fraction: float = 0.2) -> BoundReport:
+                           R1: float, R2: float) -> BoundReport:
     """Check the four componentwise norms against their radii after the
-    transient, and flag kernel drift.
+    transient (the first TRANSIENT_FRACTION of the samples), and flag kernel drift.
 
     Boundedness detection is window growth: the run is flagged unbounded if
     the linear-fit slope of the first-block kernel seminorm over the last
     half of the horizon exceeds DRIFT_TOL (or the integrator diverged).
     """
     n = trajectory.times.size
-    start = int(np.floor(transient_fraction * n))
+    start = int(np.floor(TRANSIENT_FRACTION * n))
     start = min(start, n - 1)
     tail = slice(start, None)
     maxima = {
@@ -523,7 +523,7 @@ def check_bounded_solution(trajectory: Trajectory, bounds: AprioriBounds,
     slope = float(np.polyfit(t, p1, 1)[0]) if t.size >= 2 else 0.0
     unbounded = trajectory.diverged or slope > DRIFT_TOL
     return BoundReport(ratios=ratios, maxima=maxima, slope_P1=slope,
-                       unbounded=unbounded, transient_fraction=transient_fraction)
+                       unbounded=unbounded, transient_fraction=TRANSIENT_FRACTION)
 
 
 @dataclass(frozen=True)

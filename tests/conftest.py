@@ -34,6 +34,29 @@ def desk_equilibria(basis32, desk_problem, desk_split, desk_field):
     return eqs
 
 
+@pytest.fixture(scope="session")
+def assert_stored_spectrum():
+    """Checks that an equilibrium's linearization and unstable pairs are bit
+    for bit a fresh ``discrete_linearization`` and its ``_block_eigh``
+    solve, and that ``unstable_directions`` returns those pairs."""
+    from resodyn.connections import MORSE_TOL, _block_eigh
+
+    def check(field, basis, problem, eq):
+        L = rd.discrete_linearization(field, basis, problem, eq.state)
+        assert np.array_equal(eq.linearization, L) and not eq.linearization.flags.writeable
+        vals, vecs = _block_eigh(L)
+        keep = np.flatnonzero(vals < -MORSE_TOL)
+        dirs = rd.unstable_directions(field, basis, problem, eq)
+        assert [r for r, _ in dirs] == [r for r, _ in eq.unstable] == vals[keep].tolist()
+        for (_, d), (_, stored), i in zip(dirs, eq.unstable, keep):
+            assert np.array_equal(d.coeffs, stored.coeffs)
+            assert np.array_equal(stored.coeffs, vecs[:, i].reshape(stored.coeffs.shape))
+        # the dense count of the whole matrix agrees with the block solve
+        assert eq.morse_index == keep.size == int(np.sum(np.linalg.eigvalsh(L) < -MORSE_TOL))
+
+    return check
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)

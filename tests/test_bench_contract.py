@@ -1,0 +1,32 @@
+"""The bench's per-layer probes (``bench/run.py --trace 1``) call the
+program's functions by name; a rename that breaks them fails here."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+# the thread pools bench/run.py pins when it is imported
+POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def test_layer_micro_loops_run_on_a_shoot_connect_setup(tmp_path, monkeypatch):
+    # importing bench/run.py sets these variables and puts bench/ on
+    # sys.path; both are restored after the test
+    for var in POOL_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_run", REPO / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    import layers
+
+    setup = run.Setup("shoot-connect", 1, tmp_path)
+    metrics = layers.micro(setup)
+    names = {name for name, _ in layers.PER_LAYER}
+    assert set(metrics) <= names
+    assert {"connections.newton_iter_ms", "connections.linearization_ms",
+            "connections.shoot_step_us"} <= set(metrics)
+    assert all(math.isfinite(value) for value in metrics.values())

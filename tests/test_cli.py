@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,42 @@ def test_connect_runs_one_newton_search_after_the_origin(tmp_path, small_config,
     # every equilibrium's Morse index counts its unstable directions
     for eq in equilibria:
         assert eq.morse_index == len(unstable_directions(exp.field, exp.basis, exp.problem, eq))
+
+
+@pytest.mark.parametrize("config", ["small", "two_component"])
+def test_connect_linearizes_each_equilibrium_once(tmp_path, small_config, monkeypatch, config,
+                                                  assert_stored_spectrum):
+    # the origin is linearized by each of the stage's two searches, every
+    # other equilibrium by its own, and no Morse index is a dense eigvalsh
+    import resodyn.connections as connections
+    path = small_config if config == "small" else JSON_CFG
+    exp = load_config(path)
+    linearized, dense, searches = [], [], []
+    linearize, eigvalsh, search = (connections.discrete_linearization, np.linalg.eigvalsh,
+                                   cli.find_equilibria)
+
+    def counted_linearize(field, basis, problem, at):
+        linearized.append(not np.any(at.coeffs))
+        return linearize(field, basis, problem, at)
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        dense.append(sys._getframe(1).f_globals["__name__"])
+        return eigvalsh(a, *args, **kwargs)
+
+    def recorded(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(connections, "discrete_linearization", counted_linearize)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(cli, "find_equilibria", recorded)
+    assert cli.run_subcommand("connect", path, out_dir=tmp_path / "out") == 0
+    monkeypatch.undo()
+    assert linearized.count(True) == 2
+    assert len(linearized) == sum(map(len, searches))
+    assert "resodyn.connections" not in dense
+    for eq in (eq for found in searches for eq in found):
+        assert_stored_spectrum(exp.field, exp.basis, exp.problem, eq)
 
 
 def test_verdict_fields_complete(tmp_path):

@@ -113,10 +113,28 @@ def test_no_unstable_directions_for_damped_field(basis32, desk_problem, desk_spl
 
 
 def test_morse_index_counts_the_unstable_directions(basis32, desk_problem, desk_field,
-                                                    desk_equilibria):
+                                                    desk_equilibria, assert_stored_spectrum):
     for eq in desk_equilibria:
         dirs = rd.unstable_directions(desk_field, basis32, desk_problem, eq)
         assert eq.morse_index == len(dirs)
+        assert_stored_spectrum(desk_field, basis32, desk_problem, eq)
+
+
+def test_shoot_connection_builds_no_linearization(basis32, desk_problem, desk_split,
+                                                  desk_field, desk_equilibria, monkeypatch):
+    from resodyn import connections
+    origin = next(eq for eq in desk_equilibria if eq.is_origin)
+    _, second = rd.unstable_directions(desk_field, basis32, desk_problem, origin)[1]
+
+    def refuse(*args):
+        raise AssertionError("shoot_connection linearized its source")
+
+    monkeypatch.setattr(connections, "discrete_linearization", refuse)
+    shots = rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, origin,
+                                [second, rd.GalerkinState.unit(1, 32, 1, 3)], [1e-3, 1e-3],
+                                rd.IntegratorSettings(dt=1e-2, T=4.0), desk_equilibria)
+    assert isinstance(shots[0], rd.ConnectionRecord)
+    assert shots[1].reason == "not-unstable"
 
 
 def test_nearly_neutral_origin_is_not_unstable(basis32, desk_problem, desk_split):
