@@ -43,16 +43,22 @@ _STAGE_CHAIN = {
 }
 
 
-def _stage_spectrum(exp: ExperimentConfig, ctx: dict) -> dict:
+# A stage is stage(exp, stages, files) -> dict: it reads the parts that
+# earlier stages returned from ``stages`` (the report's "stages"), and puts
+# each output file it makes into ``files``, as a path relative to the output
+# directory mapped to a zero-argument callable that returns the file's text
+# (None for a directory that is kept even when empty).
+
+
+def _stage_spectrum(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
     rows = [{"j": j, "mu": mu} for j, mu in enumerate(exp.basis.mu.tolist(), start=1)]
-    ctx["spectrum_csv"] = "j,mu\n" + "\n".join(
+    files["spectrum.csv"] = lambda: "j,mu\n" + "\n".join(
         f"{r['j']},{r['mu']:.17g}" for r in rows) + "\n"
     return {"J": exp.basis.J, "length": exp.basis.domain.length, "eigenvalues": rows}
 
 
-def _stage_decompose(exp: ExperimentConfig, ctx: dict) -> dict:
+def _stage_decompose(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
     cv = counts(exp.split)
-    ctx["counts"] = cv
     return {
         "counts": {"d_inf": cv.d_inf, "n1": cv.n1, "n2": cv.n2},
         "gap": exp.split.gap,
@@ -64,7 +70,7 @@ def _stage_decompose(exp: ExperimentConfig, ctx: dict) -> dict:
     }
 
 
-def _stage_check(exp: ExperimentConfig, ctx: dict) -> dict:
+def _stage_check(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
     grid = SampleGrid.default(exp.basis, exp.problem.m, seed=exp.seed)
     # one evaluation on the grid serves F2 and every sign condition
     vals = _eval_on_grid(exp.field, grid)
@@ -85,7 +91,6 @@ def _stage_check(exp: ExperimentConfig, ctx: dict) -> dict:
         sign_reports[sign] = [r.to_dict() for r in per_component]
     limits = [verify_limits(exp.field, k, basis=exp.basis, seed=exp.seed)
               for k in range(1, exp.problem.m + 1)]
-    ctx["c_flags"] = c_flags
     return {
         "F2": f2.to_dict(),
         "sign_conditions": sign_reports,
@@ -94,23 +99,19 @@ def _stage_check(exp: ExperimentConfig, ctx: dict) -> dict:
     }
 
 
-def _stage_ll(exp: ExperimentConfig, ctx: dict) -> dict:
-    reports = {}
-    for condition in ("LL1+", "LL1-", "LL2+", "LL2-"):
-        rep = evaluate_LL(exp.field, exp.basis, exp.split, exp.problem, condition,
-                          samples=exp.run["ll_samples"], seed=exp.seed)
-        reports[condition] = rep
-    ctx["ll_reports"] = reports
-    return {name: rep.to_dict() for name, rep in reports.items()}
+def _stage_ll(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
+    return {condition: evaluate_LL(exp.field, exp.basis, exp.split, exp.problem, condition,
+                                   samples=exp.run["ll_samples"], seed=exp.seed).to_dict()
+            for condition in ("LL1+", "LL1-", "LL2+", "LL2-")}
 
 
-def _resolved_sign(ctx: dict, block: int):
+def _resolved_sign(stages: dict, block: int):
     """Combine the sampled sign-condition and resonance-functional verdicts
     into one verified sign for the block (or 'vacuous' / None)."""
-    ll = ctx["ll_reports"]
-    c = ctx["c_flags"]
-    plus = ll[f"LL{block}+"].verdict
-    minus = ll[f"LL{block}-"].verdict
+    ll = stages["ll"]
+    c = stages["check"]["c_flags"]
+    plus = ll[f"LL{block}+"]["verdict"]
+    minus = ll[f"LL{block}-"]["verdict"]
     if plus == "vacuous":
         return "vacuous"
     if plus == "holds" and c[f"C{block}+"] in ("holds", "vacuous"):
@@ -120,22 +121,20 @@ def _resolved_sign(ctx: dict, block: int):
     return None
 
 
-def _stage_index(exp: ExperimentConfig, ctx: dict) -> dict:
-    cv = ctx["counts"]
-    ll1 = _resolved_sign(ctx, 1)
-    ll2 = _resolved_sign(ctx, 2)
+def _stage_index(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
+    cv = counts(exp.split)
+    ll1 = _resolved_sign(stages, 1)
+    ll2 = _resolved_sign(stages, 2)
     lin = LinearizationData.from_field(exp.field, exp.problem)
     nonres = nonresonance_at_origin(exp.basis, lin)
     d0 = d_zero(exp.basis, exp.problem, lin) if nonres else None
     verdict = connection_verdict(cv, d0 if d0 is not None else 0, ll1, ll2, nonres)
     report = IndexReport(
         counts=cv, d0=d0,
-        ll_flags={k: v.verdict for k, v in ctx["ll_reports"].items()},
-        c_flags=dict(ctx["c_flags"]),
+        ll_flags={k: v["verdict"] for k, v in stages["ll"].items()},
+        c_flags=dict(stages["check"]["c_flags"]),
         verdict=verdict,
     )
-    ctx["index"] = report
-    ctx["signs"] = (ll1, ll2)
     out = report.to_dict()
     out["theta"] = [float(t) for t in lin.theta]
     out["nonresonant_at_origin"] = nonres
@@ -150,24 +149,24 @@ def _bound_constant(exp: ExperimentConfig) -> float:
     return float(C3) * float(np.sqrt(exp.problem.m * exp.basis.domain.length))
 
 
-def _stage_simulate(exp: ExperimentConfig, ctx: dict) -> dict:
+def _stage_simulate(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
     run = exp.run
     C6 = _bound_constant(exp)
     bounds = apriori_bounds(exp.basis, exp.split, exp.problem, C6)
     # a vacuous block 2 has no margins and radius 0; a block whose margins are
     # never positive has no certified radius (inf)
     margins, radius = {}, {2: 0.0}
-    blocks = (1, 2) if exp.problem.l < exp.problem.m and ctx["counts"].n2 > 0 else (1,)
+    blocks = (1, 2) if exp.problem.l < exp.problem.m and counts(exp.split).n2 > 0 else (1,)
     for which in blocks:
         margins[which] = guiding_margin(
             exp.field, exp.basis, exp.split, exp.problem, which=which,
             W_radius=max(bounds.R0_minus, bounds.R0_plus),
             R_grid=run["margin_R_grid"], samples=run["margin_samples"],
-            sign="-" if ctx["signs"][which - 1] == "-" else "+", seed=exp.seed + which - 1)
+            sign="-" if _resolved_sign(stages, which) == "-" else "+", seed=exp.seed + which - 1)
         radius[which] = next((R for R, margin in margins[which].rows if margin > 0),
                              float("inf"))
     box = HomotopyBox(R0=max(bounds.R0_minus, bounds.R0_plus), R1=radius[1], R2=radius[2])
-    ctx["margins_csv"] = margins[1].to_csv()
+    files["margins.csv"] = margins[1].to_csv
     # an uncertified kernel radius leaves the box unbounded there; sample
     # seeds from the largest margin radius instead
     fallback = float(max(run["margin_R_grid"]))
@@ -185,16 +184,15 @@ def _stage_simulate(exp: ExperimentConfig, ctx: dict) -> dict:
                                   [s for _, s, _ in pairs], [u0 for _, _, u0 in pairs],
                                   exp.settings)
     runs = []
-    trajectories = {}
+    files["trajectories"] = None
     for (label, s, _), traj in zip(pairs, ensemble):
         rep = check_bounded_solution(traj, bounds, box.R1, box.R2)
-        trajectories[label] = traj
+        files[f"trajectories/{label}.csv"] = traj.to_csv
         runs.append({
             "label": label, "s": s, "diverged": traj.diverged,
             "stayed_in_box": box.contains(traj),
             "bound_report": rep.to_dict(),
         })
-    ctx["trajectories"] = trajectories
     return {
         "C6": C6,
         "bounds": bounds.to_dict(),
@@ -205,7 +203,7 @@ def _stage_simulate(exp: ExperimentConfig, ctx: dict) -> dict:
     }
 
 
-def _stage_connect(exp: ExperimentConfig, ctx: dict) -> dict:
+def _stage_connect(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
     run = exp.run
     rng = np.random.default_rng(exp.seed)
     m, J = exp.problem.m, exp.basis.J
@@ -218,7 +216,7 @@ def _stage_connect(exp: ExperimentConfig, ctx: dict) -> dict:
     seeds += [GalerkinState(sign * 0.05 * d.coeffs) for _, d in directions for sign in (1, -1)]
     equilibria = find_equilibria(exp.field, exp.basis, exp.split, exp.problem, seeds)
     shots = []
-    records = []
+    files["trajectories"] = None
     if origin is not None:
         # every direction x eps shot marches in one stack, in this order
         grid = [(d_idx, rate, direction, float(eps))
@@ -229,21 +227,18 @@ def _stage_connect(exp: ExperimentConfig, ctx: dict) -> dict:
             [direction for _, _, direction, _ in grid], [eps for *_, eps in grid],
             exp.settings, equilibria)
         for (d_idx, rate, _, eps), result in zip(grid, results):
-            entry = {"direction": d_idx, "rate": rate, "eps": eps}
-            if isinstance(result, ConnectionRecord):
-                entry["outcome"] = "connected"
-                entry.update(result.to_dict())
-                records.append((d_idx, eps, result))
-            else:
-                entry["outcome"] = "miss"
-                entry.update(result.to_dict())
-            shots.append(entry)
-    ctx["connections"] = records
+            connected = isinstance(result, ConnectionRecord)
+            shots.append({"direction": d_idx, "rate": rate, "eps": eps,
+                          "outcome": "connected" if connected else "miss",
+                          **result.to_dict()})
+            if connected:
+                files[f"trajectories/connection_d{d_idx}_eps{eps:g}.csv"] = (
+                    result.trajectory.to_csv)
     return {
-        "connection_predicted": ctx["index"].verdict.connection_predicted,
+        "connection_predicted": stages["index"]["connection_predicted"],
         "equilibria": [eq.to_dict() for eq in equilibria],
         "shots": shots,
-        "connections_found": len(records),
+        "connections_found": sum(shot["outcome"] == "connected" for shot in shots),
     }
 
 
@@ -263,7 +258,10 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
     """Execute one pipeline subcommand; returns the process exit code.
 
     0: success.  2: a configuration or hypothesis violation.  1: any other
-    runtime failure.  Every error message names the failing stage.
+    runtime failure.  Every error message names the failing stage.  Files
+    are written only after every stage has returned, so a failed run leaves
+    none.  ``s_grid`` is a comma list or a sequence of numbers, checked like
+    the file's own [run] s_grid.
     """
     if name not in SUBCOMMANDS:
         print(f"unknown subcommand {name!r}; expected one of {SUBCOMMANDS}",
@@ -282,19 +280,22 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
             "config": exp.echo(),
             "stages": {key: "skipped" for key in _STAGE_FUNCS},
         }
-        ctx: dict = {}
+        stages = report["stages"]
+        files = {"report.json": lambda: json.dumps(_sanitize(report), indent=2,
+                                                   sort_keys=True) + "\n"}
         for stage in _STAGE_CHAIN[name]:
             if (name == "full" and stage == "connect"
-                    and not ctx["index"].verdict.connection_predicted):
-                report["stages"]["connect"] = "skipped: no connection predicted"
+                    and not stages["index"]["connection_predicted"]):
+                stages["connect"] = "skipped: no connection predicted"
                 continue
-            report["stages"][stage] = _STAGE_FUNCS[stage](exp, ctx)
-        report["verdicts"] = _summarize(report, ctx)
-        if write_json:
-            (out / "report.json").write_text(
-                json.dumps(_sanitize(report), indent=2, sort_keys=True) + "\n")
-        if write_csv:
-            _write_csv_outputs(out, ctx)
+            stages[stage] = _STAGE_FUNCS[stage](exp, stages, files)
+        report["verdicts"] = _summarize(stages)
+        for rel, text in files.items():
+            if (write_json if rel == "report.json" else write_csv):
+                if text is None:
+                    (out / rel).mkdir(exist_ok=True)
+                else:
+                    (out / rel).write_text(text())
         _print_summary(report)
         return 0
     except ConfigurationError as exc:
@@ -318,42 +319,22 @@ def _sanitize(obj):
     return obj
 
 
-def _summarize(report: dict, ctx: dict) -> dict:
-    verdicts = {"ll": "skipped", "conditions": "skipped",
-                "connection_predicted": "skipped", "unbounded_runs": "skipped",
-                "connections_found": "skipped"}
-    if "ll_reports" in ctx:
-        verdicts["ll"] = {k: v.verdict for k, v in ctx["ll_reports"].items()}
-    if "c_flags" in ctx:
-        verdicts["conditions"] = dict(ctx["c_flags"])
-    if "index" in ctx:
-        verdicts["connection_predicted"] = ctx["index"].verdict.connection_predicted
-    sim = report["stages"].get("simulate")
-    if isinstance(sim, dict):
-        verdicts["unbounded_runs"] = [r["label"] for r in sim["runs"]
-                                      if r["bound_report"]["unbounded"]]
-    conn = report["stages"].get("connect")
-    if isinstance(conn, dict):
-        verdicts["connections_found"] = conn["connections_found"]
-    return verdicts
+# each summary verdict: the stage it reads and how it reads that stage's part
+_VERDICTS = {
+    "ll": ("ll", lambda ll: {k: v["verdict"] for k, v in ll.items()}),
+    "conditions": ("check", lambda check: dict(check["c_flags"])),
+    "connection_predicted": ("index", lambda index: index["connection_predicted"]),
+    "unbounded_runs": ("simulate", lambda sim: [r["label"] for r in sim["runs"]
+                                                if r["bound_report"]["unbounded"]]),
+    "connections_found": ("connect", lambda conn: conn["connections_found"]),
+}
 
 
-def _write_csv_outputs(out: Path, ctx: dict) -> None:
-    if "spectrum_csv" in ctx:
-        (out / "spectrum.csv").write_text(ctx["spectrum_csv"])
-    if "margins_csv" in ctx:
-        (out / "margins.csv").write_text(ctx["margins_csv"])
-    if "trajectories" in ctx:
-        tdir = out / "trajectories"
-        tdir.mkdir(exist_ok=True)
-        for label, traj in ctx["trajectories"].items():
-            (tdir / f"{label}.csv").write_text(traj.to_csv())
-    if "connections" in ctx:
-        tdir = out / "trajectories"
-        tdir.mkdir(exist_ok=True)
-        for d_idx, eps, record in ctx["connections"]:
-            (tdir / f"connection_d{d_idx}_eps{eps:g}.csv").write_text(
-                record.trajectory.to_csv())
+def _summarize(stages: dict) -> dict:
+    """The report's verdicts, read from the stages that ran ('skipped' for
+    the others)."""
+    return {key: read(stages[stage]) if isinstance(stages[stage], dict) else "skipped"
+            for key, (stage, read) in _VERDICTS.items()}
 
 
 def _print_summary(report: dict) -> None:
@@ -383,11 +364,8 @@ def main(argv=None) -> None:
     parser.add_argument("--json", action="store_true", help="write report.json only")
     parser.add_argument("--csv", action="store_true", help="write CSV outputs only")
     args = parser.parse_args(argv)
-    s_grid = None
-    if args.s_grid is not None:
-        s_grid = [float(v) for v in args.s_grid.split(",") if v.strip()]
     code = run_subcommand(args.subcommand, args.config, out_dir=args.out,
-                          seed=args.seed, s_grid=s_grid,
+                          seed=args.seed, s_grid=args.s_grid,
                           write_json=args.json or not args.csv,
                           write_csv=args.csv or not args.json)
     sys.exit(code)

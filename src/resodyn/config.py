@@ -167,17 +167,26 @@ def load_config(path: str | Path, run_overrides: dict | None = None) -> Experime
     ``run_overrides`` replaces [run] values (the command line's --seed and
     --s-grid) before they are parsed and checked like the file's own."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
-    if path.suffix.lower() == ".json":
-        with open(path) as fh:
-            sections = json.load(fh)
-    else:
-        sections = _sections_from_ini(path)
-    for name in sections:
+    if not path.is_file():
+        raise ConfigurationError(f"config file not found or not a file: {path}")
+    try:
+        if path.suffix.lower() == ".json":
+            with open(path) as fh:
+                sections = json.load(fh)
+        else:
+            sections = _sections_from_ini(path)
+    except (json.JSONDecodeError, configparser.Error) as exc:
+        raise ConfigurationError(f"malformed experiment file {path}: {exc}") from None
+    if not isinstance(sections, dict):
+        raise ConfigurationError(f"{path} must hold an object of sections, "
+                                 f"not {type(sections).__name__}")
+    for name, entries in sections.items():
         if name not in _SECTION_KEYS:
             raise ConfigurationError(
                 f"unknown section [{name}]; valid sections: {', '.join(_SECTION_KEYS)}")
+        if not isinstance(entries, dict):
+            raise ConfigurationError(
+                f"section [{name}] must be an object of keys, not {type(entries).__name__}")
     for required in ("domain", "system", "field"):
         if required not in sections:
             raise ConfigurationError(f"config is missing the [{required}] section")

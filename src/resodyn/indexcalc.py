@@ -147,7 +147,6 @@ class LinearizationData:
 
     G: np.ndarray
     theta: np.ndarray
-    O: np.ndarray
 
     @classmethod
     def from_G(cls, G: np.ndarray, config: ProblemConfig) -> "LinearizationData":
@@ -162,7 +161,7 @@ class LinearizationData:
         residual = np.max(np.abs(O.T @ shifted @ O - np.diag(theta)))
         if residual > 1e-10:
             raise ConfigurationError(f"diagonalization residual {residual:.2e} exceeds 1e-10")
-        return cls(G=G, theta=theta, O=O)
+        return cls(G=G, theta=theta)
 
     @classmethod
     def from_field(cls, field, config: ProblemConfig) -> "LinearizationData":

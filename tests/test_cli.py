@@ -139,6 +139,34 @@ def test_bad_command_line_override_exit_code(tmp_path, capsys, overrides, named)
     assert named in capsys.readouterr().err
 
 
+def test_bad_s_grid_flag_exit_code(tmp_path, capsys):
+    # the flag's text goes through the same checks as the file's [run] s_grid
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose", "--config", str(ARCTAN_CFG), "--out", str(tmp_path),
+                  "--s-grid", "0,x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "stage 'load'" in err and "[run] s_grid = 'x' is not a number" in err
+
+
+@pytest.mark.parametrize("name,text,named", [
+    ("syntax.json", '{"domain": {J: 8}}', "Expecting property name"),
+    ("headerless.ini", "J = 8\n[domain]\n", "no section headers"),
+    ("section.json", '{"domain": 5}', "section [domain] must be an object of keys, not int"),
+    ("scalar.json", "5", "must hold an object of sections, not int"),
+    ("directory.ini", None, "not a file"),
+], ids=["json-syntax", "ini-header", "json-section", "json-scalar", "directory"])
+def test_malformed_experiment_file_exit_code(tmp_path, capsys, name, text, named):
+    path = tmp_path / name
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    assert cli.run_subcommand("index", path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "stage 'load'" in err and named in err
+
+
 @pytest.mark.parametrize("J,ok", [(8.0, True), ("8", True), (8.5, False), (True, False)])
 def test_json_counts_are_not_truncated(tmp_path, J, ok):
     path = tmp_path / "counts.json"
@@ -269,8 +297,19 @@ def test_unknown_subcommand():
     assert cli.run_subcommand("bogus", ARCTAN_CFG) == 2
 
 
+def test_failed_stage_writes_no_file(tmp_path, monkeypatch, small_config):
+    # files are written only after every stage has returned
+    def boom(exp, stages, files):
+        raise RuntimeError("stage exploded")
+
+    monkeypatch.setitem(cli._STAGE_FUNCS, "connect", boom)
+    out = tmp_path / "out"
+    assert cli.run_subcommand("full", small_config, out_dir=out) == 1
+    assert list(out.iterdir()) == []
+
+
 def test_runtime_error_exit_code(tmp_path, monkeypatch):
-    def boom(exp, ctx):
+    def boom(exp, stages, files):
         raise RuntimeError("stage exploded")
 
     monkeypatch.setitem(cli._STAGE_FUNCS, "decompose", boom)
@@ -338,6 +377,32 @@ def test_simulate_subcommand_outputs(tmp_path, small_config):
         assert set(run) >= {"label", "s", "stayed_in_box", "bound_report"}
     assert (out / "margins.csv").exists()
     assert any((out / "trajectories").glob("seed*.csv"))
+
+
+_SIMULATE_FILES = {"margins.csv", "trajectories",
+                   *(f"trajectories/seed{i}_s{s}.csv" for i in (0, 1) for s in (0, 1))}
+_CONNECT_FILES = {"trajectories", "trajectories/connection_d1_eps0.001.csv"}
+
+
+@pytest.mark.parametrize("subcommand,written", [
+    ("spectrum", set()), ("check", set()), ("simulate", _SIMULATE_FILES),
+    ("connect", _CONNECT_FILES), ("full", _SIMULATE_FILES | _CONNECT_FILES),
+])
+def test_subcommand_writes_exactly_its_files(tmp_path, small_config, subcommand, written):
+    out = tmp_path / subcommand
+    assert cli.run_subcommand(subcommand, small_config, out_dir=out) == 0
+    assert ({p.relative_to(out).as_posix() for p in out.rglob("*")}
+            == {"report.json", "spectrum.csv", *written})
+
+
+def test_simulate_without_seeds_keeps_an_empty_trajectories_directory(tmp_path,
+                                                                     small_config):
+    path = tmp_path / "no_seeds.ini"
+    path.write_text(small_config.read_text().replace("seeds = 2", "seeds = 0"))
+    out = tmp_path / "sim"
+    assert cli.run_subcommand("simulate", path, out_dir=out) == 0
+    assert json.loads((out / "report.json").read_text())["stages"]["simulate"]["runs"] == []
+    assert (out / "trajectories").is_dir() and not any((out / "trajectories").iterdir())
 
 
 def test_connect_subcommand_finds_orbit(tmp_path, small_config):
@@ -543,7 +608,7 @@ def test_check_stage_evaluates_the_grid_once(tmp_path, m, which):
         return ev(x, U, dU)
 
     field.eval = counted
-    out = cli._stage_check(dataclasses.replace(exp, field=field), {})
+    out = cli._stage_check(dataclasses.replace(exp, field=field), {}, {})
     assert len(on_grid) == 1
     assert (on_grid[0] is None) == (not field.reads_du)
     field.eval = ev
