@@ -24,8 +24,7 @@ print("sign condition (+, h=0):", sign_rep.verdict, f"margin {sign_rep.margin:.3
 print("declared limits verified:", rd.verify_limits(field, 1, basis=basis).verdict)
 
 for name, fld in [("arctan(40)", field), ("-arctan(40)", rd.make_field("-arctan(40)", 1))]:
-    for condition in ("LL1+", "LL1-"):
-        rep = rd.evaluate_LL(fld, basis, split, cfg, condition)
+    for condition, rep in rd.evaluate_LL(fld, basis, split, cfg, 1).items():
         extra = "" if rep.min_value is None else f" (min {rep.min_value:.6f})"
         print(f"{name:12s} {condition}: {rep.verdict}{extra}")
 print("sqrt(2) =", math.sqrt(2))

@@ -100,9 +100,9 @@ def _stage_check(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
 
 
 def _stage_ll(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
-    return {condition: evaluate_LL(exp.field, exp.basis, exp.split, exp.problem, condition,
-                                   samples=exp.run["ll_samples"], seed=exp.seed).to_dict()
-            for condition in ("LL1+", "LL1-", "LL2+", "LL2-")}
+    return {name: rep.to_dict() for which in (1, 2)
+            for name, rep in evaluate_LL(exp.field, exp.basis, exp.split, exp.problem, which,
+                                         samples=exp.run["ll_samples"], seed=exp.seed).items()}
 
 
 def _resolved_sign(stages: dict, block: int):
@@ -153,11 +153,11 @@ def _stage_simulate(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
     run = exp.run
     C6 = _bound_constant(exp)
     bounds = apriori_bounds(exp.basis, exp.split, exp.problem, C6)
-    # a vacuous block 2 has no margins and radius 0; a block whose margins are
-    # never positive has no certified radius (inf)
-    margins, radius = {}, {2: 0.0}
-    blocks = (1, 2) if exp.problem.l < exp.problem.m and counts(exp.split).n2 > 0 else (1,)
-    for which in blocks:
+    # a block without kernel modes has no margins and radius 0; a block whose
+    # margins are never positive has no certified radius (inf)
+    margins, radius = {}, {1: 0.0, 2: 0.0}
+    cv = counts(exp.split)
+    for which in [w for w, n in ((1, cv.n1), (2, cv.n2)) if n]:
         margins[which] = guiding_margin(
             exp.field, exp.basis, exp.split, exp.problem, which=which,
             W_radius=max(bounds.R0_minus, bounds.R0_plus),
@@ -166,7 +166,8 @@ def _stage_simulate(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
         radius[which] = next((R for R, margin in margins[which].rows if margin > 0),
                              float("inf"))
     box = HomotopyBox(R0=max(bounds.R0_minus, bounds.R0_plus), R1=radius[1], R2=radius[2])
-    files["margins.csv"] = margins[1].to_csv
+    if 1 in margins:
+        files["margins.csv"] = margins[1].to_csv
     # an uncertified kernel radius leaves the box unbounded there; sample
     # seeds from the largest margin radius instead
     fallback = float(max(run["margin_R_grid"]))
@@ -197,8 +198,8 @@ def _stage_simulate(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
         "C6": C6,
         "bounds": bounds.to_dict(),
         "box": box.to_dict(),
-        "margins_block1": margins[1].to_dict(),
-        "margins_block2": margins[2].to_dict() if 2 in margins else "vacuous",
+        **{f"margins_block{w}": margins[w].to_dict() if w in margins else "vacuous"
+           for w in (1, 2)},
         "runs": runs,
     }
 
@@ -277,7 +278,7 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
             "version": __version__,
             "subcommand": name,
             "seed": exp.seed,
-            "config": exp.echo(),
+            "config": exp.raw,
             "stages": {key: "skipped" for key in _STAGE_FUNCS},
         }
         stages = report["stages"]

@@ -149,10 +149,6 @@ class ExperimentConfig:
     def seed(self) -> int:
         return int(self.run["seed"])
 
-    def echo(self) -> dict:
-        """Deterministic copy of the raw configuration for the report."""
-        return json.loads(json.dumps(self.raw, sort_keys=True))
-
 
 def _sections_from_ini(path: Path) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))

@@ -270,33 +270,35 @@ def _sphere_directions(dim: int, samples: int, seed: int) -> np.ndarray:
 
 
 def evaluate_LL(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
-                config: ProblemConfig, condition: str, samples: int = 512,
-                seed: int = 0) -> LLReport:
-    """Minimize +-S over a deterministic sampling of the kernel-block sphere.
+                config: ProblemConfig, which: int, samples: int = 512,
+                seed: int = 0) -> dict[str, LLReport]:
+    """Minimize S and -S over one deterministic sampling of the sphere of
+    kernel block ``which``; returns the reports ``LL<which>+`` and
+    ``LL<which>-``, both read from one draw and one evaluation of S.
 
-    1-D kernel blocks are exhausted by the two directions +-e_1; higher
-    dimensional blocks are only sampled and the report says so.  The verdict
-    holds iff the sampled minimum is strictly positive.
+    1-D blocks are exhausted by +-e_1; higher dimensional blocks are only
+    sampled and the reports say so.  A verdict holds iff its sampled
+    minimum is strictly positive; a block without kernel modes is vacuous.
     """
-    if condition not in ("LL1+", "LL1-", "LL2+", "LL2-"):
-        raise ConfigurationError(f"unknown condition {condition!r}")
-    which = 1 if condition.startswith("LL1") else 2
-    sign = 1.0 if condition.endswith("+") else -1.0
-    modes = block_modes(split, which)
-    dim = len(modes)
+    names = (f"LL{which}+", f"LL{which}-")
+    dim = len(block_modes(split, which))
     if dim == 0:
-        return LLReport(condition, "vacuous", None, None, 0)
+        return {name: LLReport(name, "vacuous", None, None, 0) for name in names}
     dirs = _sphere_directions(dim, samples if dim >= 2 else 0, seed)
-    values = sign * _ll_values(field, basis, split, config, which, dirs)
-    best = int(np.argmin(values))  # the first of tied minima
-    return LLReport(
-        condition=condition,
-        verdict="holds" if values[best] > 0 else "fails",
-        min_value=float(values[best]),
-        argmin_direction=tuple(float(v) for v in dirs[best]),
-        samples=len(dirs),
-        sampled_only=dim >= 2,
-    )
+    S = _ll_values(field, basis, split, config, which, dirs)
+    reports = {}
+    for name, sign in zip(names, (1.0, -1.0)):
+        values = sign * S
+        best = int(np.argmin(values))  # the first of tied minima
+        reports[name] = LLReport(
+            condition=name,
+            verdict="holds" if values[best] > 0 else "fails",
+            min_value=float(values[best]),
+            argmin_direction=tuple(float(v) for v in dirs[best]),
+            samples=len(dirs),
+            sampled_only=dim >= 2,
+        )
+    return reports
 
 
 @dataclass(frozen=True)

@@ -237,7 +237,7 @@ def test_criterion_10_connecting_orbit_realization(desk):
     grid = rd.SampleGrid.default(basis, 1, seed=10)
     c1 = rd.check_sign_condition(field, 1, "+", lambda x: np.zeros_like(x), grid, l=1)
     assert c1.verdict == "holds"
-    ll = rd.evaluate_LL(field, basis, split, cfg, "LL1+")
+    ll = rd.evaluate_LL(field, basis, split, cfg, 1)["LL1+"]
     assert ll.verdict == "holds"
     assert ll.min_value == pytest.approx(SQRT2, abs=1e-8)
 
@@ -284,7 +284,7 @@ def test_criterion_10_connecting_orbit_realization(desk):
 def test_criterion_11_negative_control(desk):
     basis, cfg, split, _ = desk
     field = rd.make_field("arctan(1)", 1)
-    ll = rd.evaluate_LL(field, basis, split, cfg, "LL1+")
+    ll = rd.evaluate_LL(field, basis, split, cfg, 1)["LL1+"]
     assert ll.verdict == "holds"
     lin = rd.LinearizationData.from_field(field, cfg)
     assert rd.nonresonance_at_origin(basis, lin)

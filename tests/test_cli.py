@@ -478,6 +478,45 @@ def test_connect_linearizes_each_equilibrium_once(tmp_path, small_config, monkey
         assert_stored_spectrum(exp.field, exp.basis, exp.problem, eq)
 
 
+def test_index_evaluates_each_kernel_block_once(tmp_path, monkeypatch):
+    # both blocks of two_component.json are 1-D; each is drawn and evaluated
+    # once, and its + and - reports are read from that one evaluation
+    import resodyn.resonance as resonance
+    calls = []
+    for name in ("_sphere_directions", "_ll_values"):
+        def counted(*args, _name=name, _original=getattr(resonance, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(resonance, name, counted)
+    assert cli.run_subcommand("index", JSON_CFG, out_dir=tmp_path / "out") == 0
+    assert calls == ["_sphere_directions", "_ll_values"] * 2
+    monkeypatch.undo()
+    ll = cli._stage_ll(load_config(JSON_CFG), {}, {})
+    assert list(ll) == ["LL1+", "LL1-", "LL2+", "LL2-"]
+    assert [rep["condition"] for rep in ll.values()] == list(ll)
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "full"])
+def test_simulate_without_kernel_modes_in_block_1(tmp_path, subcommand):
+    # lambda = 5 lies below mu_1 = pi^2, so neither kernel block has a mode:
+    # no guiding margins, kernel radii 0 and no margins.csv
+    path = _write_ini(tmp_path / "no_kernel.ini", {
+        "domain": ["J = 16"],
+        "system": ["m = 1", "l = 1", "lambda = 5.0", "sigma = 0"],
+        "field": ["name = -arctan(3)"],
+        "run": ["dt = 1e-3", "T = 1", "s_grid = 0, 1", "seeds = 2",
+                "margin_R_grid = 5, 20", "margin_samples = 8"]})
+    out = tmp_path / subcommand
+    assert cli.run_subcommand(subcommand, path, out_dir=out) == 0
+    stages = json.loads((out / "report.json").read_text())["stages"]
+    assert stages["ll"]["LL1+"]["verdict"] == stages["ll"]["LL1-"]["verdict"] == "vacuous"
+    sim = stages["simulate"]
+    assert sim["box"]["R1"] == sim["box"]["R2"] == 0.0
+    assert sim["margins_block1"] == sim["margins_block2"] == "vacuous"
+    assert len(sim["runs"]) == 4 and all(run["stayed_in_box"] for run in sim["runs"])
+    assert not (out / "margins.csv").exists()
+
+
 def test_verdict_fields_complete(tmp_path):
     assert cli.run_subcommand("index", ARCTAN_CFG, out_dir=tmp_path) == 0
     report = json.loads((tmp_path / "report.json").read_text())

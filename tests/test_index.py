@@ -176,8 +176,8 @@ def test_three_component_pipeline_integers(basis32):
     assert split.minus_modes == frozenset({(2, 1)})
 
     field = rd.make_field("arctan(40)", 3)
-    ll1 = rd.evaluate_LL(field, basis32, split, cfg, "LL1+", samples=64, seed=7)
-    ll2 = rd.evaluate_LL(field, basis32, split, cfg, "LL2+")
+    ll1 = rd.evaluate_LL(field, basis32, split, cfg, 1, samples=64, seed=7)["LL1+"]
+    ll2 = rd.evaluate_LL(field, basis32, split, cfg, 2)["LL2+"]
     assert ll1.verdict == "holds" and ll2.verdict == "holds"
     # the block-1 minimum sits on the axis directions of the 2-D kernel
     assert ll1.min_value == pytest.approx(math.sqrt(2), abs=1e-6)

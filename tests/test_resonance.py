@@ -87,13 +87,13 @@ def test_ll_functional_intermediate_degree_oracle(basis32):
                        * (SQRT2 * math.sin(math.pi * x)) ** 0.5, 0.0, 1.0)
     assert err < 1e-10
     assert value == pytest.approx(oracle, abs=1e-7)
-    rep = rd.evaluate_LL(field, basis32, split, cfg, "LL1+")
+    rep = rd.evaluate_LL(field, basis32, split, cfg, 1)["LL1+"]
     assert rep.verdict == "holds"
     assert rep.min_value == pytest.approx(oracle, abs=1e-7)
 
 
 def test_evaluate_ll_desk(basis32, desk_problem, desk_split, desk_field):
-    rep = rd.evaluate_LL(desk_field, basis32, desk_split, desk_problem, "LL1+")
+    rep = rd.evaluate_LL(desk_field, basis32, desk_split, desk_problem, 1)["LL1+"]
     assert rep.verdict == "holds"
     assert rep.min_value == pytest.approx(SQRT2, abs=1e-8)
     assert rep.samples == 2  # 1-D kernel: only the two signed directions
@@ -102,16 +102,17 @@ def test_evaluate_ll_desk(basis32, desk_problem, desk_split, desk_field):
 
 def test_evaluate_ll_antisymmetry(basis32, desk_problem, desk_split, desk_field):
     neg = rd.make_field("-arctan(40)", 1)
-    plus = rd.evaluate_LL(neg, basis32, desk_split, desk_problem, "LL1+")
-    minus = rd.evaluate_LL(neg, basis32, desk_split, desk_problem, "LL1-")
+    reps = rd.evaluate_LL(neg, basis32, desk_split, desk_problem, 1)
+    plus, minus = reps["LL1+"], reps["LL1-"]
     assert plus.verdict == "fails"
     assert minus.verdict == "holds"
     assert minus.min_value == pytest.approx(SQRT2, abs=1e-8)
 
 
 def test_evaluate_ll_vacuous_second_block(basis32, desk_problem, desk_split, desk_field):
-    rep = rd.evaluate_LL(desk_field, basis32, desk_split, desk_problem, "LL2+")
-    assert rep.verdict == "vacuous"
+    reps = rd.evaluate_LL(desk_field, basis32, desk_split, desk_problem, 2)
+    assert list(reps) == ["LL2+", "LL2-"]
+    assert all(rep.verdict == "vacuous" and rep.samples == 0 for rep in reps.values())
 
 
 def test_evaluate_ll_multidimensional_sampled(basis32):
@@ -119,7 +120,7 @@ def test_evaluate_ll_multidimensional_sampled(basis32):
                            sigma=(0.0, 0.0))
     split = rd.classify(basis32, cfg)
     field = rd.make_field("arctan(40)", 2)
-    rep = rd.evaluate_LL(field, basis32, split, cfg, "LL1+", samples=128, seed=11)
+    rep = rd.evaluate_LL(field, basis32, split, cfg, 1, samples=128, seed=11)["LL1+"]
     assert rep.verdict == "holds"
     assert rep.sampled_only
     assert rep.samples > 4
@@ -141,7 +142,7 @@ def test_ll_fails_off_the_minimum_degree_set(basis32):
     direction = [0.0, 0.0]
     direction[idx_comp1] = 1.0
     assert rd.ll_functional(field, basis32, split, cfg, 1, direction) == 0.0
-    rep = rd.evaluate_LL(field, basis32, split, cfg, "LL1+", samples=64, seed=3)
+    rep = rd.evaluate_LL(field, basis32, split, cfg, 1, samples=64, seed=3)["LL1+"]
     assert rep.verdict == "fails"
     assert rep.min_value <= 0.0
 
@@ -200,8 +201,11 @@ def test_evaluate_ll_matches_direction_loop(basis32):
     # first of tied minima kept
     cfg, field, _ = _oracle_case("2d-block-sigma-0.25", basis32)
     split = rd.classify(basis32, cfg)
+    reps = rd.evaluate_LL(field, basis32, split, cfg, 1, samples=64, seed=5)
+    assert list(reps) == ["LL1+", "LL1-"]
     for condition, sign in (("LL1+", 1.0), ("LL1-", -1.0)):
-        rep = rd.evaluate_LL(field, basis32, split, cfg, condition, samples=64, seed=5)
+        rep = reps[condition]
+        assert rep.condition == condition
         best, best_dir = np.inf, None
         for d in _sphere_directions(2, 64, 5):
             val = sign * rd.ll_functional(field, basis32, split, cfg, 1, d)
@@ -211,6 +215,24 @@ def test_evaluate_ll_matches_direction_loop(basis32):
         assert rep.argmin_direction == tuple(float(v) for v in best_dir)
 
 
+def test_evaluate_ll_draws_and_evaluates_a_sampled_block_once(basis32, monkeypatch):
+    # LL1+ and LL1- of a 2-D block are read from one Sobol' draw and one S
+    import resodyn.resonance as resonance
+    cfg, field, _ = _oracle_case("2d-block-sigma-0.25", basis32)
+    split = rd.classify(basis32, cfg)
+    calls = []
+    for name in ("_sphere_directions", "_sobol", "_ll_values"):
+        def counted(*args, _name=name, _original=getattr(resonance, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(resonance, name, counted)
+    reps = rd.evaluate_LL(field, basis32, split, cfg, 1, samples=64, seed=5)
+    assert calls == ["_sphere_directions", "_sobol", "_ll_values"]
+    plus, minus = reps["LL1+"], reps["LL1-"]
+    assert plus.samples == minus.samples == 68
+    assert plus.sampled_only and minus.sampled_only
+
+
 def test_two_kernel_modes_on_one_component_rejected(basis32, desk_problem, desk_field):
     labels = np.full((1, 32), PLUS)
     labels[0, [0, 2]] = N1
@@ -218,7 +240,7 @@ def test_two_kernel_modes_on_one_component_rejected(basis32, desk_problem, desk_
     with pytest.raises(ConfigurationError, match="component 1 has 2 kernel modes"):
         rd.ll_functional(desk_field, basis32, split, desk_problem, 1, [1.0, 0.0])
     with pytest.raises(ConfigurationError, match="component 1 has 2 kernel modes"):
-        rd.evaluate_LL(desk_field, basis32, split, desk_problem, "LL1+")
+        rd.evaluate_LL(desk_field, basis32, split, desk_problem, 1)
 
 
 def test_nonfinite_limit_names_component(basis32):
@@ -319,7 +341,7 @@ def test_margin_table_csv_matches_csv_writer():
 
 
 def test_ll_report_serialization(basis32, desk_problem, desk_split, desk_field):
-    rep = rd.evaluate_LL(desk_field, basis32, desk_split, desk_problem, "LL1+")
+    rep = rd.evaluate_LL(desk_field, basis32, desk_split, desk_problem, 1)["LL1+"]
     d = rep.to_dict()
     assert d["condition"] == "LL1+" and d["verdict"] == "holds"
 
