@@ -229,6 +229,23 @@ def load_config(path: str | Path, run_overrides: dict | None = None) -> Experime
     for s in run["s_grid"]:
         if not (0.0 <= s <= 1.0):
             raise ConfigurationError(f"s_grid values must lie in [0, 1], got {s}")
+    for R in run["margin_R_grid"]:
+        if R <= 0:
+            raise ConfigurationError(f"[run] margin_R_grid = {R!r} must be positive")
+    if 0.0 in run["eps_grid"]:
+        raise ConfigurationError("[run] eps_grid = 0.0 shoots from the equilibrium itself; "
+                                 "it must be nonzero")
+    # each value names its output files by its %g label (seed0_s0.25.csv,
+    # connection_d0_eps0.001.csv), so two values with one label lose a file
+    for key in ("s_grid", "eps_grid"):
+        seen = {}
+        for value in run[key]:
+            label = f"{value:g}"
+            if label in seen:
+                raise ConfigurationError(
+                    f"[run] {key} values {seen[label]!r} and {value!r} share the label "
+                    f"{label!r} of their output files")
+            seen[label] = value
     # dt, T and scheme are checked here, the step cap, the IMEX-Euler limit
     # and the ETD overflow included, not when a stage first marches;
     # simulate and connect both march with these

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .spectral import GalerkinState, SpectralBasis
+from .spectral import GalerkinState, SpectralBasis, _ufuncs
 
 __all__ = [
     "NonlinearField",
@@ -306,8 +306,7 @@ def _arctan_limits(gain, *_):
 
 
 def _gaussian_potential(U, sigma):
-    from scipy.special import erf
-    return np.sum(0.5 * np.sqrt(np.pi) * erf(U), axis=0)
+    return np.sum(0.5 * np.sqrt(np.pi) * _ufuncs().erf(U), axis=0)
 
 
 class _Row(NamedTuple):

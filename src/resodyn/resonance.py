@@ -17,7 +17,7 @@ from .errors import ConfigurationError, EvaluationError
 from .fields import NonlinearField, galerkin_F
 from .semiflow import _csv_table
 from .spectral import (GalerkinState, ProblemConfig, SpectralBasis, _gauss_legendre,
-                       fractional_weights)
+                       _ufuncs, fractional_weights)
 
 __all__ = [
     "DegreeSets",
@@ -261,8 +261,7 @@ def _sphere_directions(dim: int, samples: int, seed: int) -> np.ndarray:
     normalised."""
     dirs = [v for i in range(dim) for v in (np.eye(dim)[i], -np.eye(dim)[i])]
     if dim >= 2 and samples > 0:
-        from scipy.special import ndtri  # only >= 2-D blocks need it
-        g = ndtri(np.clip(_sobol(dim, samples, seed), 1e-12, 1 - 1e-12))
+        g = _ufuncs().ndtri(np.clip(_sobol(dim, samples, seed), 1e-12, 1 - 1e-12))
         lens = np.linalg.norm(g, axis=1)
         good = lens > 0
         dirs.extend(g[good] / lens[good, None])

@@ -17,8 +17,10 @@ accuracy is unchanged for generic data.
 from __future__ import annotations
 
 import sys
+import types
 from dataclasses import dataclass, field
 from functools import lru_cache
+from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
@@ -279,6 +281,33 @@ def _flapack():
     # later import of it makes its own module around the same functions)
     sys.modules.pop(name, None)
     return module
+
+
+@lru_cache(maxsize=None)
+def _ufuncs():
+    """scipy.special's compiled ufuncs (``ndtri``, ``erf``: the very objects
+    the package exports), loaded once per process without running the
+    ``scipy.special`` package's ``__init__``, whose imports (scipy._lib._array_api
+    with numpy.testing and numpy.f2py) cost about 0.3 s."""
+    name = "scipy.special._ufuncs"
+    if "scipy.special" in sys.modules:  # the package is imported and loaded it
+        return import_module(name)
+    import scipy
+    special = Path(scipy.__file__).parent / "special"
+    # _ufuncs imports its sibling extensions relative to its package; a bare
+    # stand-in package lets them load by the normal import machinery, and it
+    # is taken out again, so that a later import of scipy.special runs the
+    # real package, which reuses the loaded extensions
+    stand_in = types.ModuleType("scipy.special")
+    stand_in.__path__ = [str(special)]
+    sys.modules["scipy.special"] = stand_in
+    try:
+        return import_module(name)
+    except ModuleNotFoundError as exc:
+        raise ImportError(f"scipy.special's compiled ufuncs not loaded from {special}: {exc}",
+                          name=name, path=str(special)) from None
+    finally:
+        del sys.modules["scipy.special"]
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -116,7 +116,18 @@ def test_missing_required_key_exit_code(tmp_path, capsys, section, key):
     ("system", "lambda = nan", "[system] lambda = 'nan' must be finite"),
     ("run", "dt = nan", "[run] dt = 'nan' must be finite"),
     ("run", "T = 1e300", "passes the cap MAX_STEPS"),
-], ids=["J", "h", "seeds", "ll_samples", "margin_R_grid", "lambda", "dt", "nsteps"])
+    # a value's output files are named by its %g label; one label, one file lost
+    ("run", "s_grid = 0.25, 0.2500001",
+     "[run] s_grid values 0.25 and 0.2500001 share the label '0.25'"),
+    ("run", "s_grid = 0.5, 0.5", "[run] s_grid values 0.5 and 0.5 share the label '0.5'"),
+    ("run", "eps_grid = 1e-3, 0.0010000001",
+     "[run] eps_grid values 0.001 and 0.0010000001 share the label '0.001'"),
+    ("run", "margin_R_grid = -5, 0", "[run] margin_R_grid = -5.0 must be positive"),
+    ("run", "margin_R_grid = 5, 0", "[run] margin_R_grid = 0.0 must be positive"),
+    ("run", "eps_grid = 1e-3, 0", "[run] eps_grid = 0.0 shoots from the equilibrium itself"),
+], ids=["J", "h", "seeds", "ll_samples", "margin_R_grid", "lambda", "dt", "nsteps",
+        "s_grid_labels", "s_grid_duplicate", "eps_grid_labels", "margin_R_negative",
+        "margin_R_zero", "eps_zero"])
 def test_bad_number_or_count_exit_code(tmp_path, capsys, section, entry, named):
     # every case is caught at load, before any stage runs or marches
     key = entry.split("=")[0]
@@ -133,6 +144,8 @@ def test_bad_number_or_count_exit_code(tmp_path, capsys, section, entry, named):
     ({"seed": -1}, "[run] seed = -1 must be >= 0"),
     ({"s_grid": [0.0, float("nan")]}, "[run] s_grid = nan must be finite"),
     ({"s_grid": []}, "[run] s_grid needs at least one value"),
+    ({"s_grid": [0.0, 0.25, 0.2500001]},
+     "[run] s_grid values 0.25 and 0.2500001 share the label '0.25'"),
 ])
 def test_bad_command_line_override_exit_code(tmp_path, capsys, overrides, named):
     assert cli.run_subcommand("decompose", ARCTAN_CFG, out_dir=tmp_path, **overrides) == 2

@@ -379,15 +379,21 @@ def test_guiding_margin_matches_sample_loop(basis32, which):
         assert margin == pytest.approx(worst, rel=1e-12, abs=1e-14)
 
 
-# scipy packages that no run imports: numpy Sobol' points stand in for
-# scipy.stats, _eigh loads scipy's LAPACK wrappers without scipy.linalg, and
-# _block_eigh labels its components without scipy.sparse
-_UNLOADED = ("scipy.stats", "scipy.linalg", "scipy.sparse")
+# scipy modules that no run imports: numpy Sobol' points stand in for
+# scipy.stats, _eigh loads scipy's LAPACK wrappers without scipy.linalg,
+# _block_eigh labels its components without scipy.sparse, and _ufuncs loads
+# scipy.special's compiled ufuncs without the package, whose __init__ would
+# import scipy._lib._array_api (with numpy.testing and numpy.f2py)
+_UNLOADED = ("scipy.stats", "scipy.linalg", "scipy.sparse", "scipy._lib._array_api")
+# packages that no run imports, though compiled modules under them may load
+_PACKAGES = ("scipy.special",)
 
 
 def _loaded(prefixes) -> str:
-    """Python source printing the sorted loaded modules under ``prefixes``."""
-    return f"sorted(k for k in sys.modules if k.startswith({tuple(prefixes)!r}))"
+    """Python source printing the sorted loaded modules under ``prefixes``,
+    and the packages of ``_PACKAGES`` themselves if loaded."""
+    return (f"sorted(k for k in sys.modules if k.startswith({tuple(prefixes)!r})"
+            f" or k in {_PACKAGES!r})")
 
 
 def _modules_after_runs(tmp_path, inis: dict, prefixes) -> str:
@@ -466,11 +472,12 @@ def test_pipeline_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_pipeline_without_sampled_sphere_leaves_array_api_unloaded(tmp_path):
-    # scipy.linalg and scipy.special import scipy._lib._array_api (which pulls
-    # in numpy.testing and numpy.f2py); a run that needs neither skips it
+    # scipy._lib._array_api (with numpy.testing and numpy.f2py) stays out as on
+    # the sampled sphere, and a run that needs neither ndtri nor erf loads no
+    # scipy.special module at all, not even its compiled ufuncs
     import json
     inis = {"simulate": _SIMULATE_M2_L1, "connect": _CONNECT_M1}
-    prefixes = ("scipy._lib._array_api", *_UNLOADED)
+    prefixes = ("scipy.special", *_UNLOADED)
     assert _modules_after_runs(tmp_path, inis, prefixes) == "[0, 0] []"
     simulate = json.loads((tmp_path / "out_simulate" / "report.json").read_text())
     assert simulate["stages"]["simulate"]

@@ -443,3 +443,61 @@ def test_missing_lapack_module_names_the_path(monkeypatch):
     monkeypatch.setattr(spectral, "EXTENSION_SUFFIXES", [".absent.so"])
     with pytest.raises(ImportError, match=r"linalg/_flapack\.absent\.so"):
         spectral._flapack.__wrapped__()
+
+
+_UFUNCS_ORACLE = """
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+if {scipy_first}:
+    import scipy.special
+from resodyn.spectral import _ufuncs
+x = np.array([1e-12, 1 - 1e-12, 0.0, 1.0, 0.5, 0.25, 1e-300, 5e-324, -0.0, -1e-12, 1.5,
+              -3.0, 3.0, 30.0, np.inf, -np.inf, np.nan])
+x = np.concatenate([x, np.linspace(-6.0, 6.0, 4097), np.random.default_rng(3).uniform(size=4096)])
+got = _ufuncs().ndtri(x), _ufuncs().erf(x)
+assert ("scipy.special" in sys.modules) == {scipy_first}
+import scipy.special
+print(_ufuncs().ndtri is scipy.special.ndtri, _ufuncs().erf is scipy.special.erf,
+      np.array_equal(got[0], scipy.special.ndtri(x), equal_nan=True),
+      np.array_equal(got[1], scipy.special.erf(x), equal_nan=True))
+"""
+
+
+@pytest.mark.parametrize("scipy_first", [True, False])
+def test_ufuncs_match_scipy_special(scipy_first):
+    # ndtri and erf are the package's own ufunc objects, with scipy.special
+    # imported before the first _ufuncs call and after it; a later real
+    # import of the package works and reuses the loaded extensions
+    script = _UFUNCS_ORACLE.format(src=str(REPO / "src"), scipy_first=scipy_first)
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True"] * 4
+
+
+_UFUNCS_MISSING = """
+import sys
+sys.path.insert(0, {src!r})
+import scipy
+scipy.__file__ = {fake!r}
+from resodyn.spectral import _ufuncs
+try:
+    _ufuncs()
+except ImportError as exc:
+    print(type(exc).__name__, exc.path, "scipy.special" in sys.modules)
+    print(exc)
+"""
+
+
+def test_missing_ufuncs_module_names_the_path(tmp_path):
+    # no fallback to scipy.special: a scipy without the module is an
+    # ImportError, and the stand-in package is gone after it
+    special = tmp_path / "scipy" / "special"
+    special.mkdir(parents=True)
+    script = _UFUNCS_MISSING.format(src=str(REPO / "src"),
+                                    fake=str(tmp_path / "scipy" / "__init__.py"))
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True)
+    first, message = out.stdout.strip().splitlines()
+    assert first.split() == ["ImportError", str(special), "False"]
+    assert f"not loaded from {special}: No module named 'scipy.special._ufuncs'" in message
