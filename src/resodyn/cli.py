@@ -210,12 +210,14 @@ def _stage_connect(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
     m, J = exp.problem.m, exp.basis.J
     seeds = [GalerkinState(0.05 * rng.normal(size=(m, J)) / np.sqrt(m * J))
              for _ in range(4)]
-    origin = next(iter(find_equilibria(exp.field, exp.basis, exp.split, exp.problem, [])), None)
+    known = find_equilibria(exp.field, exp.basis, exp.split, exp.problem, [])
+    origin = next(iter(known), None)
     directions = () if origin is None else origin.unstable
     # one Newton search: the random seeds, then +- 0.05 d for each unstable
-    # direction d of the origin, in direction order
+    # direction d of the origin, in direction order; the origin leads as found
     seeds += [GalerkinState(sign * 0.05 * d.coeffs) for _, d in directions for sign in (1, -1)]
-    equilibria = find_equilibria(exp.field, exp.basis, exp.split, exp.problem, seeds)
+    equilibria = find_equilibria(exp.field, exp.basis, exp.split, exp.problem, seeds,
+                                 known=known)
     shots = []
     files["trajectories"] = None
     if origin is not None:

@@ -74,6 +74,12 @@ def _residual(field, basis, config, c):
     return -diag_A(basis, config) * c + F
 
 
+def _norms(r):
+    """The L2 norm of each state of an (S, m, J) stack, each summed as
+    ``np.sum`` sums that state alone (one C-ordered m*J run)."""
+    return np.sqrt((r ** 2).reshape(r.shape[0], -1).sum(axis=-1))
+
+
 def _fd_jacobian(field, basis, config, c):
     """Central differences, every column from one stacked residual evaluation
     of the 2 m J states c +- h_i e_i with h_i = NEWTON_FD_STEP * max(1, |c_i|)."""
@@ -89,55 +95,97 @@ def _fd_jacobian(field, basis, config, c):
     return ((r[0] - r[1]) / (2 * h[:, None])).T
 
 
+def _newton(field, basis, config, c):
+    """Damped Newton from every state of the (S, m, J) stack ``c`` (updated
+    in place) in lockstep; returns the residual norms at the last iterates.
+
+    Each iteration takes one finite-difference Jacobian and one solve per
+    live seed; a singular Jacobian retires only its own seed.  Each
+    backtracking round evaluates the trial residuals of every seed still
+    searching in one (S', 1, m, J) stack, one block per seed, so each seed
+    rounds as it would alone; a seed whose round finds no decrease after 30
+    halvings retires, and the accepted trial's residual is the next
+    iteration's.  A seed converges once its norm is at most NEWTON_TOL,
+    after its last permitted step too.
+    """
+    r = _residual(field, basis, config, c[:, None])[:, 0]
+    rnorm = _norms(r)
+    live = np.ones(len(c), dtype=bool)
+    for _ in range(NEWTON_MAX_ITER):
+        live &= ~(rnorm <= NEWTON_TOL)
+        searching, steps = [], []
+        for i in np.flatnonzero(live):
+            try:
+                steps.append(np.linalg.solve(_fd_jacobian(field, basis, config, c[i]),
+                                             -r[i].ravel()).reshape(r[i].shape))
+                searching.append(i)
+            except np.linalg.LinAlgError:
+                live[i] = False
+        if not searching:
+            break
+        searching, delta = np.array(searching), np.stack(steps)
+        lam_damp = 1.0
+        for _ in range(30):
+            trial = c[searching] + lam_damp * delta
+            tr = _residual(field, basis, config, trial[:, None])[:, 0]
+            tnorm = _norms(tr)
+            better = tnorm < rnorm[searching]
+            done = searching[better]
+            c[done], r[done], rnorm[done] = trial[better], tr[better], tnorm[better]
+            searching, delta = searching[~better], delta[~better]
+            if not searching.size:
+                break
+            lam_damp *= 0.5
+        live[searching] = False
+    return rnorm
+
+
 def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
-                    config: ProblemConfig, seeds: Sequence[GalerkinState]) -> list[Equilibrium]:
-    """Damped Newton on -A u + F(u) = 0 from each seed.
+                    config: ProblemConfig, seeds: Sequence[GalerkinState],
+                    *, known: Sequence[Equilibrium] = ()) -> list[Equilibrium]:
+    """Damped Newton on -A u + F(u) = 0 from every seed at once.
 
     Finite-difference Jacobian, backtracking on the residual norm;
-    non-converged seeds are dropped.  The candidates are the origin, whenever
-    the field vanishes there, then the seeds' roots in seed order; each is
-    dropped when within DEDUP_TOL (L2) of an earlier one.  This is the one
-    place that linearizes an equilibrium: every accepted one carries its
-    ``discrete_linearization`` and that matrix's unstable spectrum, solved
-    once by ``_block_eigh``.
+    non-converged seeds are dropped with a warning, in seed order.  The
+    seeds step in lockstep (``_newton``): the trial residuals of a
+    backtracking round are one stacked ``galerkin_F`` call with one block
+    per seed, which the field sees as U of shape (S, 1, m, n), and every
+    seed's iterates are bit for bit those of a Newton run from that seed
+    alone.  Every seed's shape is checked before any Newton step.
+
+    The candidates are the origin, whenever the field vanishes there, then
+    the seeds' roots in seed order; each is dropped when within DEDUP_TOL
+    (L2) of an earlier one.  ``known`` holds equilibria that an earlier
+    call accepted under the same field, basis and config: they lead the
+    result as they are, and a candidate within DEDUP_TOL of one of them is
+    dropped (with a known origin, the origin is not evaluated again).  This
+    is the one place that linearizes an equilibrium: every accepted one
+    carries its ``discrete_linearization`` and that matrix's unstable
+    spectrum, solved once by ``_block_eigh``.
     """
     m, J = config.m, basis.J
-    zero = np.zeros((m, J))
-    origin_res = np.sqrt(np.sum(_residual(field, basis, config, zero) ** 2))
-    roots = [(zero, origin_res)] if origin_res <= NEWTON_TOL else []
-    for seed_idx, seed in enumerate(seeds):
-        c = np.atleast_2d(np.asarray(seed.coeffs, dtype=float)).copy()
+    stack = np.empty((len(seeds), m, J))
+    for i, seed in enumerate(seeds):
+        c = np.atleast_2d(np.asarray(seed.coeffs, dtype=float))
         if c.shape != (m, J):
             raise ConfigurationError(f"seed shape {c.shape} != ({m}, {J})")
-        converged = False
-        for _ in range(NEWTON_MAX_ITER):
-            r = _residual(field, basis, config, c)
-            rnorm = np.sqrt(np.sum(r ** 2))
-            if rnorm <= NEWTON_TOL:
-                converged = True
-                break
-            jac = _fd_jacobian(field, basis, config, c)
-            try:
-                delta = np.linalg.solve(jac, -r.ravel()).reshape(m, J)
-            except np.linalg.LinAlgError:
-                break
-            lam_damp = 1.0
-            for _ in range(30):
-                trial = c + lam_damp * delta
-                tnorm = np.sqrt(np.sum(_residual(field, basis, config, trial) ** 2))
-                if tnorm < rnorm:
-                    c, rnorm = trial, tnorm
-                    break
-                lam_damp *= 0.5
+        stack[i] = c
+    roots = []
+    if not any(eq.is_origin for eq in known):
+        zero = np.zeros((m, J))
+        origin_res = np.sqrt(np.sum(_residual(field, basis, config, zero) ** 2))
+        if origin_res <= NEWTON_TOL:
+            roots.append((zero, origin_res))
+    if len(seeds):
+        rnorm = _newton(field, basis, config, stack)
+        for seed_idx, (c, res) in enumerate(zip(stack, rnorm)):
+            if res <= NEWTON_TOL:
+                roots.append((c, res))
             else:
-                break
-        if converged:
-            roots.append((c, rnorm))
-        else:
-            log.warning("Newton did not converge from seed %d (|R| = %.3e); discarded",
-                        seed_idx, float(rnorm))
+                log.warning("Newton did not converge from seed %d (|R| = %.3e); discarded",
+                            seed_idx, float(res))
 
-    found: list[Equilibrium] = []
+    found = list(known)
     for c, rnorm in roots:
         if any(np.sqrt(np.sum((c - eq.state.coeffs) ** 2)) <= DEDUP_TOL for eq in found):
             continue

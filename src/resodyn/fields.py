@@ -117,27 +117,33 @@ class SampleGrid:
 def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) -> GalerkinState:
     """Coefficients <f_k(., u(.), u'(.)), phi_j> by folded quadrature.
 
-    ``u.coeffs`` may be one (m, J) matrix or a (..., m, J) stack; the stack
-    is evaluated row-wise through the same folded tables.  u' is evaluated
-    only for a field that ``reads_du``.
+    ``u.coeffs`` may be one (m, J) matrix, a (B, m, J) stack or an
+    (S, B, m, J) stack of S independent blocks.  Up to three dimensions the
+    whole array is one block of rows; with four, each trailing (B, m, J)
+    stack is its own block, and its fold and projection products are the
+    BLAS calls that block alone makes, so every block's coefficients are
+    bit for bit those of a separate call.  The field then receives U (and
+    dU) of shape (S, B, m, n): two leading batch axes.  u' is evaluated only
+    for a field that ``reads_du``.
 
     A non-finite field value raises EvaluationError naming its component
-    and node.  The check scans the coefficients (J per row), not the nodal
-    values: the fold's products spread inf and NaN to coefficients of the
-    row (0 * inf is NaN), so the nodal values are scanned only when a
-    coefficient is not finite.  If every nodal value is finite (the
-    quadrature sum itself overflowed), the coefficients are returned as they
-    are, for the march's divergence guard.
+    and node (in a block stack, the first in memory order over every block).
+    The check scans the coefficients (J per row), not the nodal values: the
+    fold's products spread inf and NaN to coefficients of the row (0 * inf
+    is NaN), so the nodal values are scanned only when a coefficient is not
+    finite.  If every nodal value is finite (the quadrature sum itself
+    overflowed), the coefficients are returned as they are, for the march's
+    divergence guard.
     """
     c = u.coeffs
-    rows = c.reshape(-1, c.shape[-1])
+    rows = c.reshape(c.shape[:-3] + (-1, c.shape[-1]))
     nodal = c.shape[:-1] + (basis.x.size,)
     U = basis._fold(rows, basis._phi_fold, flip=False).reshape(nodal)
     dU = basis._fold(rows, basis._dphi_fold, flip=True).reshape(nodal) if field.reads_du else None
     fv = np.asarray(field.eval(basis.x, U, dU), dtype=float)
     if fv.shape != nodal:
         raise EvaluationError(f"field returned shape {fv.shape}, expected {nodal}")
-    out = basis._project(fv.reshape(-1, nodal[-1]))
+    out = basis._project(fv.reshape(rows.shape[:-1] + nodal[-1:]))
     if not np.isfinite(out).all():
         bad = ~np.isfinite(fv)
         if bad.any():

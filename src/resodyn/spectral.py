@@ -106,23 +106,25 @@ class SpectralBasis:
         return self._fold(coeffs, self._dphi_fold, flip=True)
 
     def _fold(self, coeffs, tables, flip):
-        """``values`` (or, flipped, ``dvalues``) of 2-D float rows, uncoerced."""
+        """``values`` (or, flipped, ``dvalues``) of float rows, uncoerced: a
+        2-D array of rows, or a stack of such arrays, each its own block (one
+        product per block, of the shape a call on that block alone makes)."""
         table_s, table_a, table_mid = tables
         # the parity blocks as C-ordered copies, so that the products take
         # one BLAS path whatever numpy does with a stride-2 operand
-        cs = np.ascontiguousarray(coeffs[:, 0::2])
-        ca = np.ascontiguousarray(coeffs[:, 1::2])
+        cs = np.ascontiguousarray(coeffs[..., 0::2])
+        ca = np.ascontiguousarray(coeffs[..., 1::2])
         vs = cs @ table_s
         va = ca @ table_a
         nq = self.x.size
         h = self._half
-        out = np.empty((coeffs.shape[0], nq))
-        out[:, :h] = vs + va
+        out = np.empty(coeffs.shape[:-1] + (nq,))
+        out[..., :h] = vs + va
         mirrored = (va - vs) if flip else (vs - va)
-        out[:, nq - h:] = mirrored[:, ::-1]
+        out[..., nq - h:] = mirrored[..., ::-1]
         if nq % 2:
             # only the block that is symmetric after the map is nonzero there
-            out[:, h] = (ca if flip else cs) @ table_mid
+            out[..., h] = (ca if flip else cs) @ table_mid
         return out
 
     def project(self, fvals: np.ndarray) -> np.ndarray:
@@ -134,20 +136,21 @@ class SpectralBasis:
         return self._project(np.atleast_2d(np.asarray(fvals, dtype=float)))
 
     def _project(self, fvals):
-        """``project`` of 2-D float rows, copied C-ordered first so that every
-        memory layout takes the same BLAS path and rounds the same."""
+        """``project`` of float rows (2-D, or a stack of 2-D blocks as in
+        ``_fold``), copied C-ordered first so that every memory layout takes
+        the same BLAS path and rounds the same."""
         fvals = np.ascontiguousarray(fvals)
         weighted_s, weighted_a, weighted_mid = self._project_fold
         h = self._half
         nq = self.x.size
-        f1 = fvals[:, :h]
-        f2 = fvals[:, nq - h:][:, ::-1]
+        f1 = fvals[..., :h]
+        f2 = fvals[..., nq - h:][..., ::-1]
         ps = (f1 + f2) @ weighted_s
         if nq % 2:
-            ps += np.outer(fvals[:, h], weighted_mid)
-        out = np.empty((fvals.shape[0], self.J))
-        out[:, 0::2] = ps
-        out[:, 1::2] = (f1 - f2) @ weighted_a
+            ps += fvals[..., h, None] * weighted_mid
+        out = np.empty(fvals.shape[:-1] + (self.J,))
+        out[..., 0::2] = ps
+        out[..., 1::2] = (f1 - f2) @ weighted_a
         return out
 
     def gram(self) -> np.ndarray:

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,3 +63,19 @@ def assert_stored_spectrum():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(scope="session")
+def golden():
+    """``tests/golden/regenerate.py``: the output manifest and its helpers.
+    Skips the test when the manifest was made on a machine whose facts
+    differ from this one's, since the digests hold only there."""
+    path = Path(__file__).resolve().parent / "golden" / "regenerate.py"
+    spec = importlib.util.spec_from_file_location("golden_manifest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    foreign = module.foreign_facts(module.load()["machine"])
+    if foreign:
+        pytest.skip("tests/golden/shipped.json was made on another machine: "
+                    + "; ".join(foreign))
+    return module

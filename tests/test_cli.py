@@ -438,15 +438,18 @@ def test_connect_runs_one_newton_search_after_the_origin(tmp_path, small_config,
     search = cli.find_equilibria
     calls = []
 
-    def recorded(*args):
-        calls.append((len(args[-1]), search(*args)))
-        return calls[-1][1]
+    def recorded(*args, **kwargs):
+        calls.append((len(args[-1]), kwargs, search(*args, **kwargs)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(cli, "find_equilibria", recorded)
     assert cli.run_subcommand("connect", path, out_dir=tmp_path / "out") == 0
-    (first, (origin,)), (second, equilibria) = calls
+    (first, first_kwargs, found), (second, second_kwargs, equilibria) = calls
+    (origin,) = found
     directions = unstable_directions(exp.field, exp.basis, exp.problem, origin)
-    assert first == 0 and origin.is_origin
+    assert first == 0 and origin.is_origin and first_kwargs == {}
+    # the seeded search is handed the first search's result and keeps it first
+    assert second_kwargs["known"] is found and equilibria[0] is origin
     assert second == 4 + 2 * len(directions) and len(directions) > 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["stages"]["connect"]["equilibria"] == [eq.to_dict() for eq in equilibria]
@@ -458,8 +461,9 @@ def test_connect_runs_one_newton_search_after_the_origin(tmp_path, small_config,
 @pytest.mark.parametrize("config", ["small", "two_component"])
 def test_connect_linearizes_each_equilibrium_once(tmp_path, small_config, monkeypatch, config,
                                                   assert_stored_spectrum):
-    # the origin is linearized by each of the stage's two searches, every
-    # other equilibrium by its own, and no Morse index is a dense eigvalsh
+    # the origin is linearized once, by the stage's first search, which hands
+    # it to the second; every other equilibrium by its own search, and no
+    # Morse index is a dense eigvalsh
     import resodyn.connections as connections
     path = small_config if config == "small" else JSON_CFG
     exp = load_config(path)
@@ -475,16 +479,17 @@ def test_connect_linearizes_each_equilibrium_once(tmp_path, small_config, monkey
         dense.append(sys._getframe(1).f_globals["__name__"])
         return eigvalsh(a, *args, **kwargs)
 
-    def recorded(*args):
-        searches.append(search(*args))
-        return searches[-1]
+    def recorded(*args, **kwargs):
+        found = search(*args, **kwargs)
+        searches.append(found[len(kwargs.get("known", ())):])  # what this search accepted
+        return found
 
     monkeypatch.setattr(connections, "discrete_linearization", counted_linearize)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(cli, "find_equilibria", recorded)
     assert cli.run_subcommand("connect", path, out_dir=tmp_path / "out") == 0
     monkeypatch.undo()
-    assert linearized.count(True) == 2
+    assert linearized.count(True) == 1
     assert len(linearized) == sum(map(len, searches))
     assert "resodyn.connections" not in dense
     for eq in (eq for found in searches for eq in found):

@@ -239,6 +239,232 @@ def test_fd_jacobian_matches_column_loop(basis32, m):
     assert np.all(np.abs(_fd_jacobian(field, basis32, cfg, c) - loop) <= floor)
 
 
+# -- lockstep Newton -----------------------------------------------------------
+
+def _per_seed_search(field, basis, config, seeds):
+    """``find_equilibria`` as it ran before its seeds stepped in lockstep: one
+    seed after the other, every residual of one (m, J) state evaluated afresh
+    at the top of each iteration, warnings as each seed fails.  Kept as the
+    oracle of the stacked search, with convergence also tested after the last
+    permitted step."""
+    from resodyn import connections as cn
+    m, J = config.m, basis.J
+    zero = np.zeros((m, J))
+    origin_res = np.sqrt(np.sum(cn._residual(field, basis, config, zero) ** 2))
+    roots = [(zero, origin_res)] if origin_res <= cn.NEWTON_TOL else []
+    for seed_idx, seed in enumerate(seeds):
+        c = np.atleast_2d(np.asarray(seed.coeffs, dtype=float)).copy()
+        for it in range(cn.NEWTON_MAX_ITER + 1):
+            r = cn._residual(field, basis, config, c)
+            rnorm = np.sqrt(np.sum(r ** 2))
+            if rnorm <= cn.NEWTON_TOL or it == cn.NEWTON_MAX_ITER:
+                break
+            jac = cn._fd_jacobian(field, basis, config, c)
+            try:
+                delta = np.linalg.solve(jac, -r.ravel()).reshape(m, J)
+            except np.linalg.LinAlgError:
+                break
+            lam_damp = 1.0
+            for _ in range(30):
+                trial = c + lam_damp * delta
+                tnorm = np.sqrt(np.sum(cn._residual(field, basis, config, trial) ** 2))
+                if tnorm < rnorm:
+                    c, rnorm = trial, tnorm
+                    break
+                lam_damp *= 0.5
+            else:
+                break
+        if rnorm <= cn.NEWTON_TOL:
+            roots.append((c, rnorm))
+        else:
+            cn.log.warning("Newton did not converge from seed %d (|R| = %.3e); discarded",
+                           seed_idx, float(rnorm))
+    found = []
+    for c, rnorm in roots:
+        if any(np.sqrt(np.sum((c - eq.state.coeffs) ** 2)) <= cn.DEDUP_TOL for eq in found):
+            continue
+        state = rd.GalerkinState(c)
+        L = rd.discrete_linearization(field, basis, config, state)
+        vals, vecs = cn._block_eigh(L)
+        found.append(cn.Equilibrium(
+            state=state, residual=float(rnorm),
+            is_origin=bool(np.sqrt(np.sum(c ** 2)) <= cn.DEDUP_TOL), linearization=L,
+            unstable=tuple((float(vals[i]), rd.GalerkinState(vecs[:, i].reshape(m, J)))
+                           for i in np.flatnonzero(vals < -cn.MORSE_TOL))))
+    return found
+
+
+def _assert_same_equilibria(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.state.coeffs, b.state.coeffs)
+        assert a.residual == b.residual and a.is_origin == b.is_origin
+        assert np.array_equal(a.linearization, b.linearization)
+        assert [rate for rate, _ in a.unstable] == [rate for rate, _ in b.unstable]
+        for (_, d), (_, e) in zip(a.unstable, b.unstable):
+            assert np.array_equal(d.coeffs, e.coeffs)
+
+
+def _newton_field(spec, m):
+    if spec != "u'-reading":
+        return rd.make_field(spec, m)
+    return rd.NonlinearField(name="arctan(40u)+tanh(u')/10", m=m,
+                             eval=lambda x, U, dU: np.arctan(40 * U) + 0.1 * np.tanh(dU),
+                             sigma=np.zeros(m), f_plus=None, f_minus=None)
+
+
+def _warnings(caplog):
+    messages = [r.getMessage() for r in caplog.records if r.name == "resodyn.connections"]
+    caplog.clear()
+    return messages
+
+
+@pytest.mark.parametrize("quad_nodes", [80, 81])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("spec", ["arctan(40)", "-arctan(40)", "scaled-arctan(40,0.5)",
+                                  "u'-reading"])
+def test_lockstep_newton_matches_per_seed_loop(spec, m, quad_nodes, monkeypatch, caplog):
+    # the connect stage's seeds (four small random states, then +-0.05 d per
+    # unstable direction of the origin), a repeated seed, two far seeds and
+    # one whose Jacobian is singular; with the default iteration cap and with
+    # a cap of 3, under which most seeds never converge
+    from resodyn import connections
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), 32)
+    cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis.mu[0]),) * m, sigma=(0.0,) * m)
+    split = rd.classify(basis, cfg)
+    field = _newton_field(spec, m)
+    rng = np.random.default_rng(m * 100 + quad_nodes)
+    seeds = [rd.GalerkinState(0.05 * rng.normal(size=(m, 32)) / np.sqrt(m * 32))
+             for _ in range(4)]
+    for origin in rd.find_equilibria(field, basis, split, cfg, []):
+        seeds += [rd.GalerkinState(sign * 0.05 * d.coeffs)
+                  for _, d in origin.unstable for sign in (1, -1)]
+    far, farther, singular = np.zeros((3, m, 32))
+    far[0, 0], farther[:, 1] = 30.0, -50.0
+    singular[-1, :4] = 0.01
+    seeds += [seeds[1], rd.GalerkinState(far), rd.GalerkinState(singular),
+              rd.GalerkinState(farther)]
+    jacobian = connections._fd_jacobian
+
+    def with_singular_seed(field, basis, config, c):
+        if np.array_equal(c, singular):
+            return np.zeros((c.size, c.size))
+        return jacobian(field, basis, config, c)
+
+    monkeypatch.setattr(connections, "_fd_jacobian", with_singular_seed)
+    caplog.set_level("WARNING", logger="resodyn.connections")
+    singular_warning = f"Newton did not converge from seed {len(seeds) - 2} "
+    found, warned = [], []
+    for cap in (connections.NEWTON_MAX_ITER, 3):
+        monkeypatch.setattr(connections, "NEWTON_MAX_ITER", cap)
+        want = _per_seed_search(field, basis, cfg, seeds)
+        expected = _warnings(caplog)
+        got = rd.find_equilibria(field, basis, split, cfg, seeds)
+        assert _warnings(caplog) == expected
+        _assert_same_equilibria(got, want)
+        assert any(w.startswith(singular_warning) for w in expected)
+        found.append(len(got))
+        warned.append(len(expected))
+    # seeds converge besides the origin (only the damped field has none),
+    # and under the cap of 3 more seeds fail than the singular one
+    assert found[0] >= 3 if spec != "-arctan(40)" else found[0] == 1
+    assert warned[1] > 1
+
+
+def test_lockstep_newton_without_seeds(basis32, desk_problem, desk_split, desk_field,
+                                       monkeypatch):
+    from resodyn import connections
+    calls = []
+    evaluate = connections.galerkin_F
+    monkeypatch.setattr(connections, "galerkin_F",
+                        lambda *args: calls.append(args[-1].coeffs.shape) or evaluate(*args))
+    got = rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, [])
+    assert calls == [(1, 32)]  # the origin's residual, and no Newton step
+    _assert_same_equilibria(got, _per_seed_search(desk_field, basis32, desk_problem, []))
+
+
+def test_lockstep_newton_rounds_are_one_stacked_evaluation(basis32, desk_problem,
+                                                           desk_split, desk_field,
+                                                           monkeypatch):
+    # after the origin, every residual is one (S', 1, 1, 32) stack of the
+    # seeds still iterating or searching, or one seed's Jacobian stack
+    from resodyn import connections
+    shapes = []
+    evaluate = connections.galerkin_F
+    monkeypatch.setattr(connections, "galerkin_F",
+                        lambda *args: shapes.append(args[-1].coeffs.shape) or evaluate(*args))
+    seeds = [rd.GalerkinState.unit(1, 32, 1, j, a) for j in (1, 2) for a in (0.05, -0.05)]
+    rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, seeds)
+    assert shapes[:2] == [(1, 32), (4, 1, 1, 32)]
+    stacked = [s for s in shapes[2:] if len(s) == 4]
+    assert all(s[1:] == (1, 1, 32) and 1 <= s[0] <= 4 for s in stacked)
+    assert all(s == (64, 1, 32) for s in shapes[2:] if len(s) != 4)
+    per_seed = sum(len(s) == 3 for s in shapes)
+    assert len(shapes) < 2 * per_seed  # at most one trial stack per Jacobian
+
+
+def test_known_equilibria_lead_and_are_not_derived_again(basis32, desk_problem, desk_split,
+                                                        desk_field, monkeypatch):
+    from resodyn import connections
+    seeds = [rd.GalerkinState.unit(1, 32, 1, 2, a) for a in (0.05, -0.05)]
+    known = rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, [])
+    plain = rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, seeds)
+    linearized, evaluated = [], []
+    linearize, evaluate = connections.discrete_linearization, connections.galerkin_F
+    monkeypatch.setattr(connections, "discrete_linearization",
+                        lambda *args: linearized.append(args[-1]) or linearize(*args))
+    monkeypatch.setattr(connections, "galerkin_F",
+                        lambda *args: evaluated.append(args[-1].coeffs.shape) or evaluate(*args))
+    handed = rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, seeds,
+                                known=known)
+    assert handed[0] is known[0] and known[0].is_origin
+    _assert_same_equilibria(handed, plain)
+    assert len(linearized) == len(plain) - 1 and all(np.any(s.coeffs) for s in linearized)
+    assert (1, 32) not in evaluated  # the origin's residual is not evaluated again
+
+
+def test_wrong_seed_shape_raises_before_any_newton_step(basis32, desk_problem, desk_split,
+                                                        desk_field, monkeypatch):
+    from resodyn import connections
+    calls = []
+    monkeypatch.setattr(connections, "galerkin_F", lambda *args: calls.append(args))
+    good = rd.GalerkinState.unit(1, 32, 1, 2, 0.05)
+    for bad in (rd.GalerkinState.zeros(2, 32), rd.GalerkinState.zeros(1, 31)):
+        with pytest.raises(ConfigurationError, match="seed shape"):
+            rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, [good, bad])
+    assert calls == []
+
+
+def _affine_field(m):
+    # F(u) = 2 u + 1: the residual is affine, so one Newton step lands at the
+    # root up to the rounding of the finite-difference Jacobian
+    return rd.NonlinearField(name="2u+1", m=m, eval=lambda x, U, dU: 2.0 * U + 1.0,
+                             sigma=np.zeros(m), f_plus=None, f_minus=None, reads_du=False)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_seed_converging_on_its_last_permitted_step_is_kept(basis32, monkeypatch, caplog, cap):
+    from resodyn import connections
+    cfg = rd.ProblemConfig(m=1, l=1, lam=(0.0,), sigma=(0.0,))
+    split = rd.classify(basis32, cfg)
+    field = _affine_field(1)
+    root = next(eq for eq in rd.find_equilibria(field, basis32, split, cfg,
+                                                [rd.GalerkinState.zeros(1, 32)])
+                if not eq.is_origin)
+    # one step from near the root, two from the origin, lands within NEWTON_TOL
+    seed = root.state.coeffs + 1e-6 if cap == 1 else np.zeros((1, 32))
+    monkeypatch.setattr(connections, "NEWTON_MAX_ITER", cap)
+    calls = []
+    jacobian = connections._fd_jacobian
+    monkeypatch.setattr(connections, "_fd_jacobian",
+                        lambda *args: calls.append(1) or jacobian(*args))
+    caplog.set_level("WARNING", logger="resodyn.connections")
+    (eq,) = rd.find_equilibria(field, basis32, split, cfg, [rd.GalerkinState(seed)])
+    assert len(calls) == cap and _warnings(caplog) == []
+    assert eq.residual <= connections.NEWTON_TOL and not eq.is_origin
+    assert np.sqrt(np.sum((eq.state.coeffs - root.state.coeffs) ** 2)) <= 1e-12
+
+
 # -- batched shots ------------------------------------------------------------
 
 def _close(a, b):

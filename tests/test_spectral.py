@@ -187,6 +187,35 @@ def test_blocked_fold_is_exact_on_c_ordered_rows(quad_nodes):
                     assert np.array_equal(F, _gather_galerkin_F(fld, basis, stack))
 
 
+@pytest.mark.parametrize("quad_nodes", [48, 49, 80, 81])
+def test_block_stack_is_separate_calls(quad_nodes):
+    # an (S, B, m, J) stack evaluates each (B, m, J) block as its own call
+    # does: one row per block (m = B = 1, the matrix-vector product) up to
+    # 384 rows, past the kernel switch of every table shape here; the
+    # derivative fold is read by the u'-reading field, and the block of a
+    # 4-D stack of one block is the 3-D call
+    J = 16 if quad_nodes < 64 else 32
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), J)
+    gen = np.random.default_rng(quad_nodes)
+    for m in (1, 2, 3):
+        fields = (rd.make_field("scaled-arctan(40,0.5)", m),
+                  rd.NonlinearField(name="arctan(u)+tanh(u')", m=m,
+                                    eval=lambda x, U, dU: np.arctan(40 * U) + np.tanh(dU),
+                                    sigma=np.zeros(m), f_plus=None, f_minus=None))
+        for B in (1, 2, 5, 384 // m):
+            for S in (1, 3):
+                c = 0.3 * gen.normal(size=(S, B, m, J))
+                for field in fields:
+                    F = rd.galerkin_F(field, basis, rd.GalerkinState._trusted(c)).coeffs
+                    assert F.shape == c.shape
+                    for s in range(S):
+                        alone = rd.galerkin_F(field, basis, rd.GalerkinState._trusted(c[s]))
+                        assert np.array_equal(F[s], alone.coeffs), (m, B, S, s, field.name)
+                    if B == 1:  # a block of one state is the (m, J) call
+                        alone = rd.galerkin_F(field, basis, rd.GalerkinState(c[0, 0]))
+                        assert np.array_equal(F[0, 0], alone.coeffs)
+
+
 def test_apply_A_kernel_mode(basis32, desk_problem):
     u = rd.GalerkinState.unit(1, 32, 1, 1)
     out = rd.apply_A(basis32, desk_problem, u)
