@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -317,7 +318,7 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
         return "inf" if obj > 0 else ("-inf" if obj < 0 else "nan")
     return obj
 

@@ -4,6 +4,7 @@ fields, and forward shooting for orbits connecting stationary points."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -12,7 +13,7 @@ import numpy as np
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, GradientStructureError
 from .fields import NonlinearField, _u_jacobian, galerkin_F
-from .semiflow import IntegratorSettings, Trajectory, integrate_ensemble
+from .semiflow import DIVERGENCE_THRESHOLD, IntegratorSettings, Trajectory, integrate_ensemble
 from .spectral import GalerkinState, ProblemConfig, SpectralBasis, _eigh, diag_A
 
 log = logging.getLogger(__name__)
@@ -33,6 +34,10 @@ NEWTON_TOL = 1e-10          # residual norm at which a Newton seed has converged
 NEWTON_MAX_ITER = 100       # Newton iterations per seed
 DEDUP_TOL = 1e-6            # L2 distance under which two equilibria are one
 NEWTON_FD_STEP = 1e-7       # relative central-difference step of the Newton Jacobian
+# Most bytes of nodal values in one stacked Jacobian evaluation (unless it is
+# one seed): glibc's default mmap threshold, above which a temporary is mapped
+# and its pages are faulted in again on every use.
+FD_STACK_BYTES = 128 * 1024
 MORSE_TOL = 1e-10           # a linearization eigenvalue below -MORSE_TOL is unstable
 SETTLE_TOL = 1e-4           # a shot settles once it stays this close to one target
 DWELL = 1.0                 # ... and stays there this many time units
@@ -77,53 +82,74 @@ def _residual(field, basis, config, c):
 def _norms(r):
     """The L2 norm of each state of an (S, m, J) stack, each summed as
     ``np.sum`` sums that state alone (one C-ordered m*J run)."""
-    return np.sqrt((r ** 2).reshape(r.shape[0], -1).sum(axis=-1))
+    return np.sqrt((r ** 2).reshape(r.shape[0], math.prod(r.shape[1:])).sum(axis=-1))
 
 
 def _fd_jacobian(field, basis, config, c):
     """Central differences, every column from one stacked residual evaluation
-    of the 2 m J states c +- h_i e_i with h_i = NEWTON_FD_STEP * max(1, |c_i|)."""
-    m, J = c.shape
+    of the 2 m J states c +- h_i e_i with h_i = NEWTON_FD_STEP * max(1, |c_i|).
+
+    ``c`` is one (m, J) state, giving its (n, n) Jacobian (n = m J), or an
+    (S, m, J) stack, giving (S, n, n): each state's 2 n shifted states are
+    then one block of an (S, 2 n, m, J) residual stack, so every Jacobian is
+    bit for bit that of its state alone."""
+    *lead, m, J = c.shape
     n = m * J
-    base = c.ravel()
+    base = c.reshape(*lead, n)
     h = NEWTON_FD_STEP * np.maximum(1.0, np.abs(base))
-    shifted = np.tile(base, (2, n, 1))
+    shifted = np.broadcast_to(base[..., None, None, :], (*lead, 2, n, n)).copy()
     diag = np.arange(n)
-    shifted[0, diag, diag] += h
-    shifted[1, diag, diag] -= h
-    r = _residual(field, basis, config, shifted.reshape(2 * n, m, J)).reshape(2, n, n)
-    return ((r[0] - r[1]) / (2 * h[:, None])).T
+    shifted[..., 0, diag, diag] += h
+    shifted[..., 1, diag, diag] -= h
+    r = _residual(field, basis, config, shifted.reshape(*lead, 2 * n, m, J))
+    r = r.reshape(*lead, 2, n, n)
+    return ((r[..., 0, :, :] - r[..., 1, :, :]) / (2 * h[..., None])).swapaxes(-1, -2)
 
 
 def _newton(field, basis, config, c):
     """Damped Newton from every state of the (S, m, J) stack ``c`` (updated
     in place) in lockstep; returns the residual norms at the last iterates.
 
-    Each iteration takes one finite-difference Jacobian and one solve per
-    live seed; a singular Jacobian retires only its own seed.  Each
-    backtracking round evaluates the trial residuals of every seed still
-    searching in one (S', 1, m, J) stack, one block per seed, so each seed
-    rounds as it would alone; a seed whose round finds no decrease after 30
-    halvings retires, and the accepted trial's residual is the next
-    iteration's.  A seed converges once its norm is at most NEWTON_TOL,
-    after its last permitted step too.
+    Each iteration builds the live seeds' finite-difference Jacobians in
+    groups of whole seeds, each group one stacked ``_fd_jacobian`` call
+    whose nodal array stays within FD_STACK_BYTES (or is one seed), and
+    solves them in one batched ``np.linalg.solve`` (LAPACK dgesv per
+    matrix, as for one seed); when that raises LinAlgError, the seeds are
+    solved one by one, so a singular Jacobian retires only its own seed.
+    Each backtracking round evaluates the trial residuals of every seed
+    still searching in one (S', 1, m, J) stack, one block per seed, so each
+    seed rounds as it would alone; a seed whose round finds no decrease
+    after 30 halvings retires, and the accepted trial's residual is the
+    next iteration's.  A seed converges once its norm is at most NEWTON_TOL,
+    after its last permitted step too, and retires once an accepted iterate's
+    L2 norm passes DIVERGENCE_THRESHOLD.
     """
     r = _residual(field, basis, config, c[:, None])[:, 0]
     rnorm = _norms(r)
     live = np.ones(len(c), dtype=bool)
+    m, J = c.shape[1:]
+    group = max(1, FD_STACK_BYTES // (2 * m * J * m * basis.x.size * 8))
     for _ in range(NEWTON_MAX_ITER):
         live &= ~(rnorm <= NEWTON_TOL)
-        searching, steps = [], []
-        for i in np.flatnonzero(live):
-            try:
-                steps.append(np.linalg.solve(_fd_jacobian(field, basis, config, c[i]),
-                                             -r[i].ravel()).reshape(r[i].shape))
-                searching.append(i)
-            except np.linalg.LinAlgError:
-                live[i] = False
-        if not searching:
+        searching = np.flatnonzero(live)
+        if not searching.size:
             break
-        searching, delta = np.array(searching), np.stack(steps)
+        jac = np.concatenate([_fd_jacobian(field, basis, config, c[searching[k:k + group]])
+                              for k in range(0, searching.size, group)])
+        rhs = -r[searching].reshape(searching.size, -1, 1)
+        try:
+            delta = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            solved = []
+            for k, i in enumerate(searching):
+                try:
+                    solved.append(np.linalg.solve(jac[k], rhs[k]))
+                except np.linalg.LinAlgError:
+                    live[i] = False
+            if not solved:
+                break
+            searching, delta = searching[live[searching]], np.stack(solved)
+        delta = delta.reshape(searching.size, m, J)
         lam_damp = 1.0
         for _ in range(30):
             trial = c[searching] + lam_damp * delta
@@ -131,7 +157,9 @@ def _newton(field, basis, config, c):
             tnorm = _norms(tr)
             better = tnorm < rnorm[searching]
             done = searching[better]
-            c[done], r[done], rnorm[done] = trial[better], tr[better], tnorm[better]
+            accepted = trial[better]
+            c[done], r[done], rnorm[done] = accepted, tr[better], tnorm[better]
+            live[done[~(_norms(accepted) <= DIVERGENCE_THRESHOLD)]] = False
             searching, delta = searching[~better], delta[~better]
             if not searching.size:
                 break
@@ -146,12 +174,15 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
     """Damped Newton on -A u + F(u) = 0 from every seed at once.
 
     Finite-difference Jacobian, backtracking on the residual norm;
-    non-converged seeds are dropped with a warning, in seed order.  The
-    seeds step in lockstep (``_newton``): the trial residuals of a
-    backtracking round are one stacked ``galerkin_F`` call with one block
-    per seed, which the field sees as U of shape (S, 1, m, n), and every
-    seed's iterates are bit for bit those of a Newton run from that seed
-    alone.  Every seed's shape is checked before any Newton step.
+    non-converged seeds, and seeds whose iterate left the ball of L2 radius
+    DIVERGENCE_THRESHOLD (a field that decays along a resonant mode has
+    residuals below NEWTON_TOL far out along it, points at infinity), are
+    dropped with a warning, in seed order.  The seeds step in lockstep
+    (``_newton``): the Jacobians and the trial residuals of a backtracking
+    round are stacked ``galerkin_F`` calls with one block per seed, which
+    the field sees as U of shape (S, B, m, n), and every seed's iterates
+    are bit for bit those of a Newton run from that seed alone.  Every
+    seed's shape is checked before any Newton step.
 
     The candidates are the origin, whenever the field vanishes there, then
     the seeds' roots in seed order; each is dropped when within DEDUP_TOL
@@ -178,8 +209,12 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
             roots.append((zero, origin_res))
     if len(seeds):
         rnorm = _newton(field, basis, config, stack)
-        for seed_idx, (c, res) in enumerate(zip(stack, rnorm)):
-            if res <= NEWTON_TOL:
+        for seed_idx, (c, res, size) in enumerate(zip(stack, rnorm, _norms(stack))):
+            if not size <= DIVERGENCE_THRESHOLD:
+                log.warning("Newton from seed %d passed the divergence bound %g "
+                            "(|u| = %.3e); discarded", seed_idx, DIVERGENCE_THRESHOLD,
+                            float(size))
+            elif res <= NEWTON_TOL:
                 roots.append((c, res))
             else:
                 log.warning("Newton did not converge from seed %d (|R| = %.3e); discarded",

@@ -4,6 +4,7 @@ conditions, asymptotic limits)."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -128,10 +129,11 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
 
     A non-finite field value raises EvaluationError naming its component
     and node (in a block stack, the first in memory order over every block).
-    The check scans the coefficients (J per row), not the nodal values: the
-    fold's products spread inf and NaN to coefficients of the row (0 * inf
-    is NaN), so the nodal values are scanned only when a coefficient is not
-    finite.  If every nodal value is finite (the quadrature sum itself
+    The check sums the coefficients, not the nodal values: the fold's
+    products spread inf and NaN to coefficients of the row (0 * inf is
+    NaN), and a non-finite coefficient makes the sum non-finite, so the
+    nodal values are scanned only when the sum is not finite.  If every
+    nodal value is finite (the quadrature sum, or the check's own sum,
     overflowed), the coefficients are returned as they are, for the march's
     divergence guard.
     """
@@ -144,7 +146,7 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
     if fv.shape != nodal:
         raise EvaluationError(f"field returned shape {fv.shape}, expected {nodal}")
     out = basis._project(fv.reshape(rows.shape[:-1] + nodal[-1:]))
-    if not np.isfinite(out).all():
+    if not math.isfinite(out.sum()):
         bad = ~np.isfinite(fv)
         if bad.any():
             *_, k, i = np.argwhere(bad)[0]

@@ -4,6 +4,7 @@ flow identity."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -47,6 +48,9 @@ MAX_STEPS = 10 ** 7
 DRIFT_TOL = 1e-3  # kernel-seminorm slope above which a run is flagged unbounded
 TRANSIENT_FRACTION = 0.2  # leading share of a trajectory that the bound check skips
 BOX_FILL = 0.9    # share of each box radius that sampled initial states fill
+# L2 norm past which a state has diverged: the march's default guard, and
+# the bound on every Newton iterate of ``connections.find_equilibria``
+DIVERGENCE_THRESHOLD = 1e8
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class IntegratorSettings:
     T: float
     scheme: str = "ETD1"
     store_every: int = 1
-    divergence_threshold: float = 1e8
+    divergence_threshold: float = DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
         if not (0 < self.dt < np.inf and 0 < self.T < np.inf):
@@ -307,7 +311,9 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
         raise ConfigurationError("initial state shape mismatch")
 
     factors = settings.step_factors(basis, config)
-    dt, threshold = settings.dt, settings.divergence_threshold
+    etd = settings.scheme == "ETD1"
+    E, dtP = factors if etd else (None, None)
+    dt, threshold, store_every = settings.dt, settings.divergence_threshold, settings.store_every
     q0 = split.masks["Q0"]
     c = np.stack([u0.coeffs for u0 in states])
     members = np.arange(s.size)
@@ -318,25 +324,30 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     nsteps = settings.nsteps
     for n in range(1, nsteps + 1):
         H = _homotopy(field, basis, plan, c)
-        if settings.scheme == "ETD1":
-            E, dtP = factors
-            c = E * c + dtP * H
-        else:
-            c = (c + dt * H) / factors
+        c = E * c + dtP * H if etd else (c + dt * H) / factors
         t = n * dt
-        hit = ~(np.sqrt((c ** 2).sum(axis=(-2, -1))) <= threshold)
-        leave = hit
+        # sqrt is monotone and NaN propagates through max, so the largest
+        # norm passes the threshold exactly when some row's does
+        sq = (c ** 2).sum(axis=(-2, -1))
+        leave = None
+        if not math.sqrt(sq.max()) <= threshold:
+            leave = ~(np.sqrt(sq) <= threshold)
+            diverged[members[leave]] = True
         if settle is not None:
-            live = ~hit if hit.any() else slice(None)
-            rows = members[live]
-            done = settle(t, c[live], rows) if rows.size else False
-            if done is not False:
-                leave = hit.copy()
-                leave[live] |= done
-        stored = n % settings.store_every == 0 or n == nsteps
-        gone = leave.any()
+            if leave is None:
+                done = settle(t, c, members)
+                if done is not False:
+                    leave = np.zeros(members.size, dtype=bool)
+                    leave |= done
+            else:
+                live = ~leave
+                if live.any():
+                    done = settle(t, c[live], members[live])
+                    if done is not False:
+                        leave[live] |= done
+        stored = n % store_every == 0 or n == nsteps
+        gone = leave is not None and leave.any()
         if stored or gone:
-            diverged[members[hit]] = True
             for row in (range(members.size) if stored else np.flatnonzero(leave)):
                 times[members[row]].append(t)
                 coeffs[members[row]].append(c[row])

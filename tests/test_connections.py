@@ -246,7 +246,8 @@ def _per_seed_search(field, basis, config, seeds):
     seed after the other, every residual of one (m, J) state evaluated afresh
     at the top of each iteration, warnings as each seed fails.  Kept as the
     oracle of the stacked search, with convergence also tested after the last
-    permitted step."""
+    permitted step, and with a seed retired once an accepted iterate's L2
+    norm passes DIVERGENCE_THRESHOLD."""
     from resodyn import connections as cn
     m, J = config.m, basis.J
     zero = np.zeros((m, J))
@@ -274,7 +275,14 @@ def _per_seed_search(field, basis, config, seeds):
                 lam_damp *= 0.5
             else:
                 break
-        if rnorm <= cn.NEWTON_TOL:
+            if not np.sqrt(np.sum(c ** 2)) <= cn.DIVERGENCE_THRESHOLD:
+                break
+        size = np.sqrt(np.sum(c ** 2))
+        if not size <= cn.DIVERGENCE_THRESHOLD:
+            cn.log.warning("Newton from seed %d passed the divergence bound %g "
+                           "(|u| = %.3e); discarded", seed_idx, cn.DIVERGENCE_THRESHOLD,
+                           float(size))
+        elif rnorm <= cn.NEWTON_TOL:
             roots.append((c, rnorm))
         else:
             cn.log.warning("Newton did not converge from seed %d (|R| = %.3e); discarded",
@@ -347,9 +355,13 @@ def test_lockstep_newton_matches_per_seed_loop(spec, m, quad_nodes, monkeypatch,
     jacobian = connections._fd_jacobian
 
     def with_singular_seed(field, basis, config, c):
-        if np.array_equal(c, singular):
-            return np.zeros((c.size, c.size))
-        return jacobian(field, basis, config, c)
+        # the oracle passes one state, the lockstep search a stack of seeds;
+        # the singular seed's block of the result is zeroed
+        jac = jacobian(field, basis, config, c)
+        for state, block in zip(c.reshape(-1, *c.shape[-2:]), jac.reshape(-1, *jac.shape[-2:])):
+            if np.array_equal(state, singular):
+                block[...] = 0.0
+        return jac
 
     monkeypatch.setattr(connections, "_fd_jacobian", with_singular_seed)
     caplog.set_level("WARNING", logger="resodyn.connections")
@@ -387,20 +399,85 @@ def test_lockstep_newton_rounds_are_one_stacked_evaluation(basis32, desk_problem
                                                            desk_split, desk_field,
                                                            monkeypatch):
     # after the origin, every residual is one (S', 1, 1, 32) stack of the
-    # seeds still iterating or searching, or one seed's Jacobian stack
+    # seeds still searching, or one group of whole seeds' Jacobian stacks
+    # (g, 64, 1, 32); an iteration takes every live seed's Jacobian in
+    # ceil(live / group) stacks, then one solve of all of them
     from resodyn import connections
-    shapes = []
-    evaluate = connections.galerkin_F
+    shapes, solves = [], []
+    evaluate, solve = connections.galerkin_F, np.linalg.solve
     monkeypatch.setattr(connections, "galerkin_F",
                         lambda *args: shapes.append(args[-1].coeffs.shape) or evaluate(*args))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
     seeds = [rd.GalerkinState.unit(1, 32, 1, j, a) for j in (1, 2) for a in (0.05, -0.05)]
     rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, seeds)
+    group = connections.FD_STACK_BYTES // (64 * 80 * 8)
+    assert group == 3
     assert shapes[:2] == [(1, 32), (4, 1, 1, 32)]
-    stacked = [s for s in shapes[2:] if len(s) == 4]
-    assert all(s[1:] == (1, 1, 32) and 1 <= s[0] <= 4 for s in stacked)
-    assert all(s == (64, 1, 32) for s in shapes[2:] if len(s) != 4)
-    per_seed = sum(len(s) == 3 for s in shapes)
-    assert len(shapes) < 2 * per_seed  # at most one trial stack per Jacobian
+    assert all(len(s) == 4 and s[1] in (1, 64) and s[2:] == (1, 32) for s in shapes[2:])
+    iterations = []  # (Jacobian group sizes, trial stack heights) per iteration
+    for s in shapes[2:]:
+        if s[1] == 64 and (not iterations or iterations[-1][1]):
+            iterations.append(([], []))
+        iterations[-1][s[1] == 1].append(s[0])
+    assert iterations[0][0] == [3, 1]
+    for jacobians, trials in iterations:
+        live = sum(jacobians)
+        assert len(jacobians) == -(-live // group)
+        assert all(g == group for g in jacobians[:-1])
+        assert trials[0] == live and all(a > b for a, b in zip(trials, trials[1:]))
+    assert solves == [(sum(jacobians), 32, 32) for jacobians, _ in iterations]
+
+
+@pytest.mark.parametrize("quad_nodes", [80, 81])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("spec", ["arctan(40)", "u'-reading"])
+def test_stacked_fd_jacobian_matches_per_state_calls(spec, S, m, quad_nodes):
+    from resodyn.connections import _fd_jacobian
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), 32)
+    cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis.mu[0]),) * m, sigma=(0.0,) * m)
+    field = _newton_field(spec, m)
+    c = 0.1 * np.random.default_rng(S * 10 + m).normal(size=(S, m, 32))
+    c[0, 0, 0] = 3.0  # a coefficient above 1 scales its step
+    stacked = _fd_jacobian(field, basis, cfg, c)
+    assert stacked.shape == (S, m * 32, m * 32)
+    for state, jac in zip(c, stacked):
+        assert np.array_equal(jac, _fd_jacobian(field, basis, cfg, state))
+
+
+@pytest.mark.parametrize("m, J, quad_nodes, group", [(2, 32, 80, 1), (1, 16, 48, 10),
+                                                     (1, 32, 80, 3)])
+def test_newton_jacobian_groups_stay_under_the_byte_bound(m, J, quad_nodes, group,
+                                                          monkeypatch):
+    # twelve live seeds: the first iteration's groups are full, and a group's
+    # nodal array passes FD_STACK_BYTES only when it is one seed
+    from resodyn import connections
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), J)
+    cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis.mu[0]),) * m, sigma=(0.0,) * m)
+    split = rd.classify(basis, cfg)
+    rng = np.random.default_rng(J + m)
+    seeds = [rd.GalerkinState(0.05 * rng.normal(size=(m, J))) for _ in range(12)]
+    groups, nodal = [], []
+    jacobian, evaluate = connections._fd_jacobian, connections.galerkin_F
+
+    def fd_jacobian(field, basis, config, c):
+        groups.append(len(c))
+        return jacobian(field, basis, config, c)
+
+    def galerkin_F(field, basis, u):
+        if u.coeffs.shape[1] == 2 * m * J:
+            nodal.append(u.coeffs.shape[0] * 2 * m * J * m * basis.x.size * 8)
+        return evaluate(field, basis, u)
+
+    monkeypatch.setattr(connections, "_fd_jacobian", fd_jacobian)
+    monkeypatch.setattr(connections, "galerkin_F", galerkin_F)
+    monkeypatch.setattr(connections, "NEWTON_MAX_ITER", 2)
+    rd.find_equilibria(rd.make_field("arctan(40)", m), basis, split, cfg, seeds)
+    first = [group] * (12 // group) + ([12 % group] if 12 % group else [])
+    assert groups[:len(first)] == first
+    assert max(groups) == group and len(nodal) == len(groups)
+    assert all(g == 1 or b <= connections.FD_STACK_BYTES for g, b in zip(groups, nodal))
+    assert (group == 1) == (2 * m * J * m * quad_nodes * 8 > connections.FD_STACK_BYTES)
 
 
 def test_known_equilibria_lead_and_are_not_derived_again(basis32, desk_problem, desk_split,
@@ -433,6 +510,23 @@ def test_wrong_seed_shape_raises_before_any_newton_step(basis32, desk_problem, d
         with pytest.raises(ConfigurationError, match="seed shape"):
             rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, [good, bad])
     assert calls == []
+
+
+def test_newton_discards_points_at_infinity(caplog):
+    # scaled-arctan decays along the resonant kernel mode phi_1, so far out
+    # along it the residual falls below NEWTON_TOL: from these seeds Newton
+    # walked out to |u| ~ 1e21 and accepted a "root" of Morse index 0 there
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=80), 32)
+    cfg = rd.ProblemConfig(m=1, l=1, lam=(float(basis.mu[0]),), sigma=(0.0,))
+    seeds = [rd.GalerkinState.unit(1, 32, 1, 1, a) for a in (3.0, 10.0, 30.0)]
+    caplog.set_level("WARNING", logger="resodyn.connections")
+    found = rd.find_equilibria(rd.make_field("scaled-arctan(40,0.5)", 1), basis,
+                               rd.classify(basis, cfg), cfg, seeds)
+    assert [eq.is_origin for eq in found] == [True]
+    warned = _warnings(caplog)
+    assert [w.split(" (")[0] for w in warned] == [
+        f"Newton from seed {i} passed the divergence bound 1e+08" for i in range(3)]
+    assert all(float(w.split("|u| = ")[1].split(")")[0]) > 1e8 for w in warned)
 
 
 def _affine_field(m):

@@ -494,6 +494,134 @@ def test_march_recording_rule():
     assert heights == [4, 4, 4, 4, 4, 3, 2, 1, 1, 1]
 
 
+def _march_five_ufunc_rule(field, basis, split, config, s_values, states, settings,
+                           settle=None):
+    """``integrate_ensemble``'s loop as it tested divergence before: every
+    row's norm (square, sum, sqrt, compare, invert) on every step, and the
+    rows ``settle`` sees cut by that mask whenever a row diverged.  Kept as
+    the oracle of the test by the largest norm; returns each member's
+    recorded times and states and the diverged flags."""
+    from resodyn.semiflow import _checked_s, _homotopy, _plan
+    s = _checked_s(s_values).reshape(-1)
+    factors = settings.step_factors(basis, config)
+    dt, threshold = settings.dt, settings.divergence_threshold
+    q0 = split.masks["Q0"]
+    c = np.stack([u0.coeffs for u0 in states])
+    members = np.arange(s.size)
+    plan = _plan(q0, s)
+    times = [[0.0] for _ in c]
+    coeffs = [[row] for row in c]
+    diverged = np.zeros(s.size, dtype=bool)
+    nsteps = settings.nsteps
+    for n in range(1, nsteps + 1):
+        H = _homotopy(field, basis, plan, c)
+        if settings.scheme == "ETD1":
+            E, dtP = factors
+            c = E * c + dtP * H
+        else:
+            c = (c + dt * H) / factors
+        t = n * dt
+        hit = ~(np.sqrt((c ** 2).sum(axis=(-2, -1))) <= threshold)
+        leave = hit
+        if settle is not None:
+            live = ~hit if hit.any() else slice(None)
+            rows = members[live]
+            done = settle(t, c[live], rows) if rows.size else False
+            if done is not False:
+                leave = hit.copy()
+                leave[live] |= done
+        stored = n % settings.store_every == 0 or n == nsteps
+        gone = leave.any()
+        if stored or gone:
+            diverged[members[hit]] = True
+            for row in (range(members.size) if stored else np.flatnonzero(leave)):
+                times[members[row]].append(t)
+                coeffs[members[row]].append(c[row])
+            if gone:
+                c, members = c[~leave], members[~leave]
+                if members.size == 0:
+                    break
+                plan = _plan(q0, s[members])
+    return times, [np.asarray(x) for x in coeffs], diverged
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("store_every", [1, 4])
+@pytest.mark.parametrize("retire", [None, {2: [3], 6: [], 8: [4], 9: []}],
+                         ids=["no-settle", "settle"])
+def test_divergence_by_largest_norm_matches_five_ufunc_rule(retire, store_every):
+    # u' = -A u + 50 u grows every row along phi_1.  A row tagged with +phi_2
+    # turns NaN, and one tagged with -phi_2 turns +-inf, at the step after
+    # its nodal values pass 50 (finite nodal values whose projection
+    # overflows); the threshold is row 0's norm at step 3, so row 0 lands
+    # exactly on it there, row 1 just above and row 2 just below
+    split, cfg = _small_system(1)
+    nq, h = _SMALL.x.size, _SMALL.x.size // 2
+
+    def eval_(x, U, dU):
+        out = 50.0 * U
+        for row, u in zip(out.reshape(-1, nq), U.reshape(-1, nq)):
+            tag = u[0] - u[-1]  # nonzero only on rows with an antisymmetric part
+            if tag != 0.0 and np.abs(u).max() > 50.0:
+                if tag > 0:
+                    row[:] = 1e308
+                else:
+                    row[h - 3] = row[nq - h + 2] = 1e308  # one mirrored pair
+        return out
+
+    field = rd.NonlinearField(name="tagged-growth", m=1, eval=eval_, sigma=np.zeros(1),
+                              f_plus=None, f_minus=None, reads_du=False)
+    rows = [(1000.0, 0.0), (1000.001, 0.0), (999.0, 0.0), (10.0, 0.0), (0.0, 0.0),
+            (1.0, 1.0), (3.0, -1.0), (2.0, 1.0)]
+    states = []
+    for a1, a2 in rows:
+        c = np.zeros((1, 8))
+        c[0, :2] = a1, a2
+        states.append(rd.GalerkinState(c))
+    s_values = [1.0] * len(states)
+    dry = rd.IntegratorSettings(dt=0.01, T=0.03, divergence_threshold=math.inf)
+    times, coeffs, _ = _march_five_ufunc_rule(field, _SMALL, split, cfg, s_values, states, dry)
+    at3 = np.sqrt((np.stack([c[3] for c in coeffs]) ** 2).sum(axis=(-2, -1)))
+    threshold = float(at3[0])
+    assert at3[1] > threshold > at3[2] and np.all(at3[3:] < threshold)
+    settings = rd.IntegratorSettings(dt=0.01, T=0.1, store_every=store_every,
+                                     divergence_threshold=threshold)
+
+    def logged(log):
+        if retire is None:
+            return None
+
+        def settle(t, c, members):
+            log.append((t, c.copy(), members.copy()))
+            step = round(t / settings.dt)
+            return np.isin(members, retire[step]) if step in retire else False
+        return settle
+
+    seen, seen_ref = [], []
+    ens = rd.integrate_ensemble(field, _SMALL, split, cfg, s_values, states, settings,
+                                logged(seen))
+    times, coeffs, diverged = _march_five_ufunc_rule(field, _SMALL, split, cfg, s_values,
+                                                     states, settings, logged(seen_ref))
+    assert [traj.diverged for traj in ens] == diverged.tolist()
+    for traj, t, c in zip(ens, times, coeffs):
+        assert np.array_equal(traj.times, t)
+        assert np.array_equal(traj.coeffs, c, equal_nan=True)
+    assert len(seen) == len(seen_ref)
+    for (t, c, members), (t_ref, c_ref, members_ref) in zip(seen, seen_ref):
+        assert t == t_ref and np.array_equal(members, members_ref)
+        assert np.array_equal(c, c_ref)
+    # the cases: rows 5 and 7 end NaN, row 6 infinite, row 1 past the
+    # threshold at step 3 and rows 0 and 2 at step 4; rows 3 and 4 never
+    # diverge, and the settle retires them at steps 2 and 8, the second on
+    # a step where a row diverges
+    last = [traj.coeffs[-1] for traj in ens]
+    assert diverged.tolist() == [True, True, True, False, False, True, True, True]
+    assert np.isnan(last[5]).any() and np.isnan(last[7]).any()
+    assert np.isinf(last[6]).any() and not np.isnan(last[6]).any()
+    assert [round(ens[i].times[-1] / settings.dt) for i in (0, 1, 2)] == [4, 3, 4]
+    assert len({round(ens[i].times[-1] / settings.dt) for i in (5, 6, 7)}) == 3
+
+
 @pytest.mark.parametrize("kwargs", [
     {"store_every": 2.5}, {"store_every": math.nan}, {"store_every": True},
     {"divergence_threshold": math.nan}, {"divergence_threshold": -1.0},
