@@ -34,9 +34,12 @@ NEWTON_TOL = 1e-10          # residual norm at which a Newton seed has converged
 NEWTON_MAX_ITER = 100       # Newton iterations per seed
 DEDUP_TOL = 1e-6            # L2 distance under which two equilibria are one
 NEWTON_FD_STEP = 1e-7       # relative central-difference step of the Newton Jacobian
-# Most bytes of nodal values in one stacked Jacobian evaluation (unless it is
-# one seed): glibc's default mmap threshold, above which a temporary is mapped
-# and its pages are faulted in again on every use.
+# Most bytes of the temporaries of one stacked evaluation: the nodal values of
+# a group of Newton Jacobians (``_newton``; unless the group is one seed) and
+# the differences of a window of settle steps to every target
+# (``shoot_connection``; unless the window is one step).  glibc's default mmap
+# threshold, above which a temporary is mapped and its pages are faulted in
+# again on every use.
 FD_STACK_BYTES = 128 * 1024
 MORSE_TOL = 1e-10           # a linearization eigenvalue below -MORSE_TOL is unstable
 SETTLE_TOL = 1e-4           # a shot settles once it stays this close to one target
@@ -437,37 +440,88 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
     closest, closest_target = np.full(B, np.inf), np.full(B, -1)
     inside_target, inside_since = np.full(B, -1), np.zeros(B)
     settled_target, settled_distance = np.full(B, -1), np.zeros(B)
+    # the window: the times of the steps shown since the last evaluation and
+    # their rows, all with the members ``held``, copied into ``window`` (so
+    # the march's arrays are freed step by step as before); every dwell run
+    # ongoing when it opened began at ``known`` or later.  ``window`` holds as
+    # many steps as keep their differences to every target, ``diff``, within
+    # FD_STACK_BYTES (or one step); both are views of buffers made once per
+    # call and grown only when a set of rows needs more.
+    window_t = []
+    held, known, window, diff = None, math.inf, None, None
+    rows_buffer, diff_buffer = np.empty(0), np.empty(0)
 
-    def settle(t, c, members):
-        # one C-ordered m*J run per distance, summed as np.sum sums one state
-        sq = (c[:, None] - goals) ** 2
-        dists = np.sqrt(sq.reshape(members.size, goals.shape[0], -1).sum(axis=-1))
-        near = dists.min(axis=1)
-        closer = near < closest[members]
+    def evaluate():
+        """Settle every step of the window at once, as one (K, B, G, m J)
+        distance computation, and empty it; returns the mask of the members
+        that settle at its last step (or False).  Bit for bit the per-step
+        rule: each distance is one C-ordered m J run, as ``np.sum`` sums one
+        state; the closest approach is the first strict minimum over the
+        window; a dwell run starts at the last step that breaks it."""
+        if not window_t:
+            return False
+        K, members = len(window_t), held
+        sq = np.subtract(window[:K, :, None], goals, out=diff[:K])
+        np.square(sq, out=sq)
+        dists = np.sqrt(sq.reshape(K, members.size, goals.shape[0], -1).sum(axis=-1))
+        times = np.array(window_t)
+        window_t.clear()
+        near = dists.min(axis=-1)
+        step = near.argmin(axis=0)
+        cols = np.arange(members.size)
+        low = near[step, cols]
+        closer = low < closest[members]
         if closer.any():
-            closest[members[closer]] = near[closer]
-            closest_target[members[closer]] = candidates[dists[closer].argmin(axis=1)]
+            closest[members[closer]] = low[closer]
+            closest_target[members[closer]] = candidates[
+                dists[step[closer], cols[closer]].argmin(axis=-1)]
         if not near.min() <= SETTLE_TOL:
             inside_target[members] = -1
             return False
         within = dists <= SETTLE_TOL
-        inside = within.any(axis=1)
-        first = within.argmax(axis=1)
+        inside = within.any(axis=-1)
+        first = within.argmax(axis=-1)
         best = np.where(inside, candidates[first], -1)
-        stay = inside & (inside_target[members] == best)
-        settled = stay & (t - inside_since[members] >= DWELL)
-        inside_target[members] = best
-        inside_since[members] = np.where(stay, inside_since[members], t)
+        stay = inside & (np.concatenate([inside_target[members][None], best[:-1]]) == best)
+        start = np.where(stay, -1, np.arange(K)[:, None]).max(axis=0)
+        since = np.where(start < 0, inside_since[members], times[start])
+        settled = stay[-1] & (times[-1] - since >= DWELL)
+        inside_target[members] = best[-1]
+        inside_since[members] = since
         if not settled.any():
             return False
-        settled_target[members[settled]] = best[settled]
-        settled_distance[members[settled]] = dists[settled, first[settled]]
+        settled_target[members[settled]] = best[-1, settled]
+        settled_distance[members[settled]] = dists[-1, settled, first[-1, settled]]
         return settled
+
+    def settle(t, c, members):
+        # Nothing settles at step t while t - t0 < DWELL for the window's
+        # first step t0 and t - known < DWELL: every dwell run began at t0
+        # or later, or at a known start, and float subtraction is monotone.
+        nonlocal held, known, window, diff, rows_buffer, diff_buffer
+        if members is not held:
+            evaluate()
+            held = members
+            cap = min(settings.nsteps, max(1, FD_STACK_BYTES // (c.size * goals.shape[0] * 8)))
+            n = cap * c.size
+            if rows_buffer.size < n:
+                rows_buffer, diff_buffer = np.empty(n), np.empty(n * goals.shape[0])
+            window = rows_buffer[:n].reshape((cap,) + c.shape)
+            diff = diff_buffer[:n * goals.shape[0]].reshape((cap, c.shape[0]) + goals.shape)
+        if not window_t:
+            dwelling = inside_target[members] >= 0
+            known = inside_since[members][dwelling].min(initial=math.inf)
+        window[len(window_t)] = c
+        window_t.append(t)
+        if t - window_t[0] < DWELL and t - known < DWELL and len(window_t) < len(window):
+            return False
+        return evaluate()
 
     starts = [GalerkinState._trusted(source.state.coeffs + epsilons[i] * directions[i].coeffs)
               for i in shots]
     trajectories = integrate_ensemble(field, basis, split, config, np.ones(B), starts, settings,
                                       None if goals is None else settle)
+    evaluate()  # the closest approaches of the steps left in the window
     for b, (i, traj) in enumerate(zip(shots, trajectories)):
         if settled_target[b] >= 0:
             energies = None

@@ -316,13 +316,11 @@ class MarginTable:
                 "rows": [{"R": R, "margin": margin} for R, margin in self.rows]}
 
 
-def _block_inner(config: ProblemConfig, fcoeffs: np.ndarray, ucoeffs: np.ndarray,
-                 which: int) -> float:
-    lo, hi = (1, config.l) if which == 1 else (config.l + 1, config.m)
-    total = 0.0
-    for k in range(lo, hi + 1):
-        total += float(np.dot(fcoeffs[k - 1], ucoeffs[k - 1]))
-    return total
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] . b[i]`` for each row of two (S, n) stacks, each the ddot that
+    ``np.dot`` of the two rows alone makes (a stacked vector-vector matmul
+    runs one dot per pair)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
@@ -336,7 +334,15 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     X- + X+ ball of fractional radius ``W_radius``; returns the minimum of
     +-<F(u+v+w), u>_which over the samples.  A positive margin at and beyond
     some radius supports the guiding estimate behind the a priori bounds.
-    The samples of one R are drawn first and evaluated as one stack.
+
+    The draws of each sample come from one generator in sample order (u's
+    normals; v's normals and radius; w's normals and, when its fractional
+    norm is positive, its radius), so they stay one loop; everything else
+    runs on the stack of one R, bit for bit the per-sample arithmetic:
+    norms as ``np.linalg.norm``'s ddot, fractional norms as ``np.sum`` over
+    one C-ordered (m, J) state, the block inner product adding each
+    component's ddot in component order from 0.0, and the first of tied
+    minima.
     """
     if sign not in ("+", "-"):
         raise ConfigurationError(f"sign must be '+' or '-', got {sign!r}")
@@ -351,26 +357,41 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     out_mask = ~split.masks["Q0"]
     n_out = int(np.count_nonzero(out_mask))
     weights = fractional_weights(basis, config) ** config.alpha
+    w_out = weights[out_mask]
+    lo, hi = (0, config.l) if which == 1 else (config.l, config.m)
     shape = (samples, split.m, split.J)
     rows = []
     for R in R_grid:
-        u, v, w = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        du = np.empty((samples, n_main))
+        dv, v_scale = np.empty((samples, n_other)), np.empty(samples)
+        raw, w_scale = np.empty((samples, n_out)), np.empty(samples)
+        scaled = np.zeros(samples, dtype=bool)
         for i in range(samples):
-            du = rng.normal(size=n_main)
-            du /= np.linalg.norm(du)
-            u[i][main_mask] = R * du
+            du[i] = rng.normal(size=n_main)
             if n_other:
-                dv = rng.normal(size=n_other)
-                dv *= V_RADIUS * rng.uniform() / np.linalg.norm(dv)
-                v[i][other_mask] = dv
+                dv[i] = rng.normal(size=n_other)
+                v_scale[i] = V_RADIUS * rng.uniform()
             if n_out:
-                raw = w[i]
-                raw[out_mask] = rng.normal(size=n_out)
-                frac = np.sqrt(np.sum((weights * raw) ** 2))
-                if frac > 0:
-                    raw *= W_radius * rng.uniform() / frac
+                raw[i] = rng.normal(size=n_out)
+                # the fractional norm is positive exactly when a weighted
+                # square is (a sum of nonnegative terms is 0 only if each is)
+                x = w_out * raw[i]
+                if x.dot(x) > 0:
+                    scaled[i] = True
+                    w_scale[i] = W_radius * rng.uniform()
+        u, v, w = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        u[:, main_mask] = R * (du / np.sqrt(_dots(du, du))[:, None])
+        if n_other:
+            v[:, other_mask] = dv * (v_scale / np.sqrt(_dots(dv, dv)))[:, None]
+        if n_out:
+            w[:, out_mask] = raw
+            frac = np.sqrt(((weights * w) ** 2).reshape(samples, -1).sum(axis=-1))
+            w[scaled] *= (w_scale[scaled] / frac[scaled])[:, None, None]
         F = galerkin_F(field, basis, GalerkinState._trusted(u + v + w)).coeffs
-        worst = min((sgn * _block_inner(config, F[i], u[i], which) for i in range(samples)),
-                    default=np.inf)
+        inner = np.zeros(samples)
+        for k in range(lo, hi):
+            inner += _dots(F[:, k], u[:, k])
+        scores = sgn * inner
+        worst = scores[scores.argmin()] if samples else np.inf
         rows.append((float(R), float(worst)))
     return MarginTable(which=which, sign=sign, rows=tuple(rows))

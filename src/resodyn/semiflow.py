@@ -300,6 +300,8 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     up to the last bits that the BLAS path of a stacked product can move
     (README, "Numerical notes").  The rows ``settle`` sees and the recorded
     states are C-ordered, so that sums over them run as over one state.
+    ``settle`` may keep references to the rows and the members it sees: the
+    march never writes into an array after it has shown it.
     """
     s = _checked_s(s_values).reshape(-1)
     if s.size != len(states):

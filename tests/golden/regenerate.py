@@ -1,10 +1,12 @@
-"""The output manifest of the shipped configs and the demos.
+"""The output manifest of the shipped configs, the demos and the bench rounds.
 
 ``shipped.json`` holds the sha256 of every file that ``resodyn full`` writes
 for each config in ``configs/`` and of its stdout, the sha256 of each demo's
-stdout, and the facts of the machine that produced them: the last bits of
-the outputs depend on the numpy and scipy builds, the BLAS and its kernels
-(picked by the CPU's instruction sets) and the core count.
+stdout, the sha256 of every file and the stdout of each experiment of the
+bench rounds in ``ROUNDS`` (built by ``bench/workloads.round_for``), and the
+facts of the machine that produced them: the last bits of the outputs depend
+on the numpy and scipy builds, the BLAS and its kernels (picked by the CPU's
+instruction sets) and the core count.
 
 Regenerate it from the root of a source checkout, after a change that is
 meant to alter an output, and list every changed entry it prints in
@@ -32,6 +34,10 @@ ROOT = Path(__file__).resolve().parents[2]
 MANIFEST = Path(__file__).resolve().parent / "shipped.json"
 CONFIGS = sorted((ROOT / "configs").iterdir())
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = ROOT / "bench"
+# (workload, seed) of every bench round in the manifest
+ROUNDS = (("shoot-connect", 1), ("shoot-connect", 2), ("shoot-connect", 3),
+          ("ensemble-simulate", 1), ("hypothesis-sweep", 1))
 
 
 def digest(data) -> str:
@@ -53,21 +59,46 @@ def machine() -> dict:
     }
 
 
+def _run_digests(subcommand: str, config: Path, dest: Path, key: str) -> dict:
+    """``key/relative path`` -> sha256 of every file one ``run_subcommand``
+    call writes into ``dest``, and ``key/stdout`` of its exit code and what
+    it prints."""
+    from resodyn import cli
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run_subcommand(subcommand, config, out_dir=dest)
+    out = {f"{key}/stdout": digest(f"exit {code}\n{buf.getvalue()}")}
+    for path in sorted(p for p in dest.rglob("*") if p.is_file()):
+        out[f"{key}/{path.relative_to(dest).as_posix()}"] = digest(path.read_bytes())
+    return out
+
+
 def full_digests() -> dict:
     """``config/relative path`` -> sha256 of every file ``full`` writes for
     each shipped config, and ``config/stdout`` of what it prints."""
-    from resodyn import cli
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for config in CONFIGS:
-            dest = Path(tmp) / config.name
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.run_subcommand("full", config, out_dir=dest)
-            out[f"{config.name}/stdout"] = digest(f"exit {code}\n{buf.getvalue()}")
-            for path in sorted(p for p in dest.rglob("*") if p.is_file()):
-                out[f"{config.name}/{path.relative_to(dest).as_posix()}"] = digest(
-                    path.read_bytes())
+            out.update(_run_digests("full", config, Path(tmp) / config.name, config.name))
+    return out
+
+
+def round_digests() -> dict:
+    """``workload-seed/experiment/relative path`` -> sha256 of every file
+    each experiment of the bench rounds in ``ROUNDS`` writes, and
+    ``workload-seed/experiment/stdout``.  The experiments come from
+    ``bench/workloads.round_for``, which this only reads."""
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))  # workloads imports oracles as a top-level module
+    import workloads
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, seed in ROUNDS:
+            for exp in workloads.round_for(workload, seed):
+                key = f"{workload}-{seed}/{exp.name}"
+                config = Path(tmp) / f"{workload}-{seed}-{exp.name}.ini"
+                config.write_text(exp.ini())
+                out.update(_run_digests(exp.subcommand, config, Path(tmp) / key, key))
     return out
 
 
@@ -104,15 +135,16 @@ def differences(expected: dict, actual: dict) -> list[str]:
 
 def main() -> int:
     manifest = {"machine": machine(), "full": full_digests(),
-                "demos": {path.stem: digest(demo_stdout(path)) for path in DEMOS}}
+                "demos": {path.stem: digest(demo_stdout(path)) for path in DEMOS},
+                "rounds": round_digests()}
     if MANIFEST.is_file():
         old = load()
-        for part in ("machine", "full", "demos"):
+        for part in ("machine", "full", "demos", "rounds"):
             for line in differences(old.get(part, {}), manifest[part]):
                 print(f"{part}: {line}")
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(manifest['full'])} full entries, "
-          f"{len(manifest['demos'])} demos")
+          f"{len(manifest['demos'])} demos, {len(manifest['rounds'])} round entries")
     return 0
 
 

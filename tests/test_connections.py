@@ -720,3 +720,239 @@ def test_component_labels_match_scipy(n):
     for p in patterns:
         _, expected = connected_components(csr_matrix(p), directed=False)
         assert np.array_equal(_components(p), expected)
+
+
+# -- lazy settling against the per-step rule -----------------------------------
+
+def _per_step_shots(field, basis, split, cfg, source, directions, eps, settings, equilibria):
+    """``shoot_connection`` for a list of shots with the settle rule it had
+    before settling went lazy: every step's distances to every target,
+    evaluated on the step.  The oracle of the lazy rule."""
+    from resodyn.connections import (DIRECTION_TOL, DWELL, SETTLE_TOL, ConnectionRecord,
+                                     ShootMiss, liapunov_energy)
+    L = source.linearization
+    results = [None] * len(directions)
+    shots = []
+    for i, d in enumerate(directions):
+        flat = d.coeffs.ravel()
+        theta = float(flat @ (L @ flat))
+        eig_residual = float(np.sqrt(np.sum((L @ flat - theta * flat) ** 2)))
+        if theta >= 0 or eig_residual > max(DIRECTION_TOL, DIRECTION_TOL * abs(theta)):
+            results[i] = ShootMiss(reason="not-unstable", closest_distance=float("inf"),
+                                   closest_target=None, trajectory=None)
+        else:
+            shots.append(i)
+    B = len(shots)
+    candidates = np.array([
+        i for i, eq in enumerate(equilibria)
+        if not np.sqrt(np.sum((eq.state.coeffs - source.state.coeffs) ** 2)) <= SETTLE_TOL],
+        dtype=int)
+    goals = np.stack([equilibria[i].state.coeffs for i in candidates]) if candidates.size else None
+    closest, closest_target = np.full(B, np.inf), np.full(B, -1)
+    inside_target, inside_since = np.full(B, -1), np.zeros(B)
+    settled_target, settled_distance = np.full(B, -1), np.zeros(B)
+
+    def settle(t, c, members):
+        sq = (c[:, None] - goals) ** 2
+        dists = np.sqrt(sq.reshape(members.size, goals.shape[0], -1).sum(axis=-1))
+        near = dists.min(axis=1)
+        closer = near < closest[members]
+        if closer.any():
+            closest[members[closer]] = near[closer]
+            closest_target[members[closer]] = candidates[dists[closer].argmin(axis=1)]
+        if not near.min() <= SETTLE_TOL:
+            inside_target[members] = -1
+            return False
+        within = dists <= SETTLE_TOL
+        inside = within.any(axis=1)
+        first = within.argmax(axis=1)
+        best = np.where(inside, candidates[first], -1)
+        stay = inside & (inside_target[members] == best)
+        settled = stay & (t - inside_since[members] >= DWELL)
+        inside_target[members] = best
+        inside_since[members] = np.where(stay, inside_since[members], t)
+        if not settled.any():
+            return False
+        settled_target[members[settled]] = best[settled]
+        settled_distance[members[settled]] = dists[settled, first[settled]]
+        return settled
+
+    starts = [rd.GalerkinState(source.state.coeffs + eps[i] * directions[i].coeffs)
+              for i in shots]
+    trajectories = rd.integrate_ensemble(field, basis, split, cfg, np.ones(B), starts,
+                                         settings, None if goals is None else settle)
+    for b, (i, traj) in enumerate(zip(shots, trajectories)):
+        if settled_target[b] >= 0:
+            energies = None
+            if field.potential is not None:
+                energies = np.asarray([liapunov_energy(field, basis, cfg, rd.GalerkinState(c))
+                                       for c in traj.coeffs])
+            results[i] = ConnectionRecord(
+                source=source, target=equilibria[settled_target[b]], trajectory=traj,
+                terminal_distance=float(settled_distance[b]), energy_profile=energies)
+        else:
+            target = int(closest_target[b])
+            results[i] = ShootMiss(
+                reason="divergent" if traj.diverged else "horizon",
+                closest_distance=float(closest[b]),
+                closest_target=None if target < 0 else target, trajectory=traj)
+    return results
+
+
+def _assert_identical_shot(lazy, oracle):
+    assert type(lazy) is type(oracle)
+    if isinstance(oracle, rd.ShootMiss):
+        assert lazy.reason == oracle.reason
+        assert lazy.closest_target == oracle.closest_target
+        assert np.array_equal(lazy.closest_distance, oracle.closest_distance)
+        if oracle.trajectory is None:
+            assert lazy.trajectory is None
+            return
+    else:
+        assert lazy.source is oracle.source and lazy.target is oracle.target
+        assert np.array_equal(lazy.terminal_distance, oracle.terminal_distance)
+        if oracle.energy_profile is None:
+            assert lazy.energy_profile is None
+        else:
+            assert np.array_equal(lazy.energy_profile, oracle.energy_profile)
+    a, b = lazy.trajectory, oracle.trajectory
+    assert a.s == b.s and a.diverged == b.diverged
+    for name in ("times", "coeffs", "norms"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def _fake_equilibrium(c, linearization=None):
+    # shoot_connection reads a source's state and linearization and a
+    # target's state only
+    from resodyn.connections import Equilibrium
+    return Equilibrium(state=rd.GalerkinState(c), residual=0.0, is_origin=False,
+                       linearization=linearization, unstable=())
+
+
+def _desk_case(dt=1e-2, T=4.0, **settings):
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=80), 32)
+    cfg = rd.ProblemConfig(m=1, l=1, lam=(float(basis.mu[0]),), sigma=(0.0,))
+    split = rd.classify(basis, cfg)
+    field = rd.make_field("arctan(40)", 1)
+    equilibria = rd.find_equilibria(field, basis, split, cfg,
+                                    [rd.GalerkinState.unit(1, 32, 1, 2, 0.05),
+                                     rd.GalerkinState.unit(1, 32, 1, 2, -0.05)])
+    origin = next(eq for eq in equilibria if eq.is_origin)
+    (_, kernel), (_, second) = rd.unstable_directions(field, basis, cfg, origin)
+    return (field, basis, split, cfg, origin, [kernel, second, kernel, second],
+            [1e-3, 1e-3, -1e-3, -1e-3], rd.IntegratorSettings(dt=dt, T=T, **settings),
+            equilibria)
+
+
+def _two_component_case():
+    basis = rd.build_basis(rd.Domain1D(1.0, 48), 16)
+    cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]),) * 2, sigma=(0.0, 0.0))
+    split = rd.classify(basis, cfg)
+    field = rd.make_field("arctan(40)", 2)
+    origin, = rd.find_equilibria(field, basis, split, cfg, [])
+    dirs = [d for _, d in rd.unstable_directions(field, basis, cfg, origin)]
+    equilibria = rd.find_equilibria(field, basis, split, cfg,
+                                    [rd.GalerkinState(sign * 0.05 * d.coeffs)
+                                     for d in dirs for sign in (1, -1)])
+    return (field, basis, split, cfg, origin, [d for d in dirs for _ in range(2)],
+            [1e-3, -1e-3] * len(dirs), rd.IntegratorSettings(dt=1e-2, T=4.0, store_every=10),
+            equilibria)
+
+
+# a shot spiralling into the origin of the (c_{1,1}, c_{2,1}) plane, where
+# the target P sits 4e-5 off centre: its stints in P's ball grow by about
+# 0.3 per turn, and one lasts 0.99, one step short of DWELL
+_SPIRAL_START, _SPIRAL_P = 1.4e-4, 4e-5
+
+
+def _spiral_case():
+    basis = rd.build_basis(rd.Domain1D(1.0, 32), 8)
+    cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]),) * 2, sigma=(0.0, 0.0))
+    split = rd.classify(basis, cfg)
+
+    def damped_rotation(x, U, dU):
+        out = np.empty_like(U)
+        out[..., 0, :] = 2.0 * U[..., 1, :]
+        out[..., 1, :] = -2.0 * U[..., 0, :] - 0.1 * U[..., 1, :]
+        return out
+
+    field = rd.NonlinearField(name="damped-rotation", m=2, eval=damped_rotation,
+                              sigma=np.zeros(2), f_plus=None, f_minus=None, reads_du=False)
+    start = np.zeros((2, 8))
+    start[0, 0] = _SPIRAL_START
+    d1, d2 = np.zeros((2, 8)), np.zeros((2, 8))
+    d1[0, 1] = d2[1, 0] = 1.0
+    # every unit state is an unstable direction of -I; the second shot starts
+    # on the plane, a little off the first one's path, and settles first
+    source = _fake_equilibrium(start - d1, linearization=-np.eye(16))
+    p, far = np.zeros((2, 8)), np.zeros((2, 8))
+    p[0, 0], far[1, 0] = _SPIRAL_P, 0.5
+    equilibria = [source, _fake_equilibrium(p), _fake_equilibrium(far)]
+    return (field, basis, split, cfg, source, [rd.GalerkinState(d1), rd.GalerkinState(d2)],
+            [1.0, -5e-5], rd.IntegratorSettings(dt=1e-2, T=12.0, store_every=1), equilibria)
+
+
+_LAZY_CASES = {
+    "desk": _desk_case,
+    "two-component": _two_component_case,
+    "spiral": _spiral_case,
+    "divergent-row": lambda: _desk_case(divergence_threshold=1.0),
+    # the horizon ends while the pair shots close in, before they can settle
+    "short-horizon": lambda: _desk_case(T=1.5, store_every=1),
+    "dt=0.03": lambda: _desk_case(dt=0.03, T=4.2),
+    "dt=0.007": lambda: _desk_case(dt=0.007, T=4.2, store_every=3),
+}
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 0, 2 ** 62],
+                         ids=["default-windows", "one-step-windows", "unbounded-windows"])
+@pytest.mark.parametrize("case", list(_LAZY_CASES))
+def test_lazy_settle_matches_per_step_settle(case, stack_bytes, monkeypatch):
+    from resodyn import connections
+    args = _LAZY_CASES[case]()
+    if stack_bytes is not None:
+        monkeypatch.setattr(connections, "FD_STACK_BYTES", stack_bytes)
+    lazy = rd.shoot_connection(*args)
+    oracle = _per_step_shots(*args)
+    assert len(lazy) == len(oracle)
+    for a, b in zip(lazy, oracle):
+        _assert_identical_shot(a, b)
+    kinds = [type(r).__name__ for r in oracle]
+    if case == "divergent-row":
+        assert [r.reason for r in oracle if isinstance(r, rd.ShootMiss)] == ["divergent"] * 2
+    if case == "short-horizon":
+        assert [r.reason for r in oracle] == ["horizon"] * 4
+    if case not in ("spiral", "short-horizon"):
+        assert {"ShootMiss", "ConnectionRecord"} <= set(kinds)
+    if case != "spiral":
+        return
+    # the first shot leaves P's ball one step short of DWELL, comes back and
+    # settles there, after the second shot: stints are counted on its
+    # recorded steps (store_every = 1)
+    settings, equilibria = args[7], args[8]
+    record = oracle[0]
+    assert kinds == ["ConnectionRecord"] * 2 and record.target is equilibria[1]
+    assert oracle[1].trajectory.times[-1] < record.trajectory.times[-1]
+    traj = record.trajectory
+    dists = np.sqrt(((traj.coeffs - equilibria[1].state.coeffs) ** 2).sum(axis=(1, 2)))
+    inside = np.flatnonzero(dists <= connections.SETTLE_TOL)
+    runs = np.split(inside, np.flatnonzero(np.diff(inside) > 1) + 1)
+    lengths = [traj.times[r[-1]] - traj.times[r[0]] for r in runs if r[0] > 0]
+    assert any(connections.DWELL - 2 * settings.dt < x < connections.DWELL
+               for x in lengths[:-1])
+    assert traj.times[-1] < settings.T
+
+
+def test_lazy_settle_without_marching_shots(basis32, desk_problem, desk_split, desk_field,
+                                            desk_equilibria):
+    # B = 0: no direction is unstable, so nothing marches and settle never runs
+    origin = next(eq for eq in desk_equilibria if eq.is_origin)
+    stable = rd.GalerkinState.unit(1, 32, 1, 3)
+    args = (desk_field, basis32, desk_split, desk_problem, origin, [stable, stable],
+            [1e-3, -1e-3], rd.IntegratorSettings(dt=1e-2, T=1.0), desk_equilibria)
+    lazy = rd.shoot_connection(*args)
+    for a, b in zip(lazy, _per_step_shots(*args)):
+        _assert_identical_shot(a, b)
+    assert [r.reason for r in lazy] == ["not-unstable"] * 2
+    single = rd.shoot_connection(*args[:5], stable, 1e-3, *args[7:])
+    assert single.reason == "not-unstable" and single.trajectory is None

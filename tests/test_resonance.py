@@ -511,3 +511,71 @@ def test_sobol_warns_like_scipy(n):
         caught.append([(w.category, str(w.message)) for w in seen])
     assert caught[0] == caught[1]
     assert len(caught[1]) == (0 if n & (n - 1) == 0 else 1)
+
+
+def _per_sample_margin(field, basis, split, cfg, which, W_radius, R_grid, samples, sign,
+                       seed):
+    """``guiding_margin`` as it was written before its arithmetic was
+    stacked: per sample, ``np.linalg.norm`` divisors, an ``np.sum``
+    fractional norm and one ``np.dot`` per block component, added to 0.0 in
+    component order; the minimum by ``min``.  The oracle of the stacked
+    version, which must match it exactly."""
+    from resodyn.resonance import V_RADIUS
+    sgn = 1.0 if sign == "+" else -1.0
+    rng = np.random.default_rng(seed)
+    main = split.masks["P1" if which == 1 else "P2"]
+    other = split.masks["P2" if which == 1 else "P1"]
+    out = ~split.masks["Q0"]
+    n_main, n_other, n_out = int(main.sum()), int(other.sum()), int(out.sum())
+    weights = rd.spectral.fractional_weights(basis, cfg) ** cfg.alpha
+    lo, hi = (1, cfg.l) if which == 1 else (cfg.l + 1, cfg.m)
+    shape = (samples, split.m, split.J)
+    rows = []
+    for R in R_grid:
+        u, v, w = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        for i in range(samples):
+            du = rng.normal(size=n_main)
+            du /= np.linalg.norm(du)
+            u[i][main] = R * du
+            if n_other:
+                dv = rng.normal(size=n_other)
+                dv *= V_RADIUS * rng.uniform() / np.linalg.norm(dv)
+                v[i][other] = dv
+            if n_out:
+                raw = w[i]
+                raw[out] = rng.normal(size=n_out)
+                frac = np.sqrt(np.sum((weights * raw) ** 2))
+                if frac > 0:
+                    raw *= W_radius * rng.uniform() / frac
+        F = rd.galerkin_F(field, basis, rd.GalerkinState(u + v + w)).coeffs
+
+        def inner(i):
+            total = 0.0
+            for k in range(lo, hi + 1):
+                total += float(np.dot(F[i][k - 1], u[i][k - 1]))
+            return total
+
+        rows.append((float(R), float(min((sgn * inner(i) for i in range(samples)),
+                                         default=np.inf))))
+    return rows
+
+
+@pytest.mark.parametrize("m,l", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+def test_stacked_guiding_margin_matches_per_sample_loop_exactly(m, l):
+    for J, nodes in ((16, 49), (32, 80)):
+        basis = rd.build_basis(rd.Domain1D(1.0, nodes), J)
+        cfg = rd.ProblemConfig(m=m, l=l, lam=(float(basis.mu[0]),) * m, sigma=(0.0,) * m)
+        split = rd.classify(basis, cfg)
+        for spec in ("arctan(40)", "-scaled-arctan(30,0.5)"):
+            field = rd.make_field(spec, m)
+            for which in (1, 2) if l < m else (1,):
+                for sign in "+-":
+                    for samples in (1, 7):
+                        args = (field, basis, split, cfg, which, 2.5, [0.5, 5.0, 40.0],
+                                samples, sign, 10 * m + l)
+                        rows = rd.guiding_margin(*args[:7], samples=samples, sign=sign,
+                                                 seed=args[-1]).rows
+                        ref = _per_sample_margin(*args)
+                        assert rows == tuple(ref)
+                        assert [math.copysign(1, x) for _, x in rows] == [
+                            math.copysign(1, x) for _, x in ref]

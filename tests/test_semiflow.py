@@ -956,3 +956,39 @@ def test_trajectory_csv_matches_csv_writer():
     text = traj.to_csv()
     assert text == _csv_writer_reference(["t", *NORM_NAMES], np.column_stack([times, norms]))
     assert text.count("\r\n") == n + 1
+
+
+@pytest.mark.parametrize("scheme", ["ETD1", "IMEX-Euler"])
+def test_march_never_writes_into_rows_shown_to_settle(scheme):
+    # a settle may keep the arrays it is shown (connect's lazy settle
+    # buffers them): after a march with two divergences and two
+    # retirements, each kept array still equals its copy taken when shown
+    split, cfg = _small_system(1)
+    calls = []
+
+    def eval_(x, U, dU):
+        calls.append(None)
+        out = np.arctan(40.0 * U)
+        if len(calls) in (5, 12):
+            out[-1] = 1e15  # the last row blows up
+        return out
+
+    field = rd.NonlinearField(name="arctan-then-blowup", m=1, eval=eval_, sigma=np.zeros(1),
+                              f_plus=None, f_minus=None, reads_du=False)
+    settings = rd.IntegratorSettings(dt=2e-4, T=4e-3, scheme=scheme)
+    retire_at = {0: 6, 1: 9}
+    kept = []
+
+    def settle(t, c, members):
+        kept.append((c, c.copy(), members, members.copy()))
+        n = round(t / settings.dt)
+        return np.array([retire_at.get(int(i)) == n for i in members])
+
+    gen = np.random.default_rng(3)
+    states = [rd.GalerkinState(gen.normal(size=(1, 8))) for _ in range(5)]
+    ens = rd.integrate_ensemble(field, _SMALL, split, cfg, [1.0] * 5, states, settings, settle)
+    assert [traj.diverged for traj in ens] == [False, False, False, True, True]
+    assert [len(traj.times) for traj in ens[:3]] == [7, 10, settings.nsteps + 1]
+    assert len(kept) == settings.nsteps
+    for c, c_copy, members, members_copy in kept:
+        assert np.array_equal(c, c_copy) and np.array_equal(members, members_copy)
