@@ -23,10 +23,9 @@ from .errors import (AmbiguousResonanceError, ConfigurationError,
 from .fields import (ConditionReport, NonlinearField, SampleGrid,
                      check_bounded, check_sign_condition, galerkin_F,
                      make_field, verify_limits)
-from .indexcalc import (ConnectionVerdict, HomotopyType, IndexReport,
-                        LinearizationData, connection_verdict, d_zero,
-                        index_K_infinity, index_partition,
-                        nonresonance_at_origin, wedge)
+from .indexcalc import (ConnectionVerdict, HomotopyType, LinearizationData,
+                        connection_verdict, d_zero, index_K_infinity,
+                        index_partition, nonresonance_at_origin, wedge)
 from .resonance import (DegreeSets, LLReport, MarginTable, degree_sets,
                         evaluate_LL, guiding_margin, ll_functional)
 from .semiflow import (AprioriBounds, BlowupReport, BoundReport, HomotopyBox,

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from .decomposition import counts
 from .errors import ConfigurationError
 from .fields import (SampleGrid, _bounded_report, _eval_on_grid, _sign_report,
                      verify_limits)
-from .indexcalc import (IndexReport, LinearizationData, connection_verdict,
-                        d_zero, nonresonance_at_origin)
+from .indexcalc import (LinearizationData, connection_verdict, d_zero,
+                        nonresonance_at_origin)
 from .resonance import evaluate_LL, guiding_margin
 from .semiflow import (HomotopyBox, apriori_bounds,
                        check_bounded_solution, integrate_ensemble,
@@ -59,9 +60,8 @@ def _stage_spectrum(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
 
 
 def _stage_decompose(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
-    cv = counts(exp.split)
     return {
-        "counts": {"d_inf": cv.d_inf, "n1": cv.n1, "n2": cv.n2},
+        "counts": asdict(counts(exp.split)),
         "gap": exp.split.gap,
         "n1_modes": sorted(map(list, exp.split.n1_modes)),
         "n2_modes": sorted(map(list, exp.split.n2_modes)),
@@ -130,16 +130,15 @@ def _stage_index(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
     nonres = nonresonance_at_origin(exp.basis, lin)
     d0 = d_zero(exp.basis, exp.problem, lin) if nonres else None
     verdict = connection_verdict(cv, d0 if d0 is not None else 0, ll1, ll2, nonres)
-    report = IndexReport(
-        counts=cv, d0=d0,
-        ll_flags={k: v["verdict"] for k, v in stages["ll"].items()},
-        c_flags=dict(stages["check"]["c_flags"]),
-        verdict=verdict,
-    )
-    out = report.to_dict()
-    out["theta"] = [float(t) for t in lin.theta]
-    out["nonresonant_at_origin"] = nonres
-    return out
+    return {
+        "counts": asdict(cv),
+        "d0": d0,
+        "ll": {k: v["verdict"] for k, v in stages["ll"].items()},
+        "conditions": dict(stages["check"]["c_flags"]),
+        **verdict.to_dict(),
+        "theta": [float(t) for t in lin.theta],
+        "nonresonant_at_origin": nonres,
+    }
 
 
 def _bound_constant(exp: ExperimentConfig) -> float:

@@ -247,13 +247,10 @@ def discrete_linearization(field: NonlinearField, basis: SpectralBasis,
     m, J = config.m, basis.J
     dU = basis.dvalues(at.coeffs) if field.reads_du else None
     gprime = _u_jacobian(field, basis.x, basis.values(at.coeffs), dU)
-    size = m * J
-    K = np.zeros((size, size))
-    for k in range(m):
-        for kp in range(m):
-            # <g'_{k,kp} phi_{j'}, phi_j> over nodes
-            block = basis.project(gprime[k, kp][None, :] * basis.phi)
-            K[k * J:(k + 1) * J, kp * J:(kp + 1) * J] = block
+    # P[k, kp, j', j] = <g'_{k,kp} phi_{j'}, phi_j> over nodes, one
+    # projection per (k, kp) block
+    P = basis._project(gprime[:, :, None, :] * basis.phi)
+    K = P.transpose(0, 2, 1, 3).reshape(m * J, m * J)
     K = 0.5 * (K + K.T)
     return np.diag(diag_A(basis, config).ravel()) - K
 

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .spectral import GalerkinState, SpectralBasis, _ufuncs
+from .spectral import GalerkinState, SpectralBasis, _one_based, _ufuncs
 
 __all__ = [
     "NonlinearField",
@@ -26,8 +26,8 @@ __all__ = [
 ]
 
 U_JACOBIAN_STEP = 1e-6  # central-difference step of the field's u-Jacobian
-LIMIT_DRAWS = 20        # sampled (u, du) draws of verify_limits without a grid
-LIMIT_TOL = 1e-3        # deviation at s above which verify_limits rejects the limits
+LIMIT_DRAWS = 20        # sampled (u, du) draws of verify_limits
+LIMIT_TOL = 1e-3        # deviation at s = 1e6 above which verify_limits rejects the limits
 
 
 @dataclass
@@ -230,6 +230,7 @@ def check_sign_condition(field: NonlinearField, k: int, sign: str,
 
     ``l`` (the split index) only selects the report label C1/C2.
     """
+    k = _one_based("k", k, field.m)
     if sign not in ("+", "-"):
         raise ConfigurationError(f"sign must be '+' or '-', got {sign!r}")
     hvals = np.asarray(h_k(grid.x), dtype=float)
@@ -262,23 +263,19 @@ def _sign_report(field: NonlinearField, k: int, sign: str, hvals: np.ndarray,
                            detail=f"component {k}, sign {sign}, {margins.size} samples")
 
 
-def verify_limits(field: NonlinearField, k: int, s: float = 1e6,
-                  grid: Optional[SampleGrid] = None, basis: Optional[SpectralBasis] = None,
+def verify_limits(field: NonlinearField, k: int, basis: SpectralBasis,
                   seed: int = 0) -> ConditionReport:
     """Check |s|^sigma_k f_k(x, u +- s e_k, du) -> f_k^{+-}(x) over samples.
 
-    The declared limits are rejected when the deviation at ``s`` (at least
-    1e6) exceeds LIMIT_TOL.  Without a ``grid``, the samples are LIMIT_DRAWS
-    draws of ``SampleGrid.default``.  Uniformity is checked only over the
-    finite sample set.
+    The declared limits are rejected when the deviation at s = 1e6 exceeds
+    LIMIT_TOL.  The samples are LIMIT_DRAWS draws of ``SampleGrid.default``
+    with u and du in [-10, 10].  Uniformity is checked only over the finite
+    sample set.
     """
-    if not s >= 1e6:
-        raise ConfigurationError(f"s must be at least 1e6, got {s}")
-    if grid is None:
-        if basis is None:
-            raise ConfigurationError("verify_limits needs a grid or a basis")
-        grid = SampleGrid.default(basis, field.m, u_box=10.0, du_box=10.0,
-                                  draws=LIMIT_DRAWS, seed=seed)
+    k = _one_based("k", k, field.m)
+    s = 1e6
+    grid = SampleGrid.default(basis, field.m, u_box=10.0, du_box=10.0,
+                              draws=LIMIT_DRAWS, seed=seed)
     sigma_k = field.sigma[k - 1]
     fp = np.asarray(field.f_plus(grid.x), dtype=float)[k - 1]
     fm = np.asarray(field.f_minus(grid.x), dtype=float)[k - 1]
@@ -286,7 +283,7 @@ def verify_limits(field: NonlinearField, k: int, s: float = 1e6,
     u = np.tile(grid.u_draws, (2, 1))
     u[:, k - 1] = np.repeat([s, -s], grid.u_draws.shape[0])
     stacked = SampleGrid(grid.x, u, np.tile(grid.du_draws, (2, 1)))
-    vals = abs(s) ** sigma_k * _eval_on_grid(field, stacked)[:, k - 1, :]
+    vals = s ** sigma_k * _eval_on_grid(field, stacked)[:, k - 1, :]
     final = float(np.max(np.abs(vals - np.repeat([fp, fm], grid.u_draws.shape[0], axis=0))))
     verdict = "holds" if final <= LIMIT_TOL else "fails"
     witness = None if verdict == "holds" else {"s": float(s), "deviation": final}
@@ -378,11 +375,7 @@ def _constant_kernel(m: int, basis: SpectralBasis, component: float, mode: float
     the classic counterexample field: the kernel projection of every solution
     drifts linearly and no bounded full solution exists.
     """
-    if component != int(component) or not 1 <= component <= m:
-        raise ConfigurationError(f"component must be an integer in [1, {m}], got {component:g}")
-    if mode != int(mode) or not 1 <= mode <= basis.J:
-        raise ConfigurationError(f"mode must be an integer in [1, {basis.J}], got {mode:g}")
-    k, j = int(component), int(mode)
+    k, j = _one_based("component", component, m), _one_based("mode", mode, basis.J)
     L = basis.domain.length
     norm = np.sqrt(2.0 / L)
 

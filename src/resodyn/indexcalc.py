@@ -18,7 +18,6 @@ __all__ = [
     "HomotopyType",
     "LinearizationData",
     "ConnectionVerdict",
-    "IndexReport",
     "wedge",
     "index_K_infinity",
     "index_partition",
@@ -181,7 +180,8 @@ def d_zero(basis: SpectralBasis, config: ProblemConfig, lin: LinearizationData) 
 
     Cross-checked against the negative-eigenvalue count of the assembled
     discrete linearization L = blkdiag_j( mu_j I - (G + Lambda) ); the two
-    counts must agree exactly.
+    counts must agree exactly.  Raises HypothesisError when some theta_k is
+    not below mu_J or when ``nonresonance_at_origin`` is False.
     """
     mu = basis.mu
     theta = lin.theta
@@ -190,13 +190,12 @@ def d_zero(basis: SpectralBasis, config: ProblemConfig, lin: LinearizationData) 
             f"max theta={np.max(theta):.6g} is not below mu_J={mu[-1]:.6g}; "
             "increase the truncation"
         )
-    for t in theta:
-        scale = max(1.0, abs(t))
-        if np.any(np.abs(mu - t) <= RESONANCE_TOL * scale):
-            raise HypothesisError(
-                f"theta={t:.8g} coincides with an eigenvalue of the diffusion "
-                "operator; the linearization at the origin is resonant"
-            )
+    resonant = _resonant_theta(basis, lin)
+    if resonant is not None:
+        raise HypothesisError(
+            f"theta={resonant:.8g} coincides with an eigenvalue of the diffusion "
+            "operator; the linearization at the origin is resonant"
+        )
     count = int(sum(int(np.sum(mu < t)) for t in theta))
 
     m = config.m
@@ -213,15 +212,21 @@ def d_zero(basis: SpectralBasis, config: ProblemConfig, lin: LinearizationData) 
     return count
 
 
-def nonresonance_at_origin(basis: SpectralBasis, lin: LinearizationData) -> bool:
-    """True iff the spectra of the diffusion operator and of G + Lambda are
-    disjoint: min |theta_k - mu_j| > RESONANCE_TOL (relative)."""
+def _resonant_theta(basis: SpectralBasis, lin: LinearizationData) -> Optional[float]:
+    """The first theta_k with min_j |theta_k - mu_j| <= RESONANCE_TOL *
+    max(1, |theta_k|, max_j |mu_j|), or None when there is none."""
     mu = basis.mu
     for t in lin.theta:
         scale = max(1.0, abs(t), float(np.max(np.abs(mu))))
         if np.min(np.abs(mu - t)) <= RESONANCE_TOL * scale:
-            return False
-    return True
+            return t
+    return None
+
+
+def nonresonance_at_origin(basis: SpectralBasis, lin: LinearizationData) -> bool:
+    """True iff the spectra of the diffusion operator and of G + Lambda are
+    disjoint: min |theta_k - mu_j| > RESONANCE_TOL (relative)."""
+    return _resonant_theta(basis, lin) is None
 
 
 @dataclass(frozen=True)
@@ -266,23 +271,3 @@ def connection_verdict(cv: CountVector, d0: int, ll1_sign, ll2_sign,
            if predicted else "equal exponents; no connection is forced")
     )
     return ConnectionVerdict(h_zero, h_inf, tag, predicted, reason)
-
-
-@dataclass(frozen=True)
-class IndexReport:
-    """Aggregate of the index pipeline for one experiment."""
-
-    counts: CountVector
-    d0: Optional[int]
-    ll_flags: dict
-    c_flags: dict
-    verdict: ConnectionVerdict
-
-    def to_dict(self) -> dict:
-        return {
-            "counts": {"d_inf": self.counts.d_inf, "n1": self.counts.n1, "n2": self.counts.n2},
-            "d0": self.d0,
-            "ll": self.ll_flags,
-            "conditions": self.c_flags,
-            **self.verdict.to_dict(),
-        }

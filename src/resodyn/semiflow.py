@@ -178,16 +178,18 @@ def trajectory_norms(basis: SpectralBasis, split: SplitIndexSet, config: Problem
     or of every matrix in an (n, m, J) stack, shape (n, 6)."""
     weights = fractional_weights(basis, config) ** config.alpha
     masks = split.masks
+    # C-ordered, so that each full norm sums one flat run of m J squares
+    coeffs = np.ascontiguousarray(coeffs)
     sq = coeffs ** 2
     wsq = (weights * coeffs) ** 2
-    full = np.ones(sq.shape[-2:], dtype=bool)
+    flat = coeffs.shape[:-2] + (-1,)
 
     def total(a, mask):
         # C-ordered rows, so that each sum runs as over one flat matrix
         return np.ascontiguousarray(a[..., mask]).sum(axis=-1)
 
     return np.sqrt(np.stack([
-        total(sq, full), total(wsq, full),
+        sq.reshape(flat).sum(axis=-1), wsq.reshape(flat).sum(axis=-1),
         total(sq, masks["P1"]), total(sq, masks["P2"]),
         total(wsq, masks["Qminus"]), total(wsq, masks["Qplus"]),
     ], axis=-1))

@@ -245,11 +245,19 @@ class GalerkinState:
     def unit(cls, m: int, J: int, component: int, mode: int, amplitude: float = 1.0) -> "GalerkinState":
         """State amplitude * phi_mode e_component (1-based indices)."""
         c = np.zeros((m, J))
-        c[component - 1, mode - 1] = amplitude
+        c[_one_based("component", component, m) - 1, _one_based("mode", mode, J) - 1] = amplitude
         return cls(c)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(self.coeffs ** 2)))
+
+
+def _one_based(name: str, value, top: int) -> int:
+    """``value`` as a 1-based index into 1..top; anything else, a float with
+    a fraction included, raises ConfigurationError."""
+    if not 1 <= value <= top or value != int(value):
+        raise ConfigurationError(f"{name} must be an integer in [1, {top}], got {value:g}")
+    return int(value)
 
 
 @lru_cache(maxsize=None)

@@ -2,17 +2,23 @@
 program's functions by name; a rename that breaks them fails here."""
 
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 # the thread pools bench/run.py pins when it is imported
 POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+# every workload the benchmark declares
+WORKLOADS = [w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def test_layer_micro_loops_run_on_a_shoot_connect_setup(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_layer_micro_loops_run_on_every_workload(tmp_path, monkeypatch, workload):
     # importing bench/run.py sets these variables and puts bench/ on
     # sys.path; both are restored after the test
     for var in POOL_VARS:
@@ -23,7 +29,7 @@ def test_layer_micro_loops_run_on_a_shoot_connect_setup(tmp_path, monkeypatch):
     spec.loader.exec_module(run)
     import layers
 
-    setup = run.Setup("shoot-connect", 1, tmp_path)
+    setup = run.Setup(workload, 1, tmp_path)
     metrics = layers.micro(setup)
     names = {name for name, _ in layers.PER_LAYER}
     assert set(metrics) <= names

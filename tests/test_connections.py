@@ -445,6 +445,28 @@ def test_stacked_fd_jacobian_matches_per_state_calls(spec, S, m, quad_nodes):
         assert np.array_equal(jac, _fd_jacobian(field, basis, cfg, state))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("J, quad_nodes", [(16, 48), (16, 49), (20, 56), (32, 80), (32, 81)])
+@pytest.mark.parametrize("spec", ["arctan(40)", "u'-reading"])
+def test_linearization_matches_block_loop(spec, J, quad_nodes, m):
+    # the oracle projects each (k, kp) block on its own and copies it in
+    from resodyn.connections import _u_jacobian, diag_A
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), J)
+    cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis.mu[0]),) * m, sigma=(0.0,) * m)
+    field = _newton_field(spec, m)
+    for c in 0.3 * np.random.default_rng(J * 10 + m).normal(size=(3, m, J)):
+        dU = basis.dvalues(c) if field.reads_du else None
+        gprime = _u_jacobian(field, basis.x, basis.values(c), dU)
+        K = np.zeros((m * J, m * J))
+        for k in range(m):
+            for kp in range(m):
+                block = basis.project(gprime[k, kp][None, :] * basis.phi)
+                K[k * J:(k + 1) * J, kp * J:(kp + 1) * J] = block
+        loop = np.diag(diag_A(basis, cfg).ravel()) - 0.5 * (K + K.T)
+        assert np.array_equal(rd.discrete_linearization(field, basis, cfg, rd.GalerkinState(c)),
+                              loop)
+
+
 @pytest.mark.parametrize("m, J, quad_nodes, group", [(2, 32, 80, 1), (1, 16, 48, 10),
                                                      (1, 32, 80, 3)])
 def test_newton_jacobian_groups_stay_under_the_byte_bound(m, J, quad_nodes, group,

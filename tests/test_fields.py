@@ -187,11 +187,37 @@ def test_verify_limits_rejects_wrong_declaration(basis32):
     assert rep.witness["deviation"] > 1e-3
 
 
-def test_verify_limits_rejects_small_s(basis32):
-    field = rd.make_field("arctan(1)", 1)
-    for s in (1e5, float("nan")):
-        with pytest.raises(ConfigurationError, match="at least 1e6"):
-            rd.verify_limits(field, 1, s=s, basis=basis32)
+def _one_based_calls(basis):
+    """Each 1-based argument: its name, its top value, and a call with it."""
+    field = rd.make_field("arctan(1)", 2)
+    grid = SampleGrid.default(basis, 2, draws=5)
+    return {
+        "verify_limits": ("k", 2, lambda v: rd.verify_limits(field, v, basis=basis)),
+        "check_sign_condition": (
+            "k", 2, lambda v: rd.check_sign_condition(field, v, "+", np.zeros_like, grid)),
+        "unit-component": ("component", 2, lambda v: rd.GalerkinState.unit(2, 32, v, 1)),
+        "unit-mode": ("mode", 32, lambda v: rd.GalerkinState.unit(2, 32, 1, v)),
+        "constant-kernel-component": (
+            "component", 2, lambda v: rd.make_field(f"constant-kernel({v},1,1)", 2, basis=basis)),
+        "constant-kernel-mode": (
+            "mode", 32, lambda v: rd.make_field(f"constant-kernel(1,{v},1)", 2, basis=basis)),
+    }
+
+
+@pytest.mark.parametrize("where", ["verify_limits", "check_sign_condition", "unit-component",
+                                   "unit-mode", "constant-kernel-component",
+                                   "constant-kernel-mode"])
+@pytest.mark.parametrize("past", ["zero", "minus-one", "top-plus-one"])
+def test_one_based_argument_out_of_range_raises(basis32, where, past):
+    # 0 and -1 once wrapped to the last component or mode, and top + 1
+    # raised a bare IndexError
+    name, top, call = _one_based_calls(basis32)[where]
+    call(1)
+    call(top)
+    value = {"zero": 0, "minus-one": -1, "top-plus-one": top + 1}[past]
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{name} must be an integer in \[1, {top}\], got {value}$"):
+        call(value)
 
 
 def test_bounded_field_projection_norm(basis32, desk_split, rng):
@@ -340,7 +366,7 @@ def test_verify_limits_matches_draw_loop(basis32, spec, k):
             vals = abs(sval) ** field.sigma[k - 1] * field.eval(
                 x, np.repeat(uvec[:, None], n, axis=1), np.repeat(duv[:, None], n, axis=1))[k - 1]
             dev = max(dev, float(np.max(np.abs(vals - target))))
-    rep = rd.verify_limits(field, k, s=s, grid=grid)
+    rep = rd.verify_limits(field, k, basis=basis32, seed=4)
     assert rep.margin == 1e-3 - dev
 
 

@@ -132,6 +132,21 @@ def test_d_zero_resonant_origin_raises(basis32):
         rd.d_zero(basis32, cfg, lin)
 
 
+@pytest.mark.parametrize("delta", [1e-7, 1e-5, 1e-4, 1e-3])
+def test_d_zero_and_nonresonance_agree(basis32, delta):
+    # theta = mu_1 + delta: within RESONANCE_TOL * mu_32 of mu_1 up to
+    # delta = 1e-4, so both call the origin resonant there
+    cfg = rd.ProblemConfig(m=1, l=1, lam=(0.0,), sigma=(0.0,))
+    lin = rd.LinearizationData.from_G(np.array([[float(basis32.mu[0]) + delta]]), cfg)
+    if delta < 1e-3:
+        assert rd.nonresonance_at_origin(basis32, lin) is False
+        with pytest.raises(HypothesisError, match="resonant"):
+            rd.d_zero(basis32, cfg, lin)
+    else:
+        assert rd.nonresonance_at_origin(basis32, lin) is True
+        assert rd.d_zero(basis32, cfg, lin) == 1
+
+
 def test_nonresonance_cases(basis32, desk_problem):
     lin = rd.LinearizationData.from_G(np.array([[40.0]]), desk_problem)
     assert rd.nonresonance_at_origin(basis32, lin) is True

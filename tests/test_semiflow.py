@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import resodyn as rd
 from resodyn.errors import ConfigurationError, DivergenceSignal, UnboundedModeError
 from resodyn.semiflow import MAX_STEPS, trajectory_norms
+from resodyn.spectral import fractional_weights
 
 
 def _zero_field(m=1):
@@ -423,6 +424,30 @@ def test_trajectory_norms_stack_matches_rows(basis32, desk_problem, desk_split, 
         one = trajectory_norms(basis32, desk_split, desk_problem, c[i])
         assert one.shape == (6,)
         assert np.array_equal(stacked[i], one)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (7,), (40,), ("F",), ("T",)])
+def test_trajectory_norms_match_masked_sums(basis32, rng, m, lead):
+    # the oracle gathers each norm's entries through its mask, the full
+    # norms through an all-True one; "F" and "T" are a Fortran-ordered stack
+    # and a stack seen through a transpose
+    cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis32.mu[0]),) * m, sigma=(0.0,) * m)
+    split = rd.classify(basis32, cfg)
+    if lead == ("F",):
+        c = np.asfortranarray(rng.normal(size=(5, m, 32)))
+    elif lead == ("T",):
+        c = rng.normal(size=(m, 5, 32)).transpose(1, 0, 2)
+    else:
+        c = rng.normal(size=lead + (m, 32))
+    sq = c ** 2
+    wsq = (fractional_weights(basis32, cfg) ** cfg.alpha * c) ** 2
+    full = np.ones((m, 32), dtype=bool)
+    masked = [np.ascontiguousarray(a[..., split.masks[key] if key else full]).sum(axis=-1)
+              for a, key in ((sq, None), (wsq, None), (sq, "P1"), (sq, "P2"),
+                             (wsq, "Qminus"), (wsq, "Qplus"))]
+    assert np.array_equal(trajectory_norms(basis32, split, cfg, c),
+                          np.sqrt(np.stack(masked, axis=-1)))
 
 
 @pytest.mark.parametrize("scheme", ["ETD1", "IMEX-Euler"])
