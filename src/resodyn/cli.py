@@ -225,10 +225,13 @@ def _stage_connect(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
         grid = [(d_idx, rate, direction, float(eps))
                 for d_idx, (rate, direction) in enumerate(directions)
                 for eps in run["eps_grid"]]
+        # the misses retire early only on a bound that trusts the declared C3,
+        # which the check stage certified (F2)
         results = shoot_connection(
             exp.field, exp.basis, exp.split, exp.problem, origin,
             [direction for _, _, direction, _ in grid], [eps for *_, eps in grid],
-            exp.settings, equilibria)
+            exp.settings, equilibria,
+            retire_misses=stages["check"]["F2"]["verdict"] == "holds")
         for (d_idx, rate, _, eps), result in zip(grid, results):
             connected = isinstance(result, ConnectionRecord)
             shots.append({"direction": d_idx, "rate": rate, "eps": eps,

@@ -381,10 +381,62 @@ class ShootMiss:
                 "closest_target": self.closest_target}
 
 
+def _kernel_drift(field: NonlinearField, basis: SpectralBasis, config: ProblemConfig,
+                  settings: IntegratorSettings):
+    """What ``shoot_connection`` needs to retire a miss, or None when it
+    cannot: the field declares no C3, some mode grows (an ETD1 factor
+    E > 1, an IMEX-Euler factor below 1), or no mode steps as exactly
+    c + dt H (ETD1 with E == 1.0 and dt P == dt; IMEX-Euler with factor
+    1.0).  Otherwise ``(exact, K, growth)``: the (m, J) mask of those
+    modes, the norm K over them of the bounds
+    |H_kj| <= C3 sum_i w_i |phi_j(x_i)|, and the most one step can add to a
+    state's L2 norm, max(dt P) times the norm of those bounds over every
+    mode."""
+    if field.bound_C3 is None:
+        return None
+    factors = settings.step_factors(basis, config)
+    if settings.scheme == "ETD1":
+        E, dtP = factors
+        grows, exact, step = E.max() > 1.0, (E == 1.0) & (dtP == settings.dt), dtP.max()
+    else:
+        grows, exact, step = factors.min() < 1.0, factors == 1.0, settings.dt
+    if grows or not exact.any():
+        return None
+    bound = np.broadcast_to(field.bound_C3 * np.abs(basis.w * basis.phi).sum(axis=-1),
+                            exact.shape)
+    return exact, math.sqrt(np.sum(bound[exact] ** 2)), step * math.sqrt(np.sum(bound ** 2))
+
+
+def _drift_floor(dist, norm, steps, reach, terms):
+    """A lower bound on every distance that the march computes in the next
+    ``steps`` steps from a row to each target, for rows whose (R, G) kernel
+    distances ``dist`` = |P0 (c_n - g)| and (R,) kernel norms ``norm`` =
+    |P0 c_n|, where one step moves the kernel part by at most ``reach`` =
+    dt K:  dist - steps * reach - slack, with
+
+        slack = (terms + 2 steps) eps (dist + norm + 2 steps reach),
+
+    eps = 2**-52 and ``terms`` = quadrature nodes + m J + 8.  The ``terms``
+    share covers the rounding of the quadrature sum (of H and of its
+    bound) and of the distances, the ``2 steps`` share the rounding of the
+    ``steps`` kernel updates c + dt H, each at most half an ulp of a kernel
+    part no longer than norm + steps * reach."""
+    far = steps * reach
+    slack = (terms + 2 * steps) * np.finfo(float).eps * (dist + norm[:, None] + 2 * far)
+    return dist - far - slack
+
+
+def _proven(floor, closest):
+    """Rows whose floor (R, G) exceeds both their (R,) closest distance and
+    SETTLE_TOL at every target: no later step can lower ``closest``, change
+    its target (the first strict minimum) or start a dwell."""
+    return (floor > np.maximum(closest, SETTLE_TOL)[:, None]).all(axis=-1)
+
+
 def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
                      config: ProblemConfig, source: Equilibrium,
                      direction, eps, settings: IntegratorSettings,
-                     equilibria: Sequence[Equilibrium]):
+                     equilibria: Sequence[Equilibrium], *, retire_misses: bool = False):
     """Integrate from source + eps * direction at s = 1, with the step of
     ``settings.scheme``, until the state dwells within SETTLE_TOL of some
     other equilibrium for at least DWELL time units, or the horizon runs
@@ -393,15 +445,45 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
     ``source`` comes from ``find_equilibria``.  ``direction`` must be a unit
     eigenvector of ``source.linearization`` with negative eigenvalue (an
     unstable direction of the forward flow); otherwise the shot is a miss by
-    contract.  Returns a ConnectionRecord or a ShootMiss.  ``direction`` and
-    ``eps`` may also be equal-length sequences, one shot per pair: every shot
-    then marches in one (B, m, J) stack through ``integrate_ensemble``, a
-    connected shot leaves it as it settles, and the results come back as a
-    list in input order.
+    contract.  ``eps`` is a finite nonzero number.  Returns a
+    ConnectionRecord or a ShootMiss.  ``direction`` and ``eps`` may also be
+    equal-length sequences, one shot per pair: every shot then marches in
+    one (B, m, J) stack through ``integrate_ensemble``, a connected shot
+    leaves it as it settles, and the results come back as a list in input
+    order.
+
+    With ``retire_misses``, the march stops before the horizon once a bound
+    proves that no later step can change any report, and every shot still
+    marching is reported as a ``horizon`` miss whose trajectory ends at that
+    step (bit for bit the start of its march to the horizon).  The bound
+    trusts the field's declared C3 (hypothesis F2, |f| <= C3) and needs
+    ``_kernel_drift``'s conditions: no growing mode and some modes P0 that
+    step as exactly c + dt H, so that each step moves P0 c by at most dt K.
+    At step n, with k steps left, each row's later distances to a target g
+    are then at least |P0 (c_n - g)| - k dt K, less the rounding slack of
+    ``_drift_floor``.  The march stops when that exceeds both the row's
+    closest distance and SETTLE_TOL for every target and every row still
+    marching, and |c_n| + k max(dt P) |bound of H|, times
+    1 + (terms + 2 k) eps, stays below the divergence threshold, so that no
+    row could have diverged.  Rows stop all at once, never some of them: a
+    smaller stack can take other BLAS paths and so move the bits of the
+    rows that go on (README, "Numerical notes").  The check runs with each
+    window evaluation of the settle rule, and the next evaluation is due by
+    the time the bound could first pass (it rises at most 2 K per time
+    unit).
     """
     single = isinstance(direction, GalerkinState)
+    if single != (np.ndim(eps) == 0):
+        raise ConfigurationError(
+            "eps must be one number for one direction and a sequence for a sequence "
+            f"of directions, got {eps!r}")
     directions = [direction] if single else list(direction)
-    epsilons = [float(e) for e in ([eps] if single else eps)]
+    try:
+        epsilons = [float(e) for e in ([eps] if single else eps)]
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"eps must be numbers, got {eps!r}") from exc
+    if not all(math.isfinite(e) and e != 0.0 for e in epsilons):
+        raise ConfigurationError(f"eps must be finite and nonzero, got {eps!r}")
     if len(directions) != len(epsilons):
         raise ConfigurationError(
             f"need one eps per direction, got {len(epsilons)} for {len(directions)}")
@@ -447,6 +529,12 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
     window_t = []
     held, known, window, diff = None, math.inf, None, None
     rows_buffer, diff_buffer = np.empty(0), np.empty(0)
+    # retiring misses: ``drift`` (``_kernel_drift``) and the time by which the
+    # window is next evaluated (first at the first step)
+    drift = (_kernel_drift(field, basis, config, settings)
+             if retire_misses and B and goals is not None else None)
+    terms = basis.x.size + config.m * basis.J + 8
+    check_at = math.inf if drift is None else 0.0
 
     def evaluate():
         """Settle every step of the window at once, as one (K, B, G, m J)
@@ -510,9 +598,35 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
             known = inside_since[members][dwelling].min(initial=math.inf)
         window[len(window_t)] = c
         window_t.append(t)
-        if t - window_t[0] < DWELL and t - known < DWELL and len(window_t) < len(window):
+        if (t - window_t[0] < DWELL and t - known < DWELL and len(window_t) < len(window)
+                and t < check_at):
             return False
-        return evaluate()
+        done = evaluate()
+        return done if drift is None else retire(t, c, members, done)
+
+    def retire(t, c, members, done):
+        # every row that goes on past this step, or none (``_proven``)
+        nonlocal check_at
+        going = np.ones(members.size, dtype=bool) if done is False else ~done
+        if not going.any():
+            return done
+        exact, K, growth = drift
+        rows = c[going]
+        steps = settings.nsteps - round(t / settings.dt)
+        part = rows[:, exact]
+        floor = _drift_floor(np.sqrt(((part[:, None] - goals[:, exact]) ** 2).sum(axis=-1)),
+                             np.sqrt((part ** 2).sum(axis=-1)), steps, settings.dt * K, terms)
+        closest_going = closest[members[going]]
+        if _proven(floor, closest_going).all():
+            norms = np.sqrt((rows ** 2).sum(axis=(-2, -1)))
+            if ((norms + steps * growth) * (1 + (terms + 2 * steps) * np.finfo(float).eps)
+                    < settings.divergence_threshold).all():
+                return np.ones(members.size, dtype=bool)
+            check_at = t + DWELL
+            return done
+        gap = float((np.maximum(closest_going, SETTLE_TOL)[:, None] - floor).max())
+        check_at = t + gap / (2 * K) if K > 0 else math.inf
+        return done
 
     starts = [GalerkinState._trusted(source.state.coeffs + epsilons[i] * directions[i].coeffs)
               for i in shots]

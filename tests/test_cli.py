@@ -429,6 +429,54 @@ def test_connect_subcommand_finds_orbit(tmp_path, small_config):
     assert any((out / "trajectories").glob("connection_*.csv"))
 
 
+@pytest.mark.parametrize("verdict", ["holds", "fails"])
+def test_connect_retires_misses_only_when_F2_holds(tmp_path, small_config, monkeypatch,
+                                                   verdict):
+    # the bound behind the retirement trusts the declared C3, which F2 certifies
+    check, shoot, calls = cli._STAGE_FUNCS["check"], cli.shoot_connection, []
+
+    def checked(exp, stages, files):
+        part = check(exp, stages, files)
+        part["F2"]["verdict"] = verdict
+        return part
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setitem(cli._STAGE_FUNCS, "check", checked)
+    monkeypatch.setattr(cli, "shoot_connection", recorded)
+    assert cli.run_subcommand("connect", small_config, out_dir=tmp_path / "out") == 0
+    assert calls == [{"retire_misses": verdict == "holds"}]
+
+
+@pytest.mark.parametrize("path", [ARCTAN_CFG, JSON_CFG], ids=lambda p: p.name)
+def test_connect_reports_match_the_march_to_the_horizon(tmp_path, monkeypatch, path):
+    # the stage's shots with retirement against the same shots to the
+    # horizon: the same reports, and every retired miss's stored samples are
+    # those of its horizon march, up to its last step
+    shoot, ends = cli.shoot_connection, []
+
+    def both(*args, retire_misses):
+        assert retire_misses
+        horizon = shoot(*args)
+        retired = shoot(*args, retire_misses=True)
+        for a, b in zip(retired, horizon, strict=True):
+            assert type(a) is type(b) and a.to_dict() == b.to_dict()
+            a, b = a.trajectory, b.trajectory
+            k = int(np.searchsorted(b.times, a.times[-1]))
+            assert a.times.size in (k, k + 1) and a.diverged == b.diverged
+            for name in ("times", "coeffs", "norms"):
+                assert np.array_equal(getattr(a, name)[:k], getattr(b, name)[:k])
+            ends.append(float(a.times[-1]))
+        return retired
+
+    monkeypatch.setattr(cli, "shoot_connection", both)
+    assert cli.run_subcommand("connect", path, out_dir=tmp_path / "out") == 0
+    T = load_config(path).settings.T
+    assert max(ends) < T  # the misses too
+
+
 @pytest.mark.parametrize("config", ["small", "two_component"])
 def test_connect_runs_one_newton_search_after_the_origin(tmp_path, small_config, monkeypatch,
                                                          config):

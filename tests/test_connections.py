@@ -978,3 +978,194 @@ def test_lazy_settle_without_marching_shots(basis32, desk_problem, desk_split, d
     assert [r.reason for r in lazy] == ["not-unstable"] * 2
     single = rd.shoot_connection(*args[:5], stable, 1e-3, *args[7:])
     assert single.reason == "not-unstable" and single.trajectory is None
+
+
+# -- retiring proven misses ---------------------------------------------------
+
+def _assert_retired_match(args):
+    """Shoots with retirement and to the horizon, every step recorded: the
+    same reports, the same connections, and each retired miss's trajectory
+    bit for bit the start of its march to the horizon.  Returns both."""
+    from dataclasses import replace
+    args = list(args)
+    args[7] = replace(args[7], store_every=1)
+    horizon = rd.shoot_connection(*args)
+    retired = rd.shoot_connection(*args, retire_misses=True)
+    for a, b in zip(retired, horizon, strict=True):
+        assert type(a) is type(b) and a.to_dict() == b.to_dict()
+        if isinstance(b, rd.ConnectionRecord):
+            _assert_identical_shot(a, b)
+        elif b.trajectory is not None:
+            assert a.trajectory.diverged == b.trajectory.diverged
+            n = a.trajectory.times.size
+            for name in ("times", "coeffs", "norms"):
+                assert np.array_equal(getattr(a.trajectory, name),
+                                      getattr(b.trajectory, name)[:n])
+    return horizon, retired
+
+
+def _ends(shots):
+    return [float(r.trajectory.times[-1]) for r in shots if isinstance(r, rd.ShootMiss)]
+
+
+def _imex_case():
+    basis = rd.build_basis(rd.Domain1D(1.0, 28), 6)
+    cfg = rd.ProblemConfig(m=1, l=1, lam=(float(basis.mu[0]),), sigma=(0.0,))
+    split = rd.classify(basis, cfg)
+    field = rd.make_field("arctan(40)", 1)
+    equilibria = rd.find_equilibria(field, basis, split, cfg,
+                                    [rd.GalerkinState.unit(1, 6, 1, 2, 0.05),
+                                     rd.GalerkinState.unit(1, 6, 1, 2, -0.05)])
+    origin = next(eq for eq in equilibria if eq.is_origin)
+    dirs = [d for _, d in rd.unstable_directions(field, basis, cfg, origin)]
+    return (field, basis, split, cfg, origin, [d for d in dirs for _ in range(2)],
+            [1e-3, -1e-3] * len(dirs),
+            rd.IntegratorSettings(dt=7e-4, T=2.1, scheme="IMEX-Euler"), equilibria)
+
+
+def _growing_case():
+    # component 2 resonates at mu_2, so its first mode grows (E > 1)
+    basis = rd.build_basis(rd.Domain1D(1.0, 48), 16)
+    cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]), float(basis.mu[1])),
+                           sigma=(0.0, 0.0))
+    split = rd.classify(basis, cfg)
+    field = rd.make_field("arctan(40)", 2)
+    origin, = rd.find_equilibria(field, basis, split, cfg, [])
+    dirs = [d for _, d in rd.unstable_directions(field, basis, cfg, origin)][:3]
+    equilibria = rd.find_equilibria(field, basis, split, cfg,
+                                    [rd.GalerkinState(sign * 0.05 * d.coeffs)
+                                     for d in dirs for sign in (1, -1)], known=[origin])
+    return (field, basis, split, cfg, origin, [d for d in dirs for _ in range(2)],
+            [1e-3, -1e-3] * len(dirs), rd.IntegratorSettings(dt=1e-2, T=4.0), equilibria)
+
+
+def _bounded_spiral_case():
+    # the spiral through P's ball, with a bounded field (|f| <= 2.1): the shot
+    # leaves the ball and comes back to settle
+    args = list(_spiral_case())
+
+    def bounded_rotation(x, U, dU):
+        out = np.empty_like(U)
+        out[..., 0, :] = 2.0 * np.tanh(U[..., 1, :])
+        out[..., 1, :] = -2.0 * np.tanh(U[..., 0, :]) - 0.1 * np.tanh(U[..., 1, :])
+        return out
+
+    args[0] = rd.NonlinearField(name="bounded-rotation", m=2, eval=bounded_rotation,
+                                sigma=np.zeros(2), f_plus=None, f_minus=None, bound_C3=2.1,
+                                reads_du=False)
+    return args
+
+
+def _without_C3():
+    from dataclasses import replace
+    args = list(_desk_case())
+    args[0] = replace(args[0], bound_C3=None)
+    return args
+
+
+def _lone_row_case():
+    # the kernel miss is proven at t = 1.52, before the pair shot settles
+    # (1.81); stopping it alone would leave the pair shot as a stack of one
+    args = list(_desk_case(T=2.0))
+    args[5], args[6] = args[5][:2], args[6][:2]
+    return args
+
+
+# name: (case, whether the misses retire before the horizon)
+_RETIRE_CASES = {
+    "desk": (_desk_case, True),
+    "two-component": (_two_component_case, True),
+    "IMEX-Euler": (_imex_case, True),
+    "dt=0.03": (lambda: _desk_case(dt=0.03, T=4.2), True),
+    "dt=0.007": (lambda: _desk_case(dt=0.007, T=4.2), True),
+    "lone-row": (_lone_row_case, True),
+    "no-C3": (_without_C3, False),
+    "growing-mode": (_growing_case, False),
+    "wander-and-settle": (_bounded_spiral_case, False),
+    # the kernel shots pass the threshold at t = 2.99, after the distance
+    # bound holds (t = 2.09): they must still diverge
+    "divergent": (lambda: _desk_case(divergence_threshold=4.0), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_RETIRE_CASES))
+def test_retired_misses_match_the_march_to_the_horizon(case):
+    make, retires = _RETIRE_CASES[case]
+    args = make()
+    horizon, retired = _assert_retired_match(args)
+    T = args[7].T
+    kinds = [type(r).__name__ for r in horizon]
+    if retires:
+        assert all(end < T - 1e-9 for end in _ends(retired))
+        # every shot still marching stops at one step
+        assert len(set(_ends(retired))) == 1
+    else:
+        assert _ends(retired) == _ends(horizon)
+    if case == "divergent":
+        assert [r.reason for r in horizon if isinstance(r, rd.ShootMiss)] == ["divergent"] * 2
+    if case == "wander-and-settle":
+        # the first shot is in P's ball, out of it and back before it settles
+        from resodyn.connections import SETTLE_TOL
+        assert kinds == ["ConnectionRecord"] * 2
+        traj, target = retired[0].trajectory, args[8][1].state.coeffs
+        inside = np.sqrt(((traj.coeffs - target) ** 2).sum(axis=(1, 2))) <= SETTLE_TOL
+        assert np.count_nonzero(np.diff(inside.astype(int)) == 1) >= 2
+    if case == "lone-row":
+        # the miss stops with the pair shot's settling step, not on its own
+        assert kinds == ["ShootMiss", "ConnectionRecord"]
+        assert retired[0].trajectory.times[-1] == retired[1].trajectory.times[-1]
+
+
+def test_kernel_drift_bound_of_the_desk_case():
+    from dataclasses import replace
+    from resodyn.connections import _kernel_drift
+    field, basis, split, cfg, *_, settings, _ = _desk_case()
+    exact, K, growth = _kernel_drift(field, basis, cfg, settings)
+    assert np.array_equal(exact, split.masks["Q0"])
+    # K = pi/2 sum_i w_i |phi_1(x_i)| = sqrt(2) up to the quadrature
+    assert abs(K - math.sqrt(2.0)) < 1e-3
+    assert growth >= settings.dt * K
+    assert _kernel_drift(replace(field, bound_C3=None), basis, cfg, settings) is None
+    growing = rd.ProblemConfig(m=1, l=1, lam=(float(basis.mu[1]),), sigma=(0.0,))
+    assert _kernel_drift(field, basis, growing, settings) is None
+    off = rd.ProblemConfig(m=1, l=1, lam=(float(basis.mu[0]) - 1.0,), sigma=(0.0,))
+    assert _kernel_drift(field, basis, off, settings) is None  # no exact kernel mode
+
+
+def test_drift_floor_slack():
+    from resodyn.connections import _drift_floor
+    from resodyn.semiflow import MAX_STEPS
+    eps = np.finfo(float).eps
+    dist, norm = np.array([[1.0, 3.0]]), np.array([2.0])
+    # no step left: the distance less the rounding of the distance itself
+    assert (_drift_floor(dist, norm, 0, 0.5, 100) < dist).all()
+    for steps in (1, 1000, MAX_STEPS):
+        floor = _drift_floor(dist, norm, steps, 1e-9, 100)
+        far = steps * 1e-9
+        assert (floor < dist - far).all()
+        # k kernel updates round by up to half an ulp of the kernel norm each
+        assert (floor <= dist - far - steps * eps / 2 * (norm + far)).all()
+    # at MAX_STEPS that is 1.1e-9 of the norm: a relative 1e-9 is not enough
+    assert (_drift_floor(dist, norm, MAX_STEPS, 0.0, 100) < dist - 1e-9 * (dist + norm)).all()
+
+
+def test_proven_needs_a_floor_above_closest_and_the_settle_tolerance():
+    from resodyn.connections import SETTLE_TOL, _proven
+    closest = np.array([0.5, 0.5, SETTLE_TOL / 2, 0.5])
+    floor = np.array([[0.6, 0.7], [0.5, 0.7], [SETTLE_TOL, 1.0], [0.7, 0.4]])
+    assert _proven(floor, closest).tolist() == [True, False, False, False]
+    assert _proven(np.nextafter(floor, np.inf)[2:3], closest[2:3]).tolist() == [True]
+
+
+@pytest.mark.parametrize("directions, eps", [("list", 1e-3), ("one", [1e-3]),
+                                             ("one", (1e-3, -1e-3)), ("one", math.nan),
+                                             ("list", [1e-3, math.inf]), ("one", 0.0),
+                                             ("list", [1e-3, 0.0]), ("one", "small")])
+def test_shoot_connection_rejects_bad_eps(basis32, desk_problem, desk_split, desk_field,
+                                          desk_equilibria, directions, eps):
+    origin = next(eq for eq in desk_equilibria if eq.is_origin)
+    _, kernel = origin.unstable[0]
+    direction = [kernel, kernel] if directions == "list" else kernel
+    with pytest.raises(ConfigurationError, match="eps"):
+        rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, origin, direction,
+                            eps, rd.IntegratorSettings(dt=1e-2, T=0.1), desk_equilibria)
