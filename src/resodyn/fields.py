@@ -128,32 +128,51 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
     for a field that ``reads_du``.
 
     A non-finite field value raises EvaluationError naming its component
-    and node (in a block stack, the first in memory order over every block).
-    The check sums the coefficients, not the nodal values: the fold's
-    products spread inf and NaN to coefficients of the row (0 * inf is
-    NaN), and a non-finite coefficient makes the sum non-finite, so the
-    nodal values are scanned only when the sum is not finite.  If every
-    nodal value is finite (the quadrature sum, or the check's own sum,
-    overflowed), the coefficients are returned as they are, for the march's
-    divergence guard.
+    and node (in a block stack, the first in memory order over every block;
+    ``_raise_nonfinite``, shared with the march).  A field value of another
+    shape than U raises EvaluationError too.
+
+    The march does not call this function: its step (``semiflow._homotopy``)
+    runs the same fold and projection bodies and the same checks on
+    operands of the same shapes, writing into reused buffers, so its
+    coefficients are bit for bit those of this call on its stack.
     """
     c = u.coeffs
     rows = c.reshape(c.shape[:-3] + (-1, c.shape[-1]))
     nodal = c.shape[:-1] + (basis.x.size,)
     U = basis._fold(rows, basis._phi_fold, flip=False).reshape(nodal)
     dU = basis._fold(rows, basis._dphi_fold, flip=True).reshape(nodal) if field.reads_du else None
-    fv = np.asarray(field.eval(basis.x, U, dU), dtype=float)
-    if fv.shape != nodal:
-        raise EvaluationError(f"field returned shape {fv.shape}, expected {nodal}")
+    fv = _field_values(field, basis, U, dU)
     out = basis._project(fv.reshape(rows.shape[:-1] + nodal[-1:]))
-    if not math.isfinite(out.sum()):
-        bad = ~np.isfinite(fv)
-        if bad.any():
-            *_, k, i = np.argwhere(bad)[0]
-            raise EvaluationError(
-                f"non-finite field value in component {k + 1} at node x={basis.x[i]:.6g}"
-            )
+    _raise_nonfinite(basis, out, fv)
     return GalerkinState._trusted(out.reshape(c.shape))
+
+
+def _field_values(field: NonlinearField, basis: SpectralBasis, U, dU) -> np.ndarray:
+    """``field.eval`` on the nodes as C-ordered floats; a result of another
+    shape than U raises EvaluationError."""
+    fv = np.ascontiguousarray(field.eval(basis.x, U, dU), dtype=float)
+    if fv.shape != U.shape:
+        raise EvaluationError(f"field returned shape {fv.shape}, expected {U.shape}")
+    return fv
+
+
+def _raise_nonfinite(basis: SpectralBasis, coeffs: np.ndarray, fv: np.ndarray) -> None:
+    """Raise EvaluationError at the first non-finite entry of the field
+    values ``fv`` (memory order) whose projection holds ``coeffs``.
+
+    The check sums the coefficients, not the nodal values: the fold's
+    products spread inf and NaN to coefficients of the row (0 * inf is
+    NaN), and a non-finite coefficient makes the sum non-finite in any
+    order, so the nodal values are scanned only when the sum is not
+    finite.  If every nodal value is finite (the quadrature sum, or the
+    check's own sum, overflowed), nothing is raised, and the march's
+    divergence guard sees the coefficients as they are.
+    """
+    if not math.isfinite(coeffs.sum()) and not np.isfinite(fv).all():
+        *_, k, i = np.argwhere(~np.isfinite(fv))[0]
+        raise EvaluationError(
+            f"non-finite field value in component {k + 1} at node x={basis.x[i]:.6g}")
 
 
 def _u_jacobian(field: NonlinearField, x: np.ndarray, U: np.ndarray,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, DivergenceSignal, UnboundedModeError
-from .fields import NonlinearField, galerkin_F
+from .fields import NonlinearField, _field_values, _raise_nonfinite, galerkin_F
 from .spectral import (OVERFLOW_EXPONENT, GalerkinState, ProblemConfig, SpectralBasis,
                        diag_A, fractional_weights, semigroup_apply)
 
@@ -203,17 +203,31 @@ def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     At s=1 the three projections telescope back to F(u); at s=0 only the
     kernel projection of the kernel-restricted field survives.  ``u`` may be
     a (B, m, J) stack with one s per member (``s`` of shape (B,)) or one
-    s for all.  The call builds the plan of its stack composition
-    (``_plan``) and applies it once, as every march step does: one stacked
-    ``galerkin_F`` call evaluates every member's kernel-restricted state and
-    F(u) of the members with 0 < s < 1 (at s = 1 F(u) is the restricted
-    evaluation, at s = 0 it is not needed).
+    s for all; any other shape of s, or a state whose trailing shape is
+    not the split's (m, J), raises ConfigurationError before any
+    evaluation.
+
+    This is H as written: one stacked ``galerkin_F`` call evaluates every
+    member's restricted state where(Q0, u, s u) and then u itself for the
+    members with 0 < s < 1 (at s = 1 F(u) is the restricted evaluation, at
+    s = 0 it is not needed), and the masks are applied to its result.  The
+    march's step (``_plan``, ``_homotopy``) gives the same bits.
     """
     c = u.coeffs
-    s = np.broadcast_to(_checked_s(s), c.shape[:-2]).reshape(-1)
     q0 = split.masks["Q0"]
-    H = _homotopy(field, basis, _plan(q0, s), c.reshape((-1,) + q0.shape))
-    return GalerkinState._trusted(H.reshape(c.shape))
+    s = _checked_s(s)
+    if c.shape[-2:] != q0.shape or s.shape not in ((), c.shape[:-2]):
+        raise ConfigurationError(
+            f"homotopy_field takes states of shape (..., m, J) with (m, J) = {q0.shape} and one "
+            f"s or one per state; got states of shape {c.shape} and s of shape {s.shape}")
+    s = np.broadcast_to(s, c.shape[:-2]).reshape(-1, 1, 1)
+    rows = c.reshape((-1,) + q0.shape)
+    mid = ((0.0 < s) & (s < 1.0)).reshape(-1)
+    f = galerkin_F(field, basis, GalerkinState._trusted(
+        np.concatenate([np.where(q0, rows, s * rows), rows[mid]]))).coeffs
+    full = np.where(s == 0.0, 0.0, f[:len(rows)])
+    full[mid] = f[len(rows):]
+    return GalerkinState._trusted(np.where(q0, f[:len(rows)], s * full).reshape(c.shape))
 
 
 def _checked_s(s) -> np.ndarray:
@@ -223,56 +237,94 @@ def _checked_s(s) -> np.ndarray:
     return s
 
 
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """The entries of an (..., m, J) array in the fold's block order: every
+    row's odd-j columns, then every row's even-j columns."""
+    return np.concatenate([a[..., 0::2].ravel(), a[..., 1::2].ravel()])
+
+
 class _Plan(NamedTuple):
     """H(s, .) for one stack composition (one s per row), built once.
 
     Every row is evaluated at its restricted state W u, with W = 1 on Q0
-    and s elsewhere, and the rows with 0 < s < 1 once more at u: ``rows``
-    picks the states of that one stacked evaluation and ``scale`` is W for
-    the first B of them and 1 for the rest.  H is W times the entries that
-    ``gather`` picks from its result: the restricted evaluation on Q0 and
-    at s = 1, F(u) off Q0 at interior s.  ``zero`` masks the entries off Q0
-    of the rows with s = 0, where H is +0.0 (None if there are none).
+    and s elsewhere, and the rows with 0 < s < 1 once more at u: one
+    evaluation of R states, whose component rows the fold reads as two
+    C-ordered parity blocks, the odd-j columns and then the even-j ones.
+    ``take`` picks those blocks flat from the (B, m, J) stack, and
+    ``scale`` is W at each pick.  The projection lands in the same block
+    layout, with one 0.0 after it; ``gather`` picks H's entries from there
+    in natural (B, m, J) order: the restricted evaluation on Q0 and at
+    s = 1, F(u) off Q0 at interior s, and the 0.0 off Q0 at s = 0.  H is W
+    times them.  ``scale`` and ``W`` are None when every s is 1 (H is F).
+    ``work`` holds the step's reused buffers, made by ``_homotopy`` for its
+    basis.
     """
 
-    rows: np.ndarray
-    scale: np.ndarray
+    take: np.ndarray
+    scale: Optional[np.ndarray]
     gather: np.ndarray
-    W: np.ndarray
-    zero: Optional[np.ndarray]
+    W: Optional[np.ndarray]
+    work: list
 
 
-def _plan(q0: np.ndarray, s: np.ndarray) -> Optional[_Plan]:
+def _plan(q0: np.ndarray, s: np.ndarray) -> _Plan:
     """The plan of the rows ``s`` (shape (B,)) for the (m, J) Q0 mask
-    ``q0``; None when every s is 1, where H is F."""
-    if (s == 1.0).all():
-        return None
+    ``q0``: index arrays computed once, so that a step classifies no s."""
     sc = s[:, None, None]
-    W = np.where(q0, 1.0, sc)
     mid = np.flatnonzero((0.0 < s) & (s < 1.0))
-    B, k = s.size, mid.size
-    flat = np.arange((B + k) * q0.size).reshape((B + k,) + q0.shape)
-    gather = flat[:B].copy()
-    gather[mid] = np.where(q0, flat[mid], flat[B:])
-    zero = ~q0 & (sc == 0.0)
-    return _Plan(rows=np.concatenate([np.arange(B), mid]),
-                 scale=np.concatenate([W, np.ones((k,) + q0.shape)]),
-                 gather=gather, W=W, zero=zero if zero.any() else None)
+    B, R = s.size, s.size + mid.size
+    W = np.where(q0, 1.0, sc)
+    flat = np.arange(R * q0.size).reshape((R,) + q0.shape)
+    # the block-layout position of each entry of the R evaluated states
+    pos = np.argsort(_blocks(flat)).reshape(flat.shape)
+    gather = pos[:B].copy()
+    gather[mid] = np.where(q0, pos[mid], pos[B:])
+    gather[~q0 & (sc == 0.0)] = R * q0.size
+    ones = bool((s == 1.0).all())
+    return _Plan(take=_blocks(np.concatenate([flat[:B], flat[mid]])),
+                 scale=None if ones else _blocks(np.concatenate([W, np.ones_like(W[mid])])),
+                 gather=gather, W=None if ones else W, work=[])
 
 
 def _homotopy(field, basis, plan, c):
-    """H of the (B, m, J) stack ``c`` by ``plan``.
+    """H of the (B, m, J) stack ``c`` by ``plan``: one march step's
+    evaluation, bit for bit ``homotopy_field``'s.
 
-    ``W * c`` is ``where(Q0, c, s c)`` bit for bit, since 1.0 * x == x, and
-    so is ``W * g`` for ``where(Q0, g, s g)``.
+    The blocks are ``scale`` times one flat take; since 1.0 * x == x, they
+    hold where(Q0, c, s c) and c as the C-ordered parity copies that
+    ``galerkin_F``'s fold makes of that stack.  The fold and the
+    projection run the bodies that ``galerkin_F`` runs
+    (``SpectralBasis._fold_blocks``, ``_project_blocks``) on operands of
+    the same shapes and memory order, so every product rounds the same;
+    only where the results land differs: in the plan's reused buffers,
+    with no state wrapped.  The projection overwrites the blocks, which
+    the fold has read.  A non-finite field value raises EvaluationError as
+    in ``galerkin_F`` (``_raise_nonfinite`` over the whole projection, the
+    entries that the s = 0 mask drops included).
     """
-    if plan is None:
-        return galerkin_F(field, basis, GalerkinState._trusted(c)).coeffs
-    stack = plan.scale * c.take(plan.rows, axis=0)
-    H = plan.W * galerkin_F(field, basis, GalerkinState._trusted(stack)).coeffs.take(plan.gather)
-    if plan.zero is not None:
-        H[plan.zero] = 0.0
-    return H
+    if not plan.work or plan.work[0] is not basis:
+        # the block buffer (the taken blocks, then the projection, and the
+        # trailing 0.0), the head that the take fills, its two parity views,
+        # U and dU as (R, m, n) views of one nodal buffer, and the _halves
+        # of each
+        rows, nq = plan.take.size // basis.J, basis.x.size
+        cut = rows * ((basis.J + 1) // 2)
+        blocks, nodal = np.zeros(plan.take.size + 1), np.empty((2, rows, nq))
+        plan.work[:] = [basis, blocks, blocks[:-1], blocks[:cut].reshape(rows, -1),
+                        blocks[cut:-1].reshape(rows, -1),
+                        nodal.reshape(2, -1, plan.gather.shape[1], nq),
+                        [basis._halves(a) for a in nodal]]
+    _, blocks, taken, cs, ca, nodal, halves = plan.work
+    c.take(plan.take, out=taken, mode="clip")
+    if plan.scale is not None:
+        np.multiply(plan.scale, taken, out=taken)
+    basis._fold_blocks(cs, ca, basis._phi_fold, False, halves[0])
+    if field.reads_du:
+        basis._fold_blocks(cs, ca, basis._dphi_fold, True, halves[1])
+    fv = _field_values(field, basis, nodal[0], nodal[1] if field.reads_du else None)
+    basis._project_blocks(fv.reshape(len(cs), -1), cs, ca)
+    _raise_nonfinite(basis, blocks, fv)
+    return blocks.take(plan.gather) if plan.W is None else plan.W * blocks.take(plan.gather)
 
 
 def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
@@ -319,6 +371,9 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     E, dtP = factors if etd else (None, None)
     dt, threshold, store_every = settings.dt, settings.divergence_threshold, settings.store_every
     q0 = split.masks["Q0"]
+    # while every |c| is at most `calm`, every row's norm is at most half
+    # the threshold and no square overflows, so no row can have diverged
+    calm = 0.5 * min(threshold, 1e150) / math.sqrt(q0.size)
     c = np.stack([u0.coeffs for u0 in states])
     members = np.arange(s.size)
     plan = _plan(q0, s)
@@ -330,13 +385,14 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
         H = _homotopy(field, basis, plan, c)
         c = E * c + dtP * H if etd else (c + dt * H) / factors
         t = n * dt
-        # sqrt is monotone and NaN propagates through max, so the largest
-        # norm passes the threshold exactly when some row's does
-        sq = (c ** 2).sum(axis=(-2, -1))
         leave = None
-        if not math.sqrt(sq.max()) <= threshold:
-            leave = ~(np.sqrt(sq) <= threshold)
-            diverged[members[leave]] = True
+        if not abs(c).max() <= calm:
+            # sqrt is monotone and NaN propagates through max, so the largest
+            # norm passes the threshold exactly when some row's does
+            sq = (c ** 2).sum(axis=(-2, -1))
+            if not math.sqrt(sq.max()) <= threshold:
+                leave = ~(np.sqrt(sq) <= threshold)
+                diverged[members[leave]] = True
         if settle is not None:
             if leave is None:
                 done = settle(t, c, members)

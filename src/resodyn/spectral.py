@@ -109,23 +109,33 @@ class SpectralBasis:
         """``values`` (or, flipped, ``dvalues``) of float rows, uncoerced: a
         2-D array of rows, or a stack of such arrays, each its own block (one
         product per block, of the shape a call on that block alone makes)."""
-        table_s, table_a, table_mid = tables
         # the parity blocks as C-ordered copies, so that the products take
         # one BLAS path whatever numpy does with a stride-2 operand
         cs = np.ascontiguousarray(coeffs[..., 0::2])
         ca = np.ascontiguousarray(coeffs[..., 1::2])
-        vs = cs @ table_s
-        va = ca @ table_a
-        nq = self.x.size
-        h = self._half
-        out = np.empty(coeffs.shape[:-1] + (nq,))
-        out[..., :h] = vs + va
-        mirrored = (va - vs) if flip else (vs - va)
-        out[..., nq - h:] = mirrored[..., ::-1]
-        if nq % 2:
-            # only the block that is symmetric after the map is nonzero there
-            out[..., h] = (ca if flip else cs) @ table_mid
+        out = np.empty(coeffs.shape[:-1] + (self.x.size,))
+        self._fold_blocks(cs, ca, tables, flip, self._halves(out))
         return out
+
+    def _halves(self, nodal):
+        """Where a fold writes into the nodal array ``nodal``: its first
+        half, its mirrored half read backwards, and its midpoint column
+        (None at an even node count)."""
+        nq, h = self.x.size, self._half
+        return nodal[..., :h], nodal[..., nq - h:][..., ::-1], nodal[..., h] if nq % 2 else None
+
+    def _fold_blocks(self, cs, ca, tables, flip, halves):
+        """The fold: nodal values of the C-ordered parity blocks ``cs`` (the
+        odd-j columns) and ``ca`` (the even-j ones), written into ``halves``
+        (``_halves`` of the nodal array)."""
+        table_s, table_a, table_mid = tables
+        head, mirrored, mid = halves
+        vs, va = cs @ table_s, ca @ table_a
+        np.add(vs, va, out=head)
+        np.subtract(*((va, vs) if flip else (vs, va)), out=mirrored)
+        if mid is not None:
+            # only the block that is symmetric after the map is nonzero there
+            mid[...] = (ca if flip else cs) @ table_mid
 
     def project(self, fvals: np.ndarray) -> np.ndarray:
         """Quadrature coefficients <f, phi_j>, folded over mirrored pairs.
@@ -140,18 +150,22 @@ class SpectralBasis:
         ``_fold``), copied C-ordered first so that every memory layout takes
         the same BLAS path and rounds the same."""
         fvals = np.ascontiguousarray(fvals)
+        out = np.empty(fvals.shape[:-1] + (self.J,))
+        out[..., 0::2], out[..., 1::2] = self._project_blocks(fvals)
+        return out
+
+    def _project_blocks(self, fvals, ps=None, pa=None):
+        """The projection: the coefficients of the C-ordered float rows
+        ``fvals`` as the C-ordered parity blocks ``(ps, pa)`` (the odd-j
+        columns, the even-j ones), written into ``ps`` and ``pa`` if given."""
         weighted_s, weighted_a, weighted_mid = self._project_fold
-        h = self._half
-        nq = self.x.size
+        h, nq = self._half, self.x.size
         f1 = fvals[..., :h]
         f2 = fvals[..., nq - h:][..., ::-1]
-        ps = (f1 + f2) @ weighted_s
+        ps = np.matmul(f1 + f2, weighted_s, out=ps)
         if nq % 2:
             ps += fvals[..., h, None] * weighted_mid
-        out = np.empty(fvals.shape[:-1] + (self.J,))
-        out[..., 0::2] = ps
-        out[..., 1::2] = (f1 - f2) @ weighted_a
-        return out
+        return ps, np.matmul(f1 - f2, weighted_a, out=pa)
 
     def gram(self) -> np.ndarray:
         """Quadrature Gram matrix of the basis (identity up to quadrature error)."""

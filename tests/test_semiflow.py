@@ -6,7 +6,8 @@ from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
 import resodyn as rd
-from resodyn.errors import ConfigurationError, DivergenceSignal, UnboundedModeError
+from resodyn.errors import (ConfigurationError, DivergenceSignal, EvaluationError,
+                            UnboundedModeError)
 from resodyn.semiflow import MAX_STEPS, trajectory_norms
 from resodyn.spectral import fractional_weights
 
@@ -804,6 +805,9 @@ def test_s_outside_unit_interval_rejected_before_any_step(bad, monkeypatch):
     calls = []
     monkeypatch.setattr(semiflow, "_plan", lambda *a: calls.append("plan"))
     monkeypatch.setattr(semiflow, "galerkin_F", lambda *a: calls.append("F"))
+    # the march evaluates the field without galerkin_F: guard its eval too
+    ev = field.eval
+    field.eval = lambda x, U, dU: calls.append("eval") or ev(x, U, dU)
     with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
         rd.integrate_ensemble(field, _SMALL, split, cfg, [0.5, bad], [u0, u0], settings)
     with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
@@ -1017,3 +1021,180 @@ def test_march_never_writes_into_rows_shown_to_settle(scheme):
     assert len(kept) == settings.nsteps
     for c, c_copy, members, members_copy in kept:
         assert np.array_equal(c, c_copy) and np.array_equal(members, members_copy)
+
+
+# -- the precomputed march step ------------------------------------------------
+
+def _oracle_system(nodes, J, m):
+    # component 1 resonant at mode 1, component 2 off resonance (no kernel
+    # mode), component 3 resonant at mode 2
+    basis = rd.build_basis(rd.Domain1D(1.0, nodes), J)
+    lam = (float(basis.mu[0]), 3.0, float(basis.mu[1]))[:m]
+    cfg = rd.ProblemConfig(m=m, l=1, lam=lam, sigma=(0.0,) * m)
+    return basis, rd.classify(basis, cfg), cfg
+
+
+def _du_field(m):
+    # a custom field that reads u': the march folds dU for it
+    return rd.NonlinearField(name="du-reader", m=m,
+                             eval=lambda x, U, dU: np.arctan(U) + 1e-3 * dU * U,
+                             sigma=np.zeros(m), f_plus=None, f_minus=None)
+
+
+@pytest.mark.parametrize("nodes,J", [(48, 15), (48, 16), (49, 15), (49, 16), (80, 15),
+                                     (80, 16), (80, 32), (81, 15), (81, 16), (81, 32)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_march_step_matches_the_where_formula(nodes, J, m):
+    # stack heights 1-40 and the projection tables' BLAS class switches at
+    # 76 and 101 rows; every s 1, every s 0 and mixed; a catalogue field
+    # and a u'-reading one; each plan steps two stacks, the second through
+    # the buffers the first made
+    from resodyn.semiflow import _homotopy, _plan
+    basis, split, _ = _oracle_system(nodes, J, m)
+    q0 = split.masks["Q0"]
+    gen = np.random.default_rng(nodes + 7 * J + m)
+    fields = (rd.make_field("-arctan(40)", m), _du_field(m))
+    for B in [*range(1, 41), 76, 101]:
+        for s in (np.ones(B), np.zeros(B), np.resize([0.0, 0.3, 1.0, 0.7, 0.5], B)):
+            for field in fields if B in (1, 2, 5, 40, 76) else fields[:1]:
+                plan = _plan(q0, s)
+                for _ in range(2):
+                    c = gen.normal(size=(B, m, J))
+                    c[0, 0, 0] = -0.0
+                    H = _homotopy(field, basis, plan, c)
+                    assert _same_bits(H, _where_homotopy(field, basis, q0, s, c))
+
+
+@pytest.mark.parametrize("scheme", ["ETD1", "IMEX-Euler"])
+@pytest.mark.parametrize("nodes", [48, 81])
+@pytest.mark.parametrize("reads_du", [False, True])
+def test_march_matches_the_where_formula_march(scheme, nodes, reads_du):
+    # the whole march against a loop written out with the where-formula
+    basis, split, cfg = _oracle_system(nodes, 16, 3)
+    field = _du_field(3) if reads_du else rd.make_field("arctan(40)", 3)
+    s = np.array([0.0, 0.3, 1.0, 0.7, 0.5, 0.0, 1.0])
+    c = 0.3 * np.random.default_rng(nodes).normal(size=(s.size, 3, 16))
+    settings = rd.IntegratorSettings(dt=5e-5, T=1e-3, scheme=scheme)
+    ens = rd.integrate_ensemble(field, basis, split, cfg, s,
+                                [rd.GalerkinState(row) for row in c], settings)
+    factors = settings.step_factors(basis, cfg)
+    track = [c]
+    for _ in range(settings.nsteps):
+        H = _where_homotopy(field, basis, split.masks["Q0"], s, c)
+        c = factors[0] * c + factors[1] * H if scheme == "ETD1" else (
+            (c + settings.dt * H) / factors)
+        track.append(c)
+    for i, traj in enumerate(ens):
+        assert np.array_equal(traj.coeffs, np.stack(track)[:, i])
+
+
+def test_march_steps_evaluate_once_and_wrap_no_state(monkeypatch):
+    # N steps are N field evaluations, and between the first and the last
+    # no GalerkinState is built, checked or trusted, also across the plans
+    # built when rows leave
+    basis, split, cfg = _oracle_system(48, 16, 2)
+    made = {"init": 0, "trusted": 0}
+    init = rd.GalerkinState.__init__
+    trusted = rd.GalerkinState.__dict__["_trusted"].__func__
+
+    def counted_init(self, *args, **kwargs):
+        made["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_trusted(cls, coeffs):
+        made["trusted"] += 1
+        return trusted(cls, coeffs)
+
+    monkeypatch.setattr(rd.GalerkinState, "__init__", counted_init)
+    monkeypatch.setattr(rd.GalerkinState, "_trusted", classmethod(counted_trusted))
+    seen = []
+    arctan = rd.make_field("arctan(40)", 2)
+
+    def ev(x, U, dU):
+        seen.append(dict(made))
+        return arctan.eval(x, U, dU)
+
+    field = rd.NonlinearField(name="counted", m=2, eval=ev, sigma=np.zeros(2), f_plus=None,
+                              f_minus=None, reads_du=False)
+    states = [rd.GalerkinState(0.3 * np.random.default_rng(i).normal(size=(2, 16)))
+              for i in range(5)]
+    settings = rd.IntegratorSettings(dt=1e-3, T=0.03)
+
+    def settle(t, c, members):
+        return members == round(t / settings.dt) % 5 if t > 0.01 else False
+
+    rd.integrate_ensemble(field, basis, split, cfg, [0.0, 0.5, 1.0, 0.5, 0.0], states,
+                          settings, settle)
+    assert len(seen) == 15  # every member retired by step 15
+    assert seen[0] == seen[-1]
+    seen.clear()
+    rd.integrate_ensemble(field, basis, split, cfg, [1.0] * 5, states, settings)
+    assert len(seen) == settings.nsteps and seen[0] == seen[-1]
+
+
+def test_homotopy_field_rejects_s_of_another_shape():
+    basis, split, _ = _oracle_system(48, 16, 1)
+    calls = []
+    field = rd.NonlinearField(name="guard", m=1, sigma=np.zeros(1), f_plus=None,
+                              f_minus=None, eval=lambda x, U, dU: calls.append(U) or U)
+    with pytest.raises(ConfigurationError, match=r"s of shape \(2,\)"):
+        rd.homotopy_field(field, basis, split, [0.5, 0.5], rd.GalerkinState.zeros(1, 16))
+    with pytest.raises(ConfigurationError, match=r"s of shape \(3,\)"):
+        rd.homotopy_field(field, basis, split, [0.5] * 3,
+                          rd.GalerkinState(np.zeros((2, 1, 16))))
+    assert calls == []
+
+
+def test_homotopy_field_rejects_a_state_of_another_shape():
+    basis, split, _ = _oracle_system(48, 16, 1)
+    calls = []
+    field = rd.NonlinearField(name="guard", m=1, sigma=np.zeros(1), f_plus=None,
+                              f_minus=None, eval=lambda x, U, dU: calls.append(U) or U)
+    for shape in ((1, 15), (2, 16), (3, 2, 16)):
+        with pytest.raises(ConfigurationError, match=r"\(m, J\) = \(1, 16\)"):
+            rd.homotopy_field(field, basis, split, 0.5, rd.GalerkinState(np.zeros(shape)))
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_masked_nonfinite_field_value_still_raises():
+    # component 2 has no kernel mode (lambda_2 between mu_2 and mu_3), so at
+    # s = 0 its restricted state is 0 and H drops its whole evaluation; the
+    # field's +inf there must still raise, not leave a finite H behind
+    basis = rd.build_basis(rd.Domain1D(1.0, 48), 16)
+    lam2 = 0.5 * float(basis.mu[1] + basis.mu[2])
+    cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]), lam2), sigma=(0.0, 0.0))
+    split = rd.classify(basis, cfg)
+    assert not split.masks["Q0"][1].any()
+
+    def ev(x, U, dU):
+        out = np.arctan(U)
+        out[..., 1, :] = np.where(U[..., 1, :] == 0.0, np.inf, out[..., 1, :])
+        return out
+
+    field = rd.NonlinearField(name="inf-at-zero", m=2, eval=ev, sigma=np.zeros(2),
+                              f_plus=None, f_minus=None, reads_du=False)
+    u0 = rd.GalerkinState(0.3 * np.random.default_rng(2).normal(size=(2, 16)))
+    settings = rd.IntegratorSettings(dt=1e-4, T=1e-3)
+    with pytest.raises(EvaluationError,
+                       match=rf"component 2 at node x={basis.x[0]:.6g}$"):
+        rd.integrate_ensemble(field, basis, split, cfg, [0.0], [u0], settings)
+    assert f"{basis.x[0]:.6g}" == "0.000614496"
+    for s in (0.5, 1.0):
+        traj, = rd.integrate_ensemble(field, basis, split, cfg, [s], [u0], settings)
+        assert not traj.diverged and traj.times.size == settings.nsteps + 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_march_divergence_pretest_keeps_overflowing_norms(basis32):
+    # below a huge threshold, entries of 1e200 square to inf: the exact rule
+    # calls the row diverged, and the pre-test on max |c| must not hide it
+    cfg = rd.ProblemConfig(m=1, l=1, lam=(float(basis32.mu[0]),), sigma=(0.0,))
+    split = rd.classify(basis32, cfg)
+    big = rd.GalerkinState.unit(1, 32, 1, 1, amplitude=1e200)
+    small = rd.GalerkinState.unit(1, 32, 1, 1, amplitude=1.0)
+    for threshold, diverged in ((1e300, [True, False]), (math.inf, [False, False])):
+        settings = rd.IntegratorSettings(dt=1e-3, T=3e-3, divergence_threshold=threshold)
+        ens = rd.integrate_ensemble(_zero_field(), basis32, split, cfg, [1.0, 1.0],
+                                    [big, small], settings)
+        assert [traj.diverged for traj in ens] == diverged
