@@ -14,7 +14,8 @@ from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, GradientStructureError
 from .fields import NonlinearField, _u_jacobian, galerkin_F
 from .semiflow import DIVERGENCE_THRESHOLD, IntegratorSettings, Trajectory, integrate_ensemble
-from .spectral import GalerkinState, ProblemConfig, SpectralBasis, _eigh, diag_A
+from .spectral import (GalerkinState, ProblemConfig, SpectralBasis, _check_states, _eigh,
+                       diag_A)
 
 log = logging.getLogger(__name__)
 
@@ -198,12 +199,9 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
     spectrum, solved once by ``_block_eigh``.
     """
     m, J = config.m, basis.J
-    stack = np.empty((len(seeds), m, J))
-    for i, seed in enumerate(seeds):
-        c = np.atleast_2d(np.asarray(seed.coeffs, dtype=float))
-        if c.shape != (m, J):
-            raise ConfigurationError(f"seed shape {c.shape} != ({m}, {J})")
-        stack[i] = c
+    coeffs = [seed.coeffs for seed in seeds]
+    _check_states("seed", coeffs, m, J)
+    stack = np.array(coeffs, dtype=float).reshape(-1, m, J)
     roots = []
     if not any(eq.is_origin for eq in known):
         zero = np.zeros((m, J))
@@ -249,7 +247,7 @@ def discrete_linearization(field: NonlinearField, basis: SpectralBasis,
     gprime = _u_jacobian(field, basis.x, basis.values(at.coeffs), dU)
     # P[k, kp, j', j] = <g'_{k,kp} phi_{j'}, phi_j> over nodes, one
     # projection per (k, kp) block
-    P = basis._project(gprime[:, :, None, :] * basis.phi)
+    P = basis.project(gprime[:, :, None, :] * basis.phi)
     K = P.transpose(0, 2, 1, 3).reshape(m * J, m * J)
     K = 0.5 * (K + K.T)
     return np.diag(diag_A(basis, config).ravel()) - K
@@ -443,10 +441,12 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
     out.
 
     ``source`` comes from ``find_equilibria``.  ``direction`` must be a unit
-    eigenvector of ``source.linearization`` with negative eigenvalue (an
-    unstable direction of the forward flow); otherwise the shot is a miss by
-    contract.  ``eps`` is a finite nonzero number.  Returns a
-    ConnectionRecord or a ShootMiss.  ``direction`` and ``eps`` may also be
+    eigenvector of ``source.linearization`` with eigenvalue below
+    -MORSE_TOL (an unstable direction of the forward flow, by the rule of
+    ``find_equilibria``); otherwise the shot is a miss by contract.  A
+    direction or an equilibrium of another shape than (m, J) raises
+    ConfigurationError before any march.  ``eps`` is a finite nonzero
+    number.  Returns a ConnectionRecord or a ShootMiss.  ``direction`` and ``eps`` may also be
     equal-length sequences, one shot per pair: every shot then marches in
     one (B, m, J) stack through ``integrate_ensemble``, a connected shot
     leaves it as it settles, and the results come back as a list in input
@@ -487,18 +487,19 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
     if len(directions) != len(epsilons):
         raise ConfigurationError(
             f"need one eps per direction, got {len(epsilons)} for {len(directions)}")
-    for d in directions:
-        nrm = np.sqrt(np.sum(d.coeffs ** 2))
-        if abs(nrm - 1.0) > 1e-8:
-            raise ConfigurationError(f"direction must be a unit state, norm={nrm}")
+    _check_states("direction", [d.coeffs for d in directions], config.m, basis.J)
+    _check_states("equilibrium", [eq.state.coeffs for eq in equilibria], config.m, basis.J)
     L = source.linearization
     results: list = [None] * len(directions)
     shots = []
     for i, d in enumerate(directions):
+        nrm = np.sqrt(np.sum(d.coeffs ** 2))
+        if abs(nrm - 1.0) > 1e-8:
+            raise ConfigurationError(f"direction must be a unit state, norm={nrm}")
         flat = d.coeffs.ravel()
         theta = float(flat @ (L @ flat))
         eig_residual = float(np.sqrt(np.sum((L @ flat - theta * flat) ** 2)))
-        if theta >= 0 or eig_residual > max(DIRECTION_TOL, DIRECTION_TOL * abs(theta)):
+        if theta >= -MORSE_TOL or eig_residual > max(DIRECTION_TOL, DIRECTION_TOL * abs(theta)):
             results[i] = ShootMiss(reason="not-unstable", closest_distance=float("inf"),
                                    closest_target=None, trajectory=None)
         else:

@@ -10,7 +10,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AmbiguousResonanceError, ConfigurationError, HypothesisError
-from .spectral import GalerkinState, ProblemConfig, SpectralBasis
+from .spectral import GalerkinState, ProblemConfig, SpectralBasis, _check_states
 
 __all__ = ["SplitIndexSet", "CountVector", "classify", "counts", "project", "mode_mask"]
 
@@ -137,8 +137,5 @@ def mode_mask(split: SplitIndexSet, component: str) -> np.ndarray:
 def project(split: SplitIndexSet, component: str, u: GalerkinState) -> GalerkinState:
     """Zero all coefficients outside the selected mode set; Q0 = P1 + P2."""
     mask = mode_mask(split, component)
-    if u.coeffs.shape != mask.shape:
-        raise ConfigurationError(
-            f"state shape {u.coeffs.shape} inconsistent with split shape {mask.shape}"
-        )
+    _check_states("state", [u.coeffs], *mask.shape)
     return GalerkinState._trusted(np.where(mask, u.coeffs, 0.0))

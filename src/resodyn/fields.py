@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .spectral import GalerkinState, SpectralBasis, _one_based, _ufuncs
+from .spectral import GalerkinState, SpectralBasis, _interleave, _one_based, _ufuncs
 
 __all__ = [
     "NonlinearField",
@@ -124,55 +124,51 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
     stack is its own block, and its fold and projection products are the
     BLAS calls that block alone makes, so every block's coefficients are
     bit for bit those of a separate call.  The field then receives U (and
-    dU) of shape (S, B, m, n): two leading batch axes.  u' is evaluated only
-    for a field that ``reads_du``.
+    dU) of shape (S, B, m, n): two leading batch axes.
 
-    A non-finite field value raises EvaluationError naming its component
-    and node (in a block stack, the first in memory order over every block;
-    ``_raise_nonfinite``, shared with the march).  A field value of another
-    shape than U raises EvaluationError too.
-
-    The march does not call this function: its step (``semiflow._homotopy``)
-    runs the same fold and projection bodies and the same checks on
-    operands of the same shapes, writing into reused buffers, so its
-    coefficients are bit for bit those of this call on its stack.
+    The states are copied into ``SpectralBasis._blocks`` and evaluated by
+    ``_evaluate``, the one evaluation body, which the march step
+    (``semiflow._homotopy``) runs too.  A field value of another shape than
+    U, or a non-finite one, raises EvaluationError there.
     """
     c = u.coeffs
-    rows = c.reshape(c.shape[:-3] + (-1, c.shape[-1]))
-    nodal = c.shape[:-1] + (basis.x.size,)
-    U = basis._fold(rows, basis._phi_fold, flip=False).reshape(nodal)
-    dU = basis._fold(rows, basis._dphi_fold, flip=True).reshape(nodal) if field.reads_du else None
-    fv = _field_values(field, basis, U, dU)
-    out = basis._project(fv.reshape(rows.shape[:-1] + nodal[-1:]))
-    _raise_nonfinite(basis, out, fv)
-    return GalerkinState._trusted(out.reshape(c.shape))
+    work = _evaluate(field, basis, basis._blocks(c.shape, states=c))
+    return GalerkinState._trusted(_interleave(work.cs, work.ca).reshape(c.shape))
 
 
-def _field_values(field: NonlinearField, basis: SpectralBasis, U, dU) -> np.ndarray:
-    """``field.eval`` on the nodes as C-ordered floats; a result of another
-    shape than U raises EvaluationError."""
-    fv = np.ascontiguousarray(field.eval(basis.x, U, dU), dtype=float)
-    if fv.shape != U.shape:
-        raise EvaluationError(f"field returned shape {fv.shape}, expected {U.shape}")
-    return fv
+def _evaluate(field: NonlinearField, basis: SpectralBasis, work):
+    """Overwrite the parity blocks of ``work`` (``spectral._Blocks``) with F
+    of the states they hold, and return ``work``: the fold of U (and, for a
+    field that ``reads_du``, of u' into a buffer of its own), one
+    ``field.eval`` on the nodes, and the projection into the blocks
+    (``np.matmul(..., out=)``).
 
-
-def _raise_nonfinite(basis: SpectralBasis, coeffs: np.ndarray, fv: np.ndarray) -> None:
-    """Raise EvaluationError at the first non-finite entry of the field
-    values ``fv`` (memory order) whose projection holds ``coeffs``.
-
-    The check sums the coefficients, not the nodal values: the fold's
-    products spread inf and NaN to coefficients of the row (0 * inf is
-    NaN), and a non-finite coefficient makes the sum non-finite in any
-    order, so the nodal values are scanned only when the sum is not
+    A field value of another shape than U raises EvaluationError, and so
+    does a non-finite one, naming its component and node (the first in
+    memory order).  The check sums the flat buffer, not the nodal values:
+    the products spread inf and NaN to every coefficient of the row (0 *
+    inf is NaN), and a non-finite coefficient makes the sum non-finite in
+    any order, so the nodal values are scanned only when the sum is not
     finite.  If every nodal value is finite (the quadrature sum, or the
     check's own sum, overflowed), nothing is raised, and the march's
     divergence guard sees the coefficients as they are.
     """
-    if not math.isfinite(coeffs.sum()) and not np.isfinite(fv).all():
+    flat, cs, ca, nodal, halves, U = work
+    basis._fold_blocks(cs, ca, basis._phi_fold, False, halves)
+    dU = None
+    if field.reads_du:
+        dU = np.empty_like(nodal)
+        basis._fold_blocks(cs, ca, basis._dphi_fold, True, basis._halves(dU))
+        dU = dU.reshape(U.shape)
+    fv = np.ascontiguousarray(field.eval(basis.x, U, dU), dtype=float)
+    if fv.shape != U.shape:
+        raise EvaluationError(f"field returned shape {fv.shape}, expected {U.shape}")
+    basis._project_blocks(fv.reshape(nodal.shape), cs, ca)
+    if not math.isfinite(flat.sum()) and not np.isfinite(fv).all():
         *_, k, i = np.argwhere(~np.isfinite(fv))[0]
         raise EvaluationError(
             f"non-finite field value in component {k + 1} at node x={basis.x[i]:.6g}")
+    return work
 
 
 def _u_jacobian(field: NonlinearField, x: np.ndarray, U: np.ndarray,
@@ -247,26 +243,30 @@ def check_sign_condition(field: NonlinearField, k: int, sign: str,
                          grid: SampleGrid, l: Optional[int] = None) -> ConditionReport:
     """Sampled check of +- f_k(x,u,du) |u_k|^sigma_k sgn(u_k) >= h_k(x).
 
-    ``l`` (the split index) only selects the report label C1/C2.
+    ``h_k`` returns finite values on the grid's nodes, one number or one
+    per node; anything else raises ConfigurationError.  ``l`` (the split
+    index) only selects the report label C1/C2.
     """
     k = _one_based("k", k, field.m)
     if sign not in ("+", "-"):
         raise ConfigurationError(f"sign must be '+' or '-', got {sign!r}")
     hvals = np.asarray(h_k(grid.x), dtype=float)
-    if hvals.ndim == 0:
-        hvals = np.full(grid.x.shape, float(hvals))
+    if hvals.shape not in ((), grid.x.shape) or not np.isfinite(hvals).all():
+        raise ConfigurationError(
+            f"h_k must return one finite value or one per node (shape {grid.x.shape}); got "
+            f"shape {hvals.shape} with {np.count_nonzero(~np.isfinite(hvals))} non-finite")
     return _sign_report(field, k, sign, hvals, grid, _eval_on_grid(field, grid), l)
 
 
 def _sign_report(field: NonlinearField, k: int, sign: str, hvals: np.ndarray,
                  grid: SampleGrid, vals: np.ndarray, l: Optional[int]) -> ConditionReport:
-    """``check_sign_condition`` from h_k on the nodes and the field's values
-    on ``grid``."""
+    """``check_sign_condition`` from h_k on the nodes (one value, or one per
+    node) and the field's values on ``grid``."""
     s = 1.0 if sign == "+" else -1.0
     sigma_k = field.sigma[k - 1]
     uk = grid.u_draws[:, k - 1][:, None]
     lhs = s * vals[:, k - 1, :] * np.abs(uk) ** sigma_k * np.sign(uk)
-    margins = lhs - hvals[None, :]
+    margins = lhs - hvals
     worst = float(np.min(margins))
     i, nidx = np.unravel_index(int(np.argmin(margins)), margins.shape)
     witness = {

@@ -13,9 +13,10 @@ import numpy as np
 
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, DivergenceSignal, UnboundedModeError
-from .fields import NonlinearField, _field_values, _raise_nonfinite, galerkin_F
-from .spectral import (OVERFLOW_EXPONENT, GalerkinState, ProblemConfig, SpectralBasis,
-                       diag_A, fractional_weights, semigroup_apply)
+from .fields import NonlinearField, _evaluate
+from .spectral import (OVERFLOW_EXPONENT, GalerkinState, ProblemConfig, SpectralBasis, _Blocks,
+                       _check_states, _parity_order, diag_A, fractional_weights,
+                       semigroup_apply)
 
 __all__ = [
     "IntegratorSettings",
@@ -207,11 +208,9 @@ def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     not the split's (m, J), raises ConfigurationError before any
     evaluation.
 
-    This is H as written: one stacked ``galerkin_F`` call evaluates every
-    member's restricted state where(Q0, u, s u) and then u itself for the
-    members with 0 < s < 1 (at s = 1 F(u) is the restricted evaluation, at
-    s = 0 it is not needed), and the masks are applied to its result.  The
-    march's step (``_plan``, ``_homotopy``) gives the same bits.
+    This is one march step's evaluation (``_plan``, ``_homotopy``) of the
+    states, checked: one evaluation of every member's restricted state and
+    of u itself for the members with 0 < s < 1.
     """
     c = u.coeffs
     q0 = split.masks["Q0"]
@@ -220,14 +219,8 @@ def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitInde
         raise ConfigurationError(
             f"homotopy_field takes states of shape (..., m, J) with (m, J) = {q0.shape} and one "
             f"s or one per state; got states of shape {c.shape} and s of shape {s.shape}")
-    s = np.broadcast_to(s, c.shape[:-2]).reshape(-1, 1, 1)
-    rows = c.reshape((-1,) + q0.shape)
-    mid = ((0.0 < s) & (s < 1.0)).reshape(-1)
-    f = galerkin_F(field, basis, GalerkinState._trusted(
-        np.concatenate([np.where(q0, rows, s * rows), rows[mid]]))).coeffs
-    full = np.where(s == 0.0, 0.0, f[:len(rows)])
-    full[mid] = f[len(rows):]
-    return GalerkinState._trusted(np.where(q0, f[:len(rows)], s * full).reshape(c.shape))
+    plan = _plan(basis, q0, np.broadcast_to(s, c.shape[:-2]).reshape(-1))
+    return GalerkinState._trusted(_homotopy(field, basis, plan, c).reshape(c.shape))
 
 
 def _checked_s(s) -> np.ndarray:
@@ -237,94 +230,68 @@ def _checked_s(s) -> np.ndarray:
     return s
 
 
-def _blocks(a: np.ndarray) -> np.ndarray:
-    """The entries of an (..., m, J) array in the fold's block order: every
-    row's odd-j columns, then every row's even-j columns."""
-    return np.concatenate([a[..., 0::2].ravel(), a[..., 1::2].ravel()])
-
-
 class _Plan(NamedTuple):
     """H(s, .) for one stack composition (one s per row), built once.
 
     Every row is evaluated at its restricted state W u, with W = 1 on Q0
     and s elsewhere, and the rows with 0 < s < 1 once more at u: one
-    evaluation of R states, whose component rows the fold reads as two
-    C-ordered parity blocks, the odd-j columns and then the even-j ones.
-    ``take`` picks those blocks flat from the (B, m, J) stack, and
-    ``scale`` is W at each pick.  The projection lands in the same block
-    layout, with one 0.0 after it; ``gather`` picks H's entries from there
-    in natural (B, m, J) order: the restricted evaluation on Q0 and at
-    s = 1, F(u) off Q0 at interior s, and the 0.0 off Q0 at s = 0.  H is W
+    evaluation of R states, held in ``blocks`` (``SpectralBasis._blocks``,
+    with one spare 0.0).  ``take`` picks their entries flat from the
+    (B, m, J) stack into ``taken``, the blocks' head, in the blocks'
+    order, and ``scale`` is W at each pick.  The projection lands in the
+    same place; ``gather`` picks H's entries from the flat buffer in
+    natural (B, m, J) order: the restricted evaluation on Q0 and at s = 1,
+    F(u) off Q0 at interior s, and the spare 0.0 off Q0 at s = 0.  H is W
     times them.  ``scale`` and ``W`` are None when every s is 1 (H is F).
-    ``work`` holds the step's reused buffers, made by ``_homotopy`` for its
-    basis.
     """
 
     take: np.ndarray
     scale: Optional[np.ndarray]
     gather: np.ndarray
     W: Optional[np.ndarray]
-    work: list
+    taken: np.ndarray
+    blocks: _Blocks
 
 
-def _plan(q0: np.ndarray, s: np.ndarray) -> _Plan:
+def _plan(basis: SpectralBasis, q0: np.ndarray, s: np.ndarray) -> _Plan:
     """The plan of the rows ``s`` (shape (B,)) for the (m, J) Q0 mask
-    ``q0``: index arrays computed once, so that a step classifies no s."""
+    ``q0``: index arrays and every buffer and view a step reads, made
+    once, so that a step classifies no s and allocates only H."""
     sc = s[:, None, None]
     mid = np.flatnonzero((0.0 < s) & (s < 1.0))
     B, R = s.size, s.size + mid.size
     W = np.where(q0, 1.0, sc)
     flat = np.arange(R * q0.size).reshape((R,) + q0.shape)
-    # the block-layout position of each entry of the R evaluated states
-    pos = np.argsort(_blocks(flat)).reshape(flat.shape)
+    # the position in the blocks of each entry of the R evaluated states
+    pos = np.argsort(_parity_order(flat)).reshape(flat.shape)
     gather = pos[:B].copy()
     gather[mid] = np.where(q0, pos[mid], pos[B:])
     gather[~q0 & (sc == 0.0)] = R * q0.size
     ones = bool((s == 1.0).all())
-    return _Plan(take=_blocks(np.concatenate([flat[:B], flat[mid]])),
-                 scale=None if ones else _blocks(np.concatenate([W, np.ones_like(W[mid])])),
-                 gather=gather, W=None if ones else W, work=[])
+    blocks = basis._blocks(flat.shape, spare=1)
+    return _Plan(take=_parity_order(np.concatenate([flat[:B], flat[mid]])),
+                 scale=None if ones else _parity_order(np.concatenate([W, np.ones_like(W[mid])])),
+                 gather=gather, W=None if ones else W, taken=blocks.flat[:-1], blocks=blocks)
 
 
 def _homotopy(field, basis, plan, c):
-    """H of the (B, m, J) stack ``c`` by ``plan``: one march step's
-    evaluation, bit for bit ``homotopy_field``'s.
+    """H, shape (B, m, J), of the B states of ``c`` (an (..., m, J) array,
+    read flat) by ``plan``: one march step's evaluation, and
+    ``homotopy_field``'s.
 
     The blocks are ``scale`` times one flat take; since 1.0 * x == x, they
-    hold where(Q0, c, s c) and c as the C-ordered parity copies that
-    ``galerkin_F``'s fold makes of that stack.  The fold and the
-    projection run the bodies that ``galerkin_F`` runs
-    (``SpectralBasis._fold_blocks``, ``_project_blocks``) on operands of
-    the same shapes and memory order, so every product rounds the same;
-    only where the results land differs: in the plan's reused buffers,
-    with no state wrapped.  The projection overwrites the blocks, which
-    the fold has read.  A non-finite field value raises EvaluationError as
-    in ``galerkin_F`` (``_raise_nonfinite`` over the whole projection, the
-    entries that the s = 0 mask drops included).
+    hold where(Q0, c, s c) and c for the interior-s rows, and the one
+    evaluation body (``fields._evaluate``, which ``galerkin_F`` runs)
+    overwrites them with F of those states.  A non-finite field value
+    raises EvaluationError there, the entries that the s = 0 mask drops
+    included.
     """
-    if not plan.work or plan.work[0] is not basis:
-        # the block buffer (the taken blocks, then the projection, and the
-        # trailing 0.0), the head that the take fills, its two parity views,
-        # U and dU as (R, m, n) views of one nodal buffer, and the _halves
-        # of each
-        rows, nq = plan.take.size // basis.J, basis.x.size
-        cut = rows * ((basis.J + 1) // 2)
-        blocks, nodal = np.zeros(plan.take.size + 1), np.empty((2, rows, nq))
-        plan.work[:] = [basis, blocks, blocks[:-1], blocks[:cut].reshape(rows, -1),
-                        blocks[cut:-1].reshape(rows, -1),
-                        nodal.reshape(2, -1, plan.gather.shape[1], nq),
-                        [basis._halves(a) for a in nodal]]
-    _, blocks, taken, cs, ca, nodal, halves = plan.work
-    c.take(plan.take, out=taken, mode="clip")
+    c.take(plan.take, out=plan.taken, mode="clip")
     if plan.scale is not None:
-        np.multiply(plan.scale, taken, out=taken)
-    basis._fold_blocks(cs, ca, basis._phi_fold, False, halves[0])
-    if field.reads_du:
-        basis._fold_blocks(cs, ca, basis._dphi_fold, True, halves[1])
-    fv = _field_values(field, basis, nodal[0], nodal[1] if field.reads_du else None)
-    basis._project_blocks(fv.reshape(len(cs), -1), cs, ca)
-    _raise_nonfinite(basis, blocks, fv)
-    return blocks.take(plan.gather) if plan.W is None else plan.W * blocks.take(plan.gather)
+        np.multiply(plan.scale, plan.taken, out=plan.taken)
+    _evaluate(field, basis, plan.blocks)
+    H = plan.blocks.flat.take(plan.gather)
+    return H if plan.W is None else plan.W * H
 
 
 def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,
@@ -363,8 +330,7 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
             f"need one s value per initial state, got {s.size} for {len(states)}")
     if s.size == 0:
         return []
-    if any(u0.coeffs.shape != (config.m, basis.J) for u0 in states):
-        raise ConfigurationError("initial state shape mismatch")
+    _check_states("initial state", [u0.coeffs for u0 in states], config.m, basis.J)
 
     factors = settings.step_factors(basis, config)
     etd = settings.scheme == "ETD1"
@@ -376,7 +342,7 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     calm = 0.5 * min(threshold, 1e150) / math.sqrt(q0.size)
     c = np.stack([u0.coeffs for u0 in states])
     members = np.arange(s.size)
-    plan = _plan(q0, s)
+    plan = _plan(basis, q0, s)
     times = [[0.0] for _ in c]
     coeffs = [[row] for row in c]
     diverged = np.zeros(s.size, dtype=bool)
@@ -415,7 +381,7 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
                 c, members = c[~leave], members[~leave]
                 if members.size == 0:
                     break
-                plan = _plan(q0, s[members])
+                plan = _plan(basis, q0, s[members])
     return [Trajectory(times=np.asarray(t), coeffs=c, s=float(si), diverged=bool(d),
                        norms=trajectory_norms(basis, split, config, c))
             for t, c, si, d in zip(times, map(np.asarray, coeffs), s, diverged)]
@@ -573,21 +539,11 @@ def check_bounded_solution(trajectory: Trajectory, bounds: AprioriBounds,
     half of the horizon exceeds DRIFT_TOL (or the integrator diverged).
     """
     n = trajectory.times.size
-    start = int(np.floor(TRANSIENT_FRACTION * n))
-    start = min(start, n - 1)
-    tail = slice(start, None)
-    maxima = {
-        "Qminus_alpha": float(np.max(trajectory.norm_series("Qminus_alpha")[tail])),
-        "Qplus_alpha": float(np.max(trajectory.norm_series("Qplus_alpha")[tail])),
-        "P1_seminorm": float(np.max(trajectory.norm_series("P1_seminorm")[tail])),
-        "P2_seminorm": float(np.max(trajectory.norm_series("P2_seminorm")[tail])),
-    }
-    ratios = {
-        "Qminus_alpha": _ratio(maxima["Qminus_alpha"], bounds.R0_minus),
-        "Qplus_alpha": _ratio(maxima["Qplus_alpha"], bounds.R0_plus),
-        "P1_seminorm": _ratio(maxima["P1_seminorm"], R1),
-        "P2_seminorm": _ratio(maxima["P2_seminorm"], R2),
-    }
+    tail = slice(min(int(np.floor(TRANSIENT_FRACTION * n)), n - 1), None)
+    radii = {"Qminus_alpha": bounds.R0_minus, "Qplus_alpha": bounds.R0_plus,
+             "P1_seminorm": R1, "P2_seminorm": R2}
+    maxima = {name: float(np.max(trajectory.norm_series(name)[tail])) for name in radii}
+    ratios = {name: _ratio(maxima[name], radius) for name, radius in radii.items()}
     half = slice(n // 2, None)
     t = trajectory.times[half]
     p1 = trajectory.norm_series("P1_seminorm")[half]

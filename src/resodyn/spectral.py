@@ -16,6 +16,7 @@ accuracy is unchanged for generic data.
 
 from __future__ import annotations
 
+import math
 import sys
 import types
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -94,7 +96,6 @@ class SpectralBasis:
         The second half of the nodes is filled by the parity fold, so states
         with pure parity produce exactly (anti)symmetric nodal data.
         """
-        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         return self._fold(coeffs, self._phi_fold, flip=False)
 
     def dvalues(self, coeffs: np.ndarray) -> np.ndarray:
@@ -102,13 +103,13 @@ class SpectralBasis:
 
         Differentiation swaps the mirror parity of every mode.
         """
-        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         return self._fold(coeffs, self._dphi_fold, flip=True)
 
     def _fold(self, coeffs, tables, flip):
-        """``values`` (or, flipped, ``dvalues``) of float rows, uncoerced: a
-        2-D array of rows, or a stack of such arrays, each its own block (one
-        product per block, of the shape a call on that block alone makes)."""
+        """``values`` (or, flipped, ``dvalues``) of ``coeffs`` as float rows
+        of at least two dimensions (a stack of 2-D arrays, each its own
+        block)."""
+        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         # the parity blocks as C-ordered copies, so that the products take
         # one BLAS path whatever numpy does with a stride-2 operand
         cs = np.ascontiguousarray(coeffs[..., 0::2])
@@ -142,17 +143,12 @@ class SpectralBasis:
 
         Equivalent to ``(phi * w) @ f`` up to reassociation; the fold makes
         the parity cancellation happen elementwise, before any reduction.
+        The rows (of a 2-D array, or of each 2-D block of a stack, one
+        product per block) are copied C-ordered first, so that every memory
+        layout takes the same BLAS path and rounds the same.
         """
-        return self._project(np.atleast_2d(np.asarray(fvals, dtype=float)))
-
-    def _project(self, fvals):
-        """``project`` of float rows (2-D, or a stack of 2-D blocks as in
-        ``_fold``), copied C-ordered first so that every memory layout takes
-        the same BLAS path and rounds the same."""
-        fvals = np.ascontiguousarray(fvals)
-        out = np.empty(fvals.shape[:-1] + (self.J,))
-        out[..., 0::2], out[..., 1::2] = self._project_blocks(fvals)
-        return out
+        fvals = np.ascontiguousarray(np.atleast_2d(np.asarray(fvals, dtype=float)))
+        return _interleave(*self._project_blocks(fvals))
 
     def _project_blocks(self, fvals, ps=None, pa=None):
         """The projection: the coefficients of the C-ordered float rows
@@ -170,6 +166,59 @@ class SpectralBasis:
     def gram(self) -> np.ndarray:
         """Quadrature Gram matrix of the basis (identity up to quadrature error)."""
         return self.project(self.phi)
+
+    def _blocks(self, shape, spare=0, states=None) -> "_Blocks":
+        """``_Blocks`` for states of shape (..., m, J): the rows of a 2-D or
+        3-D array are one block, and with more axes each trailing (B, m, J)
+        stack is its own block, whose products have the shapes that block
+        alone gives them.  The blocks hold a copy of ``states``, if given,
+        and are uninitialised otherwise; ``spare`` entries of 0.0 follow
+        them in the flat buffer."""
+        lead = shape[:-3] + (math.prod(shape[-3:-1]),)
+        size, odd = math.prod(shape), (self.J + 1) // 2
+        cut = size // self.J * odd
+        flat = np.empty(size + spare)
+        if spare:
+            flat[size:] = 0.0
+        cs, ca = flat[:cut].reshape(lead + (odd,)), flat[cut:size].reshape(lead + (self.J - odd,))
+        if states is not None:
+            rows = states.reshape(lead + (self.J,))
+            cs[...], ca[...] = rows[..., 0::2], rows[..., 1::2]
+        nodal = np.empty(lead + (self.x.size,))
+        return _Blocks(flat, cs, ca, nodal, self._halves(nodal),
+                       nodal.reshape(shape[:-1] + (self.x.size,)))
+
+
+class _Blocks(NamedTuple):
+    """Coefficient rows held as the operands of the fold and the projection.
+
+    ``flat`` holds the C-ordered parity blocks, ``cs`` (every row's odd-j
+    columns) and then ``ca`` (the even-j ones), which view it (the order of
+    ``_parity_order``; ``_interleave`` undoes it), then any spare entries.
+    ``nodal`` is the rows' nodal buffer, ``halves`` where a fold writes
+    into it (``SpectralBasis._halves``), and ``U`` views it in the states'
+    shape.
+    """
+
+    flat: np.ndarray
+    cs: np.ndarray
+    ca: np.ndarray
+    nodal: np.ndarray
+    halves: tuple
+    U: np.ndarray
+
+
+def _interleave(cs, ca):
+    """The rows whose odd-j columns are ``cs`` and whose even-j ones are ``ca``."""
+    out = np.empty(cs.shape[:-1] + (cs.shape[-1] + ca.shape[-1],))
+    out[..., 0::2], out[..., 1::2] = cs, ca
+    return out
+
+
+def _parity_order(a: np.ndarray) -> np.ndarray:
+    """The entries of an (..., J) array in the order of ``_Blocks.flat``:
+    every row's odd-j columns, then every row's even-j columns."""
+    return np.concatenate([a[..., 0::2].ravel(), a[..., 1::2].ravel()])
 
 
 @dataclass(frozen=True)
@@ -410,11 +459,13 @@ def build_basis(domain: Domain1D, J: int) -> SpectralBasis:
     )
 
 
-def _check_shapes(basis: SpectralBasis, config: ProblemConfig, u: GalerkinState) -> None:
-    if u.coeffs.shape != (config.m, basis.J):
-        raise ConfigurationError(
-            f"state shape {u.coeffs.shape} inconsistent with (m, J)=({config.m}, {basis.J})"
-        )
+def _check_states(name: str, states, m: int, J: int) -> None:
+    """Raise ConfigurationError naming the first of the coefficient arrays
+    ``states`` (``name`` 0, 1, ...) whose shape is not (m, J)."""
+    for i, c in enumerate(states):
+        if c.shape != (m, J):
+            raise ConfigurationError(f"{name} shape {c.shape} of {name} {i} is not "
+                                     f"(m, J) = ({m}, {J})")
 
 
 def diag_A(basis: SpectralBasis, config: ProblemConfig) -> np.ndarray:
@@ -424,7 +475,7 @@ def diag_A(basis: SpectralBasis, config: ProblemConfig) -> np.ndarray:
 
 def apply_A(basis: SpectralBasis, config: ProblemConfig, u: GalerkinState) -> GalerkinState:
     """Diagonal action (A u)_{k,j} = (mu_j - lambda_k) c_{k,j}."""
-    _check_shapes(basis, config, u)
+    _check_states("state", [u.coeffs], config.m, basis.J)
     return GalerkinState(diag_A(basis, config) * u.coeffs)
 
 
@@ -435,7 +486,7 @@ def semigroup_apply(basis: SpectralBasis, config: ProblemConfig, t: float,
     Exactly resonant modes (mu_j == lambda_k as floats) have factor 1 for
     every t.  Raises UnboundedModeError when a growing factor would overflow.
     """
-    _check_shapes(basis, config, u)
+    _check_states("state", [u.coeffs], config.m, basis.J)
     if not np.isfinite(t):
         raise ConfigurationError(f"t must be finite, got {t}")
     z = -t * diag_A(basis, config)
@@ -459,6 +510,6 @@ def fractional_weights(basis: SpectralBasis, config: ProblemConfig) -> np.ndarra
 
 def fractional_norm(basis: SpectralBasis, config: ProblemConfig, u: GalerkinState) -> float:
     """Discrete graph norm ( sum (delta + mu_j - lambda_k)^{2 alpha} c^2 )^{1/2}."""
-    _check_shapes(basis, config, u)
+    _check_states("state", [u.coeffs], config.m, basis.J)
     weights = fractional_weights(basis, config)
     return float(np.sqrt(np.sum(weights ** (2.0 * config.alpha) * u.coeffs ** 2)))

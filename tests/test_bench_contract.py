@@ -4,6 +4,8 @@ program's functions by name; a rename that breaks them fails here."""
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +38,16 @@ def test_layer_micro_loops_run_on_every_workload(tmp_path, monkeypatch, workload
     assert {"connections.newton_iter_ms", "connections.linearization_ms",
             "connections.shoot_step_us"} <= set(metrics)
     assert all(math.isfinite(value) for value in metrics.values())
+
+
+def test_bench_oracle_tests_pass():
+    # bench/test_oracles.py checks the closed forms that the benchmark
+    # judges outputs by; it runs in a process of its own, so that the
+    # scipy.stats and scipy.linalg it imports stay out of this one
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "bench"], cwd=REPO, env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,6 +144,49 @@ def test_nearly_neutral_origin_is_not_unstable(basis32, desk_problem, desk_split
     origin, = rd.find_equilibria(field, basis32, desk_split, desk_problem, [])
     assert origin.is_origin and origin.morse_index == 0
     assert rd.unstable_directions(field, basis32, desk_problem, origin) == []
+
+
+def test_shoot_along_a_nearly_neutral_direction_is_not_unstable(basis32, desk_problem,
+                                                                  desk_split):
+    # one rule for "unstable" (eigenvalue below -MORSE_TOL): phi_1's
+    # eigenvalue at the arctan(1e-12) origin is -1e-12, so the origin has
+    # Morse index 0, and a shot along phi_1 is a miss by contract rather
+    # than a march to the horizon; so is a hand-built theta = -1e-11, while
+    # theta = -2e-10 is shot
+    field = rd.make_field("arctan(1e-12)", 1)
+    origin, = rd.find_equilibria(field, basis32, desk_split, desk_problem, [])
+    assert origin.morse_index == 0
+    phi1 = rd.GalerkinState.unit(1, 32, 1, 1)
+    settings = rd.IntegratorSettings(dt=1e-2, T=0.1)
+    shot = rd.shoot_connection(field, basis32, desk_split, desk_problem, origin, phi1, 1e-3,
+                               settings, [origin])
+    assert shot.reason == "not-unstable" and shot.trajectory is None
+    for theta, reason in ((-1e-11, "not-unstable"), (-2e-10, "horizon")):
+        source = replace(origin, linearization=np.diag(np.r_[theta, np.arange(1.0, 32.0)]))
+        shot = rd.shoot_connection(field, basis32, desk_split, desk_problem, source, phi1,
+                                   1e-3, settings, [source])
+        assert shot.reason == reason
+
+
+def test_shoot_connection_names_a_mis_shaped_state_before_any_march(
+        basis32, desk_problem, desk_split, desk_field, desk_equilibria, monkeypatch):
+    from resodyn import connections
+    calls = []
+    monkeypatch.setattr(connections, "integrate_ensemble", lambda *a, **k: calls.append(a))
+    origin = next(eq for eq in desk_equilibria if eq.is_origin)
+    _, d = origin.unstable[0]
+    settings = rd.IntegratorSettings(dt=1e-2, T=1.0)
+    bad = rd.GalerkinState(np.full((1, 31), 1.0 / math.sqrt(31.0)))
+    with pytest.raises(ConfigurationError, match=r"direction shape \(1, 31\) of direction 1 "
+                                                 r"is not \(m, J\) = \(1, 32\)"):
+        rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, origin, [d, bad],
+                            [1e-3, 1e-3], settings, desk_equilibria)
+    odd = replace(desk_equilibria[2], state=rd.GalerkinState(np.zeros((1, 31))))
+    with pytest.raises(ConfigurationError, match=r"equilibrium shape \(1, 31\) of "
+                                                 r"equilibrium 2 is not \(m, J\) = \(1, 32\)"):
+        rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, origin, d, 1e-3,
+                            settings, [*desk_equilibria[:2], odd])
+    assert calls == []
 
 
 def test_shoot_miss_by_contract_on_stable_direction(basis32, desk_problem, desk_split,
@@ -750,8 +794,8 @@ def _per_step_shots(field, basis, split, cfg, source, directions, eps, settings,
     """``shoot_connection`` for a list of shots with the settle rule it had
     before settling went lazy: every step's distances to every target,
     evaluated on the step.  The oracle of the lazy rule."""
-    from resodyn.connections import (DIRECTION_TOL, DWELL, SETTLE_TOL, ConnectionRecord,
-                                     ShootMiss, liapunov_energy)
+    from resodyn.connections import (DIRECTION_TOL, DWELL, MORSE_TOL, SETTLE_TOL,
+                                     ConnectionRecord, ShootMiss, liapunov_energy)
     L = source.linearization
     results = [None] * len(directions)
     shots = []
@@ -759,7 +803,7 @@ def _per_step_shots(field, basis, split, cfg, source, directions, eps, settings,
         flat = d.coeffs.ravel()
         theta = float(flat @ (L @ flat))
         eig_residual = float(np.sqrt(np.sum((L @ flat - theta * flat) ** 2)))
-        if theta >= 0 or eig_residual > max(DIRECTION_TOL, DIRECTION_TOL * abs(theta)):
+        if theta >= -MORSE_TOL or eig_residual > max(DIRECTION_TOL, DIRECTION_TOL * abs(theta)):
             results[i] = ShootMiss(reason="not-unstable", closest_distance=float("inf"),
                                    closest_target=None, trajectory=None)
         else:

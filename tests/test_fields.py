@@ -146,6 +146,23 @@ def test_sign_condition_with_offset_bound(basis32):
     assert rep.verdict == "holds"
 
 
+@pytest.mark.parametrize("h_k", [lambda x: np.zeros(3), lambda x: np.zeros((2, x.size)),
+                                 lambda x: np.full_like(x, np.nan), lambda x: math.inf],
+                         ids=["shape-3", "shape-2n", "nan", "inf"])
+def test_sign_condition_rejects_a_bad_h_k(basis32, h_k):
+    field = rd.make_field("arctan(40)", 1)
+    grid = SampleGrid.default(basis32, 1, seed=5)
+    with pytest.raises(ConfigurationError, match="h_k"):
+        rd.check_sign_condition(field, 1, "+", h_k, grid, l=1)
+
+
+def test_sign_condition_takes_h_k_as_one_value_or_one_per_node(basis32):
+    field = rd.make_field("arctan(40)", 1)
+    grid = SampleGrid.default(basis32, 1, seed=5)
+    per_node = rd.check_sign_condition(field, 1, "+", lambda x: np.full_like(x, -0.5), grid)
+    assert per_node == rd.check_sign_condition(field, 1, "+", lambda x: -0.5, grid)
+
+
 def test_verify_limits_arctan(basis32):
     field = rd.make_field("arctan(1)", 1)
     rep = rd.verify_limits(field, 1, basis=basis32)
@@ -371,15 +388,16 @@ def test_verify_limits_matches_draw_loop(basis32, spec, k):
 
 
 def _count_derivative_folds(monkeypatch):
-    """Count nodal derivative evaluations, public or inside galerkin_F."""
+    """Count nodal derivative evaluations, public or inside galerkin_F, at
+    the fold body that both run."""
     calls = []
-    fold = rd.SpectralBasis._fold
+    fold = rd.SpectralBasis._fold_blocks
 
-    def counted(self, coeffs, tables, flip):
+    def counted(self, cs, ca, tables, flip, halves):
         calls.append(flip)
-        return fold(self, coeffs, tables, flip)
+        return fold(self, cs, ca, tables, flip, halves)
 
-    monkeypatch.setattr(rd.SpectralBasis, "_fold", counted)
+    monkeypatch.setattr(rd.SpectralBasis, "_fold_blocks", counted)
     return calls
 
 

@@ -534,7 +534,7 @@ def _march_five_ufunc_rule(field, basis, split, config, s_values, states, settin
     q0 = split.masks["Q0"]
     c = np.stack([u0.coeffs for u0 in states])
     members = np.arange(s.size)
-    plan = _plan(q0, s)
+    plan = _plan(basis, q0, s)
     times = [[0.0] for _ in c]
     coeffs = [[row] for row in c]
     diverged = np.zeros(s.size, dtype=bool)
@@ -567,7 +567,7 @@ def _march_five_ufunc_rule(field, basis, split, config, s_values, states, settin
                 c, members = c[~leave], members[~leave]
                 if members.size == 0:
                     break
-                plan = _plan(q0, s[members])
+                plan = _plan(basis, q0, s[members])
     return times, [np.asarray(x) for x in coeffs], diverged
 
 
@@ -679,25 +679,56 @@ def _two_call_homotopy(field, basis, split, s, c):
     return np.where(q0, f_inner, sc * f_full)
 
 
+def _count_evaluations(monkeypatch):
+    """Patch the one evaluation body, as galerkin_F and the march step call
+    it, to record the number of states (the evaluated height) per call."""
+    import resodyn.fields as fields
+    import resodyn.semiflow as semiflow
+    calls, body = [], fields._evaluate
+
+    def counted(field, basis, work):
+        calls.append(math.prod(work.U.shape[:-2]))
+        return body(field, basis, work)
+
+    monkeypatch.setattr(fields, "_evaluate", counted)
+    monkeypatch.setattr(semiflow, "_evaluate", counted)
+    return calls
+
+
 @pytest.mark.parametrize("B", [1, 2, 7, 38, 100])
 def test_homotopy_field_is_one_stacked_call(basis32, B, monkeypatch):
     # stacking can move the last bit (a 38-row stack at J = 32 already does),
     # so the one-call result is bounded against the two-call one, not equated
-    import resodyn.semiflow as semiflow
     cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis32.mu[0]), float(basis32.mu[1])),
                            sigma=(0.0, 0.0))
     split = rd.classify(basis32, cfg)
     field = rd.make_field("arctan(40)", 2)
     c = np.random.default_rng(B).normal(size=(B, 2, 32))
     s = np.resize([0.0, 0.25, 0.5, 1.0], B)
-    calls = []
-    monkeypatch.setattr(semiflow, "galerkin_F",
-                        lambda *a: calls.append(a[2].coeffs.shape[0]) or rd.galerkin_F(*a))
+    calls = _count_evaluations(monkeypatch)
     H = rd.homotopy_field(field, basis32, split, s, rd.GalerkinState(c)).coeffs
     assert calls == [B + int(np.count_nonzero((0.0 < s) & (s < 1.0)))]
     assert _max_rel(H, _two_call_homotopy(field, basis32, split, s, c)) <= 1e-12
     at_one = rd.homotopy_field(field, basis32, split, np.ones(B), rd.GalerkinState(c)).coeffs
     assert np.array_equal(at_one, rd.galerkin_F(field, basis32, rd.GalerkinState(c)).coeffs)
+
+
+def test_galerkin_F_homotopy_field_and_a_march_step_each_evaluate_once(monkeypatch):
+    # the one evaluation body: one call per galerkin_F (2-D, 3-D and a
+    # block stack), per homotopy_field and per march step
+    basis, split, cfg = _plan_system(2, 48)
+    field = rd.make_field("arctan(40)", 2)
+    c = np.random.default_rng(5).normal(size=(3, 2, 16))
+    calls = _count_evaluations(monkeypatch)
+    for u in (c[0], c, np.stack([c, c])):
+        rd.galerkin_F(field, basis, rd.GalerkinState._trusted(u))
+    assert calls == [1, 3, 6]
+    rd.homotopy_field(field, basis, split, np.array([0.0, 0.5, 1.0]), rd.GalerkinState(c))
+    assert calls[3:] == [4]
+    settings = rd.IntegratorSettings(dt=1e-3, T=5e-3)
+    rd.integrate_ensemble(field, basis, split, cfg, [0.5, 1.0],
+                          [rd.GalerkinState(row) for row in c[:2]], settings)
+    assert calls[4:] == [3] * settings.nsteps
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -804,8 +835,8 @@ def test_s_outside_unit_interval_rejected_before_any_step(bad, monkeypatch):
     settings = rd.IntegratorSettings(dt=1e-3, T=0.01)
     calls = []
     monkeypatch.setattr(semiflow, "_plan", lambda *a: calls.append("plan"))
-    monkeypatch.setattr(semiflow, "galerkin_F", lambda *a: calls.append("F"))
-    # the march evaluates the field without galerkin_F: guard its eval too
+    monkeypatch.setattr(semiflow, "_evaluate", lambda *a: calls.append("F"))
+    # the march and homotopy_field evaluate through _evaluate: guard eval too
     ev = field.eval
     field.eval = lambda x, U, dU: calls.append("eval") or ev(x, U, dU)
     with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
@@ -923,9 +954,9 @@ def test_march_plan_matches_homotopy_field(m, nodes, monkeypatch):
     states = [rd.GalerkinState(a * gen.normal(size=(m, 16)) / 4.0) for a in scale]
     plan, homotopy, steps = semiflow._plan, semiflow._homotopy, []
 
-    def recording_plan(q0, s_rows):
+    def recording_plan(basis_, q0, s_rows):
         steps.append(("plan", s_rows.copy()))
-        return plan(q0, s_rows)
+        return plan(basis_, q0, s_rows)
 
     def recording_homotopy(field_, basis_, plan_, c):
         H = homotopy(field_, basis_, plan_, c)
@@ -1057,7 +1088,7 @@ def test_march_step_matches_the_where_formula(nodes, J, m):
     for B in [*range(1, 41), 76, 101]:
         for s in (np.ones(B), np.zeros(B), np.resize([0.0, 0.3, 1.0, 0.7, 0.5], B)):
             for field in fields if B in (1, 2, 5, 40, 76) else fields[:1]:
-                plan = _plan(q0, s)
+                plan = _plan(basis, q0, s)
                 for _ in range(2):
                     c = gen.normal(size=(B, m, J))
                     c[0, 0, 0] = -0.0
@@ -1130,6 +1161,16 @@ def test_march_steps_evaluate_once_and_wrap_no_state(monkeypatch):
     seen.clear()
     rd.integrate_ensemble(field, basis, split, cfg, [1.0] * 5, states, settings)
     assert len(seen) == settings.nsteps and seen[0] == seen[-1]
+
+
+def test_integrate_ensemble_names_a_mis_shaped_initial_state():
+    split, cfg = _small_system(1)
+    field = rd.make_field("arctan(40)", 1)
+    states = [rd.GalerkinState.zeros(1, 8), rd.GalerkinState.zeros(1, 7)]
+    with pytest.raises(ConfigurationError, match=r"initial state shape \(1, 7\) of initial "
+                                                 r"state 1 is not \(m, J\) = \(1, 8\)"):
+        rd.integrate_ensemble(field, _SMALL, split, cfg, [1.0, 1.0], states,
+                              rd.IntegratorSettings(dt=1e-3, T=0.01))
 
 
 def test_homotopy_field_rejects_s_of_another_shape():
