@@ -14,7 +14,7 @@ from .decomposition import SplitIndexSet, classify
 from .errors import ConfigurationError
 from .fields import NonlinearField, make_field
 from .semiflow import IntegratorSettings
-from .spectral import Domain1D, ProblemConfig, SpectralBasis, build_basis
+from .spectral import Domain1D, ProblemConfig, SpectralBasis, _count, build_basis
 
 __all__ = ["ExperimentConfig", "load_config"]
 
@@ -53,30 +53,12 @@ def _numbers(section: str, key: str, value) -> tuple[float, ...]:
     return tuple(_number(section, key, v) for v in items)
 
 
-def _count(section: str, key: str, value, minimum: int = 1) -> int:
-    """A whole number >= minimum; 2.5, "2.5" and true are rejected, not
-    truncated."""
-    out = value
-    if isinstance(value, str):
-        try:
-            out = int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, float) and value.is_integer():
-        out = int(value)
-    if isinstance(out, bool) or not isinstance(out, int):
-        raise ConfigurationError(f"[{section}] {key} = {value!r} is not a whole number")
-    if out < minimum:
-        raise ConfigurationError(f"[{section}] {key} = {out} must be >= {minimum}")
-    return out
-
-
 # a [run] value is parsed by the type of its default; its counts are >= 1,
 # except the seed count and the seed itself
 _RUN_MINIMUM = {"seeds": 0, "seed": 0}
 _RUN_PARSERS = {
     tuple: _numbers, float: _number,
-    int: lambda section, key, value: _count(section, key, value, _RUN_MINIMUM.get(key, 1)),
+    int: lambda section, key, value: _count(f"[{section}] {key}", value, _RUN_MINIMUM.get(key, 1)),
     str: lambda section, key, value: str(value),
 }
 _SECTION_KEYS = {
@@ -123,7 +105,7 @@ def _resolve_lambda(tokens, basis: SpectralBasis) -> tuple[float, ...]:
     for tok in tokens:
         tok = tok.strip() if isinstance(tok, str) else tok
         if isinstance(tok, str) and tok.startswith("mu(") and tok.endswith(")"):
-            j = _count("system", "lambda", tok[3:-1])
+            j = _count("[system] lambda", tok[3:-1])
             if j > basis.J:
                 raise ConfigurationError(f"eigenvalue reference {tok} outside 1..{basis.J}")
             out.append(float(basis.mu[j - 1]))
@@ -191,13 +173,13 @@ def load_config(path: str | Path, run_overrides: dict | None = None) -> Experime
     sysc = _section(sections, "system")
     fld = _section(sections, "field")
 
-    J = _count("domain", "J", dom.get("J", 32))
+    J = _count("[domain] J", dom.get("J", 32))
     length = _number("domain", "length", dom.get("length", 1.0))
-    quad_nodes = _count("domain", "quad_nodes", dom.get("quad_nodes", 2 * J + 16))
+    quad_nodes = _count("[domain] quad_nodes", dom.get("quad_nodes", 2 * J + 16))
     basis = build_basis(Domain1D(length=length, quad_nodes=quad_nodes), J)
 
-    m = _count("system", "m", sysc["m"])
-    l = _count("system", "l", sysc["l"])
+    m = _count("[system] m", sysc["m"])
+    l = _count("[system] l", sysc["l"])
     lam = _resolve_lambda(sysc["lambda"], basis)
     sigma = _numbers("system", "sigma", sysc.get("sigma", "0"))
     if len(sigma) == 1 and m > 1:

@@ -444,7 +444,8 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
     eigenvector of ``source.linearization`` with eigenvalue below
     -MORSE_TOL (an unstable direction of the forward flow, by the rule of
     ``find_equilibria``); otherwise the shot is a miss by contract.  A
-    direction or an equilibrium of another shape than (m, J) raises
+    direction, an equilibrium or a source of another shape than (m, J), or a
+    source linearization of another shape than (mJ, mJ), raises
     ConfigurationError before any march.  ``eps`` is a finite nonzero
     number.  Returns a ConnectionRecord or a ShootMiss.  ``direction`` and ``eps`` may also be
     equal-length sequences, one shot per pair: every shot then marches in
@@ -489,7 +490,12 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
             f"need one eps per direction, got {len(epsilons)} for {len(directions)}")
     _check_states("direction", [d.coeffs for d in directions], config.m, basis.J)
     _check_states("equilibrium", [eq.state.coeffs for eq in equilibria], config.m, basis.J)
+    _check_states("source", [source.state.coeffs], config.m, basis.J)
     L = source.linearization
+    mj = config.m * basis.J
+    if np.shape(L) != (mj, mj):
+        raise ConfigurationError(f"source linearization shape {np.shape(L)} is not "
+                                 f"(mJ, mJ) = ({mj}, {mj})")
     results: list = [None] * len(directions)
     shots = []
     for i, d in enumerate(directions):

@@ -5,19 +5,20 @@ kernel component."""
 from __future__ import annotations
 
 import warnings
+import zipfile
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, EvaluationError
 from .fields import NonlinearField, galerkin_F
 from .semiflow import _csv_table
-from .spectral import (GalerkinState, ProblemConfig, SpectralBasis, _gauss_legendre,
-                       _ufuncs, fractional_weights)
+from .spectral import (GalerkinState, ProblemConfig, SpectralBasis, _count, _gauss_legendre,
+                       _scipy_dir, _ufuncs, fractional_weights)
 
 __all__ = [
     "DegreeSets",
@@ -197,18 +198,82 @@ def ll_functional(field: NonlinearField, basis: SpectralBasis, split: SplitIndex
     return float(_ll_values(field, basis, split, config, which, direction[None])[0])
 
 
+SOBOL_BITS = 30  # scipy's default: the points are multiples of 2**-30
+_NPY_HEADERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
+
+
+def _npy_rows(npz: zipfile.ZipFile, name: str, dim: int,
+              ncols: Optional[int] = None) -> np.ndarray:
+    """The first ``dim`` entries of the 1-D int64 member ``name`` of ``npz``,
+    or, given ``ncols``, the first ``dim`` rows of the first ``ncols``
+    columns of its column-major 2-D int64 member, shape (dim, ncols).  The
+    stream is read only up to the last entry used, so the rest of the
+    member is never decompressed; another layout raises ValueError."""
+    with npz.open(f"{name}.npy") as stream:
+        version = npy.read_magic(stream)
+        if version not in _NPY_HEADERS:
+            raise ValueError(f"{name}.npy has format version {version}")
+        shape, fortran_order, dtype = _NPY_HEADERS[version](stream)
+        layout = (len(shape) == 1 if ncols is None
+                  else len(shape) == 2 and fortran_order and shape[1] >= ncols)
+        if not layout or dtype != np.int64 or shape[0] < dim:
+            raise ValueError(f"{name}.npy holds a {'Fortran' if fortran_order else 'C'}-ordered "
+                             f"{dtype} array of shape {shape}, not int64 with {dim} rows")
+        width = 1 if ncols is None else ncols
+        kept = []
+        for c in range(width):
+            # the rest of the previous column, in 16 KB reads that keep the
+            # decompression buffers small
+            left = 8 * (shape[0] - dim) if c else 0
+            while left > 0 and (chunk := len(stream.read(min(left, 1 << 14)))):
+                left -= chunk
+            kept.append(stream.read(8 * dim))
+    data = b"".join(kept)
+    if len(data) < 8 * dim * width:
+        raise ValueError(f"{name}.npy ends early")
+    out = np.frombuffer(data, dtype=np.int64)
+    return out if ncols is None else out.reshape(width, dim).T
+
+
 @lru_cache(maxsize=None)
-def _sobol_direction_numbers() -> tuple[np.ndarray, np.ndarray]:
-    """scipy's primitive polynomials and initial direction numbers (Joe and
-    Kuo), read from its data file once and shared read-only; ``scipy.stats``
-    itself is not imported."""
-    import scipy
-    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
-    with np.load(path) as table:
-        poly, vinit = table["poly"], table["vinit"]
-    poly.flags.writeable = False
-    vinit.flags.writeable = False
-    return poly, vinit
+def _sobol_directions(dim: int) -> np.ndarray:
+    """The direction numbers of scipy's Sobol' sequence in its first ``dim``
+    dimensions, read-only, shape (dim, SOBOL_BITS): entry (d, j) is
+    direction number j of dimension d as an integer multiple of
+    2**-SOBOL_BITS.
+
+    Dimension 0 has every initial number 1, and each later dimension
+    follows the Bratley-Fox recurrence of its primitive polynomial from its
+    initial direction numbers, both from scipy's table
+    ``stats/_sobol_direction_numbers.npz`` (Joe and Kuo's; ``scipy.stats``
+    itself is not imported).  Only the entries of these dimensions are
+    read: the first ``dim`` polynomials and, of the column-major ``vinit``,
+    the columns up to their highest degree.  A table of another layout
+    raises ImportError naming it.
+    """
+    path = _scipy_dir() / "stats" / "_sobol_direction_numbers.npz"
+    try:
+        with zipfile.ZipFile(path) as npz:
+            poly = [int(p) for p in _npy_rows(npz, "poly", dim)]
+            vinit = _npy_rows(npz, "vinit", dim, max(p.bit_length() - 1 for p in poly))
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ImportError(f"Sobol' direction numbers not read from {path}: {exc}",
+                          path=str(path)) from None
+    v = np.ones((dim, SOBOL_BITS), dtype=np.int64)
+    for d in range(1, dim):
+        p = poly[d]
+        deg = p.bit_length() - 1
+        row = [int(a) for a in vinit[d, :deg]]
+        for j in range(deg, SOBOL_BITS):
+            new = row[j - deg]
+            for k in range(deg):
+                if (p >> (deg - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[d] = row
+    v <<= SOBOL_BITS - 1 - np.arange(SOBOL_BITS)
+    v.flags.writeable = False
+    return v
 
 
 def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
@@ -216,30 +281,15 @@ def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
     seed=seed)``, bit for bit, with its warning for an n that is not a
     power of 2.
 
-    The direction numbers of each dimension follow the Bratley-Fox
-    recurrence of its primitive polynomial.  default_rng(seed) draws, in
-    scipy's order, a digital shift and one lower-triangular GF(2) matrix
-    per dimension with unit diagonal (LMS scrambling, acting on the bits
-    from the most significant down).  Point 0 is the shift, and point i + 1
-    is point i XOR the scrambled direction number at the lowest zero bit of
-    i (Gray-code order).
+    The direction numbers come from ``_sobol_directions``.
+    default_rng(seed) draws, in scipy's order, a digital shift and one
+    lower-triangular GF(2) matrix per dimension with unit diagonal (LMS
+    scrambling, acting on the bits from the most significant down).  Point
+    0 is the shift, and point i + 1 is point i XOR the scrambled direction
+    number at the lowest zero bit of i (Gray-code order).
     """
-    poly, vinit = _sobol_direction_numbers()
-    bits = 30  # scipy's default: the points are multiples of 2**-30
-    v = np.ones((dim, bits), dtype=np.int64)
-    for d in range(1, dim):
-        p = int(poly[d])
-        deg = p.bit_length() - 1
-        row = [int(a) for a in vinit[d, :deg]]
-        for j in range(deg, bits):
-            new = row[j - deg]
-            for k in range(deg):
-                if (p >> (deg - 1 - k)) & 1:
-                    new ^= row[j - k - 1] << (k + 1)
-            row.append(new)
-        v[d] = row
+    v, bits = _sobol_directions(dim), SOBOL_BITS
     pos = np.arange(bits)
-    v <<= bits - 1 - pos  # direction number j as an integer multiple of 2**-bits
     rng = np.random.default_rng(seed)
     shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ (1 << pos)
     ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
@@ -279,6 +329,7 @@ def evaluate_LL(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSe
     sampled and the reports say so.  A verdict holds iff its sampled
     minimum is strictly positive; a block without kernel modes is vacuous.
     """
+    samples = _count("samples", samples)
     names = (f"LL{which}+", f"LL{which}-")
     dim = len(block_modes(split, which))
     if dim == 0:
@@ -347,6 +398,9 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     if sign not in ("+", "-"):
         raise ConfigurationError(f"sign must be '+' or '-', got {sign!r}")
     sgn = 1.0 if sign == "+" else -1.0
+    samples = _count("samples", samples)
+    if not len(R_grid):
+        raise ConfigurationError("R_grid needs at least one value")
     rng = np.random.default_rng(seed)
     main_mask = _block_mask(split, which)
     other_mask = _block_mask(split, 2 if which == 1 else 1)
@@ -392,6 +446,5 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
         for k in range(lo, hi):
             inner += _dots(F[:, k], u[:, k])
         scores = sgn * inner
-        worst = scores[scores.argmin()] if samples else np.inf
-        rows.append((float(R), float(worst)))
+        rows.append((float(R), float(scores[scores.argmin()])))
     return MarginTable(which=which, sign=sign, rows=tuple(rows))

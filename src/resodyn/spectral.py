@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from pathlib import Path
 from typing import NamedTuple
 
@@ -323,6 +323,24 @@ def _one_based(name: str, value, top: int) -> int:
     return int(value)
 
 
+def _count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as a whole number >= minimum; 2.5, "2.5" and true are
+    rejected, not truncated, by a ConfigurationError naming ``name``."""
+    out = value
+    if isinstance(value, str):
+        try:
+            out = int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        out = int(value)
+    if isinstance(out, bool) or not isinstance(out, int):
+        raise ConfigurationError(f"{name} = {value!r} is not a whole number")
+    if out < minimum:
+        raise ConfigurationError(f"{name} = {out} must be >= {minimum}")
+    return out
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on [-1, 1], computed once per n; the
@@ -334,14 +352,23 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _scipy_dir() -> Path:
+    """scipy's package directory, found without running its ``__init__``
+    (whose imports cost about 12 ms and 0.8 MB)."""
+    spec = find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed", name="scipy")
+    return Path(spec.submodule_search_locations[0])
+
+
+@lru_cache(maxsize=None)
 def _flapack():
     """scipy's f2py wrappers of LAPACK, loaded once per process without
     importing the ``scipy.linalg`` package, whose imports cost about 0.3 s."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:  # scipy.linalg is imported and loaded it
         return sys.modules[name]
-    import scipy
-    linalg = Path(scipy.__file__).parent / "linalg"
+    linalg = _scipy_dir() / "linalg"
     paths = [linalg / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES]
     path = next((p for p in paths if p.is_file()), None)
     if path is None:
@@ -362,12 +389,13 @@ def _ufuncs():
     """scipy.special's compiled ufuncs (``ndtri``, ``erf``: the very objects
     the package exports), loaded once per process without running the
     ``scipy.special`` package's ``__init__``, whose imports (scipy._lib._array_api
-    with numpy.testing and numpy.f2py) cost about 0.3 s."""
+    with numpy.testing and numpy.f2py) cost about 0.3 s.  The extensions
+    import ``scipy._cyutility``, which brings in the ``scipy`` package
+    itself."""
     name = "scipy.special._ufuncs"
     if "scipy.special" in sys.modules:  # the package is imported and loaded it
         return import_module(name)
-    import scipy
-    special = Path(scipy.__file__).parent / "special"
+    special = _scipy_dir() / "special"
     # _ufuncs imports its sibling extensions relative to its package; a bare
     # stand-in package lets them load by the normal import machinery, and it
     # is taken out again, so that a later import of scipy.special runs the

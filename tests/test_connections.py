@@ -189,6 +189,28 @@ def test_shoot_connection_names_a_mis_shaped_state_before_any_march(
     assert calls == []
 
 
+def test_shoot_connection_names_a_mis_shaped_source_before_any_march(
+        basis32, desk_problem, desk_split, desk_field, desk_equilibria, monkeypatch):
+    from resodyn import connections
+    calls = []
+    monkeypatch.setattr(connections, "integrate_ensemble", lambda *a, **k: calls.append(a))
+    origin = next(eq for eq in desk_equilibria if eq.is_origin)
+    _, d = origin.unstable[0]
+    settings = rd.IntegratorSettings(dt=1e-2, T=1.0)
+    odd = replace(origin, state=rd.GalerkinState(np.zeros((1, 31))),
+                  linearization=np.eye(31))
+    with pytest.raises(ConfigurationError, match=r"source shape \(1, 31\) of source 0 "
+                                                 r"is not \(m, J\) = \(1, 32\)"):
+        rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, odd, d, 1e-3,
+                            settings, desk_equilibria)
+    odd = replace(origin, linearization=np.eye(31))
+    with pytest.raises(ConfigurationError, match=r"source linearization shape \(31, 31\) "
+                                                 r"is not \(mJ, mJ\) = \(32, 32\)"):
+        rd.shoot_connection(desk_field, basis32, desk_split, desk_problem, odd, d, 1e-3,
+                            settings, desk_equilibria)
+    assert calls == []
+
+
 def test_shoot_miss_by_contract_on_stable_direction(basis32, desk_problem, desk_split,
                                                     desk_field, desk_equilibria):
     origin = next(eq for eq in desk_equilibria if eq.is_origin)

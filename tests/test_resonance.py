@@ -9,7 +9,8 @@ from scipy.integrate import quad
 import resodyn as rd
 from resodyn.decomposition import N1, PLUS
 from resodyn.errors import ConfigurationError, EvaluationError, HypothesisError
-from resodyn.resonance import MarginTable, _sobol, _sphere_directions, block_modes
+from resodyn.resonance import (MarginTable, _sobol, _sobol_directions, _sphere_directions,
+                               block_modes)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -308,6 +309,24 @@ def test_guiding_margin_zero_field(basis32, desk_problem, desk_split):
     assert all(margin == 0.0 for _, margin in table.rows)
 
 
+def test_guiding_margin_rejects_zero_samples(basis32, desk_problem, desk_split, desk_field):
+    with pytest.raises(ConfigurationError, match="samples = 0 must be >= 1"):
+        rd.guiding_margin(desk_field, basis32, desk_split, desk_problem, which=1,
+                          W_radius=1.0, R_grid=[10.0], samples=0)
+
+
+def test_guiding_margin_rejects_an_empty_radius_grid(basis32, desk_problem, desk_split,
+                                                     desk_field):
+    with pytest.raises(ConfigurationError, match="R_grid needs at least one value"):
+        rd.guiding_margin(desk_field, basis32, desk_split, desk_problem, which=1,
+                          W_radius=1.0, R_grid=[], samples=4)
+
+
+def test_evaluate_ll_rejects_zero_samples(basis32, desk_problem, desk_split, desk_field):
+    with pytest.raises(ConfigurationError, match="samples = 0 must be >= 1"):
+        rd.evaluate_LL(desk_field, basis32, desk_split, desk_problem, 1, samples=0)
+
+
 def test_guiding_margin_sign_mirror(basis32, desk_problem, desk_split, desk_field):
     neg = rd.make_field("-arctan(40)", 1)
     plus = rd.guiding_margin(desk_field, basis32, desk_split, desk_problem, which=1,
@@ -473,11 +492,12 @@ def test_pipeline_leaves_scipy_stats_unloaded(tmp_path):
 
 def test_pipeline_without_sampled_sphere_leaves_array_api_unloaded(tmp_path):
     # scipy._lib._array_api (with numpy.testing and numpy.f2py) stays out as on
-    # the sampled sphere, and a run that needs neither ndtri nor erf loads no
-    # scipy.special module at all, not even its compiled ufuncs
+    # the sampled sphere, and a run that needs neither ndtri nor erf imports no
+    # scipy module at all, not even the scipy package: _flapack finds scipy's
+    # directory without it and takes its own entry out again
     import json
     inis = {"simulate": _SIMULATE_M2_L1, "connect": _CONNECT_M1}
-    prefixes = ("scipy.special", *_UNLOADED)
+    prefixes = ("scipy",)
     assert _modules_after_runs(tmp_path, inis, prefixes) == "[0, 0] []"
     simulate = json.loads((tmp_path / "out_simulate" / "report.json").read_text())
     assert simulate["stages"]["simulate"]
@@ -579,3 +599,112 @@ def test_stacked_guiding_margin_matches_per_sample_loop_exactly(m, l):
                         assert rows == tuple(ref)
                         assert [math.copysign(1, x) for _, x in rows] == [
                             math.copysign(1, x) for _, x in ref]
+
+
+def _sobol_table():
+    from resodyn.spectral import _scipy_dir
+    return _scipy_dir() / "stats" / "_sobol_direction_numbers.npz"
+
+
+def _bratley_fox(poly, vinit, dim):
+    """The direction numbers of the first ``dim`` dimensions, by the
+    recurrence on the whole table."""
+    v = np.ones((dim, 30), dtype=np.int64)
+    for d in range(1, dim):
+        p = int(poly[d])
+        deg = p.bit_length() - 1
+        row = [int(a) for a in vinit[d, :deg]]
+        for j in range(deg, 30):
+            new = row[j - deg]
+            for k in range(deg):
+                if (p >> (deg - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[d] = row
+    return v << (29 - np.arange(30))
+
+
+@pytest.mark.parametrize("dim", [*range(1, 9), 40, 1111])
+def test_sobol_directions_match_the_whole_table(dim):
+    with np.load(_sobol_table()) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    if dim == 1111:
+        assert int(poly[dim - 1]).bit_length() - 1 >= 13
+    v = _sobol_directions(dim)
+    assert v.shape == (dim, 30) and v.dtype == np.int64 and not v.flags.writeable
+    assert np.array_equal(v, _bratley_fox(poly, vinit, dim))
+
+
+def test_sobol_directions_stop_after_the_columns_used(monkeypatch):
+    import zipfile
+    with np.load(_sobol_table()) as table:
+        expected = _bratley_fox(table["poly"], table["vinit"], 3)
+        rows = table["vinit"].shape[0]
+    counts = {}
+    read = zipfile.ZipExtFile.read
+
+    def counting_read(self, n=-1):
+        data = read(self, n)
+        counts[self.name] = counts.get(self.name, 0) + len(data)
+        return data
+
+    monkeypatch.setattr(zipfile.ZipExtFile, "read", counting_read)
+    assert np.array_equal(_sobol_directions.__wrapped__(3), expected)
+    # of the 18 columns of 8-byte rows, the two that degree 2 at dim 3 uses,
+    # the second only to row 3, after a header of at most 128 bytes
+    assert 8 * rows < counts["vinit.npy"] <= 8 * (rows + 3) + 128
+    assert counts["poly.npy"] <= 8 * 3 + 128
+
+
+@pytest.mark.parametrize("case", ["c-ordered", "int32-vinit", "int32-poly", "short",
+                                  "no-vinit", "not-a-zip"])
+def test_sobol_directions_refuse_another_table_layout(tmp_path, monkeypatch, case):
+    import re
+    from resodyn import resonance
+    with np.load(_sobol_table()) as table:
+        poly, vinit = table["poly"][:50], np.asfortranarray(table["vinit"][:50])
+    layouts = {
+        "c-ordered": {"poly": poly, "vinit": np.ascontiguousarray(vinit)},
+        "int32-vinit": {"poly": poly, "vinit": vinit.astype(np.int32, order="F")},
+        "int32-poly": {"poly": poly.astype(np.int32), "vinit": vinit},
+        "short": {"poly": poly[:2], "vinit": vinit[:2]},
+        "no-vinit": {"poly": poly},
+    }
+    path = tmp_path / "stats" / "_sobol_direction_numbers.npz"
+    path.parent.mkdir()
+    monkeypatch.setattr(resonance, "_scipy_dir", lambda: tmp_path)
+    if case in layouts:
+        np.savez(path, **layouts[case])
+    else:
+        path.write_bytes(b"not a zip file")
+    with pytest.raises(ImportError, match=re.escape(str(path))):
+        _sobol_directions.__wrapped__(3)
+    # the same rows in the table's own layout read as the real table's
+    np.savez(path, poly=poly, vinit=vinit)
+    assert np.array_equal(_sobol_directions.__wrapped__(3), _bratley_fox(poly, vinit, 3))
+
+
+def test_first_sobol_draw_reads_no_whole_table():
+    # numpy.random's lazy import and einsum's first call are warmed first: they
+    # alone raise the high-water mark by about 6 MB and would hide the table
+    import subprocess
+    import sys
+    from pathlib import Path
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    src = str(Path(rd.__file__).resolve().parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import numpy as np\n"
+        "from resodyn import resonance, spectral\n"
+        "spectral._ufuncs()\n"
+        "np.random.default_rng(0).integers(2, size=(2, 3, 3), dtype=np.uint32)\n"
+        "np.einsum('drs,djs->djr', np.ones((1, 2, 2), np.uint32), np.ones((1, 2, 2), np.uint32))\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+        "before = hwm()\n"
+        "resonance._sobol(3, 128, 0)\n"
+        "print(hwm() - before)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert int(out.stdout.split()[-1]) < 1024  # kB

@@ -466,6 +466,12 @@ def test_eigh_matches_scipy_linalg(eigh_oracle_file, scipy_first):
     assert out.stdout.split() == [str(count), "[]"]
 
 
+def test_scipy_directory_without_scipy_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(spectral, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed"):
+        spectral._scipy_dir.__wrapped__()
+
+
 def test_missing_lapack_module_names_the_path(monkeypatch):
     # no fallback to scipy.linalg: a scipy without the module is an ImportError
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
@@ -507,8 +513,7 @@ def test_ufuncs_match_scipy_special(scipy_first):
 _UFUNCS_MISSING = """
 import sys
 sys.path.insert(0, {src!r})
-import scipy
-scipy.__file__ = {fake!r}
+sys.path.insert(0, {fake!r})  # a scipy package without scipy.special._ufuncs
 from resodyn.spectral import _ufuncs
 try:
     _ufuncs()
@@ -523,8 +528,8 @@ def test_missing_ufuncs_module_names_the_path(tmp_path):
     # ImportError, and the stand-in package is gone after it
     special = tmp_path / "scipy" / "special"
     special.mkdir(parents=True)
-    script = _UFUNCS_MISSING.format(src=str(REPO / "src"),
-                                    fake=str(tmp_path / "scipy" / "__init__.py"))
+    (tmp_path / "scipy" / "__init__.py").touch()
+    script = _UFUNCS_MISSING.format(src=str(REPO / "src"), fake=str(tmp_path))
     out = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True, check=True)
     first, message = out.stdout.strip().splitlines()
