@@ -22,8 +22,7 @@ from .config import ExperimentConfig, load_config
 from .connections import ConnectionRecord, find_equilibria, shoot_connection
 from .decomposition import counts
 from .errors import ConfigurationError
-from .fields import (SampleGrid, _bounded_report, _eval_on_grid, _sign_report,
-                     verify_limits)
+from .fields import SampleGrid, _bounded_report, _grid_values, _sign_report, verify_limits
 from .indexcalc import (LinearizationData, connection_verdict, d_zero,
                         nonresonance_at_origin)
 from .resonance import evaluate_LL, guiding_margin
@@ -74,14 +73,13 @@ def _stage_decompose(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
 def _stage_check(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
     grid = SampleGrid.default(exp.basis, exp.problem.m, seed=exp.seed)
     # one evaluation on the grid serves F2 and every sign condition
-    vals = _eval_on_grid(exp.field, grid)
+    vals = _grid_values(exp.field, grid)
     f2 = _bounded_report(exp.field, grid, vals)
     sign_reports = {}
     c_flags = {}
     for sign in ("+", "-"):
         per_component = [
-            _sign_report(exp.field, k, sign, np.full(grid.x.shape, exp.h_const[k - 1]),
-                         grid, vals, exp.problem.l)
+            _sign_report(exp.field, k, sign, exp.h_const[k - 1], grid, vals, exp.problem.l)
             for k in range(1, exp.problem.m + 1)]
         block1 = all(r.verdict == "holds" for r in per_component[: exp.problem.l])
         block2_reports = per_component[exp.problem.l:]

@@ -14,7 +14,7 @@ from .decomposition import SplitIndexSet, classify
 from .errors import ConfigurationError
 from .fields import NonlinearField, make_field
 from .semiflow import IntegratorSettings
-from .spectral import Domain1D, ProblemConfig, SpectralBasis, _count, build_basis
+from .spectral import Domain1D, ProblemConfig, SpectralBasis, _count, _radius, build_basis
 
 __all__ = ["ExperimentConfig", "load_config"]
 
@@ -200,8 +200,7 @@ def load_config(path: str | Path, run_overrides: dict | None = None) -> Experime
         raise ConfigurationError(f"h must have 1 or {m} entries, got {len(h_const)}")
 
     tol = _number("system", "resonance_tol", sysc.get("resonance_tol", 1e-8))
-    if tol <= 0:
-        raise ConfigurationError(f"[system] resonance_tol = {tol!r} must be positive")
+    tol = _radius("[system] resonance_tol", tol, positive=True)
     split = classify(basis, problem, tol=tol)
 
     run = dict(_RUN_DEFAULTS)
@@ -212,8 +211,7 @@ def load_config(path: str | Path, run_overrides: dict | None = None) -> Experime
         if not (0.0 <= s <= 1.0):
             raise ConfigurationError(f"s_grid values must lie in [0, 1], got {s}")
     for R in run["margin_R_grid"]:
-        if R <= 0:
-            raise ConfigurationError(f"[run] margin_R_grid = {R!r} must be positive")
+        _radius("[run] margin_R_grid", R, positive=True)
     if 0.0 in run["eps_grid"]:
         raise ConfigurationError("[run] eps_grid = 0.0 shoots from the equilibrium itself; "
                                  "it must be nonzero")

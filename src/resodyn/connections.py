@@ -243,6 +243,7 @@ def discrete_linearization(field: NonlinearField, basis: SpectralBasis,
     coordinates, with K the Galerkin matrix of multiplication by the field's
     u-Jacobian along the state (u' is folded only for a field that reads it)."""
     m, J = config.m, basis.J
+    _check_states("state", [at.coeffs], m, J)
     dU = basis.dvalues(at.coeffs) if field.reads_du else None
     gprime = _u_jacobian(field, basis.x, basis.values(at.coeffs), dU)
     # P[k, kp, j', j] = <g'_{k,kp} phi_{j'}, phi_j> over nodes, one
@@ -338,6 +339,7 @@ def liapunov_energy(field: NonlinearField, basis: SpectralBasis, config: Problem
     """
     if field.potential is None:
         raise GradientStructureError(f"field {field.name!r} declares no potential")
+    _check_states("state", [u.coeffs], config.m, basis.J)
     quad = 0.5 * float(np.sum(diag_A(basis, config) * u.coeffs ** 2))
     U = basis.values(u.coeffs)
     pot = float(np.sum(basis.w * np.asarray(field.potential(basis.x, U))))

@@ -12,7 +12,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .spectral import GalerkinState, SpectralBasis, _interleave, _one_based, _ufuncs
+from .spectral import (GalerkinState, SpectralBasis, _count, _interleave, _one_based, _radius,
+                       _ufuncs)
 
 __all__ = [
     "NonlinearField",
@@ -45,7 +46,11 @@ class NonlinearField:
     u-Jacobian at (x, 0, 0) when known analytically.  A field that does not
     read u' (every catalogue field) sets ``reads_du=False``; every
     evaluation then passes ``dU=None`` (``galerkin_F`` skips the nodal
-    derivative).
+    derivative).  A field whose values and declared limits do not depend on
+    x (every catalogue field but ``constant-kernel``: f_k = g(u_k)) sets
+    ``reads_x=False``; the sampled hypothesis checks then evaluate it, and
+    read its limits, at the first node only (x of shape (1,)), and that
+    value stands for every node.
     """
 
     name: str
@@ -58,6 +63,7 @@ class NonlinearField:
     potential: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     jac0: Optional[np.ndarray] = None
     reads_du: bool = True
+    reads_x: bool = True
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
@@ -106,6 +112,11 @@ class SampleGrid:
     @classmethod
     def default(cls, basis: SpectralBasis, m: int, u_box: float = 1e3,
                 du_box: float = 1e3, draws: int = 200, seed: int = 0) -> "SampleGrid":
+        """``draws`` (>= 1) uniform draws of u in [-u_box, u_box]^m and of du
+        in [-du_box, du_box]^m; each box is positive and finite."""
+        draws = _count("draws", draws)
+        u_box = _radius("u_box", u_box, positive=True)
+        du_box = _radius("du_box", du_box, positive=True)
         rng = np.random.default_rng(seed)
         u = rng.uniform(-u_box, u_box, size=(draws, m))
         du = rng.uniform(-du_box, du_box, size=(draws, m))
@@ -129,9 +140,13 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
     The states are copied into ``SpectralBasis._blocks`` and evaluated by
     ``_evaluate``, the one evaluation body, which the march step
     (``semiflow._homotopy``) runs too.  A field value of another shape than
-    U, or a non-finite one, raises EvaluationError there.
+    U, or a non-finite one, raises EvaluationError there; a state whose
+    trailing shape is not (field.m, basis.J) raises ConfigurationError.
     """
     c = u.coeffs
+    if c.shape[-2:] != (field.m, basis.J):
+        raise ConfigurationError(f"state shape {c.shape} is not (..., m, J) = "
+                                 f"(..., {field.m}, {basis.J})")
     work = _evaluate(field, basis, basis._blocks(c.shape, states=c))
     return GalerkinState._trusted(_interleave(work.cs, work.ca).reshape(c.shape))
 
@@ -187,14 +202,23 @@ def _u_jacobian(field: NonlinearField, x: np.ndarray, U: np.ndarray,
     return ((f[0] - f[1]) / (2 * U_JACOBIAN_STEP)).transpose(1, 0, 2)
 
 
-def _eval_on_grid(field: NonlinearField, grid: SampleGrid):
-    """Field values on every (draw, node) pair; shape (draws, m, n).  U and
-    dU are read-only broadcast views of the draws, and a field that does not
-    read u' gets ``dU=None``."""
-    shape = grid.u_draws.shape + grid.x.shape
+def _grid_values(field: NonlinearField, grid: SampleGrid) -> np.ndarray:
+    """Field values on every draw of ``grid``, shape (draws, m, n); for a
+    field that does not read x, shape (draws, m, 1): its values at the first
+    node, which are its values at every node.  U and dU are read-only
+    broadcast views of the draws, and a field that does not read u' gets
+    ``dU=None``."""
+    x = grid.x if field.reads_x else grid.x[:1]
+    shape = grid.u_draws.shape + x.shape
     U = np.broadcast_to(grid.u_draws[:, :, None], shape)
     dU = np.broadcast_to(grid.du_draws[:, :, None], shape) if field.reads_du else None
-    return np.asarray(field.eval(grid.x, U, dU), dtype=float)
+    return np.asarray(field.eval(x, U, dU), dtype=float)
+
+
+def _eval_on_grid(field: NonlinearField, grid: SampleGrid) -> np.ndarray:
+    """Field values on every (draw, node) pair; shape (draws, m, n), a
+    read-only broadcast view of ``_grid_values``."""
+    return np.broadcast_to(_grid_values(field, grid), grid.u_draws.shape + grid.x.shape)
 
 
 def check_bounded(field: NonlinearField, grid: SampleGrid) -> ConditionReport:
@@ -204,14 +228,16 @@ def check_bounded(field: NonlinearField, grid: SampleGrid) -> ConditionReport:
     empirical maximum is reported, and the check fails if the maximum keeps
     growing with the sampling box (compared against the half-size box).
     """
-    return _bounded_report(field, grid, _eval_on_grid(field, grid))
+    return _bounded_report(field, grid, _grid_values(field, grid))
 
 
 def _bounded_report(field: NonlinearField, grid: SampleGrid,
                     vals: np.ndarray) -> ConditionReport:
-    """``check_bounded`` from the field's values on ``grid``."""
-    max_full = float(np.max(np.abs(vals)))
-    i, k, nidx = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
+    """``check_bounded`` from the field's values on ``grid``
+    (``_grid_values``); the witness is the first node of the worst draw."""
+    size = np.abs(vals)
+    max_full = float(np.max(size))
+    i, k, nidx = np.unravel_index(int(np.argmax(size)), vals.shape)
     witness = {
         "x": float(grid.x[nidx]),
         "u": grid.u_draws[i].tolist(),
@@ -226,7 +252,7 @@ def _bounded_report(field: NonlinearField, grid: SampleGrid,
             witness=None if ok else witness,
             detail=f"max |f| = {max_full:.6g} vs declared C3 = {field.bound_C3:.6g}",
         )
-    max_half = float(np.max(np.abs(_eval_on_grid(field, grid.scaled(0.5)))))
+    max_half = float(np.max(np.abs(_grid_values(field, grid.scaled(0.5)))))
     if max_full > 1.5 * max_half:
         return ConditionReport(
             "F2", "fails", margin=-max_full, witness=witness,
@@ -255,13 +281,17 @@ def check_sign_condition(field: NonlinearField, k: int, sign: str,
         raise ConfigurationError(
             f"h_k must return one finite value or one per node (shape {grid.x.shape}); got "
             f"shape {hvals.shape} with {np.count_nonzero(~np.isfinite(hvals))} non-finite")
-    return _sign_report(field, k, sign, hvals, grid, _eval_on_grid(field, grid), l)
+    if hvals.ndim and hvals.tobytes() == hvals[:1].tobytes() * hvals.size:
+        hvals = hvals[0]  # the same bits on every node: one value
+    return _sign_report(field, k, sign, hvals, grid, _grid_values(field, grid), l)
 
 
-def _sign_report(field: NonlinearField, k: int, sign: str, hvals: np.ndarray,
+def _sign_report(field: NonlinearField, k: int, sign: str, hvals,
                  grid: SampleGrid, vals: np.ndarray, l: Optional[int]) -> ConditionReport:
-    """``check_sign_condition`` from h_k on the nodes (one value, or one per
-    node) and the field's values on ``grid``."""
+    """``check_sign_condition`` from h_k (one value, or one per node) and
+    the field's values on ``grid`` (``_grid_values``).  The margins span the
+    nodes only where the values or h_k do; the witness is the first node of
+    the worst draw, and every draw counts as n samples."""
     s = 1.0 if sign == "+" else -1.0
     sigma_k = field.sigma[k - 1]
     uk = grid.u_draws[:, k - 1][:, None]
@@ -279,7 +309,8 @@ def _sign_report(field: NonlinearField, k: int, sign: str, hvals: np.ndarray,
     verdict = "holds" if worst >= 0 else "fails"
     return ConditionReport(cid, verdict, margin=worst,
                            witness=None if verdict == "holds" else witness,
-                           detail=f"component {k}, sign {sign}, {margins.size} samples")
+                           detail=f"component {k}, sign {sign}, "
+                                  f"{uk.size * grid.x.size} samples")
 
 
 def verify_limits(field: NonlinearField, k: int, basis: SpectralBasis,
@@ -296,13 +327,14 @@ def verify_limits(field: NonlinearField, k: int, basis: SpectralBasis,
     grid = SampleGrid.default(basis, field.m, u_box=10.0, du_box=10.0,
                               draws=LIMIT_DRAWS, seed=seed)
     sigma_k = field.sigma[k - 1]
-    fp = np.asarray(field.f_plus(grid.x), dtype=float)[k - 1]
-    fm = np.asarray(field.f_minus(grid.x), dtype=float)[k - 1]
+    x = grid.x if field.reads_x else grid.x[:1]  # the nodes of _grid_values
+    fp = np.asarray(field.f_plus(x), dtype=float)[k - 1]
+    fm = np.asarray(field.f_minus(x), dtype=float)[k - 1]
     # every (sign, draw) state in one evaluation, the + draws before the -
     u = np.tile(grid.u_draws, (2, 1))
     u[:, k - 1] = np.repeat([s, -s], grid.u_draws.shape[0])
     stacked = SampleGrid(grid.x, u, np.tile(grid.du_draws, (2, 1)))
-    vals = s ** sigma_k * _eval_on_grid(field, stacked)[:, k - 1, :]
+    vals = s ** sigma_k * _grid_values(field, stacked)[:, k - 1, :]
     final = float(np.max(np.abs(vals - np.repeat([fp, fm], grid.u_draws.shape[0], axis=0))))
     verdict = "holds" if final <= LIMIT_TOL else "fails"
     witness = None if verdict == "holds" else {"s": float(s), "deviation": final}
@@ -383,7 +415,7 @@ def _pointwise(row: _Row, m: int, args: tuple) -> dict:
         sigma=np.full(m, float(row.sigma(*args))),
         f_plus=lambda x: np.full((m, x.size), fp), f_minus=lambda x: np.full((m, x.size), fm),
         bound_C3=row.C3, potential=None if pot is None else (lambda x, U: pot(U, *args)),
-        jac0=row.slope(*args) * np.eye(m), reads_du=False)
+        jac0=row.slope(*args) * np.eye(m), reads_du=False, reads_x=False)
 
 
 def _constant_kernel(m: int, basis: SpectralBasis, component: float, mode: float,

@@ -15,8 +15,8 @@ from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, DivergenceSignal, UnboundedModeError
 from .fields import NonlinearField, _evaluate
 from .spectral import (OVERFLOW_EXPONENT, GalerkinState, ProblemConfig, SpectralBasis, _Blocks,
-                       _check_states, _parity_order, diag_A, fractional_weights,
-                       semigroup_apply)
+                       _check_states, _count, _parity_order, _radius, diag_A,
+                       fractional_weights, semigroup_apply)
 
 __all__ = [
     "IntegratorSettings",
@@ -176,11 +176,15 @@ def _csv_table(header: Sequence[str], table) -> str:
 def trajectory_norms(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfig,
                      coeffs: np.ndarray) -> np.ndarray:
     """The six monitored norms of one (m, J) coefficient matrix, shape (6,),
-    or of every matrix in an (n, m, J) stack, shape (n, 6)."""
-    weights = fractional_weights(basis, config) ** config.alpha
-    masks = split.masks
+    or of every matrix in an (n, m, J) stack, shape (n, 6); any other
+    trailing shape raises ConfigurationError."""
     # C-ordered, so that each full norm sums one flat run of m J squares
     coeffs = np.ascontiguousarray(coeffs)
+    if coeffs.shape[-2:] != (config.m, basis.J):
+        raise ConfigurationError(f"coefficient shape {coeffs.shape} is not (..., m, J) = "
+                                 f"(..., {config.m}, {basis.J})")
+    weights = fractional_weights(basis, config) ** config.alpha
+    masks = split.masks
     sq = coeffs ** 2
     wsq = (weights * coeffs) ** 2
     flat = coeffs.shape[:-2] + (-1,)
@@ -491,7 +495,9 @@ class AprioriBounds:
 
 def apriori_bounds(basis: SpectralBasis, split: SplitIndexSet, config: ProblemConfig,
                    C6: float) -> AprioriBounds:
-    """Plug-in evaluation of the bound constants from the spectral gap."""
+    """Plug-in evaluation of the bound constants from the spectral gap; C6
+    (the field's L2 bound) is finite and >= 0."""
+    C6 = _radius("C6", C6)
     c = split.gap
     if not (c > 0):
         raise ConfigurationError("spectral gap must be positive; check the classification")
@@ -504,7 +510,7 @@ def apriori_bounds(basis: SpectralBasis, split: SplitIndexSet, config: ProblemCo
     nQp = 1.0 if plus.any() else 0.0
     R0_minus = C5 * C6 * C7 * nQm / c
     R0_plus = C5 * C6 * nQp * (np.exp(-c) / c + 1.0 / (1.0 - config.alpha))
-    return AprioriBounds(c=c, C5=C5, C6=float(C6), C7=C7, alpha=config.alpha,
+    return AprioriBounds(c=c, C5=C5, C6=C6, C7=C7, alpha=config.alpha,
                          norm_Qminus=nQm, norm_Qplus=nQp,
                          R0_minus=float(R0_minus), R0_plus=float(R0_plus))
 
@@ -556,11 +562,17 @@ def check_bounded_solution(trajectory: Trajectory, bounds: AprioriBounds,
 @dataclass(frozen=True)
 class HomotopyBox:
     """Product box M: combined fractional radius R0+1 on the nonkernel block,
-    kernel-block seminorm radii R1+1 and R2+1."""
+    kernel-block seminorm radii R1+1 and R2+1.  Every radius is >= 0, and
+    R0 is finite; an inf kernel radius leaves the box unbounded there."""
 
     R0: float
     R1: float
     R2: float
+
+    def __post_init__(self):
+        _radius("R0", self.R0)
+        _radius("R1", self.R1, inf=True)
+        _radius("R2", self.R2, inf=True)
 
     def membership(self, trajectory: Trajectory) -> np.ndarray:
         q = np.sqrt(trajectory.norm_series("Qminus_alpha") ** 2
@@ -580,8 +592,9 @@ class HomotopyBox:
 def sample_states_in_box(basis: SpectralBasis, split: SplitIndexSet,
                          config: ProblemConfig, box: HomotopyBox, count: int,
                          seed: int = 0) -> list[GalerkinState]:
-    """Random initial states strictly inside the box (BOX_FILL < 1 keeps them
-    off the boundary)."""
+    """``count`` (>= 0) random initial states strictly inside the box
+    (BOX_FILL < 1 keeps them off the boundary)."""
+    count = _count("count", count, minimum=0)
     rng = np.random.default_rng(seed)
     weights = fractional_weights(basis, config) ** config.alpha
     masks = split.masks

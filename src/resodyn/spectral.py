@@ -108,8 +108,11 @@ class SpectralBasis:
     def _fold(self, coeffs, tables, flip):
         """``values`` (or, flipped, ``dvalues``) of ``coeffs`` as float rows
         of at least two dimensions (a stack of 2-D arrays, each its own
-        block)."""
+        block); rows of another length than J raise ConfigurationError."""
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        if coeffs.shape[-1] != self.J:
+            raise ConfigurationError(f"coefficient shape {coeffs.shape} is not (..., J) = "
+                                     f"(..., {self.J})")
         # the parity blocks as C-ordered copies, so that the products take
         # one BLAS path whatever numpy does with a stride-2 operand
         cs = np.ascontiguousarray(coeffs[..., 0::2])
@@ -145,9 +148,13 @@ class SpectralBasis:
         the parity cancellation happen elementwise, before any reduction.
         The rows (of a 2-D array, or of each 2-D block of a stack, one
         product per block) are copied C-ordered first, so that every memory
-        layout takes the same BLAS path and rounds the same.
+        layout takes the same BLAS path and rounds the same.  Rows of another
+        length than the node count raise ConfigurationError.
         """
         fvals = np.ascontiguousarray(np.atleast_2d(np.asarray(fvals, dtype=float)))
+        if fvals.shape[-1] != self.x.size:
+            raise ConfigurationError(f"nodal shape {fvals.shape} is not (..., nq) = "
+                                     f"(..., {self.x.size})")
         return _interleave(*self._project_blocks(fvals))
 
     def _project_blocks(self, fvals, ps=None, pa=None):
@@ -338,6 +345,20 @@ def _count(name: str, value, minimum: int = 1) -> int:
         raise ConfigurationError(f"{name} = {value!r} is not a whole number")
     if out < minimum:
         raise ConfigurationError(f"{name} = {out} must be >= {minimum}")
+    return out
+
+
+def _radius(name: str, value, positive: bool = False, inf: bool = False) -> float:
+    """``value`` as a float >= 0 (> 0 if ``positive``), finite unless
+    ``inf``; NaN, a negative number or anything that is not a number raises
+    a ConfigurationError naming ``name``."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} = {value!r} is not a number") from None
+    if not (out > 0 if positive else out >= 0) or (out == math.inf and not inf):
+        raise ConfigurationError(f"{name} = {value!r} must be {'positive' if positive else '>= 0'}"
+                                 + ("" if inf else " and finite"))
     return out
 
 

@@ -1,12 +1,15 @@
-"""The output manifest of the shipped configs, the demos and the bench rounds.
+"""The output manifest of the shipped configs, the demos, the bench rounds and
+the experiment files beside this script.
 
 ``shipped.json`` holds the sha256 of every file that ``resodyn full`` writes
 for each config in ``configs/`` and of its stdout, the sha256 of each demo's
 stdout, the sha256 of every file and the stdout of each experiment of the
-bench rounds in ``ROUNDS`` (built by ``bench/workloads.round_for``), and the
-facts of the machine that produced them: the last bits of the outputs depend
-on the numpy and scipy builds, the BLAS and its kernels (picked by the CPU's
-instruction sets) and the core count.
+bench rounds in ``ROUNDS`` (built by ``bench/workloads.round_for``), the
+sha256 of every file and the stdout of each experiment file in ``CASES``
+(test data for the paths no shipped config reaches), and the facts of the
+machine that produced them: the last bits of the outputs depend on the numpy
+and scipy builds, the BLAS and its kernels (picked by the CPU's instruction
+sets) and the core count.
 
 Regenerate it from the root of a source checkout, after a change that is
 meant to alter an output, and list every changed entry it prints in
@@ -35,6 +38,9 @@ MANIFEST = Path(__file__).resolve().parent / "shipped.json"
 CONFIGS = sorted((ROOT / "configs").iterdir())
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 BENCH = ROOT / "bench"
+# experiment files that are test data, not shipped configs: each runs the
+# subcommand its name starts with (``index_constant_kernel.ini`` runs index)
+CASES = sorted(Path(__file__).resolve().parent.glob("*.ini"))
 # (workload, seed) of every bench round in the manifest
 ROUNDS = (("shoot-connect", 1), ("shoot-connect", 2), ("shoot-connect", 3),
           ("ensemble-simulate", 1), ("hypothesis-sweep", 1))
@@ -102,6 +108,17 @@ def round_digests() -> dict:
     return out
 
 
+def case_digests() -> dict:
+    """``file/relative path`` -> sha256 of every file the subcommand of each
+    experiment file in ``CASES`` writes, and ``file/stdout``."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            out.update(_run_digests(case.stem.split("_", 1)[0], case, Path(tmp) / case.name,
+                                    case.name))
+    return out
+
+
 def demo_stdout(path: Path) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -136,15 +153,16 @@ def differences(expected: dict, actual: dict) -> list[str]:
 def main() -> int:
     manifest = {"machine": machine(), "full": full_digests(),
                 "demos": {path.stem: digest(demo_stdout(path)) for path in DEMOS},
-                "rounds": round_digests()}
+                "rounds": round_digests(), "cases": case_digests()}
     if MANIFEST.is_file():
         old = load()
-        for part in ("machine", "full", "demos", "rounds"):
+        for part in ("machine", "full", "demos", "rounds", "cases"):
             for line in differences(old.get(part, {}), manifest[part]):
                 print(f"{part}: {line}")
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(manifest['full'])} full entries, "
-          f"{len(manifest['demos'])} demos, {len(manifest['rounds'])} round entries")
+          f"{len(manifest['demos'])} demos, {len(manifest['rounds'])} round entries, "
+          f"{len(manifest['cases'])} case entries")
     return 0
 
 

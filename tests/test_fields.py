@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -477,3 +478,52 @@ def test_linearization_keeps_derivative_for_custom_field(basis32, monkeypatch):
     dU, = seen
     assert dU.shape == (2, 2, 2, basis32.x.size)
     assert np.array_equal(dU, np.broadcast_to(basis32.dvalues(c), dU.shape))
+
+
+_CATALOGUE = [*_DEFAULTS, "arctan(-40)", "scaled-arctan(3, 0.25)", "gaussian-decay(1)",
+              "constant-kernel(1, 2, -2.5)"]
+
+
+@pytest.mark.parametrize("spec", [*_CATALOGUE, *("-" + spec for spec in _CATALOGUE)])
+def test_reads_x_declaration(basis32, spec):
+    """Values and limits on two different node sets are equal exactly when
+    the field declares that it does not read x; of the catalogue, only
+    constant-kernel reads x."""
+    field = rd.make_field(spec, 2, basis=basis32)
+    assert field.reads_x is ("constant-kernel" in spec)
+    x1, x2 = basis32.x, 0.5 * basis32.x[::-1] + 0.1
+    U = 3.0 * np.random.default_rng(8).normal(size=(3, 2, x1.size))
+    same = [np.array_equal(a(x1), a(x2)) for a in (
+        lambda x: field.eval(x, U, None), field.f_plus, field.f_minus)]
+    assert same == [not field.reads_x] * 3
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("spec", [*_CATALOGUE, *("-" + spec for spec in _CATALOGUE)])
+def test_checks_at_one_node_match_every_node(basis32, spec, m):
+    """The sampled checks of a field that does not read x (one node per
+    draw) give the reports of the same field evaluated on every node: the
+    same verdicts, margins, witnesses and details, bit for bit, with h_k one
+    value, one per node or varying by node, and with no declared C3 or a
+    violated one."""
+    fast = rd.make_field(spec, m, basis=basis32)
+    slow = dataclasses.replace(fast, reads_x=True)
+    grid = SampleGrid.default(basis32, m, draws=40, seed=m)
+    h_ks = [lambda x: 0.0, lambda x: np.full(x.size, 0.3), lambda x: 0.3 * np.sin(np.pi * x),
+            lambda x: np.where(x < 0.5, 0.0, -0.0), lambda x: -1.0]
+
+    def reports(field):
+        out = [rd.check_bounded(field, grid),
+               rd.check_bounded(dataclasses.replace(field, bound_C3=None), grid),
+               rd.check_bounded(dataclasses.replace(field, bound_C3=0.0), grid)]
+        out += [rd.check_sign_condition(field, k, sign, h_k, grid, l=1)
+                for k in range(1, m + 1) for sign in "+-" for h_k in h_ks]
+        out += [rd.verify_limits(field, k, basis=basis32, seed=m) for k in range(1, m + 1)]
+        return [repr(r.to_dict()) for r in out]
+
+    fast_reports = reports(fast)
+    assert fast_reports == reports(slow)
+    # the comparison covers failing verdicts and their witnesses
+    assert "'verdict': 'fails'" in fast_reports[2] and "'witness': {" in fast_reports[2]
+    assert any("'verdict': 'fails'" in r for r in fast_reports[3:])
+    assert all(f"{40 * grid.x.size} samples" in r for r in fast_reports[3:-m])
