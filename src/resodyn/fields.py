@@ -202,13 +202,19 @@ def _u_jacobian(field: NonlinearField, x: np.ndarray, U: np.ndarray,
     return ((f[0] - f[1]) / (2 * U_JACOBIAN_STEP)).transpose(1, 0, 2)
 
 
+def _sample_nodes(field: NonlinearField, x: np.ndarray) -> np.ndarray:
+    """The nodes of ``x`` the sampled checks evaluate ``field`` at: all of
+    them, or only the first for a field that does not read x."""
+    return x if field.reads_x else x[:1]
+
+
 def _grid_values(field: NonlinearField, grid: SampleGrid) -> np.ndarray:
     """Field values on every draw of ``grid``, shape (draws, m, n); for a
     field that does not read x, shape (draws, m, 1): its values at the first
     node, which are its values at every node.  U and dU are read-only
     broadcast views of the draws, and a field that does not read u' gets
     ``dU=None``."""
-    x = grid.x if field.reads_x else grid.x[:1]
+    x = _sample_nodes(field, grid.x)
     shape = grid.u_draws.shape + x.shape
     U = np.broadcast_to(grid.u_draws[:, :, None], shape)
     dU = np.broadcast_to(grid.du_draws[:, :, None], shape) if field.reads_du else None
@@ -281,8 +287,6 @@ def check_sign_condition(field: NonlinearField, k: int, sign: str,
         raise ConfigurationError(
             f"h_k must return one finite value or one per node (shape {grid.x.shape}); got "
             f"shape {hvals.shape} with {np.count_nonzero(~np.isfinite(hvals))} non-finite")
-    if hvals.ndim and hvals.tobytes() == hvals[:1].tobytes() * hvals.size:
-        hvals = hvals[0]  # the same bits on every node: one value
     return _sign_report(field, k, sign, hvals, grid, _grid_values(field, grid), l)
 
 
@@ -327,7 +331,7 @@ def verify_limits(field: NonlinearField, k: int, basis: SpectralBasis,
     grid = SampleGrid.default(basis, field.m, u_box=10.0, du_box=10.0,
                               draws=LIMIT_DRAWS, seed=seed)
     sigma_k = field.sigma[k - 1]
-    x = grid.x if field.reads_x else grid.x[:1]  # the nodes of _grid_values
+    x = _sample_nodes(field, grid.x)
     fp = np.asarray(field.f_plus(x), dtype=float)[k - 1]
     fm = np.asarray(field.f_minus(x), dtype=float)[k - 1]
     # every (sign, draw) state in one evaluation, the + draws before the -

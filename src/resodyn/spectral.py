@@ -17,6 +17,7 @@ accuracy is unchanged for generic data.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import types
 from dataclasses import dataclass, field
@@ -341,8 +342,12 @@ def _count(name: str, value, minimum: int = 1) -> int:
             pass
     elif isinstance(value, float) and value.is_integer():
         out = int(value)
-    if isinstance(out, bool) or not isinstance(out, int):
-        raise ConfigurationError(f"{name} = {value!r} is not a whole number")
+    try:
+        if isinstance(out, (bool, np.bool_)):
+            raise TypeError
+        out = operator.index(out)  # any integer type, numpy's too
+    except TypeError:
+        raise ConfigurationError(f"{name} = {value!r} is not a whole number") from None
     if out < minimum:
         raise ConfigurationError(f"{name} = {out} must be >= {minimum}")
     return out

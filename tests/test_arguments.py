@@ -52,6 +52,7 @@ CASES = [
     ("sample count fraction",
      lambda e: rd.sample_states_in_box(e.basis, e.split, e.problem, _box(), count=2.5), "count"),
     ("grid draws 0", lambda e: rd.SampleGrid.default(e.basis, 1, draws=0), "draws"),
+    ("grid draws numpy bool", lambda e: rd.SampleGrid.default(e.basis, 1, draws=np.True_), "draws"),
     ("grid u_box 0", lambda e: rd.SampleGrid.default(e.basis, 1, u_box=0.0), "u_box"),
     ("grid u_box nan", lambda e: rd.SampleGrid.default(e.basis, 1, u_box=float("nan")), "u_box"),
     ("grid du_box inf",
@@ -75,6 +76,9 @@ def test_edge_values_stay_accepted(exp):
     assert bounds.R0_minus == bounds.R0_plus == 0.0
     assert _box(R1=float("inf"), R2=0.0).R1 == float("inf")
     assert rd.SampleGrid.default(exp.basis, 1, draws=1).u_draws.shape == (1, 1)
+    assert rd.SampleGrid.default(exp.basis, 1, draws=np.int64(2)).u_draws.shape == (2, 1)
+    assert rd.sample_states_in_box(exp.basis, exp.split, exp.problem, _box(),
+                                   count=np.int64(0)) == []
     c = np.zeros((3, 1, 32))
     assert trajectory_norms(exp.basis, exp.split, exp.problem, c).shape == (3, 6)
     assert rd.galerkin_F(exp.field, exp.basis, rd.GalerkinState._trusted(c)).coeffs.shape == c.shape
