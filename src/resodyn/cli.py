@@ -9,10 +9,10 @@ config and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,8 @@ from .config import ExperimentConfig, load_config
 from .connections import ConnectionRecord, find_equilibria, shoot_connection
 from .decomposition import counts
 from .errors import ConfigurationError
-from .fields import SampleGrid, _bounded_report, _grid_values, _sign_report, verify_limits
+from .fields import (SampleGrid, _bounded_report, _grid_values, _limit_reports,
+                     _sign_report)
 from .indexcalc import (LinearizationData, connection_verdict, d_zero,
                         nonresonance_at_origin)
 from .resonance import evaluate_LL, guiding_margin
@@ -88,8 +89,7 @@ def _stage_check(exp: ExperimentConfig, stages: dict, files: dict) -> dict:
         c_flags[f"C2{sign}"] = ("vacuous" if block2 is None
                                 else ("holds" if block2 else "fails"))
         sign_reports[sign] = [r.to_dict() for r in per_component]
-    limits = [verify_limits(exp.field, k, basis=exp.basis, seed=exp.seed)
-              for k in range(1, exp.problem.m + 1)]
+    limits = _limit_reports(exp.field, exp.basis, exp.seed, range(1, exp.problem.m + 1))
     return {
         "F2": f2.to_dict(),
         "sign_conditions": sign_reports,
@@ -285,8 +285,7 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
             "stages": {key: "skipped" for key in _STAGE_FUNCS},
         }
         stages = report["stages"]
-        files = {"report.json": lambda: json.dumps(_sanitize(report), indent=2,
-                                                   sort_keys=True) + "\n"}
+        files = {"report.json": lambda: _report_text(report)}
         for stage in _STAGE_CHAIN[name]:
             if (name == "full" and stage == "connect"
                     and not stages["index"]["connection_predicted"]):
@@ -311,16 +310,97 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
         return 1
 
 
-def _sanitize(obj):
-    """Strict-JSON copy: tuples become lists, non-finite floats become
-    descriptive strings."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        return "inf" if obj > 0 else ("-inf" if obj < 0 else "nan")
-    return obj
+def _report_text(report) -> str:
+    """The text of report.json: the bytes ``json.dumps(report, indent=2,
+    sort_keys=True) + "\\n"`` writes once tuples are lists and non-finite
+    floats (numpy's too) are the strings "inf", "-inf" and "nan", made in one
+    walk.  A value json.dumps refuses (a numpy integer or bool, a finite
+    numpy float that is not a float subclass, a set, ...) raises TypeError."""
+    out = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(x) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return '"nan"' if x != x else ('"inf"' if x > 0 else '"-inf"')
+
+
+# the text of a scalar of exactly this type
+_LEAVES = {str: _json_str, int: int.__repr__, float: _float_text, np.float64: _float_text,
+           bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _leaf(obj) -> str:
+    """The text of a scalar of any other type, in json.dumps's order of
+    tests; what json.dumps refuses raises its TypeError."""
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float) or (isinstance(obj, np.floating) and not math.isfinite(obj)):
+        return _float_text(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it: a string, or the text of a
+    float, bool, None or int."""
+    if isinstance(key, str):
+        return _json_str(key)
+    if isinstance(key, float):
+        text = (float.__repr__(key) if math.isfinite(key) else
+                "NaN" if key != key else ("Infinity" if key > 0 else "-Infinity"))
+    elif key is True or key is False or key is None:
+        text = _LEAVES[type(key)](key)
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return _json_str(text)
+
+
+def _write(obj, pad: str, out: list) -> None:
+    """Append the text of ``obj`` to ``out``; ``pad`` is the newline and
+    indent of the line it starts on.  Scalars inside a container are written
+    without a call of their own."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = pad + "  ", "{"
+        for key, value in sorted(obj.items()):
+            key = _json_str(key) if type(key) is str else _key_text(key)
+            leaf = _LEAVES.get(type(value))
+            if leaf is not None:
+                out.append(f"{sep}{inner}{key}: {leaf(value)}")
+            else:
+                out.append(f"{sep}{inner}{key}: ")
+                _write(value, inner, out)
+            sep = ","
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner, sep = pad + "  ", "["
+        for value in obj:
+            leaf = _LEAVES.get(type(value))
+            if leaf is not None:
+                out.append(f"{sep}{inner}{leaf(value)}")
+            else:
+                out.append(sep + inner)
+                _write(value, inner, out)
+            sep = ","
+        out.append(pad + "]")
+    else:
+        out.append(_leaf(obj))
 
 
 # each summary verdict: the stage it reads and how it reads that stage's part

@@ -109,6 +109,21 @@ class SampleGrid:
     u_draws: np.ndarray   # (draws, m)
     du_draws: np.ndarray  # (draws, m)
 
+    def __post_init__(self):
+        """x is a non-empty 1-D node array; u and du are finite draws of one
+        (draws >= 1, m >= 1) shape.  Anything else raises ConfigurationError."""
+        shape = np.shape(self.u_draws)
+        if np.ndim(self.x) != 1 or not np.size(self.x):
+            raise ConfigurationError(f"SampleGrid x must be a non-empty 1-D array, "
+                                     f"got shape {np.shape(self.x)}")
+        if len(shape) != 2 or min(shape) < 1 or np.shape(self.du_draws) != shape:
+            raise ConfigurationError(
+                f"SampleGrid u_draws and du_draws must share one (draws >= 1, m >= 1) "
+                f"shape, got {shape} and {np.shape(self.du_draws)}")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.u_draws).all()
+                and np.isfinite(self.du_draws).all()):
+            raise ConfigurationError("SampleGrid x, u_draws and du_draws must be finite")
+
     @classmethod
     def default(cls, basis: SpectralBasis, m: int, u_box: float = 1e3,
                 du_box: float = 1e3, draws: int = 200, seed: int = 0) -> "SampleGrid":
@@ -221,12 +236,6 @@ def _grid_values(field: NonlinearField, grid: SampleGrid) -> np.ndarray:
     return np.asarray(field.eval(x, U, dU), dtype=float)
 
 
-def _eval_on_grid(field: NonlinearField, grid: SampleGrid) -> np.ndarray:
-    """Field values on every (draw, node) pair; shape (draws, m, n), a
-    read-only broadcast view of ``_grid_values``."""
-    return np.broadcast_to(_grid_values(field, grid), grid.u_draws.shape + grid.x.shape)
-
-
 def check_bounded(field: NonlinearField, grid: SampleGrid) -> ConditionReport:
     """Certify the uniform bound |f_k| <= C3 on the sample grid.
 
@@ -326,27 +335,40 @@ def verify_limits(field: NonlinearField, k: int, basis: SpectralBasis,
     with u and du in [-10, 10].  Uniformity is checked only over the finite
     sample set.
     """
-    k = _one_based("k", k, field.m)
+    return _limit_reports(field, basis, seed, [_one_based("k", k, field.m)])[0]
+
+
+def _limit_reports(field: NonlinearField, basis: SpectralBasis, seed: int,
+                   ks) -> list[ConditionReport]:
+    """``verify_limits`` of each 1-based component in ``ks``, from one draw
+    of the grid and one evaluation of every component's +-s states."""
     s = 1e6
     grid = SampleGrid.default(basis, field.m, u_box=10.0, du_box=10.0,
                               draws=LIMIT_DRAWS, seed=seed)
-    sigma_k = field.sigma[k - 1]
+    draws = grid.u_draws.shape[0]
     x = _sample_nodes(field, grid.x)
-    fp = np.asarray(field.f_plus(x), dtype=float)[k - 1]
-    fm = np.asarray(field.f_minus(x), dtype=float)[k - 1]
-    # every (sign, draw) state in one evaluation, the + draws before the -
-    u = np.tile(grid.u_draws, (2, 1))
-    u[:, k - 1] = np.repeat([s, -s], grid.u_draws.shape[0])
-    stacked = SampleGrid(grid.x, u, np.tile(grid.du_draws, (2, 1)))
-    vals = s ** sigma_k * _grid_values(field, stacked)[:, k - 1, :]
-    final = float(np.max(np.abs(vals - np.repeat([fp, fm], grid.u_draws.shape[0], axis=0))))
-    verdict = "holds" if final <= LIMIT_TOL else "fails"
-    witness = None if verdict == "holds" else {"s": float(s), "deviation": final}
-    return ConditionReport(
-        "LIMITS", verdict, margin=LIMIT_TOL - final, witness=witness,
-        detail=f"component {k}: sup deviation {final:.3e} at s={s:.3g} "
-               f"(checked on {grid.u_draws.shape[0]} samples only)",
-    )
+    fp = np.asarray(field.f_plus(x), dtype=float)
+    fm = np.asarray(field.f_minus(x), dtype=float)
+    # every (component, sign, draw) state in one evaluation: one block per
+    # component in ks order, its + draws before its -
+    blocks = np.tile(grid.u_draws, (len(ks), 2, 1))
+    for block, k in zip(blocks, ks):
+        block[:, k - 1] = np.repeat([s, -s], draws)
+    stacked = SampleGrid(grid.x, blocks.reshape(-1, field.m),
+                         np.tile(grid.du_draws, (2 * len(ks), 1)))
+    vals = _grid_values(field, stacked).reshape(len(ks), 2 * draws, field.m, x.size)
+    reports = []
+    for block, k in zip(vals, ks):
+        scaled = s ** field.sigma[k - 1] * block[:, k - 1, :]
+        final = float(np.max(np.abs(scaled - np.repeat([fp[k - 1], fm[k - 1]], draws, axis=0))))
+        verdict = "holds" if final <= LIMIT_TOL else "fails"
+        reports.append(ConditionReport(
+            "LIMITS", verdict, margin=LIMIT_TOL - final,
+            witness=None if verdict == "holds" else {"s": float(s), "deviation": final},
+            detail=f"component {k}: sup deviation {final:.3e} at s={s:.3g} "
+                   f"(checked on {draws} samples only)",
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .errors import ConfigurationError, EvaluationError
 from .fields import NonlinearField, galerkin_F
 from .semiflow import _csv_table
 from .spectral import (GalerkinState, ProblemConfig, SpectralBasis, _count, _gauss_legendre,
-                       _scipy_dir, _ufuncs, fractional_weights)
+                       _radius, _scipy_dir, _ufuncs, fractional_weights)
 
 __all__ = [
     "DegreeSets",
@@ -385,6 +385,8 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     X- + X+ ball of fractional radius ``W_radius``; returns the minimum of
     +-<F(u+v+w), u>_which over the samples.  A positive margin at and beyond
     some radius supports the guiding estimate behind the a priori bounds.
+    Every R and ``W_radius`` is finite and >= 0; anything else raises
+    ConfigurationError.
 
     The draws of each sample come from one generator in sample order (u's
     normals; v's normals and radius; w's normals and, when its fractional
@@ -401,6 +403,8 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     samples = _count("samples", samples)
     if not len(R_grid):
         raise ConfigurationError("R_grid needs at least one value")
+    R_grid = [_radius("R_grid", R) for R in R_grid]
+    W_radius = _radius("W_radius", W_radius)
     rng = np.random.default_rng(seed)
     main_mask = _block_mask(split, which)
     other_mask = _block_mask(split, 2 if which == 1 else 1)

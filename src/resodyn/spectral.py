@@ -537,12 +537,13 @@ def semigroup_apply(basis: SpectralBasis, config: ProblemConfig, t: float,
                     u: GalerkinState) -> GalerkinState:
     """Coefficientwise multiplication by exp(-t (mu_j - lambda_k)).
 
-    Exactly resonant modes (mu_j == lambda_k as floats) have factor 1 for
-    every t.  Raises UnboundedModeError when a growing factor would overflow.
+    The semigroup runs forward only: t is finite and >= 0, and a negative
+    or non-finite t raises ConfigurationError.  Exactly resonant modes
+    (mu_j == lambda_k as floats) have factor 1 for every t.  Raises
+    UnboundedModeError when a growing factor would overflow.
     """
     _check_states("state", [u.coeffs], config.m, basis.J)
-    if not np.isfinite(t):
-        raise ConfigurationError(f"t must be finite, got {t}")
+    t = _radius("t", t)
     z = -t * diag_A(basis, config)
     overflow = z > OVERFLOW_EXPONENT
     # only modes actually present in the state can make it unbounded

@@ -23,7 +23,18 @@ def _box(**radii):
     return rd.HomotopyBox(**{"R0": 1.0, "R1": 1.0, "R2": 1.0, **radii})
 
 
+def _margin(e, **kwargs):
+    return rd.guiding_margin(e.field, e.basis, e.split, e.problem,
+                             **{"which": 1, "W_radius": 1.0, "R_grid": [2.0], "samples": 2,
+                                **kwargs})
+
+
+def _grid(e, x=None, u=np.ones((3, 1)), du=np.ones((3, 1))):
+    return rd.SampleGrid(e.basis.x if x is None else x, u, du)
+
+
 BAD_STATE = rd.GalerkinState(np.ones((1, 31)))
+NAN, INF = float("nan"), float("inf")
 # (case, call of exp, the name the message must carry)
 CASES = [
     ("galerkin_F state", lambda e: rd.galerkin_F(e.field, e.basis, BAD_STATE), "state shape"),
@@ -58,6 +69,28 @@ CASES = [
     ("grid du_box inf",
      lambda e: rd.SampleGrid.default(e.basis, 1, du_box=float("inf")), "du_box"),
     ("grid du_box negative", lambda e: rd.SampleGrid.default(e.basis, 1, du_box=-1.0), "du_box"),
+    ("grid direct no draws", lambda e: _grid(e, u=np.empty((0, 1)), du=np.empty((0, 1))),
+     "du_draws"),
+    ("grid direct no components", lambda e: _grid(e, u=np.empty((3, 0)), du=np.empty((3, 0))),
+     "du_draws"),
+    ("grid direct du shape", lambda e: _grid(e, du=np.ones((2, 1))), "du_draws"),
+    ("grid direct 1-D draws", lambda e: _grid(e, u=np.ones(3), du=np.ones(3)), "du_draws"),
+    ("grid direct nan draw", lambda e: _grid(e, u=np.array([[1.0], [NAN], [0.0]])), "finite"),
+    ("grid direct inf du", lambda e: _grid(e, du=np.full((3, 1), -INF)), "finite"),
+    ("grid direct 2-D x", lambda e: _grid(e, x=e.basis.x[None, :]), "x must"),
+    ("grid direct empty x", lambda e: _grid(e, x=np.empty(0)), "x must"),
+    ("margin R negative", lambda e: _margin(e, R_grid=[-5.0]), "R_grid"),
+    ("margin R nan", lambda e: _margin(e, R_grid=[2.0, NAN]), "R_grid"),
+    ("margin R inf", lambda e: _margin(e, R_grid=[INF]), "R_grid"),
+    ("margin W_radius negative", lambda e: _margin(e, W_radius=-3.0), "W_radius"),
+    ("margin W_radius nan", lambda e: _margin(e, W_radius=NAN), "W_radius"),
+    ("margin W_radius inf", lambda e: _margin(e, W_radius=INF), "W_radius"),
+    ("semigroup t negative",
+     lambda e: rd.semigroup_apply(e.basis, e.problem, -1.0, rd.GalerkinState(np.ones((1, 32)))),
+     "t = "),
+    ("semigroup t tiny negative",
+     lambda e: rd.semigroup_apply(e.basis, e.problem, -1e-300,
+                                  rd.GalerkinState(np.ones((1, 32)))), "t = "),
 ]
 
 
@@ -70,7 +103,8 @@ def test_bad_argument_raises_configuration_error(exp, call, name):
 
 def test_edge_values_stay_accepted(exp):
     """The values at the edge of each domain: no seeds, a zero field bound,
-    an uncertified (inf) kernel radius, one draw, and stacked states."""
+    an uncertified (inf) kernel radius, one draw, stacked states, zero
+    margin radii and t = 0."""
     assert rd.sample_states_in_box(exp.basis, exp.split, exp.problem, _box(), count=0) == []
     bounds = rd.apriori_bounds(exp.basis, exp.split, exp.problem, 0.0)
     assert bounds.R0_minus == bounds.R0_plus == 0.0
@@ -83,3 +117,9 @@ def test_edge_values_stay_accepted(exp):
     assert trajectory_norms(exp.basis, exp.split, exp.problem, c).shape == (3, 6)
     assert rd.galerkin_F(exp.field, exp.basis, rd.GalerkinState._trusted(c)).coeffs.shape == c.shape
     assert exp.basis.values(c).shape == (3, 1, exp.basis.x.size)
+    # simulate passes W_radius = max(R0_minus, R0_plus), which can be 0
+    assert len(_margin(exp, W_radius=0.0, R_grid=[0.0, 2.0]).rows) == 2
+    assert _grid(exp, u=np.zeros((1, 1)), du=np.zeros((1, 1))).u_draws.shape == (1, 1)
+    state = rd.GalerkinState(np.ones((1, 32)))
+    assert np.array_equal(rd.semigroup_apply(exp.basis, exp.problem, 0.0, state).coeffs,
+                          state.coeffs)

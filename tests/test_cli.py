@@ -694,7 +694,7 @@ def _check_stage_fields(m, basis):
 @pytest.mark.parametrize("which", range(5))
 def test_check_stage_evaluates_the_grid_once(tmp_path, m, which):
     import dataclasses
-    from resodyn.fields import SampleGrid, check_bounded, check_sign_condition
+    from resodyn.fields import SampleGrid, check_bounded, check_sign_condition, verify_limits
     path = tmp_path / "check.ini"
     path.write_text(
         "[domain]\nJ = 8\nquad_nodes = 32\n"
@@ -723,3 +723,6 @@ def test_check_stage_evaluates_the_grid_once(tmp_path, m, which):
             check_sign_condition(field, k, sign, lambda x, h=h: np.full(x.shape, h), grid,
                                  l=1).to_dict()
             for k, h in enumerate(exp.h_const, start=1)]
+    # the limits of every component come from one stacked evaluation
+    assert out["limits"] == [verify_limits(field, k, basis=exp.basis, seed=exp.seed).to_dict()
+                             for k in range(1, m + 1)]

@@ -349,14 +349,15 @@ def test_catalogue_eval_on_stack_matches_members(basis32, spec, m):
 
 
 def test_eval_on_grid_matches_draw_loop(basis32):
-    from resodyn.fields import _eval_on_grid
+    from resodyn.fields import _grid_values
     field = rd.make_field("-scaled-arctan(3, 0.5)", 2)
     grid = SampleGrid.default(basis32, 2, draws=30, seed=9)
     n = grid.x.size
     loop = np.array([field.eval(grid.x, np.repeat(u[:, None], n, axis=1),
                                 np.repeat(du[:, None], n, axis=1))
                      for u, du in zip(grid.u_draws, grid.du_draws)])
-    assert np.array_equal(_eval_on_grid(field, grid), loop)
+    on_grid = np.broadcast_to(_grid_values(field, grid), grid.u_draws.shape + grid.x.shape)
+    assert np.array_equal(on_grid, loop)
 
 
 def test_galerkin_F_stack_matches_members(basis32):

@@ -270,16 +270,6 @@ def test_semigroup_law(basis32, desk_problem, rng):
             assert np.max(np.abs(once.coeffs - twice.coeffs) / scale) <= 1e-12
 
 
-def test_semigroup_negative_time_on_negative_block(basis32):
-    # the group extension: backward time is allowed on the decaying block
-    cfg = rd.ProblemConfig(m=1, l=1, lam=(4 * math.pi ** 2,), sigma=(0.0,))
-    u = rd.GalerkinState.unit(1, 32, 1, 1)
-    out = rd.semigroup_apply(basis32, cfg, -1.0, u)
-    rate = basis32.mu[0] - 4 * math.pi ** 2  # negative
-    assert out.coeffs[0, 0] == pytest.approx(math.exp(rate), rel=1e-14)
-    assert out.coeffs[0, 0] < 1.0
-
-
 def test_semigroup_overflow_guard_ignores_empty_modes(basis32):
     # growing factors on modes with zero coefficients are harmless
     cfg = rd.ProblemConfig(m=1, l=1, lam=(4 * math.pi ** 2,), sigma=(0.0,))
