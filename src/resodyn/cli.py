@@ -262,10 +262,11 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
     """Execute one pipeline subcommand; returns the process exit code.
 
     0: success.  2: a configuration or hypothesis violation.  1: any other
-    runtime failure.  Every error message names the failing stage.  Files
-    are written only after every stage has returned, so a failed run leaves
-    none.  ``s_grid`` is a comma list or a sequence of numbers, checked like
-    the file's own [run] s_grid.
+    runtime failure.  Every error message names the failing stage, or
+    'output' when the report fails to encode or a file fails to write.
+    Files are written only after every stage has returned, report.json
+    first, so a failed stage or report leaves none.  ``s_grid`` is a comma
+    list or a sequence of numbers, checked like the file's own [run] s_grid.
     """
     if name not in SUBCOMMANDS:
         print(f"unknown subcommand {name!r}; expected one of {SUBCOMMANDS}",
@@ -292,6 +293,7 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
                 stages["connect"] = "skipped: no connection predicted"
                 continue
             stages[stage] = _STAGE_FUNCS[stage](exp, stages, files)
+        stage = "output"
         report["verdicts"] = _summarize(stages)
         for rel, text in files.items():
             if (write_json if rel == "report.json" else write_csv):

@@ -199,9 +199,8 @@ def load_config(path: str | Path, run_overrides: dict | None = None) -> Experime
     if len(h_const) != m:
         raise ConfigurationError(f"h must have 1 or {m} entries, got {len(h_const)}")
 
-    tol = _number("system", "resonance_tol", sysc.get("resonance_tol", 1e-8))
-    tol = _radius("[system] resonance_tol", tol, positive=True)
-    split = classify(basis, problem, tol=tol)
+    split = classify(basis, problem,
+                     tol=_number("system", "resonance_tol", sysc.get("resonance_tol", 1e-8)))
 
     run = dict(_RUN_DEFAULTS)
     given = {**_section(sections, "run"), **(run_overrides or {})}

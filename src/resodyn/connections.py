@@ -340,10 +340,21 @@ def liapunov_energy(field: NonlinearField, basis: SpectralBasis, config: Problem
     if field.potential is None:
         raise GradientStructureError(f"field {field.name!r} declares no potential")
     _check_states("state", [u.coeffs], config.m, basis.J)
-    quad = 0.5 * float(np.sum(diag_A(basis, config) * u.coeffs ** 2))
-    U = basis.values(u.coeffs)
-    pot = float(np.sum(basis.w * np.asarray(field.potential(basis.x, U))))
-    return quad - pot
+    return float(_energies(field, basis, config, u.coeffs[None])[0])
+
+
+def _energies(field: NonlinearField, basis: SpectralBasis, config: ProblemConfig,
+              C: np.ndarray) -> np.ndarray:
+    """``liapunov_energy`` of each state of the (n, m, J) stack ``C``, bit for
+    bit: one fold of the stack (each state its own block), one ``potential``
+    call on the nodes repeated n times, and each state's sums over its own
+    contiguous run, as ``np.sum`` sums one state."""
+    n, m, J = C.shape
+    nq = basis.x.size
+    quad = 0.5 * np.sum((diag_A(basis, config) * C ** 2).reshape(n, m * J), axis=-1)
+    U = basis.values(C).transpose(1, 0, 2).reshape(m, n * nq)
+    pot = np.asarray(field.potential(np.tile(basis.x, n), U)).reshape(n, nq)
+    return quad - np.sum(basis.w * pot, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -644,11 +655,8 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
     evaluate()  # the closest approaches of the steps left in the window
     for b, (i, traj) in enumerate(zip(shots, trajectories)):
         if settled_target[b] >= 0:
-            energies = None
-            if field.potential is not None:
-                energies = np.asarray([
-                    liapunov_energy(field, basis, config, GalerkinState._trusted(c))
-                    for c in traj.coeffs])
+            energies = (None if field.potential is None
+                        else _energies(field, basis, config, traj.coeffs))
             results[i] = ConnectionRecord(
                 source=source, target=equilibria[settled_target[b]], trajectory=traj,
                 terminal_distance=float(settled_distance[b]), energy_profile=energies)

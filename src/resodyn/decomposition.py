@@ -10,7 +10,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AmbiguousResonanceError, ConfigurationError, HypothesisError
-from .spectral import GalerkinState, ProblemConfig, SpectralBasis, _check_states
+from .spectral import GalerkinState, ProblemConfig, SpectralBasis, _check_states, _radius
 
 __all__ = ["SplitIndexSet", "CountVector", "classify", "counts", "project", "mode_mask"]
 
@@ -20,6 +20,9 @@ N1, N2, MINUS, PLUS = range(4)
 _PROJECTION_CLASSES = {"P1": (N1,), "P2": (N2,), "Qminus": (MINUS,), "Qplus": (PLUS,),
                        "Q0": (N1, N2)}
 PROJECTIONS = tuple(_PROJECTION_CLASSES)
+# projection name -> whether it keeps each mode class, indexed by label
+_PROJECTION_TABLES = {name: np.isin(range(4), classes)
+                      for name, classes in _PROJECTION_CLASSES.items()}
 
 
 def _mode_set(mask: np.ndarray) -> frozenset:
@@ -31,8 +34,9 @@ class SplitIndexSet:
     """Partition of {1..m} x {1..J} into kernel, negative and positive modes.
 
     ``labels`` is the read-only (m, J) array of mode classes N1, N2, MINUS,
-    PLUS; ``masks`` maps every name in PROJECTIONS to its read-only boolean
-    (m, J) mask, built once from the labels.
+    PLUS (any other value raises ConfigurationError); ``masks`` maps every
+    name in PROJECTIONS to its read-only boolean (m, J) mask, built once
+    from the labels.
     ``gap`` is the smallest |mu_j - lambda_k| over the nonkernel modes, the
     spectral-gap constant used by the a priori bounds.
     ``nonresonant_components`` lists components whose shift matched no
@@ -46,11 +50,16 @@ class SplitIndexSet:
     masks: Mapping[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int8)
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2 or not np.all((labels == N1) | (labels == N2) | (labels == MINUS)
+                                          | (labels == PLUS)):
+            raise ConfigurationError(f"labels must be a 2-D array of the mode classes N1, N2, "
+                                     f"MINUS, PLUS ({N1}..{PLUS}), got {self.labels!r}")
+        labels = labels.astype(np.int8)
         labels.flags.writeable = False
         masks = {}
-        for name, classes in _PROJECTION_CLASSES.items():
-            mask = np.isin(labels, classes)
+        for name, table in _PROJECTION_TABLES.items():
+            mask = table[labels]
             mask.flags.writeable = False
             masks[name] = mask
         object.__setattr__(self, "labels", labels)
@@ -85,8 +94,10 @@ def classify(basis: SpectralBasis, config: ProblemConfig,
     Kernel membership is by relative tolerance; a shift falling between tol
     and 10 tol of an eigenvalue raises AmbiguousResonanceError.  Refuses
     configurations with lambda_k >= mu_J, where the negative count would be
-    truncation-dependent.
+    truncation-dependent.  ``tol`` is finite and > 0; anything else raises
+    ConfigurationError.
     """
+    tol = _radius("tol", tol, positive=True)
     mu = basis.mu
     lam = config.lam_array()
     labels = np.empty((config.m, basis.J), dtype=np.int8)

@@ -42,7 +42,11 @@ class NonlinearField:
     declared asymptotic limits as (m, n) arrays on the given nodes; they are
     *verified* numerically by verify_limits, never inferred.  ``potential``
     (optional) evaluates a scalar potential ftilde(x, u) with
-    d ftilde / d s_k = f_k, enabling the energy functional.  ``jac0`` is the
+    d ftilde / d s_k = f_k, enabling the energy functional; it is pointwise
+    in x: for x of shape (N,) and U of shape (m, N), for any N and with
+    nodes that may repeat (the energies of a stack of states are one call on
+    the nodes repeated per state), it returns the (N,) values
+    ftilde(x_i, U[:, i]).  ``jac0`` is the
     u-Jacobian at (x, 0, 0) when known analytically.  A field that does not
     read u' (every catalogue field) sets ``reads_du=False``; every
     evaluation then passes ``dU=None`` (``galerkin_F`` skips the nodal
@@ -520,8 +524,10 @@ def make_field(spec: str, m: int, basis: Optional[SpectralBasis] = None) -> Nonl
     Recognized names: ``arctan(gain)``, ``scaled-arctan(gain, sigma)``,
     ``gaussian-decay(sigma)`` and ``constant-kernel(component, mode,
     amplitude)`` (needs the basis).  A spec gives no arguments (every default)
-    or all of them.  A leading ``-`` negates the field exactly.
+    or all of them.  A leading ``-`` negates the field exactly.  ``m`` is a
+    whole number >= 1.
     """
+    m = _count("m", m)
     match = _CATALOGUE_RE.match(spec)
     if not match:
         raise ConfigurationError(f"cannot parse field spec {spec!r}")

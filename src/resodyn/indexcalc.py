@@ -198,13 +198,11 @@ def d_zero(basis: SpectralBasis, config: ProblemConfig, lin: LinearizationData) 
         )
     count = int(sum(int(np.sum(mu < t)) for t in theta))
 
-    m = config.m
+    m, J = config.m, basis.J
     shifted = lin.G + np.diag(config.lam_array())
-    blocks = [mu_j * np.eye(m) - shifted for mu_j in mu]
-    Lmat = np.zeros((m * basis.J, m * basis.J))
-    for idx, blk in enumerate(blocks):
-        Lmat[idx * m:(idx + 1) * m, idx * m:(idx + 1) * m] = blk
-    negatives = int(np.sum(np.linalg.eigvalsh(Lmat) < 0))
+    Lmat = np.zeros((J, m, J, m))
+    Lmat[np.arange(J), :, np.arange(J)] = mu[:, None, None] * np.eye(m) - shifted
+    negatives = int(np.sum(np.linalg.eigvalsh(Lmat.reshape(m * J, m * J)) < 0))
     if negatives != count:
         raise ConfigurationError(
             f"origin-exponent double count disagrees: {count} vs {negatives}"

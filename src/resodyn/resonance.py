@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import warnings
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -57,7 +57,9 @@ class LLReport:
     sampled_only: bool = False
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar or a tuple of floats, so asdict's deep copy
+        # would only rebuild the same values
+        return dict(vars(self))
 
 
 def degree_sets(config: ProblemConfig) -> DegreeSets:
@@ -110,41 +112,49 @@ def _sign_set_integrals(field: NonlinearField, basis: SpectralBasis, m: int,
         P_k = int_{phi_j>0} f_k^+ |phi_j|^p - int_{phi_j<0} f_k^- |phi_j|^p,
         N_k = int_{phi_j<0} f_k^+ |phi_j|^p - int_{phi_j>0} f_k^- |phi_j|^p,
     so that u_k = d phi_j contributes |d|^p P_k for d > 0 and |d|^p N_k for
-    d < 0.  Every panel of every segment is evaluated in one stack, and
-    f_plus, f_minus are called once each on all nodes.
+    d < 0.  The panels, their nodes, weights and |phi_j|^p, and f_plus and
+    f_minus (each called once on all nodes) are computed once per distinct
+    kernel mode j and gathered per pair, whose panel sums are added in pair
+    and panel order.
     """
     L = basis.domain.length
     norm = np.sqrt(2.0 / L)
     xg, wg = _gauss_legendre(max(32, basis.domain.quad_nodes // 2))
-    panels, owner, positive = [], [], []
-    for c, (k, j) in enumerate(components):
+    panels, mode, positive, spans = [], [], [], {}
+    for j in dict.fromkeys(j for _, j in components):
+        first = len(panels)
         cuts = [0.0] + [i * L / j for i in range(1, j)] + [L]
         for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
             # phi_j vanishes at both segment ends, so for sigma > 0 the
             # integrand has a root-power kink there; grade the panels
             segment = _graded_panels(a, b) if sigma > 0 else [(a, b)]
             panels += segment
-            owner += [c] * len(segment)
             positive += [i % 2 == 0] * len(segment)
+        mode += [j] * (len(panels) - first)
+        spans[j] = np.arange(first, len(panels))
+    # the panels of each pair, in pair order, and the pair and row of each
+    take = np.concatenate([spans[j] for _, j in components] or [np.empty(0, dtype=int)])
+    owner = np.repeat(np.arange(len(components)), [spans[j].size for _, j in components])
+    rows = np.array([k - 1 for k, _ in components], dtype=int)[owner]
     lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
-    owner, positive = np.array(owner, dtype=int), np.array(positive, dtype=bool)
-    rows, jmode = (np.array(components, dtype=int).reshape(-1, 2)[owner] - [1, 0]).T
     half = 0.5 * (hi - lo)[:, None]
     xs = half * xg + 0.5 * (lo + hi)[:, None]
-    ws = half * wg
-    weight = np.abs(norm * np.sin(jmode[:, None] * np.pi * xs / L)) ** (1.0 - sigma)
+    ws = (half * wg)[take]
+    weight = (np.abs(norm * np.sin(np.array(mode, dtype=int)[:, None] * np.pi * xs / L))
+              ** (1.0 - sigma))[take]
     sums = {}
     for name in ("f_plus", "f_minus"):
         lim = np.asarray(getattr(field, name)(xs.ravel()), dtype=float)
         if lim.shape != (m, xs.size):
             raise ConfigurationError(f"{name} must return an (m, n) array on the nodes")
-        lim = lim.reshape(m, *xs.shape)[rows, np.arange(rows.size)]
+        lim = lim.reshape(m, *xs.shape)[rows, take]
         if not np.all(np.isfinite(lim)):
             panel, node = np.argwhere(~np.isfinite(lim))[0]
             raise EvaluationError(
                 f"non-finite {name} value in component {rows[panel] + 1} "
-                f"at x={xs[panel, node]:.6g}")
+                f"at x={xs[take[panel], node]:.6g}")
         sums[name] = np.sum(ws * lim * weight, axis=1)
+    positive = np.array(positive, dtype=bool)[take]
     fp, fm = sums["f_plus"], sums["f_minus"]
     P = np.bincount(owner, np.where(positive, fp, -fm), minlength=len(components))
     N = np.bincount(owner, np.where(positive, -fm, fp), minlength=len(components))
@@ -192,9 +202,11 @@ def ll_functional(field: NonlinearField, basis: SpectralBasis, split: SplitIndex
                        - int_{u_k<0} f_k^- |u_k|^{1-sigma_k} ),
     where J is the argmin degree set of the block and u is the kernel element
     encoded by ``direction`` (entries in ``block_modes`` order).  The sign
-    conditions then read +-S > 0.
+    conditions then read +-S > 0.  A NaN or infinite entry of ``direction``
+    raises ConfigurationError.
     """
     direction = np.asarray(direction, dtype=float)
+    _radius("largest |direction| entry", np.abs(direction).max(initial=0.0))
     return float(_ll_values(field, basis, split, config, which, direction[None])[0])
 
 
@@ -295,7 +307,9 @@ def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
     ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
     ltm[:, pos, pos] = 1
     digits = (v[:, :, None] >> (bits - 1 - pos)) & 1  # (dim, j, digit r from the top)
-    scrambled = (np.einsum("drs,djs->djr", ltm, digits) & 1) @ (1 << (bits - 1 - pos))
+    # each entry counts at most SOBOL_BITS ones, so the float64 product is exact
+    sums = digits.astype(float) @ ltm.transpose(0, 2, 1)
+    scrambled = (sums.astype(np.int64) & 1) @ (1 << (bits - 1 - pos))
     if n & (n - 1):
         warnings.warn("The balance properties of Sobol' points require"
                       " n to be a power of 2.", stacklevel=2)
@@ -309,13 +323,14 @@ def _sphere_directions(dim: int, samples: int, seed: int) -> np.ndarray:
     """+-e_i plus low-discrepancy sphere points (deterministic for a seed):
     scrambled Sobol' points mapped through the normal quantile and
     normalised."""
-    dirs = [v for i in range(dim) for v in (np.eye(dim)[i], -np.eye(dim)[i])]
-    if dim >= 2 and samples > 0:
-        g = _ufuncs().ndtri(np.clip(_sobol(dim, samples, seed), 1e-12, 1 - 1e-12))
-        lens = np.linalg.norm(g, axis=1)
-        good = lens > 0
-        dirs.extend(g[good] / lens[good, None])
-    return np.array(dirs)
+    eye = np.eye(dim)
+    axes = np.stack([eye, -eye], axis=1).reshape(2 * dim, dim)  # e_0, -e_0, e_1, ...
+    if dim < 2 or samples <= 0:
+        return axes
+    g = _ufuncs().ndtri(np.clip(_sobol(dim, samples, seed), 1e-12, 1 - 1e-12))
+    lens = np.linalg.norm(g, axis=1)
+    good = lens > 0
+    return np.concatenate([axes, g[good] / lens[good, None]])
 
 
 def evaluate_LL(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSet,

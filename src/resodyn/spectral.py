@@ -50,16 +50,16 @@ OVERFLOW_EXPONENT = 700.0
 
 @dataclass(frozen=True)
 class Domain1D:
-    """Interval (0, length) with a Gauss-Legendre node count."""
+    """Interval (0, length) with a Gauss-Legendre node count: a finite
+    length > 0 and a whole number of at least 2 nodes; anything else raises
+    ConfigurationError."""
 
     length: float
     quad_nodes: int
 
     def __post_init__(self):
-        if not (self.length > 0):
-            raise ConfigurationError(f"length must be positive, got {self.length}")
-        if self.quad_nodes < 2:
-            raise ConfigurationError(f"quad_nodes must be >= 2, got {self.quad_nodes}")
+        _radius("length", self.length, positive=True)
+        object.__setattr__(self, "quad_nodes", _count("quad_nodes", self.quad_nodes, 2))
 
 
 @dataclass(frozen=True)
@@ -256,6 +256,8 @@ class ProblemConfig:
             raise ConfigurationError(f"lambda must have {self.m} entries, got {len(lam)}")
         if len(sig) != self.m:
             raise ConfigurationError(f"sigma must have {self.m} entries, got {len(sig)}")
+        for k, v in enumerate(lam, start=1):
+            _radius(f"|lambda_{k}|", abs(v))
         if any(s < 0 or s > 1 for s in sig):
             raise ConfigurationError(f"every sigma_k must lie in [0, 1], got {sig}")
         if min(sig[: self.l]) >= 1:

@@ -91,6 +91,20 @@ CASES = [
     ("semigroup t tiny negative",
      lambda e: rd.semigroup_apply(e.basis, e.problem, -1e-300,
                                   rd.GalerkinState(np.ones((1, 32)))), "t = "),
+    ("split labels outside the classes",
+     lambda e: rd.SplitIndexSet(labels=[[7, -1, 0]], gap=1.0), "labels"),
+    ("classify tol negative", lambda e: rd.classify(e.basis, e.problem, tol=-1.0), "tol = "),
+    ("classify tol nan", lambda e: rd.classify(e.basis, e.problem, tol=NAN), "tol = "),
+    ("classify tol 0", lambda e: rd.classify(e.basis, e.problem, tol=0.0), "tol = "),
+    ("ll direction nan",
+     lambda e: rd.ll_functional(e.field, e.basis, e.split, e.problem, 1, [NAN]), "direction"),
+    ("ll direction inf",
+     lambda e: rd.ll_functional(e.field, e.basis, e.split, e.problem, 1, [-INF]), "direction"),
+    ("domain length inf", lambda e: rd.Domain1D(length=INF, quad_nodes=80), "length = "),
+    ("domain nodes fraction", lambda e: rd.Domain1D(length=1.0, quad_nodes=48.5), "quad_nodes"),
+    ("problem lambda nan",
+     lambda e: rd.ProblemConfig(m=1, l=1, lam=(NAN,), sigma=(0.0,)), "lambda_1"),
+    ("field m 0", lambda e: rd.make_field("arctan(40)", 0), "m = 0"),
 ]
 
 
@@ -123,3 +137,8 @@ def test_edge_values_stay_accepted(exp):
     state = rd.GalerkinState(np.ones((1, 32)))
     assert np.array_equal(rd.semigroup_apply(exp.basis, exp.problem, 0.0, state).coeffs,
                           state.coeffs)
+    # a whole float or numpy node count, a negative shift, a tiny tolerance
+    assert rd.Domain1D(length=1.0, quad_nodes=np.int64(48)).quad_nodes == 48
+    assert rd.Domain1D(length=1.0, quad_nodes=48.0).quad_nodes == 48
+    assert rd.ProblemConfig(m=1, l=1, lam=(-2.5,), sigma=(0.0,)).lam == (-2.5,)
+    assert rd.classify(exp.basis, exp.problem, tol=1e-300).m == 1

@@ -321,6 +321,20 @@ def test_failed_stage_writes_no_file(tmp_path, monkeypatch, small_config):
     assert list(out.iterdir()) == []
 
 
+def test_unencodable_report_blames_the_output_step(tmp_path, monkeypatch, capsys):
+    # every stage returns; the report then fails to encode (a numpy integer
+    # is not JSON), which is the output step's failure, not the last stage's
+    index = cli._STAGE_FUNCS["index"]
+    monkeypatch.setitem(cli._STAGE_FUNCS, "index",
+                        lambda *args: {**index(*args), "d0": np.int64(1)})
+    out = tmp_path / "out"
+    assert cli.run_subcommand("index", ARCTAN_CFG, out_dir=out) == 1
+    err = capsys.readouterr().err
+    assert "runtime failure in stage 'output': Object of type int64" in err
+    assert "'index'" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_runtime_error_exit_code(tmp_path, monkeypatch):
     def boom(exp, stages, files):
         raise RuntimeError("stage exploded")

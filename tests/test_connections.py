@@ -81,6 +81,38 @@ def test_energy_monotone_along_trajectory(basis32, desk_problem, desk_split, des
     assert np.all(np.diff(energies) <= 1e-8)
 
 
+def _per_state_energy(field, basis, config, c):
+    """``liapunov_energy`` of one (m, J) state as it was written before the
+    energies were stacked."""
+    from resodyn.spectral import diag_A
+    quad = 0.5 * float(np.sum(diag_A(basis, config) * c ** 2))
+    U = basis.values(c)
+    pot = float(np.sum(basis.w * np.asarray(field.potential(basis.x, U))))
+    return quad - pot
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("nq", [48, 49, 65, 80, 81])
+def test_stacked_energies_match_the_per_state_loop(m, nq):
+    from resodyn.connections import _energies
+    basis = rd.build_basis(rd.Domain1D(1.0, nq), 16)
+    cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis.mu[0]),) * m, sigma=(0.0,) * m)
+    rng = np.random.default_rng(nq + m)
+    # a random stack, one state, a strided view and a pure-parity stack
+    wide = rng.normal(size=(2, 9, m, 16)) * np.logspace(-4, 1, 9)[:, None, None]
+    parity = np.zeros((5, m, 16))
+    parity[..., 1::2] = rng.normal(size=(5, m, 8))
+    stacks = [wide[0], wide[1, :1], wide[:, 3], parity]
+    for spec in ("arctan(40)", "gaussian-decay(0.5)", "constant-kernel(1,2,1.3)"):
+        for sign in ("", "-"):
+            field = rd.make_field(sign + spec, m, basis=basis)
+            for C in stacks:
+                loop = np.asarray([_per_state_energy(field, basis, cfg, c) for c in C])
+                assert _energies(field, basis, cfg, C).tobytes() == loop.tobytes()
+                assert [rd.liapunov_energy(field, basis, cfg, rd.GalerkinState(c))
+                        for c in C] == loop.tolist()
+
+
 def test_validate_potential_accepts_and_rejects(desk_field):
     rd.validate_potential(desk_field)
     broken = rd.NonlinearField(

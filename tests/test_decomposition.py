@@ -5,7 +5,7 @@ import pytest
 
 import resodyn as rd
 from resodyn.decomposition import mode_mask
-from resodyn.errors import AmbiguousResonanceError, HypothesisError
+from resodyn.errors import AmbiguousResonanceError, ConfigurationError, HypothesisError
 
 
 def _basis(J=3, nq=None):
@@ -171,3 +171,34 @@ def test_mode_mask_is_read_only(desk_split):
     with pytest.raises(ValueError):
         mask[0, 5] = True
     assert mode_mask(desk_split, "Q0")[0].tolist() == [True] + [False] * 31
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 32), (2, 16), (3, 16), (4, 7)])
+def test_masks_match_isin(shape):
+    # one table lookup per projection against np.isin on the labels
+    from resodyn.decomposition import _PROJECTION_CLASSES
+    labels = np.random.default_rng(sum(shape)).integers(4, size=shape)
+    for given in (labels, labels.astype(np.int8), labels.tolist()):
+        split = rd.SplitIndexSet(labels=given, gap=1.0)
+        assert split.labels.dtype == np.int8 and not split.labels.flags.writeable
+        for name, classes in _PROJECTION_CLASSES.items():
+            mask = split.masks[name]
+            assert np.array_equal(mask, np.isin(np.array(given, dtype=np.int8), classes))
+            assert mask.dtype == bool and mask.shape == shape
+            assert mask.flags.c_contiguous and not mask.flags.writeable
+
+
+def test_classified_masks_match_isin(basis32):
+    from resodyn.decomposition import _PROJECTION_CLASSES
+    cfg = rd.ProblemConfig(m=3, l=2, lam=(float(basis32.mu[0]), float(basis32.mu[2]), 5.0),
+                           sigma=(0.0, 0.0, 0.0))
+    split = rd.classify(basis32, cfg)
+    for name, classes in _PROJECTION_CLASSES.items():
+        assert np.array_equal(split.masks[name], np.isin(split.labels, classes))
+
+
+@pytest.mark.parametrize("labels", [[[4]], [[0, 1], [2, -1]], [[0.5, 1.0]], [0, 1, 2],
+                                    [[[0]]]])
+def test_labels_outside_the_classes_are_refused(labels):
+    with pytest.raises(ConfigurationError, match="labels"):
+        rd.SplitIndexSet(labels=labels, gap=1.0)

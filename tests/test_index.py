@@ -125,6 +125,36 @@ def test_d_zero_double_count_random(basis32, rng):
         assert got == int(np.sum(np.linalg.eigvalsh(L) < 0))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_d_zero_cross_check_matrix_matches_the_block_loop(basis32, rng, monkeypatch, m):
+    # the matrix d_zero hands to eigvalsh, against the one its loop over
+    # the blocks built, signed zeros included
+    from resodyn import indexcalc
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(indexcalc.np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+    checked = 0
+    G = rng.normal(size=(m, m))
+    # a dense G, and a diagonal one whose off-diagonal blocks hold signed zeros
+    for G, lam in ((0.5 * (G + G.T), tuple(float(v) for v in rng.uniform(0.0, 50.0, size=m))),
+                   (np.diag(rng.normal(size=m)), (0.0,) * m)):
+        cfg = rd.ProblemConfig(m=m, l=1, lam=lam, sigma=(0.0,) * m)
+        lin = rd.LinearizationData.from_G(G, cfg)
+        if not rd.nonresonance_at_origin(basis32, lin):
+            continue
+        seen.clear()
+        rd.d_zero(basis32, cfg, lin)
+        shifted = lin.G + np.diag(cfg.lam_array())
+        blocks = [mu_j * np.eye(m) - shifted for mu_j in basis32.mu]
+        L = np.zeros((m * 32, m * 32))
+        for idx, blk in enumerate(blocks):
+            L[idx * m:(idx + 1) * m, idx * m:(idx + 1) * m] = blk
+        assert len(seen) == 1 and seen[0].shape == L.shape
+        assert seen[0].tobytes() == L.tobytes()
+        checked += 1
+    assert checked
+
+
 def test_d_zero_resonant_origin_raises(basis32):
     cfg = rd.ProblemConfig(m=1, l=1, lam=(0.0,), sigma=(0.0,))
     lin = rd.LinearizationData.from_G(np.array([[4 * math.pi ** 2]]), cfg)

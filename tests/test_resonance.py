@@ -265,7 +265,7 @@ def test_nonfinite_limit_names_component(basis32):
        picks=st.lists(st.tuples(st.integers(1, 24),
                                 st.sampled_from([0.0, 1e-9, -3e-9, 5e-8, 1e-3, -0.2, 0.4])),
                       min_size=3, max_size=3),
-       tol=st.sampled_from([0.0, 1e-10, 1e-8, 1e-4, 1e-2, 0.05, 0.1, 0.5, 0.8, 1.0, 3.0]))
+       tol=st.sampled_from([1e-10, 1e-8, 1e-4, 1e-2, 0.05, 0.1, 0.5, 0.8, 1.0, 3.0]))
 def test_classify_gives_at_most_one_kernel_mode_per_component(J, length, m, picks, tol):
     basis = rd.build_basis(rd.Domain1D(length, 2 * J + 16), J)
     lam = tuple(float(basis.mu[min(j, J) - 1]) * (1.0 + rel) for j, rel in picks[:m])
@@ -708,3 +708,113 @@ def test_first_sobol_draw_reads_no_whole_table():
         "print(hwm() - before)\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     assert int(out.stdout.split()[-1]) < 1024  # kB
+
+
+def _einsum_sobol(dim, n, seed):
+    """``_sobol`` with the LMS scrambling as the uint32 ``einsum`` it was
+    first written with."""
+    v, bits = _sobol_directions(dim), 30
+    pos = np.arange(bits)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ (1 << pos)
+    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
+    ltm[:, pos, pos] = 1
+    digits = (v[:, :, None] >> (bits - 1 - pos)) & 1
+    scrambled = (np.einsum("drs,djs->djr", ltm, digits) & 1) @ (1 << (bits - 1 - pos))
+    i = np.arange(max(n - 1, 0), dtype=np.uint32)
+    col = np.bitwise_count(i ^ (i + 1)) - 1
+    walk = np.bitwise_xor.accumulate(scrambled[:, col].T, axis=0)
+    return np.vstack([shift, walk ^ shift])[:n] * 2.0 ** -bits
+
+
+@pytest.mark.parametrize("dim", [*range(1, 9), 40])
+def test_sobol_matches_the_einsum_scrambling(dim):
+    import warnings
+    for seed in range(12):
+        for n in (1, 2, 3, 64, 128, 513):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                assert np.array_equal(_sobol(dim, n, seed), _einsum_sobol(dim, n, seed))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+@pytest.mark.parametrize("samples", [0, 64])
+def test_sphere_directions_match_the_eye_rows(dim, samples):
+    # the +-e_i rows one by one from np.eye, -0.0 entries included
+    from resodyn.spectral import _ufuncs
+    dirs = [v for i in range(dim) for v in (np.eye(dim)[i], -np.eye(dim)[i])]
+    if dim >= 2 and samples > 0:
+        g = _ufuncs().ndtri(np.clip(_sobol(dim, samples, 3), 1e-12, 1 - 1e-12))
+        lens = np.linalg.norm(g, axis=1)
+        dirs.extend(g[lens > 0] / lens[lens > 0, None])
+    expected = np.array(dirs)
+    got = _sphere_directions(dim, samples, 3)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _per_component_integrals(field, basis, m, components, sigma):
+    """``_sign_set_integrals`` as it was written before its panels were
+    shared between the pairs of one kernel mode: every pair's panels,
+    nodes, weights and limits built and evaluated on their own."""
+    from resodyn.resonance import _graded_panels
+    from resodyn.spectral import _gauss_legendre
+    L = basis.domain.length
+    norm = np.sqrt(2.0 / L)
+    xg, wg = _gauss_legendre(max(32, basis.domain.quad_nodes // 2))
+    panels, owner, positive = [], [], []
+    for c, (k, j) in enumerate(components):
+        cuts = [0.0] + [i * L / j for i in range(1, j)] + [L]
+        for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            segment = _graded_panels(a, b) if sigma > 0 else [(a, b)]
+            panels += segment
+            owner += [c] * len(segment)
+            positive += [i % 2 == 0] * len(segment)
+    lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
+    owner, positive = np.array(owner, dtype=int), np.array(positive, dtype=bool)
+    rows, jmode = (np.array(components, dtype=int).reshape(-1, 2)[owner] - [1, 0]).T
+    half = 0.5 * (hi - lo)[:, None]
+    xs = half * xg + 0.5 * (lo + hi)[:, None]
+    ws = half * wg
+    weight = np.abs(norm * np.sin(jmode[:, None] * np.pi * xs / L)) ** (1.0 - sigma)
+    sums = {}
+    for name in ("f_plus", "f_minus"):
+        lim = np.asarray(getattr(field, name)(xs.ravel()), dtype=float)
+        lim = lim.reshape(m, *xs.shape)[rows, np.arange(rows.size)]
+        sums[name] = np.sum(ws * lim * weight, axis=1)
+    fp, fm = sums["f_plus"], sums["f_minus"]
+    P = np.bincount(owner, np.where(positive, fp, -fm), minlength=len(components))
+    N = np.bincount(owner, np.where(positive, -fm, fp), minlength=len(components))
+    return P, N
+
+
+@pytest.mark.parametrize("spec", ["arctan(7)", "-scaled-arctan(30,0.25)", "gaussian-decay(0.5)",
+                                  "constant-kernel(2,3,1.5)", "-constant-kernel(3,1,-0.7)"])
+@pytest.mark.parametrize("nq", [48, 49])
+def test_sign_set_integrals_match_the_per_component_panels(spec, nq):
+    from resodyn.resonance import _sign_set_integrals
+    basis = rd.build_basis(rd.Domain1D(1.3, nq), 16)
+    field = rd.make_field(spec, 3, basis=basis)
+    for components in ([(1, 1), (2, 1), (3, 1)], [(1, 2), (2, 1), (3, 2)], [(3, 3), (1, 1)],
+                       [(2, 5)], [(1, 1)], []):
+        for sigma in (0.0, 0.25, 0.5):
+            got = _sign_set_integrals(field, basis, 3, components, sigma)
+            expected = _per_component_integrals(field, basis, 3, components, sigma)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (components, sigma)
+
+
+def test_ll_report_dict_matches_asdict(basis32, desk_problem, desk_split, desk_field):
+    from dataclasses import asdict
+    cfg = rd.ProblemConfig(m=2, l=2, lam=(float(basis32.mu[0]),) * 2, sigma=(0.25, 0.25))
+    split = rd.classify(basis32, cfg)
+    field = rd.make_field("scaled-arctan(20,0.25)", 2)
+    reports = [*rd.evaluate_LL(desk_field, basis32, desk_split, desk_problem, 1).values(),
+               *rd.evaluate_LL(desk_field, basis32, desk_split, desk_problem, 2).values(),
+               *rd.evaluate_LL(field, basis32, split, cfg, 1, samples=16, seed=4).values()]
+    assert {rep.sampled_only for rep in reports} == {False, True}
+    assert {rep.verdict for rep in reports} >= {"vacuous", "holds", "fails"}
+    for rep in reports:
+        d, expected = rep.to_dict(), asdict(rep)
+        assert d == expected and list(d) == list(expected)
+        assert [type(v) for v in d.values()] == [type(v) for v in expected.values()]
