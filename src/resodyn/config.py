@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import configparser
 import json
-import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from .decomposition import SplitIndexSet, classify
 from .errors import ConfigurationError
 from .fields import NonlinearField, make_field
 from .semiflow import IntegratorSettings
-from .spectral import Domain1D, ProblemConfig, SpectralBasis, _count, _radius, build_basis
+from .spectral import (Domain1D, ProblemConfig, SpectralBasis, _count, _one_based, _radius,
+                       _real, _unit, build_basis)
 
 __all__ = ["ExperimentConfig", "load_config"]
 
@@ -33,33 +33,22 @@ _RUN_DEFAULTS = {
 }
 
 
-def _number(section: str, key: str, value) -> float:
-    """One finite number."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"[{section}] {key} = {value!r} is not a number") from None
-    if not math.isfinite(out):
-        raise ConfigurationError(f"[{section}] {key} = {value!r} must be finite")
-    return out
-
-
-def _numbers(section: str, key: str, value) -> tuple[float, ...]:
+def _numbers(name: str, value) -> tuple[float, ...]:
     """A comma list (or a JSON list) of at least one finite number."""
     items = (value if isinstance(value, (list, tuple))
              else [v for v in str(value).split(",") if v.strip()])
     if not items:
-        raise ConfigurationError(f"[{section}] {key} needs at least one value")
-    return tuple(_number(section, key, v) for v in items)
+        raise ConfigurationError(f"{name} needs at least one value")
+    return tuple(_real(name, v) for v in items)
 
 
 # a [run] value is parsed by the type of its default; its counts are >= 1,
 # except the seed count and the seed itself
-_RUN_MINIMUM = {"seeds": 0, "seed": 0}
+_RUN_MINIMUM = {"[run] seeds": 0, "[run] seed": 0}
 _RUN_PARSERS = {
-    tuple: _numbers, float: _number,
-    int: lambda section, key, value: _count(f"[{section}] {key}", value, _RUN_MINIMUM.get(key, 1)),
-    str: lambda section, key, value: str(value),
+    tuple: _numbers, float: _real,
+    int: lambda name, value: _count(name, value, _RUN_MINIMUM.get(name, 1)),
+    str: lambda name, value: str(value),
 }
 _SECTION_KEYS = {
     "domain": ("length", "J", "quad_nodes"),
@@ -105,12 +94,10 @@ def _resolve_lambda(tokens, basis: SpectralBasis) -> tuple[float, ...]:
     for tok in tokens:
         tok = tok.strip() if isinstance(tok, str) else tok
         if isinstance(tok, str) and tok.startswith("mu(") and tok.endswith(")"):
-            j = _count("[system] lambda", tok[3:-1])
-            if j > basis.J:
-                raise ConfigurationError(f"eigenvalue reference {tok} outside 1..{basis.J}")
+            j = _one_based(f"[system] lambda {tok}: j", tok[3:-1], basis.J)
             out.append(float(basis.mu[j - 1]))
         else:
-            out.append(_number("system", "lambda", tok))
+            out.append(_real("[system] lambda", tok))
     return tuple(out)
 
 
@@ -174,17 +161,17 @@ def load_config(path: str | Path, run_overrides: dict | None = None) -> Experime
     fld = _section(sections, "field")
 
     J = _count("[domain] J", dom.get("J", 32))
-    length = _number("domain", "length", dom.get("length", 1.0))
+    length = _real("[domain] length", dom.get("length", 1.0))
     quad_nodes = _count("[domain] quad_nodes", dom.get("quad_nodes", 2 * J + 16))
     basis = build_basis(Domain1D(length=length, quad_nodes=quad_nodes), J)
 
     m = _count("[system] m", sysc["m"])
     l = _count("[system] l", sysc["l"])
     lam = _resolve_lambda(sysc["lambda"], basis)
-    sigma = _numbers("system", "sigma", sysc.get("sigma", "0"))
+    sigma = _numbers("[system] sigma", sysc.get("sigma", "0"))
     if len(sigma) == 1 and m > 1:
         sigma = sigma * m
-    alpha = _number("system", "alpha", sysc.get("alpha", 0.8))
+    alpha = _real("[system] alpha", sysc.get("alpha", 0.8))
     problem = ProblemConfig(m=m, l=l, lam=lam, sigma=sigma, alpha=alpha)
 
     field = make_field(str(fld["name"]), m, basis=basis)
@@ -193,22 +180,20 @@ def load_config(path: str | Path, run_overrides: dict | None = None) -> Experime
             raise ConfigurationError(
                 f"[system] sigma of component {k} is {given:g}, but field "
                 f"{field.name} has degree {declared:g} there")
-    h_const = _numbers("field", "h", fld.get("h", "0"))
+    h_const = _numbers("[field] h", fld.get("h", "0"))
     if len(h_const) == 1 and m > 1:
         h_const = h_const * m
     if len(h_const) != m:
         raise ConfigurationError(f"h must have 1 or {m} entries, got {len(h_const)}")
 
     split = classify(basis, problem,
-                     tol=_number("system", "resonance_tol", sysc.get("resonance_tol", 1e-8)))
+                     tol=_real("[system] resonance_tol", sysc.get("resonance_tol", 1e-8)))
 
     run = dict(_RUN_DEFAULTS)
     given = {**_section(sections, "run"), **(run_overrides or {})}
     for name, val in given.items():
-        run[name] = _RUN_PARSERS[type(_RUN_DEFAULTS[name])]("run", name, val)
-    for s in run["s_grid"]:
-        if not (0.0 <= s <= 1.0):
-            raise ConfigurationError(f"s_grid values must lie in [0, 1], got {s}")
+        run[name] = _RUN_PARSERS[type(_RUN_DEFAULTS[name])](f"[run] {name}", val)
+    _unit("[run] s_grid", run["s_grid"])
     for R in run["margin_R_grid"]:
         _radius("[run] margin_R_grid", R, positive=True)
     if 0.0 in run["eps_grid"]:

@@ -15,7 +15,7 @@ from .errors import ConfigurationError, GradientStructureError
 from .fields import NonlinearField, _u_jacobian, galerkin_F
 from .semiflow import DIVERGENCE_THRESHOLD, IntegratorSettings, Trajectory, integrate_ensemble
 from .spectral import (GalerkinState, ProblemConfig, SpectralBasis, _check_states, _eigh,
-                       diag_A)
+                       _real, diag_A)
 
 log = logging.getLogger(__name__)
 
@@ -492,12 +492,9 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
             "eps must be one number for one direction and a sequence for a sequence "
             f"of directions, got {eps!r}")
     directions = [direction] if single else list(direction)
-    try:
-        epsilons = [float(e) for e in ([eps] if single else eps)]
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"eps must be numbers, got {eps!r}") from exc
-    if not all(math.isfinite(e) and e != 0.0 for e in epsilons):
-        raise ConfigurationError(f"eps must be finite and nonzero, got {eps!r}")
+    epsilons = [_real("eps", e) for e in ([eps] if single else eps)]
+    if 0.0 in epsilons:
+        raise ConfigurationError(f"eps must be nonzero, got {eps!r}")
     if len(directions) != len(epsilons):
         raise ConfigurationError(
             f"need one eps per direction, got {len(epsilons)} for {len(directions)}")

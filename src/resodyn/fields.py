@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .spectral import (GalerkinState, SpectralBasis, _count, _interleave, _one_based, _radius,
-                       _ufuncs)
+                       _sign, _ufuncs, _unit)
 
 __all__ = [
     "NonlinearField",
@@ -54,7 +54,9 @@ class NonlinearField:
     x (every catalogue field but ``constant-kernel``: f_k = g(u_k)) sets
     ``reads_x=False``; the sampled hypothesis checks then evaluate it, and
     read its limits, at the first node only (x of shape (1,)), and that
-    value stands for every node.
+    value stands for every node.  ``m`` is a whole number >= 1 and
+    ``sigma`` holds m degrees in [0, 1]; anything else raises
+    ConfigurationError.
     """
 
     name: str
@@ -70,7 +72,7 @@ class NonlinearField:
     reads_x: bool = True
 
     def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
+        self.m, self.sigma = _count("m", self.m), _unit("sigma", self.sigma)
         if self.sigma.shape != (self.m,):
             raise ConfigurationError(
                 f"sigma must have shape ({self.m},), got {self.sigma.shape}"
@@ -133,7 +135,7 @@ class SampleGrid:
                 du_box: float = 1e3, draws: int = 200, seed: int = 0) -> "SampleGrid":
         """``draws`` (>= 1) uniform draws of u in [-u_box, u_box]^m and of du
         in [-du_box, du_box]^m; each box is positive and finite."""
-        draws = _count("draws", draws)
+        m, draws = _count("m", m), _count("draws", draws)
         u_box = _radius("u_box", u_box, positive=True)
         du_box = _radius("du_box", du_box, positive=True)
         rng = np.random.default_rng(seed)
@@ -290,11 +292,11 @@ def check_sign_condition(field: NonlinearField, k: int, sign: str,
 
     ``h_k`` returns finite values on the grid's nodes, one number or one
     per node; anything else raises ConfigurationError.  ``l`` (the split
-    index) only selects the report label C1/C2.
+    index, a whole number >= 1) only selects the report label C1/C2.
     """
-    k = _one_based("k", k, field.m)
-    if sign not in ("+", "-"):
-        raise ConfigurationError(f"sign must be '+' or '-', got {sign!r}")
+    k, sign = _one_based("k", k, field.m), _sign("sign", sign)
+    if l is not None:
+        l = _count("l", l)
     hvals = np.asarray(h_k(grid.x), dtype=float)
     if hvals.shape not in ((), grid.x.shape) or not np.isfinite(hvals).all():
         raise ConfigurationError(
@@ -509,9 +511,7 @@ def _parse_args(spec: str, argstr: Optional[str], defaults: dict) -> tuple:
             raise ConfigurationError(f"field spec {spec!r}: {key} must be finite, got {val}")
     if values.get("gain") == 0:
         raise ConfigurationError(f"field spec {spec!r}: gain must be nonzero")
-    if not 0 <= values.get("sigma", 0.0) <= 1:
-        raise ConfigurationError(
-            f"field spec {spec!r}: sigma must lie in [0, 1], got {values['sigma']:g}")
+    _unit(f"field spec {spec!r}: sigma", values.get("sigma", 0.0))
     return args
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .decomposition import CountVector
 from .errors import ConfigurationError, HypothesisError
 from .fields import _u_jacobian
-from .spectral import ProblemConfig, SpectralBasis, _eigh
+from .spectral import ProblemConfig, SpectralBasis, _count, _eigh, _one_based, _sign
 
 __all__ = [
     "HomotopyType",
@@ -44,11 +44,11 @@ class HomotopyType:
     tokens as exponent addition with the trivial type absorbing.
     """
 
-    exponent: Optional[int]  # None encodes the trivial type
+    exponent: Optional[int]  # None encodes the trivial type, else a whole number >= 0
 
     def __post_init__(self):
-        if self.exponent is not None and self.exponent < 0:
-            raise ConfigurationError(f"sphere exponent must be >= 0, got {self.exponent}")
+        if self.exponent is not None:
+            object.__setattr__(self, "exponent", _count("sphere exponent", self.exponent, 0))
 
     @classmethod
     def trivial(cls) -> "HomotopyType":
@@ -56,7 +56,7 @@ class HomotopyType:
 
     @classmethod
     def sphere(cls, k: int) -> "HomotopyType":
-        return cls(exponent=int(k))
+        return cls(exponent=k)
 
     @property
     def is_trivial(self) -> bool:
@@ -115,27 +115,27 @@ def index_partition(d_inf: int, kernel_dims: Sequence[int],
 
     ``kernel_dims[k-1]`` is dim Ker for component k; the blocks must
     partition {1..m}.  Each block contributes its kernel-dimension sum when
-    its sign is plus and nothing when minus.
+    its sign is plus and nothing when minus.  ``d_inf`` and the kernel
+    dimensions are whole numbers >= 0, block entries are components in
+    1..m and signs are '+' or '-'; anything else raises ConfigurationError.
     """
+    exponent = _count("d_inf", d_inf, 0)
+    kernel_dims = [_count("kernel_dims", n, 0) for n in kernel_dims]
     m = len(kernel_dims)
+    blocks = [[_one_based("blocks", i, m) for i in block] for block in blocks]
     if len(blocks) != len(signs):
         raise ConfigurationError("need one sign per block")
     seen: set[int] = set()
     for block in blocks:
-        bset = set(int(i) for i in block)
+        bset = set(block)
         if bset & seen:
             raise ConfigurationError(f"overlapping partition blocks: {sorted(bset & seen)}")
-        if not bset <= set(range(1, m + 1)):
-            raise ConfigurationError(f"block {sorted(bset)} is not a subset of 1..{m}")
         seen |= bset
     if seen != set(range(1, m + 1)):
         raise ConfigurationError("blocks must partition {1..m}")
-    exponent = int(d_inf)
     for block, sign in zip(blocks, signs):
-        if sign not in ("+", "-"):
-            raise ConfigurationError(f"sign must be '+' or '-', got {sign!r}")
-        if sign == "+":
-            exponent += sum(int(kernel_dims[i - 1]) for i in block)
+        if _sign("sign", sign) == "+":
+            exponent += sum(kernel_dims[i - 1] for i in block)
     return HomotopyType.sphere(exponent)
 
 
@@ -253,6 +253,7 @@ def connection_verdict(cv: CountVector, d0: int, ll1_sign, ll2_sign,
     when both indices exist (verified sign pair, nonresonant origin) and
     their exponents differ.
     """
+    d0 = _count("d0", d0, 0)
     h_inf, tag = index_K_infinity(cv, ll1_sign, ll2_sign)
     if tag == "none":
         return ConnectionVerdict(None, None, "none", False,

@@ -18,7 +18,7 @@ from .errors import ConfigurationError, EvaluationError
 from .fields import NonlinearField, galerkin_F
 from .semiflow import _csv_table
 from .spectral import (GalerkinState, ProblemConfig, SpectralBasis, _count, _gauss_legendre,
-                       _radius, _scipy_dir, _ufuncs, fractional_weights)
+                       _one_based, _radius, _scipy_dir, _sign, _ufuncs, fractional_weights)
 
 __all__ = [
     "DegreeSets",
@@ -76,9 +76,7 @@ def degree_sets(config: ProblemConfig) -> DegreeSets:
 
 
 def _block_mask(split: SplitIndexSet, which: int) -> np.ndarray:
-    if which not in (1, 2):
-        raise ConfigurationError(f"which must be 1 or 2, got {which}")
-    return split.masks["P1" if which == 1 else "P2"]
+    return split.masks[("P1", "P2")[_one_based("which", which, 2) - 1]]
 
 
 def block_modes(split: SplitIndexSet, which: int) -> tuple[tuple[int, int], ...]:
@@ -344,7 +342,7 @@ def evaluate_LL(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSe
     sampled and the reports say so.  A verdict holds iff its sampled
     minimum is strictly positive; a block without kernel modes is vacuous.
     """
-    samples = _count("samples", samples)
+    which, samples = _one_based("which", which, 2), _count("samples", samples)
     names = (f"LL{which}+", f"LL{which}-")
     dim = len(block_modes(split, which))
     if dim == 0:
@@ -412,10 +410,9 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     component's ddot in component order from 0.0, and the first of tied
     minima.
     """
-    if sign not in ("+", "-"):
-        raise ConfigurationError(f"sign must be '+' or '-', got {sign!r}")
-    sgn = 1.0 if sign == "+" else -1.0
+    which, sign = _one_based("which", which, 2), _sign("sign", sign)
     samples = _count("samples", samples)
+    sgn = 1.0 if sign == "+" else -1.0
     if not len(R_grid):
         raise ConfigurationError("R_grid needs at least one value")
     R_grid = [_radius("R_grid", R) for R in R_grid]

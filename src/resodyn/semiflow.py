@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -15,7 +14,7 @@ from .decomposition import SplitIndexSet
 from .errors import ConfigurationError, DivergenceSignal, UnboundedModeError
 from .fields import NonlinearField, _evaluate
 from .spectral import (OVERFLOW_EXPONENT, GalerkinState, ProblemConfig, SpectralBasis, _Blocks,
-                       _check_states, _count, _parity_order, _radius, diag_A,
+                       _check_states, _count, _parity_order, _radius, _unit, diag_A,
                        fractional_weights, semigroup_apply)
 
 __all__ = [
@@ -75,17 +74,13 @@ class IntegratorSettings:
     divergence_threshold: float = DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
-        if not (0 < self.dt < np.inf and 0 < self.T < np.inf):
-            raise ConfigurationError("dt and T must be positive and finite")
+        object.__setattr__(self, "dt", _radius("dt", self.dt, positive=True))
+        object.__setattr__(self, "T", _radius("T", self.T, positive=True))
+        object.__setattr__(self, "store_every", _count("store_every", self.store_every))
+        object.__setattr__(self, "divergence_threshold", _radius(
+            "divergence_threshold", self.divergence_threshold, positive=True, inf=True))
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if (isinstance(self.store_every, bool) or not isinstance(self.store_every, Integral)
-                or self.store_every < 1):
-            raise ConfigurationError(
-                f"store_every must be a whole number >= 1, got {self.store_every!r}")
-        if not self.divergence_threshold > 0:
-            raise ConfigurationError(
-                f"divergence_threshold must be positive, got {self.divergence_threshold!r}")
         steps = self.T / self.dt
         if not steps <= MAX_STEPS:
             raise ConfigurationError(
@@ -218,20 +213,13 @@ def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     """
     c = u.coeffs
     q0 = split.masks["Q0"]
-    s = _checked_s(s)
+    s = _unit("s", s)
     if c.shape[-2:] != q0.shape or s.shape not in ((), c.shape[:-2]):
         raise ConfigurationError(
             f"homotopy_field takes states of shape (..., m, J) with (m, J) = {q0.shape} and one "
             f"s or one per state; got states of shape {c.shape} and s of shape {s.shape}")
     plan = _plan(basis, q0, np.broadcast_to(s, c.shape[:-2]).reshape(-1))
     return GalerkinState._trusted(_homotopy(field, basis, plan, c).reshape(c.shape))
-
-
-def _checked_s(s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if not ((0.0 <= s) & (s <= 1.0)).all():
-        raise ConfigurationError(f"s must lie in [0, 1], got {s}")
-    return s
 
 
 class _Plan(NamedTuple):
@@ -328,7 +316,7 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     ``settle`` may keep references to the rows and the members it sees: the
     march never writes into an array after it has shown it.
     """
-    s = _checked_s(s_values).reshape(-1)
+    s = _unit("s", s_values).reshape(-1)
     if s.size != len(states):
         raise ConfigurationError(
             f"need one s value per initial state, got {s.size} for {len(states)}")
@@ -543,7 +531,10 @@ def check_bounded_solution(trajectory: Trajectory, bounds: AprioriBounds,
     Boundedness detection is window growth: the run is flagged unbounded if
     the linear-fit slope of the first-block kernel seminorm over the last
     half of the horizon exceeds DRIFT_TOL (or the integrator diverged).
+    ``R1`` and ``R2`` are >= 0 (inf: uncertified); anything else raises
+    ConfigurationError.
     """
+    R1, R2 = _radius("R1", R1, inf=True), _radius("R2", R2, inf=True)
     n = trajectory.times.size
     tail = slice(min(int(np.floor(TRANSIENT_FRACTION * n)), n - 1), None)
     radii = {"Qminus_alpha": bounds.R0_minus, "Qplus_alpha": bounds.R0_plus,

@@ -244,34 +244,30 @@ class ProblemConfig:
     alpha: float = 0.8
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ConfigurationError(f"m must be >= 1, got {self.m}")
-        if not (1 <= self.l <= self.m):
-            raise ConfigurationError(f"l must lie in [1, m]={self.m}, got {self.l}")
-        lam = tuple(float(v) for v in self.lam)
-        sig = tuple(float(v) for v in self.sigma)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "sigma", sig)
-        if len(lam) != self.m:
-            raise ConfigurationError(f"lambda must have {self.m} entries, got {len(lam)}")
-        if len(sig) != self.m:
-            raise ConfigurationError(f"sigma must have {self.m} entries, got {len(sig)}")
-        for k, v in enumerate(lam, start=1):
-            _radius(f"|lambda_{k}|", abs(v))
-        if any(s < 0 or s > 1 for s in sig):
-            raise ConfigurationError(f"every sigma_k must lie in [0, 1], got {sig}")
-        if min(sig[: self.l]) >= 1:
+        m = _count("m", self.m)
+        l = _one_based("l", self.l, m)
+        lam = tuple(_real(f"lambda_{k}", v) for k, v in enumerate(self.lam, start=1))
+        sig = _unit("sigma", self.sigma)
+        alpha = _real("alpha", self.alpha)
+        if len(lam) != m:
+            raise ConfigurationError(f"lambda must have {m} entries, got {len(lam)}")
+        if sig.shape != (m,):
+            raise ConfigurationError(f"sigma must have {m} entries, got shape {sig.shape}")
+        sig = tuple(sig.tolist())
+        for name, value in (("m", m), ("l", l), ("lam", lam), ("sigma", sig), ("alpha", alpha)):
+            object.__setattr__(self, name, value)
+        if min(sig[:l]) >= 1:
             raise HypothesisError(
                 "min(sigma_1..sigma_l) must be < 1 (degree-of-resonance hypothesis), "
-                f"got min={min(sig[:self.l])}"
+                f"got min={min(sig[:l])}"
             )
-        if self.l < self.m and min(sig[self.l:]) >= 1:
+        if l < m and min(sig[l:]) >= 1:
             raise HypothesisError(
                 "min(sigma_{l+1}..sigma_m) must be < 1 (degree-of-resonance hypothesis), "
-                f"got min={min(sig[self.l:])}"
+                f"got min={min(sig[l:])}"
             )
-        if not (0.75 < self.alpha < 1):
-            raise ConfigurationError(f"alpha must lie in (3/4, 1), got {self.alpha}")
+        if not (0.75 < alpha < 1):
+            raise ConfigurationError(f"alpha must lie in (3/4, 1), got {alpha}")
 
     @property
     def delta(self) -> float:
@@ -312,11 +308,12 @@ class GalerkinState:
 
     @classmethod
     def zeros(cls, m: int, J: int) -> "GalerkinState":
-        return cls(np.zeros((m, J)))
+        return cls(np.zeros((_count("m", m), _count("J", J))))
 
     @classmethod
     def unit(cls, m: int, J: int, component: int, mode: int, amplitude: float = 1.0) -> "GalerkinState":
         """State amplitude * phi_mode e_component (1-based indices)."""
+        m, J = _count("m", m), _count("J", J)
         c = np.zeros((m, J))
         c[_one_based("component", component, m) - 1, _one_based("mode", mode, J) - 1] = amplitude
         return cls(c)
@@ -326,16 +323,23 @@ class GalerkinState:
 
 
 def _one_based(name: str, value, top: int) -> int:
-    """``value`` as a 1-based index into 1..top; anything else, a float with
-    a fraction included, raises ConfigurationError."""
-    if not 1 <= value <= top or value != int(value):
-        raise ConfigurationError(f"{name} must be an integer in [1, {top}], got {value:g}")
-    return int(value)
+    """``value`` as a 1-based index into 1..top: a whole number by
+    ``_count`` and at most ``top``; anything else raises a
+    ConfigurationError naming ``name``."""
+    try:
+        out = _count(name, value)
+    except ConfigurationError:
+        out = top + 1
+    if out > top:
+        shown = f"{value:g}" if isinstance(value, float) else value
+        raise ConfigurationError(f"{name} must be an integer in [1, {top}], got {shown}")
+    return out
 
 
 def _count(name: str, value, minimum: int = 1) -> int:
-    """``value`` as a whole number >= minimum; 2.5, "2.5" and true are
-    rejected, not truncated, by a ConfigurationError naming ``name``."""
+    """``value`` as a whole number >= minimum: an integer of any type, a
+    whole float or a numeric string; a fraction, NaN, a bool or anything
+    that is not a number raises a ConfigurationError naming ``name``."""
     out = value
     if isinstance(value, str):
         try:
@@ -355,6 +359,18 @@ def _count(name: str, value, minimum: int = 1) -> int:
     return out
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a finite float; NaN, inf or anything that is not a
+    number raises a ConfigurationError naming ``name``."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} = {value!r} is not a number") from None
+    if not math.isfinite(out):
+        raise ConfigurationError(f"{name} = {value!r} must be finite")
+    return out
+
+
 def _radius(name: str, value, positive: bool = False, inf: bool = False) -> float:
     """``value`` as a float >= 0 (> 0 if ``positive``), finite unless
     ``inf``; NaN, a negative number or anything that is not a number raises
@@ -367,6 +383,27 @@ def _radius(name: str, value, positive: bool = False, inf: bool = False) -> floa
         raise ConfigurationError(f"{name} = {value!r} must be {'positive' if positive else '>= 0'}"
                                  + ("" if inf else " and finite"))
     return out
+
+
+def _unit(name: str, value) -> np.ndarray:
+    """``value``, one number or an array of them, as a float array whose
+    every entry lies in [0, 1]; NaN or anything else raises a
+    ConfigurationError naming ``name``."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} = {value!r} is not a number") from None
+    if not ((0.0 <= out) & (out <= 1.0)).all():
+        raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
+    return out
+
+
+def _sign(name: str, value) -> str:
+    """``value`` if it is '+' or '-'; anything else raises a
+    ConfigurationError naming ``name``."""
+    if isinstance(value, str) and value in ("+", "-"):
+        return value
+    raise ConfigurationError(f"{name} must be '+' or '-', got {value!r}")
 
 
 @lru_cache(maxsize=None)
@@ -464,8 +501,7 @@ def build_basis(domain: Domain1D, J: int) -> SpectralBasis:
     Requires quad_nodes >= 2 J + 16 so that products of basis functions are
     integrated with margin.
     """
-    if J < 1:
-        raise ConfigurationError(f"J must be >= 1, got {J}")
+    J = _count("J", J)
     required = 2 * J + 16
     if domain.quad_nodes < required:
         raise ConfigurationError(

@@ -527,8 +527,9 @@ def _march_five_ufunc_rule(field, basis, split, config, s_values, states, settin
     rows ``settle`` sees cut by that mask whenever a row diverged.  Kept as
     the oracle of the test by the largest norm; returns each member's
     recorded times and states and the diverged flags."""
-    from resodyn.semiflow import _checked_s, _homotopy, _plan
-    s = _checked_s(s_values).reshape(-1)
+    from resodyn.semiflow import _homotopy, _plan
+    from resodyn.spectral import _unit
+    s = _unit("s", s_values).reshape(-1)
     factors = settings.step_factors(basis, config)
     dt, threshold = settings.dt, settings.divergence_threshold
     q0 = split.masks["Q0"]
