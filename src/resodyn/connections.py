@@ -197,6 +197,18 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
     is the one place that linearizes an equilibrium: every accepted one
     carries its ``discrete_linearization`` and that matrix's unstable
     spectrum, solved once by ``_block_eigh``.
+
+    For an ``odd`` field the fold, the field and the projection all keep
+    -u the exact mirror of u, so Newton from -s is the negation of Newton
+    from s, and L(-u) is L(u).  A seed that is exactly the negation of an
+    earlier solved seed is then not stepped: it takes that seed's negated
+    root and residual norm (and logs at DEBUG which seed it mirrors); an
+    accepted root that is exactly the negation of an earlier equilibrium
+    shares that equilibrium's ``linearization`` and ``unstable`` pairs.  The
+    result equals that of ``odd=False`` value for value; only an exact zero
+    coefficient of a mirrored root may carry the other sign (Newton's sums
+    round x + (-x) to +0.0 in both runs), which no distance, norm or
+    linearization reads.
     """
     m, J = config.m, basis.J
     coeffs = [seed.coeffs for seed in seeds]
@@ -209,7 +221,23 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
         if origin_res <= NEWTON_TOL:
             roots.append((zero, origin_res))
     if len(seeds):
-        rnorm = _newton(field, basis, config, stack)
+        # for an odd field, -s runs Newton to the negation of the run from s:
+        # a seed that mirrors an earlier solved one takes its negated root
+        solved, mirrors, first = [], [], {}
+        for i, c in enumerate(stack):
+            j = first.get((0.0 - c).tobytes()) if field.odd else None
+            if j is None:
+                first.setdefault((c + 0.0).tobytes(), i)
+                solved.append(i)
+            else:
+                log.debug("seed %d mirrors seed %d; its Newton run is not repeated", i, j)
+                mirrors.append((i, j))
+        rnorm = np.empty(len(stack))
+        searched = stack[solved]
+        rnorm[solved] = _newton(field, basis, config, searched)
+        stack[solved] = searched
+        for i, j in mirrors:
+            stack[i], rnorm[i] = -stack[j], rnorm[j]
         for seed_idx, (c, res, size) in enumerate(zip(stack, rnorm, _norms(stack))):
             if not size <= DIVERGENCE_THRESHOLD:
                 log.warning("Newton from seed %d passed the divergence bound %g "
@@ -226,14 +254,20 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
         if any(np.sqrt(np.sum((c - eq.state.coeffs) ** 2)) <= DEDUP_TOL for eq in found):
             continue
         state = GalerkinState(c)
-        L = discrete_linearization(field, basis, config, state)
-        vals, vecs = _block_eigh(L)
-        L.flags.writeable = vecs.flags.writeable = False  # shared by every reader
+        # the u-Jacobian of an odd field is even, so L(-u) is L(u) bit for bit
+        twins = [eq for eq in found if field.odd and np.array_equal(c, -eq.state.coeffs)]
+        if not twins:
+            L = discrete_linearization(field, basis, config, state)
+            vals, vecs = _block_eigh(L)
+            L.flags.writeable = vecs.flags.writeable = False  # shared by every reader
+            unstable = tuple((float(vals[i]), GalerkinState(vecs[:, i].reshape(m, J)))
+                             for i in np.flatnonzero(vals < -MORSE_TOL))
+        else:
+            L, unstable = twins[0].linearization, twins[0].unstable
         found.append(Equilibrium(
             state=state, residual=float(rnorm),
             is_origin=bool(np.sqrt(np.sum(c ** 2)) <= DEDUP_TOL), linearization=L,
-            unstable=tuple((float(vals[i]), GalerkinState(vecs[:, i].reshape(m, J)))
-                           for i in np.flatnonzero(vals < -MORSE_TOL))))
+            unstable=unstable))
     return found
 
 

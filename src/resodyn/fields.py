@@ -54,9 +54,14 @@ class NonlinearField:
     x (every catalogue field but ``constant-kernel``: f_k = g(u_k)) sets
     ``reads_x=False``; the sampled hypothesis checks then evaluate it, and
     read its limits, at the first node only (x of shape (1,)), and that
-    value stands for every node.  ``m`` is a whole number >= 1 and
-    ``sigma`` holds m degrees in [0, 1]; anything else raises
-    ConfigurationError.
+    value stands for every node.  A field that is exactly odd,
+    ``eval(x, -U, -dU) == -eval(x, U, dU)`` value for value with every
+    nonzero value bit for bit (a zero may come back with either sign;
+    ``arctan`` and ``scaled-arctan`` and their negations), sets
+    ``odd=True``; ``find_equilibria`` then solves a seed that mirrors an
+    earlier one, and linearizes an equilibrium that mirrors an earlier one,
+    only once.  ``m`` is a whole number >= 1 and ``sigma`` holds m degrees
+    in [0, 1]; anything else raises ConfigurationError.
     """
 
     name: str
@@ -70,6 +75,7 @@ class NonlinearField:
     jac0: Optional[np.ndarray] = None
     reads_du: bool = True
     reads_x: bool = True
+    odd: bool = False
 
     def __post_init__(self):
         self.m, self.sigma = _count("m", self.m), _unit("sigma", self.sigma)
@@ -134,8 +140,9 @@ class SampleGrid:
     def default(cls, basis: SpectralBasis, m: int, u_box: float = 1e3,
                 du_box: float = 1e3, draws: int = 200, seed: int = 0) -> "SampleGrid":
         """``draws`` (>= 1) uniform draws of u in [-u_box, u_box]^m and of du
-        in [-du_box, du_box]^m; each box is positive and finite."""
-        m, draws = _count("m", m), _count("draws", draws)
+        in [-du_box, du_box]^m; each box is positive and finite, and ``seed``
+        is a whole number >= 0."""
+        m, draws, seed = _count("m", m), _count("draws", draws), _count("seed", seed, 0)
         u_box = _radius("u_box", u_box, positive=True)
         du_box = _radius("du_box", du_box, positive=True)
         rng = np.random.default_rng(seed)
@@ -338,10 +345,11 @@ def verify_limits(field: NonlinearField, k: int, basis: SpectralBasis,
 
     The declared limits are rejected when the deviation at s = 1e6 exceeds
     LIMIT_TOL.  The samples are LIMIT_DRAWS draws of ``SampleGrid.default``
-    with u and du in [-10, 10].  Uniformity is checked only over the finite
-    sample set.
+    with u and du in [-10, 10], drawn from ``seed`` (a whole number >= 0).
+    Uniformity is checked only over the finite sample set.
     """
-    return _limit_reports(field, basis, seed, [_one_based("k", k, field.m)])[0]
+    k, seed = _one_based("k", k, field.m), _count("seed", seed, 0)
+    return _limit_reports(field, basis, seed, [k])[0]
 
 
 def _limit_reports(field: NonlinearField, basis: SpectralBasis, seed: int,
@@ -409,6 +417,7 @@ class _Row(NamedTuple):
     C3: float             # sup |g|
     slope: Callable       # g'(0), so jac0 = slope * I
     potential: Optional[Callable]  # potential(U, *args) = sum_k G(u_k) with G' = g
+    odd: bool             # g(-U) == -g(U), every nonzero value bit for bit
 
 
 _ROWS = {
@@ -418,20 +427,21 @@ _ROWS = {
         limits=_arctan_limits, sigma=lambda gain: 0.0, C3=_HALF_PI,
         slope=lambda gain: gain,
         potential=lambda U, gain: np.sum(
-            U * np.arctan(gain * U) - np.log1p((gain * U) ** 2) / (2.0 * gain), axis=0)),
+            U * np.arctan(gain * U) - np.log1p((gain * U) ** 2) / (2.0 * gain), axis=0),
+        odd=True),
     # degree-sigma resonance: |s|^sigma g(s) has the plain arctan limits while
     # the perturbation itself decays
     "scaled-arctan": _Row(
         defaults={"gain": 1.0, "sigma": 0.5}, label="scaled-arctan({0:g},{1:g})",
         g=lambda U, gain, sigma: _odd_arctan(U, gain) / (1.0 + U ** 2) ** (sigma / 2.0),
         limits=_arctan_limits, sigma=lambda gain, sigma: sigma, C3=_HALF_PI,
-        slope=lambda gain, sigma: gain, potential=None),
+        slope=lambda gain, sigma: gain, potential=None, odd=True),
     # Gaussian decay dominates any power, so both limits vanish and every
     # kernel-weighted resonance functional is identically zero
     "gaussian-decay": _Row(
         defaults={"sigma": 0.5}, label="gaussian-decay", g=lambda U, sigma: np.exp(-U ** 2),
         limits=lambda sigma: (0.0, 0.0), sigma=lambda sigma: sigma, C3=1.0,
-        slope=lambda sigma: 0.0, potential=_gaussian_potential),
+        slope=lambda sigma: 0.0, potential=_gaussian_potential, odd=False),
 }
 # every name make_field accepts, with its argument defaults
 _DEFAULTS = {name: row.defaults for name, row in _ROWS.items()}
@@ -447,7 +457,7 @@ def _pointwise(row: _Row, m: int, args: tuple) -> dict:
         sigma=np.full(m, float(row.sigma(*args))),
         f_plus=lambda x: np.full((m, x.size), fp), f_minus=lambda x: np.full((m, x.size), fm),
         bound_C3=row.C3, potential=None if pot is None else (lambda x, U: pot(U, *args)),
-        jac0=row.slope(*args) * np.eye(m), reads_du=False, reads_x=False)
+        jac0=row.slope(*args) * np.eye(m), reads_du=False, reads_x=False, odd=row.odd)
 
 
 def _constant_kernel(m: int, basis: SpectralBasis, component: float, mode: float,
@@ -482,7 +492,8 @@ def _constant_kernel(m: int, basis: SpectralBasis, component: float, mode: float
 def _signed(sign: int, m: int, **parts) -> NonlinearField:
     """The field, or for sign -1 its exact negation: the sign multiplies each
     whole output (eval, limits, potential, jac0), never a gain or amplitude,
-    which would leave +0.0 where -f has -0.0; sigma and C3 are unchanged."""
+    which would leave +0.0 where -f has -0.0; sigma, C3 and oddness are
+    unchanged."""
     if sign < 0:
         parts["name"] = f"-({parts['name']})"
         for key in ("eval", "f_plus", "f_minus", "potential"):

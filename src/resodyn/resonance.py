@@ -339,10 +339,12 @@ def evaluate_LL(field: NonlinearField, basis: SpectralBasis, split: SplitIndexSe
     ``LL<which>-``, both read from one draw and one evaluation of S.
 
     1-D blocks are exhausted by +-e_1; higher dimensional blocks are only
-    sampled and the reports say so.  A verdict holds iff its sampled
+    sampled (from ``seed``, a whole number >= 0, checked for 1-D blocks
+    too) and the reports say so.  A verdict holds iff its sampled
     minimum is strictly positive; a block without kernel modes is vacuous.
     """
     which, samples = _one_based("which", which, 2), _count("samples", samples)
+    seed = _count("seed", seed, 0)
     names = (f"LL{which}+", f"LL{which}-")
     dim = len(block_modes(split, which))
     if dim == 0:
@@ -398,8 +400,8 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     X- + X+ ball of fractional radius ``W_radius``; returns the minimum of
     +-<F(u+v+w), u>_which over the samples.  A positive margin at and beyond
     some radius supports the guiding estimate behind the a priori bounds.
-    Every R and ``W_radius`` is finite and >= 0; anything else raises
-    ConfigurationError.
+    Every R and ``W_radius`` is finite and >= 0, and ``seed`` is a whole
+    number >= 0; anything else raises ConfigurationError.
 
     The draws of each sample come from one generator in sample order (u's
     normals; v's normals and radius; w's normals and, when its fractional
@@ -411,7 +413,7 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     minima.
     """
     which, sign = _one_based("which", which, 2), _sign("sign", sign)
-    samples = _count("samples", samples)
+    samples, seed = _count("samples", samples), _count("seed", seed, 0)
     sgn = 1.0 if sign == "+" else -1.0
     if not len(R_grid):
         raise ConfigurationError("R_grid needs at least one value")

@@ -584,8 +584,8 @@ def sample_states_in_box(basis: SpectralBasis, split: SplitIndexSet,
                          config: ProblemConfig, box: HomotopyBox, count: int,
                          seed: int = 0) -> list[GalerkinState]:
     """``count`` (>= 0) random initial states strictly inside the box
-    (BOX_FILL < 1 keeps them off the boundary)."""
-    count = _count("count", count, minimum=0)
+    (BOX_FILL < 1 keeps them off the boundary), drawn from ``seed`` (>= 0)."""
+    count, seed = _count("count", count, minimum=0), _count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     weights = fractional_weights(basis, config) ** config.alpha
     masks = split.masks

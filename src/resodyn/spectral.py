@@ -246,6 +246,9 @@ class ProblemConfig:
     def __post_init__(self):
         m = _count("m", self.m)
         l = _one_based("l", self.l, m)
+        if not np.iterable(self.lam):
+            raise ConfigurationError(f"lambda must be a sequence of {m} entries, "
+                                     f"got {self.lam!r}")
         lam = tuple(_real(f"lambda_{k}", v) for k, v in enumerate(self.lam, start=1))
         sig = _unit("sigma", self.sigma)
         alpha = _real("alpha", self.alpha)

@@ -208,7 +208,21 @@ CASES = [
     ("project component", lambda e: rd.project(e.split, "X", rd.GalerkinState.zeros(1, 32)),
      "unknown projection"),
     ("shoot eps nan", lambda e: _shoot(e, NAN), "eps = "),
+    ("problem lambda scalar", lambda e: rd.ProblemConfig(m=1, l=1, lam=2.0, sigma=(0.0,)),
+     "lambda must be a sequence"),
 ]
+# every public entry that takes a sampling seed refuses a fraction, a
+# negative number and a bool (evaluate_LL on the 1-D kernel block too)
+SEED_ENTRIES = {
+    "grid": lambda e, seed: rd.SampleGrid.default(e.basis, 1, seed=seed),
+    "limits": lambda e, seed: rd.verify_limits(e.field, 1, e.basis, seed=seed),
+    "LL": lambda e, seed: rd.evaluate_LL(e.field, e.basis, e.split, e.problem, 1, seed=seed),
+    "margin": lambda e, seed: _margin(e, seed=seed),
+    "sample": lambda e, seed: rd.sample_states_in_box(e.basis, e.split, e.problem, _box(),
+                                                      count=1, seed=seed),
+}
+CASES += [(f"{entry} seed {bad!r}", lambda e, call=call, bad=bad: call(e, bad), "seed = ")
+          for entry, call in SEED_ENTRIES.items() for bad in (1.5, -1, True)]
 
 
 @pytest.mark.parametrize("call,name", [case[1:] for case in CASES],
@@ -261,7 +275,7 @@ def test_edge_values_stay_accepted(exp):
 # count, an index, a real, a [0, 1] value, a radius, a time or a sign
 SWEPT = set("m l J k component mode which count samples draws quad_nodes store_every d0 d_inf "
             "kernel_dims length lam sigma alpha dt T t tol C6 W_radius R_grid R0 R1 R2 u_box "
-            "du_box divergence_threshold eps s s_values sign signs".split())
+            "du_box divergence_threshold eps s s_values sign signs seed".split())
 # the pairs that a row of CASES refuses a bad value of
 COVERED = {
     ("Domain1D", "length"), ("Domain1D", "quad_nodes"),
@@ -277,6 +291,8 @@ COVERED = {
     ("ProblemConfig", "sigma"), ("ProblemConfig", "alpha"),
     ("SampleGrid.default", "m"), ("SampleGrid.default", "u_box"),
     ("SampleGrid.default", "du_box"), ("SampleGrid.default", "draws"),
+    ("SampleGrid.default", "seed"), ("verify_limits", "seed"), ("evaluate_LL", "seed"),
+    ("guiding_margin", "seed"), ("sample_states_in_box", "seed"),
     ("apriori_bounds", "C6"), ("blowup_demo", "T"), ("build_basis", "J"),
     ("check_bounded_solution", "R1"), ("check_bounded_solution", "R2"),
     ("check_sign_condition", "k"), ("check_sign_condition", "sign"),

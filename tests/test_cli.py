@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -525,7 +526,8 @@ def test_connect_linearizes_each_equilibrium_once(tmp_path, small_config, monkey
                                                   assert_stored_spectrum):
     # the origin is linearized once, by the stage's first search, which hands
     # it to the second; every other equilibrium by its own search, and no
-    # Morse index is a dense eigvalsh
+    # Morse index is a dense eigvalsh (the searches run on the field not
+    # declared odd, so that each of a +- pair is linearized)
     import resodyn.connections as connections
     path = small_config if config == "small" else JSON_CFG
     exp = load_config(path)
@@ -541,8 +543,8 @@ def test_connect_linearizes_each_equilibrium_once(tmp_path, small_config, monkey
         dense.append(sys._getframe(1).f_globals["__name__"])
         return eigvalsh(a, *args, **kwargs)
 
-    def recorded(*args, **kwargs):
-        found = search(*args, **kwargs)
+    def recorded(field, *args, **kwargs):
+        found = search(replace(field, odd=False), *args, **kwargs)
         searches.append(found[len(kwargs.get("known", ())):])  # what this search accepted
         return found
 
@@ -556,6 +558,46 @@ def test_connect_linearizes_each_equilibrium_once(tmp_path, small_config, monkey
     assert "resodyn.connections" not in dense
     for eq in (eq for found in searches for eq in found):
         assert_stored_spectrum(exp.field, exp.basis, exp.problem, eq)
+
+
+@pytest.mark.parametrize("config", ["small", "two_component"])
+def test_connect_linearizes_one_of_each_mirror_pair(tmp_path, small_config, monkeypatch, config,
+                                                    assert_stored_spectrum):
+    # with the odd catalogue field, an equilibrium that is the exact
+    # negation of an earlier one is not linearized: it shares that one's
+    # linearization, which is bit for bit its own
+    import resodyn.connections as connections
+    path = small_config if config == "small" else JSON_CFG
+    exp = load_config(path)
+    assert exp.field.odd
+    linearized, searches = [], []
+    linearize, search = connections.discrete_linearization, cli.find_equilibria
+
+    def counted_linearize(field, basis, problem, at):
+        linearized.append(at.coeffs)
+        return linearize(field, basis, problem, at)
+
+    def recorded(*args, **kwargs):
+        searches.append(search(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(connections, "discrete_linearization", counted_linearize)
+    monkeypatch.setattr(cli, "find_equilibria", recorded)
+    assert cli.run_subcommand("connect", path, out_dir=tmp_path / "out") == 0
+    monkeypatch.undo()
+    equilibria = searches[-1]
+    twins = [eq for i, eq in enumerate(equilibria)
+             if any(np.array_equal(eq.state.coeffs, -e.state.coeffs) for e in equilibria[:i])]
+    assert len(linearized) == len(equilibria) - len(twins)
+    for i, c in enumerate(linearized):
+        assert not any(np.array_equal(c, -d) for d in linearized[:i])
+    for eq in twins:
+        (mirror,) = [e for e in equilibria if np.array_equal(e.state.coeffs, -eq.state.coeffs)]
+        assert eq.linearization is mirror.linearization and eq.unstable is mirror.unstable
+    for eq in equilibria:
+        assert_stored_spectrum(exp.field, exp.basis, exp.problem, eq)
+    if config == "two_component":
+        assert twins
 
 
 def test_index_evaluates_each_kernel_block_once(tmp_path, monkeypatch):

@@ -499,8 +499,10 @@ def test_lockstep_newton_rounds_are_one_stacked_evaluation(basis32, desk_problem
     # after the origin, every residual is one (S', 1, 1, 32) stack of the
     # seeds still searching, or one group of whole seeds' Jacobian stacks
     # (g, 64, 1, 32); an iteration takes every live seed's Jacobian in
-    # ceil(live / group) stacks, then one solve of all of them
+    # ceil(live / group) stacks, then one solve of all of them (on the field
+    # not declared odd, so that every seed of a +- pair is stepped)
     from resodyn import connections
+    desk_field = replace(desk_field, odd=False)
     shapes, solves = [], []
     evaluate, solve = connections.galerkin_F, np.linalg.solve
     monkeypatch.setattr(connections, "galerkin_F",
@@ -524,6 +526,67 @@ def test_lockstep_newton_rounds_are_one_stacked_evaluation(basis32, desk_problem
         assert all(g == group for g in jacobians[:-1])
         assert trials[0] == live and all(a > b for a, b in zip(trials, trials[1:]))
     assert solves == [(sum(jacobians), 32, 32) for jacobians, _ in iterations]
+
+
+def test_odd_field_steps_one_seed_per_mirror_pair(basis32, desk_problem, desk_split,
+                                                  desk_field, monkeypatch, caplog):
+    # the same +- seed pairs on the odd field: Newton steps only the first
+    # seed of each pair, and each second seed is logged as its mirror
+    from resodyn import connections
+    assert desk_field.odd
+    stepped, evaluated = [], []
+    jacobian, evaluate = connections._fd_jacobian, connections.galerkin_F
+    monkeypatch.setattr(connections, "_fd_jacobian",
+                        lambda *args: stepped.append(args[-1].copy()) or jacobian(*args))
+    monkeypatch.setattr(connections, "galerkin_F",
+                        lambda *args: evaluated.append(args[-1].coeffs.shape) or evaluate(*args))
+    seeds = [rd.GalerkinState.unit(1, 32, 1, j, a) for j in (1, 2) for a in (0.05, -0.05)]
+    caplog.set_level("DEBUG", logger="resodyn.connections")
+    got = rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, seeds)
+    assert evaluated[:2] == [(1, 32), (2, 1, 1, 32)]
+    first = stepped[0]
+    assert first.shape == (2, 1, 32)
+    assert np.array_equal(first, np.stack([seeds[0].coeffs, seeds[2].coeffs]))
+    assert all(len(c) <= 2 for c in stepped)
+    assert [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"] == [
+        "seed 1 mirrors seed 0; its Newton run is not repeated",
+        "seed 3 mirrors seed 2; its Newton run is not repeated"]
+    _assert_same_equilibria(got, rd.find_equilibria(replace(desk_field, odd=False), basis32,
+                                                    desk_split, desk_problem, seeds))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("spec", ["arctan(40)", "scaled-arctan(40,0.5)", "-arctan(40)"])
+def test_odd_field_search_matches_the_full_search(spec, m, monkeypatch, caplog):
+    # +- pairs of the connect stage's seeds, of the origin's directions, of
+    # far seeds and of the origin itself, with the default iteration cap and
+    # a cap of 3: the odd path finds the same equilibria, value for value,
+    # and logs the same warnings as the search that steps every seed
+    from resodyn import connections
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=80), 32)
+    cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis.mu[0]),) * m, sigma=(0.0,) * m)
+    split = rd.classify(basis, cfg)
+    odd = rd.make_field(spec, m)
+    assert odd.odd
+    rng = np.random.default_rng(m)
+    states = [0.05 * rng.normal(size=(m, 32)) / np.sqrt(m * 32) for _ in range(3)]
+    for origin in rd.find_equilibria(odd, basis, split, cfg, []):
+        states += [0.05 * d.coeffs for _, d in origin.unstable]
+    far = np.zeros((m, 32))
+    far[0, 0] = 30.0
+    states += [far, np.zeros((m, 32))]
+    seeds = [rd.GalerkinState(sign * c) for c in states for sign in (1, -1)]
+    seeds.insert(3, seeds[0])  # a repeated seed is stepped again, not mirrored
+    caplog.set_level("WARNING", logger="resodyn.connections")
+    for cap in (connections.NEWTON_MAX_ITER, 3):
+        monkeypatch.setattr(connections, "NEWTON_MAX_ITER", cap)
+        want = rd.find_equilibria(replace(odd, odd=False), basis, split, cfg, seeds)
+        expected = _warnings(caplog)
+        got = rd.find_equilibria(odd, basis, split, cfg, seeds)
+        assert _warnings(caplog) == expected
+        _assert_same_equilibria(got, want)
+        if cap == 3:
+            assert expected
 
 
 @pytest.mark.parametrize("quad_nodes", [80, 81])
@@ -602,7 +665,9 @@ def test_newton_jacobian_groups_stay_under_the_byte_bound(m, J, quad_nodes, grou
 
 def test_known_equilibria_lead_and_are_not_derived_again(basis32, desk_problem, desk_split,
                                                         desk_field, monkeypatch):
+    # on the field not declared odd, so that each of the +- pair is linearized
     from resodyn import connections
+    desk_field = replace(desk_field, odd=False)
     seeds = [rd.GalerkinState.unit(1, 32, 1, 2, a) for a in (0.05, -0.05)]
     known = rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, [])
     plain = rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, seeds)
@@ -618,6 +683,33 @@ def test_known_equilibria_lead_and_are_not_derived_again(basis32, desk_problem, 
     _assert_same_equilibria(handed, plain)
     assert len(linearized) == len(plain) - 1 and all(np.any(s.coeffs) for s in linearized)
     assert (1, 32) not in evaluated  # the origin's residual is not evaluated again
+
+
+def test_odd_field_linearizes_one_of_each_mirror_pair(basis32, desk_problem, desk_split,
+                                                     desk_field, monkeypatch,
+                                                     assert_stored_spectrum):
+    # the +- pair of the odd field: the second root is the exact negation of
+    # the first and shares its linearization and unstable pairs, which are
+    # bit for bit those of its own linearization
+    from resodyn import connections
+    seeds = [rd.GalerkinState.unit(1, 32, 1, 2, a) for a in (0.05, -0.05)]
+    known = rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, [])
+    linearized = []
+    linearize = connections.discrete_linearization
+    monkeypatch.setattr(connections, "discrete_linearization",
+                        lambda *args: linearized.append(args[-1]) or linearize(*args))
+    handed = rd.find_equilibria(desk_field, basis32, desk_split, desk_problem, seeds,
+                                known=known)
+    monkeypatch.undo()
+    origin, plus, minus = handed
+    assert origin is known[0] and np.array_equal(minus.state.coeffs, -plus.state.coeffs)
+    assert linearized == [plus.state]
+    assert minus.linearization is plus.linearization and minus.unstable is plus.unstable
+    for eq in handed:
+        assert_stored_spectrum(desk_field, basis32, desk_problem, eq)
+    _assert_same_equilibria(handed, rd.find_equilibria(replace(desk_field, odd=False), basis32,
+                                                       desk_split, desk_problem, seeds,
+                                                       known=known))
 
 
 def test_wrong_seed_shape_raises_before_any_newton_step(basis32, desk_problem, desk_split,

@@ -499,6 +499,32 @@ def test_reads_x_declaration(basis32, spec):
     assert same == [not field.reads_x] * 3
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("spec", [*_CATALOGUE, *("-" + spec for spec in _CATALOGUE)])
+def test_odd_declaration(basis32, spec, m):
+    """A field that declares ``odd`` maps -U to the negation of its value
+    at U, value for value and every nonzero value bit for bit, on draws with
+    signed zeros, subnormals, huge and infinite values (np.sign(-0.0) is
+    +0.0, so arctan maps both zeros to one zero); of the catalogue, arctan and
+    scaled-arctan (and their negations) are odd, gaussian-decay and
+    constant-kernel are not."""
+    field = rd.make_field(spec, m, basis=basis32)
+    assert field.odd is ("arctan" in spec)
+    if not field.odd:
+        return
+    x = basis32.x
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, 1e300, -1e300, np.inf, -np.inf]
+    U = 3.0 * np.random.default_rng(m).normal(size=(3, m, x.size))
+    U.reshape(-1)[:len(special)] = special
+    U.reshape(-1)[-len(special):] = special[::-1]
+    with np.errstate(over="ignore"):  # scaled-arctan squares 1e300
+        mirrored, negated = field.eval(x, -U, None), -field.eval(x, U, None)
+    nonzero = negated != 0
+    assert np.array_equal(mirrored, negated)
+    assert _same_bits(mirrored[nonzero], negated[nonzero])
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("spec", [*_CATALOGUE, *("-" + spec for spec in _CATALOGUE)])
 def test_checks_at_one_node_match_every_node(basis32, spec, m):
