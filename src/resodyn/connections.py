@@ -89,25 +89,39 @@ def _norms(r):
     return np.sqrt((r ** 2).reshape(r.shape[0], math.prod(r.shape[1:])).sum(axis=-1))
 
 
+def _fd_states(field, m, J):
+    """Shifted states per sign of one finite-difference Jacobian."""
+    return J if field.componentwise else m * J
+
+
 def _fd_jacobian(field, basis, config, c):
     """Central differences, every column from one stacked residual evaluation
-    of the 2 m J states c +- h_i e_i with h_i = NEWTON_FD_STEP * max(1, |c_i|).
+    of the states c +- h_i e_i with h_i = NEWTON_FD_STEP * max(1, |c_i|):
+    2 m J states, one column each, or for a ``componentwise`` field 2 J
+    states, state j shifting column j of every component.  Column (k, j) is
+    then read from component k's rows of state j, and its other rows are the
+    exact +0.0 that its own state gives as r - r.
 
     ``c`` is one (m, J) state, giving its (n, n) Jacobian (n = m J), or an
-    (S, m, J) stack, giving (S, n, n): each state's 2 n shifted states are
-    then one block of an (S, 2 n, m, J) residual stack, so every Jacobian is
-    bit for bit that of its state alone."""
+    (S, m, J) stack, giving (S, n, n): each state's shifted states are then
+    one block of an (S, 2 p, m, J) residual stack, so every Jacobian is bit
+    for bit that of its state alone."""
     *lead, m, J = c.shape
     n = m * J
     base = c.reshape(*lead, n)
     h = NEWTON_FD_STEP * np.maximum(1.0, np.abs(base))
-    shifted = np.broadcast_to(base[..., None, None, :], (*lead, 2, n, n)).copy()
-    diag = np.arange(n)
-    shifted[..., 0, diag, diag] += h
-    shifted[..., 1, diag, diag] -= h
-    r = _residual(field, basis, config, shifted.reshape(*lead, 2 * n, m, J))
-    r = r.reshape(*lead, 2, n, n)
-    return ((r[..., 0, :, :] - r[..., 1, :, :]) / (2 * h[..., None])).swapaxes(-1, -2)
+    p, cols = _fd_states(field, m, J), np.arange(n)
+    state = cols % p  # the state shifting each column
+    shifted = np.broadcast_to(base[..., None, None, :], (*lead, 2, p, n)).copy()
+    shifted[..., 0, state, cols] += h
+    shifted[..., 1, state, cols] -= h
+    r = _residual(field, basis, config, shifted.reshape(*lead, 2 * p, m, J))
+    r = r.reshape(*lead, 2, p, n)
+    d = r[..., 0, :, :] - r[..., 1, :, :]
+    if p < n:  # column (k, j): component k's rows of state j, +0.0 elsewhere
+        same = (cols[:, None] // J == cols // J).reshape(m, J, n)
+        d = np.where(same, d[..., None, :, :], 0.0)
+    return (d.reshape(*lead, n, n) / (2 * h[..., None])).swapaxes(-1, -2)
 
 
 def _newton(field, basis, config, c):
@@ -132,7 +146,7 @@ def _newton(field, basis, config, c):
     rnorm = _norms(r)
     live = np.ones(len(c), dtype=bool)
     m, J = c.shape[1:]
-    group = max(1, FD_STACK_BYTES // (2 * m * J * m * basis.x.size * 8))
+    group = max(1, FD_STACK_BYTES // (2 * _fd_states(field, m, J) * m * basis.x.size * 8))
     for _ in range(NEWTON_MAX_ITER):
         live &= ~(rnorm <= NEWTON_TOL)
         searching = np.flatnonzero(live)

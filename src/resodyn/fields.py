@@ -57,10 +57,16 @@ class NonlinearField:
     value stands for every node.  A field that is exactly odd,
     ``eval(x, -U, -dU) == -eval(x, U, dU)`` value for value with every
     nonzero value bit for bit (a zero may come back with either sign;
-    ``arctan`` and ``scaled-arctan`` and their negations), sets
+    ``arctan`` and ``scaled-arctan`` and their negations, which keep the
+    zeros' signs too), sets
     ``odd=True``; ``find_equilibria`` then solves a seed that mirrors an
     earlier one, and linearizes an equilibrium that mirrors an earlier one,
-    only once.  ``m`` is a whole number >= 1 and ``sigma`` holds m degrees
+    only once.  A field whose f_k reads only x, u_k (and u_k') sets
+    ``componentwise=True`` (every catalogue field; ``constant-kernel`` reads
+    no state at all): f_k does not move when another component does, so
+    Newton's finite-difference Jacobian shifts one column of every component
+    in one state and takes the entries between components as exact zeros.
+    ``m`` is a whole number >= 1 and ``sigma`` holds m degrees
     in [0, 1]; anything else raises ConfigurationError.
     """
 
@@ -76,6 +82,7 @@ class NonlinearField:
     reads_du: bool = True
     reads_x: bool = True
     odd: bool = False
+    componentwise: bool = False
 
     def __post_init__(self):
         self.m, self.sigma = _count("m", self.m), _unit("sigma", self.sigma)
@@ -393,8 +400,8 @@ _HALF_PI = np.pi / 2.0
 
 def _odd_arctan(U, gain):
     # written in an explicitly odd form so that mirrored nodal data
-    # cancels bit-exactly regardless of the platform's libm
-    return np.sign(U) * np.arctan(gain * np.abs(U))
+    # cancels bit-exactly regardless of the platform's libm, -0.0 included
+    return np.copysign(np.arctan(gain * np.abs(U)), U if gain > 0 else gain * U)
 
 
 def _arctan_limits(gain, *_):
@@ -457,7 +464,8 @@ def _pointwise(row: _Row, m: int, args: tuple) -> dict:
         sigma=np.full(m, float(row.sigma(*args))),
         f_plus=lambda x: np.full((m, x.size), fp), f_minus=lambda x: np.full((m, x.size), fm),
         bound_C3=row.C3, potential=None if pot is None else (lambda x, U: pot(U, *args)),
-        jac0=row.slope(*args) * np.eye(m), reads_du=False, reads_x=False, odd=row.odd)
+        jac0=row.slope(*args) * np.eye(m), reads_du=False, reads_x=False, odd=row.odd,
+        componentwise=True)
 
 
 def _constant_kernel(m: int, basis: SpectralBasis, component: float, mode: float,
@@ -486,14 +494,15 @@ def _constant_kernel(m: int, basis: SpectralBasis, component: float, mode: float
     return dict(
         name=f"constant-kernel({k},{j},{amplitude:g})", eval=ev, sigma=np.zeros(m),
         f_plus=limit, f_minus=limit, bound_C3=abs(amplitude) * norm,
-        potential=lambda x, U: profile(x) * U[k - 1], jac0=np.zeros((m, m)), reads_du=False)
+        potential=lambda x, U: profile(x) * U[k - 1], jac0=np.zeros((m, m)), reads_du=False,
+        componentwise=True)
 
 
 def _signed(sign: int, m: int, **parts) -> NonlinearField:
     """The field, or for sign -1 its exact negation: the sign multiplies each
     whole output (eval, limits, potential, jac0), never a gain or amplitude,
-    which would leave +0.0 where -f has -0.0; sigma, C3 and oddness are
-    unchanged."""
+    which would leave +0.0 where -f has -0.0; sigma, C3, oddness and
+    ``componentwise`` are unchanged."""
     if sign < 0:
         parts["name"] = f"-({parts['name']})"
         for key in ("eval", "f_plus", "f_minus", "potential"):

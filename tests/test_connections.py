@@ -606,6 +606,52 @@ def test_stacked_fd_jacobian_matches_per_state_calls(spec, S, m, quad_nodes):
         assert np.array_equal(jac, _fd_jacobian(field, basis, cfg, state))
 
 
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("J, quad_nodes", [(16, 48), (32, 80), (32, 81)])
+@pytest.mark.parametrize("spec", ["arctan(40)", "-scaled-arctan(40,0.5)", "gaussian-decay(0.5)"])
+def test_grouped_fd_jacobian_matches_full_stack(spec, J, quad_nodes, S):
+    # a componentwise field shifts column j of every component in one state;
+    # at these shapes the 2 J and 2 m J state stacks take the same BLAS path,
+    # so every entry, the exact zeros between components included, is the
+    # full stack's bit for bit
+    from resodyn.connections import _fd_jacobian
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), J)
+    cfg = rd.ProblemConfig(m=2, l=1, lam=(float(basis.mu[0]),) * 2, sigma=(0.0,) * 2)
+    field = rd.make_field(spec, 2)
+    assert field.componentwise
+    c = 0.1 * np.random.default_rng(S * 10 + J).normal(size=(S, 2, J))
+    c[0, 0, 0] = 3.0  # a coefficient above 1 scales its step
+    grouped = _fd_jacobian(field, basis, cfg, c)
+    full = _fd_jacobian(replace(field, componentwise=False), basis, cfg, c)
+    assert grouped.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("J", [12, 16, 20, 24, 32])
+def test_grouped_fd_jacobian_stays_within_the_rounding_floor(J, m):
+    # at some shapes the two stacks take different BLAS projection kernels
+    # (m = 2: J = 20 at 80 nodes, J = 24 at 64 and 80; m = 3: J = 12-20 at 80
+    # and 81), and an entry moves within test_fd_jacobian_matches_column_loop's
+    # rounding floor; the entries between components stay exact zeros
+    from resodyn.connections import _fd_jacobian, _residual
+    field = rd.make_field("arctan(40)", m)
+    full_field = replace(field, componentwise=False)
+    for quad_nodes in (2 * J + 16, 80, 81):
+        basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), J)
+        cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis.mu[0]),) * m, sigma=(0.0,) * m)
+        c = 0.1 * np.random.default_rng(J * 10 + m).normal(size=(m, J))
+        c[0, 0] = 3.0
+        n = m * J
+        h = 1e-7 * np.maximum(1.0, np.abs(c.ravel()))
+        shifted = c.ravel() + np.array([1, -1])[:, None, None] * np.diag(h)
+        r = np.abs(_residual(full_field, basis, cfg, shifted.reshape(2 * n, m, J)))
+        floor = 2 * np.finfo(float).eps * (r.reshape(2, n, n).max(axis=0).T + 1.0) / h
+        grouped = _fd_jacobian(field, basis, cfg, c)
+        assert np.all(np.abs(grouped - _fd_jacobian(full_field, basis, cfg, c)) <= floor)
+        other = np.arange(n)[:, None] // J != np.arange(n) // J
+        assert not np.any(grouped[other]) and not np.signbit(grouped[other]).any()
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("J, quad_nodes", [(16, 48), (16, 49), (20, 56), (32, 80), (32, 81)])
 @pytest.mark.parametrize("spec", ["arctan(40)", "u'-reading"])
@@ -628,18 +674,22 @@ def test_linearization_matches_block_loop(spec, J, quad_nodes, m):
                               loop)
 
 
-@pytest.mark.parametrize("m, J, quad_nodes, group", [(2, 32, 80, 1), (1, 16, 48, 10),
-                                                     (1, 32, 80, 3)])
-def test_newton_jacobian_groups_stay_under_the_byte_bound(m, J, quad_nodes, group,
-                                                          monkeypatch):
+@pytest.mark.parametrize("m, J, quad_nodes, componentwise, group", [
+    pytest.param(m, J, quad_nodes, componentwise, group, id=f"{m}-{J}-{quad_nodes}-{group}")
+    for m, J, quad_nodes, componentwise, group in [
+        (2, 32, 80, False, 1), (2, 16, 48, True, 5), (1, 16, 48, True, 10), (1, 32, 80, True, 3)]])
+def test_newton_jacobian_groups_stay_under_the_byte_bound(m, J, quad_nodes, componentwise,
+                                                          group, monkeypatch):
     # twelve live seeds: the first iteration's groups are full, and a group's
-    # nodal array passes FD_STACK_BYTES only when it is one seed
+    # nodal array passes FD_STACK_BYTES only when it is one seed; a seed
+    # shifts 2 m J states, or 2 J for a componentwise field
     from resodyn import connections
     basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=quad_nodes), J)
     cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis.mu[0]),) * m, sigma=(0.0,) * m)
     split = rd.classify(basis, cfg)
     rng = np.random.default_rng(J + m)
     seeds = [rd.GalerkinState(0.05 * rng.normal(size=(m, J))) for _ in range(12)]
+    states = 2 * J * (1 if componentwise else m)
     groups, nodal = [], []
     jacobian, evaluate = connections._fd_jacobian, connections.galerkin_F
 
@@ -648,19 +698,20 @@ def test_newton_jacobian_groups_stay_under_the_byte_bound(m, J, quad_nodes, grou
         return jacobian(field, basis, config, c)
 
     def galerkin_F(field, basis, u):
-        if u.coeffs.shape[1] == 2 * m * J:
-            nodal.append(u.coeffs.shape[0] * 2 * m * J * m * basis.x.size * 8)
+        if u.coeffs.shape[1] == states:
+            nodal.append(u.coeffs.shape[0] * states * m * basis.x.size * 8)
         return evaluate(field, basis, u)
 
     monkeypatch.setattr(connections, "_fd_jacobian", fd_jacobian)
     monkeypatch.setattr(connections, "galerkin_F", galerkin_F)
     monkeypatch.setattr(connections, "NEWTON_MAX_ITER", 2)
-    rd.find_equilibria(rd.make_field("arctan(40)", m), basis, split, cfg, seeds)
+    field = replace(rd.make_field("arctan(40)", m), componentwise=componentwise)
+    rd.find_equilibria(field, basis, split, cfg, seeds)
     first = [group] * (12 // group) + ([12 % group] if 12 % group else [])
     assert groups[:len(first)] == first
     assert max(groups) == group and len(nodal) == len(groups)
     assert all(g == 1 or b <= connections.FD_STACK_BYTES for g, b in zip(groups, nodal))
-    assert (group == 1) == (2 * m * J * m * quad_nodes * 8 > connections.FD_STACK_BYTES)
+    assert (group == 1) == (states * m * quad_nodes * 8 > connections.FD_STACK_BYTES)
 
 
 def test_known_equilibria_lead_and_are_not_derived_again(basis32, desk_problem, desk_split,

@@ -504,10 +504,11 @@ def test_reads_x_declaration(basis32, spec):
 def test_odd_declaration(basis32, spec, m):
     """A field that declares ``odd`` maps -U to the negation of its value
     at U, value for value and every nonzero value bit for bit, on draws with
-    signed zeros, subnormals, huge and infinite values (np.sign(-0.0) is
-    +0.0, so arctan maps both zeros to one zero); of the catalogue, arctan and
-    scaled-arctan (and their negations) are odd, gaussian-decay and
-    constant-kernel are not."""
+    signed zeros, subnormals, huge and infinite values; of the catalogue,
+    arctan and scaled-arctan (and their negations) are odd, gaussian-decay
+    and constant-kernel are not.  The catalogue's odd fields are odd in
+    every bit, zeros included: -0.0 maps to a zero with the sign of the
+    slope at 0, so arctan(40) maps -0.0 to -0.0."""
     field = rd.make_field(spec, m, basis=basis32)
     assert field.odd is ("arctan" in spec)
     if not field.odd:
@@ -523,6 +524,31 @@ def test_odd_declaration(basis32, spec, m):
     nonzero = negated != 0
     assert np.array_equal(mirrored, negated)
     assert _same_bits(mirrored[nonzero], negated[nonzero])
+    assert _same_bits(mirrored, negated)
+    at_zero = field.eval(x, np.full((m, x.size), -0.0), None)
+    assert _same_bits(at_zero, np.full((m, x.size), -0.0 if field.jac0[0, 0] > 0 else 0.0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("spec", [*_CATALOGUE, *("-" + spec for spec in _CATALOGUE)])
+def test_componentwise_declaration(basis32, spec, m):
+    """Every catalogue field declares ``componentwise``: perturbing u_k, by
+    a small step or a large one, moves f_k only, and every other
+    component's values keep their bits; a field of your own keeps the
+    default, False."""
+    field = rd.make_field(spec, m, basis=basis32)
+    assert field.componentwise
+    x = basis32.x
+    U = 3.0 * np.random.default_rng(m).normal(size=(m, x.size))
+    base = field.eval(x, U, None)
+    for k in range(m):
+        for step in (1e-6, 10.0):
+            moved = U.copy()
+            moved[k] += step
+            f = field.eval(x, moved, None)
+            others = np.arange(m) != k
+            assert _same_bits(f[others], base[others])
+    assert _custom(m, lambda x, U, dU: np.zeros_like(U)).componentwise is False
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
