@@ -198,9 +198,10 @@ def find_equilibria(field: NonlinearField, basis: SpectralBasis, split: SplitInd
     dropped with a warning, in seed order.  The seeds step in lockstep
     (``_newton``): the Jacobians and the trial residuals of a backtracking
     round are stacked ``galerkin_F`` calls with one block per seed, which
-    the field sees as U of shape (S, B, m, n), and every seed's iterates
-    are bit for bit those of a Newton run from that seed alone.  Every
-    seed's shape is checked before any Newton step.
+    the field sees as U of shape (S, B, m, n) (or, split, (2, S, B, m,
+    n/2): ``galerkin_F``), and every seed's iterates are bit for bit those
+    of a Newton run from that seed alone.  Every seed's shape is checked
+    before any Newton step.
 
     The candidates are the origin, whenever the field vanishes there, then
     the seeds' roots in seed order; each is dropped when within DEDUP_TOL

@@ -54,7 +54,12 @@ class NonlinearField:
     x (every catalogue field but ``constant-kernel``: f_k = g(u_k)) sets
     ``reads_x=False``; the sampled hypothesis checks then evaluate it, and
     read its limits, at the first node only (x of shape (1,)), and that
-    value stands for every node.  A field that is exactly odd,
+    value stands for every node.  Such a field is pointwise, so it may be
+    evaluated with its nodes in another order and another batch shape:
+    ``galerkin_F`` and the march hand it, at an even node count, the two
+    mirrored halves of the nodes as one more leading axis, U of shape
+    (2, ..., m, n/2) with x the first half of the nodes.  A field that is
+    exactly odd,
     ``eval(x, -U, -dU) == -eval(x, U, dU)`` value for value with every
     nonzero value bit for bit (a zero may come back with either sign;
     ``arctan`` and ``scaled-arctan`` and their negations, which keep the
@@ -174,15 +179,18 @@ def galerkin_F(field: NonlinearField, basis: SpectralBasis, u: GalerkinState) ->
 
     The states are copied into ``SpectralBasis._blocks`` and evaluated by
     ``_evaluate``, the one evaluation body, which the march step
-    (``semiflow._homotopy``) runs too.  A field value of another shape than
-    U, or a non-finite one, raises EvaluationError there; a state whose
-    trailing shape is not (field.m, basis.J) raises ConfigurationError.
+    (``semiflow._homotopy``) runs too.  A field that does not read x is
+    evaluated at an even node count on the blocks' split nodal buffer, U
+    of shape (2, ..., m, nq/2) (``SpectralBasis._blocks``).  A field value
+    of another shape than U, or a non-finite one, raises EvaluationError
+    there; a state whose trailing shape is not (field.m, basis.J) raises
+    ConfigurationError.
     """
     c = u.coeffs
     if c.shape[-2:] != (field.m, basis.J):
         raise ConfigurationError(f"state shape {c.shape} is not (..., m, J) = "
                                  f"(..., {field.m}, {basis.J})")
-    work = _evaluate(field, basis, basis._blocks(c.shape, states=c))
+    work = _evaluate(field, basis, basis._blocks(c.shape, field.reads_x, states=c))
     return GalerkinState._trusted(_interleave(work.cs, work.ca).reshape(c.shape))
 
 
@@ -191,30 +199,34 @@ def _evaluate(field: NonlinearField, basis: SpectralBasis, work):
     of the states they hold, and return ``work``: the fold of U (and, for a
     field that ``reads_du``, of u' into a buffer of its own), one
     ``field.eval`` on the nodes, and the projection into the blocks
-    (``np.matmul(..., out=)``).
+    (``np.matmul(..., out=)``).  On a split nodal buffer the field sees
+    the first half of the nodes, x of shape (nq/2,), for both halves.
 
     A field value of another shape than U raises EvaluationError, and so
     does a non-finite one, naming its component and node (the first in
-    memory order).  The check sums the flat buffer, not the nodal values:
-    the products spread inf and NaN to every coefficient of the row (0 *
-    inf is NaN), and a non-finite coefficient makes the sum non-finite in
-    any order, so the nodal values are scanned only when the sum is not
-    finite.  If every nodal value is finite (the quadrature sum, or the
-    check's own sum, overflowed), nothing is raised, and the march's
-    divergence guard sees the coefficients as they are.
+    natural (state, component, node) order, in either layout).  The check
+    sums the flat buffer, not the nodal values: the products spread inf
+    and NaN to every coefficient of the row (0 * inf is NaN), and a
+    non-finite coefficient makes the sum non-finite in any order, so the
+    nodal values are scanned only when the sum is not finite.  If every
+    nodal value is finite (the quadrature sum, or the check's own sum,
+    overflowed), nothing is raised, and the march's divergence guard sees
+    the coefficients as they are.
     """
-    flat, cs, ca, nodal, halves, U = work
+    flat, cs, ca, nodal, halves, U, x, split = work
     basis._fold_blocks(cs, ca, basis._phi_fold, False, halves)
     dU = None
     if field.reads_du:
         dU = np.empty_like(nodal)
-        basis._fold_blocks(cs, ca, basis._dphi_fold, True, basis._halves(dU))
+        basis._fold_blocks(cs, ca, basis._dphi_fold, True, basis._halves(dU, split))
         dU = dU.reshape(U.shape)
-    fv = np.ascontiguousarray(field.eval(basis.x, U, dU), dtype=float)
+    fv = np.ascontiguousarray(field.eval(x, U, dU), dtype=float)
     if fv.shape != U.shape:
         raise EvaluationError(f"field returned shape {fv.shape}, expected {U.shape}")
-    basis._project_blocks(fv.reshape(nodal.shape), cs, ca)
+    basis._project_blocks(basis._halves(fv.reshape(nodal.shape), split), cs, ca)
     if not math.isfinite(flat.sum()) and not np.isfinite(fv).all():
+        if split:  # the values in natural node order
+            fv = np.concatenate([fv[0], fv[1][..., ::-1]], axis=-1)
         *_, k, i = np.argwhere(~np.isfinite(fv))[0]
         raise EvaluationError(
             f"non-finite field value in component {k + 1} at node x={basis.x[i]:.6g}")

@@ -218,7 +218,7 @@ def homotopy_field(field: NonlinearField, basis: SpectralBasis, split: SplitInde
         raise ConfigurationError(
             f"homotopy_field takes states of shape (..., m, J) with (m, J) = {q0.shape} and one "
             f"s or one per state; got states of shape {c.shape} and s of shape {s.shape}")
-    plan = _plan(basis, q0, np.broadcast_to(s, c.shape[:-2]).reshape(-1))
+    plan = _plan(basis, q0, np.broadcast_to(s, c.shape[:-2]).reshape(-1), field.reads_x)
     return GalerkinState._trusted(_homotopy(field, basis, plan, c).reshape(c.shape))
 
 
@@ -245,10 +245,12 @@ class _Plan(NamedTuple):
     blocks: _Blocks
 
 
-def _plan(basis: SpectralBasis, q0: np.ndarray, s: np.ndarray) -> _Plan:
+def _plan(basis: SpectralBasis, q0: np.ndarray, s: np.ndarray, reads_x: bool) -> _Plan:
     """The plan of the rows ``s`` (shape (B,)) for the (m, J) Q0 mask
     ``q0``: index arrays and every buffer and view a step reads, made
-    once, so that a step classifies no s and allocates only H."""
+    once, so that a step classifies no s and allocates only H.  The
+    blocks' nodal layout is the one ``SpectralBasis._blocks`` picks for a
+    field that reads x or (``reads_x`` False) does not."""
     sc = s[:, None, None]
     mid = np.flatnonzero((0.0 < s) & (s < 1.0))
     B, R = s.size, s.size + mid.size
@@ -260,7 +262,7 @@ def _plan(basis: SpectralBasis, q0: np.ndarray, s: np.ndarray) -> _Plan:
     gather[mid] = np.where(q0, pos[mid], pos[B:])
     gather[~q0 & (sc == 0.0)] = R * q0.size
     ones = bool((s == 1.0).all())
-    blocks = basis._blocks(flat.shape, spare=1)
+    blocks = basis._blocks(flat.shape, reads_x, spare=1)
     return _Plan(take=_parity_order(np.concatenate([flat[:B], flat[mid]])),
                  scale=None if ones else _parity_order(np.concatenate([W, np.ones_like(W[mid])])),
                  gather=gather, W=None if ones else W, taken=blocks.flat[:-1], blocks=blocks)
@@ -334,7 +336,7 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
     calm = 0.5 * min(threshold, 1e150) / math.sqrt(q0.size)
     c = np.stack([u0.coeffs for u0 in states])
     members = np.arange(s.size)
-    plan = _plan(basis, q0, s)
+    plan = _plan(basis, q0, s, field.reads_x)
     times = [[0.0] for _ in c]
     coeffs = [[row] for row in c]
     diverged = np.zeros(s.size, dtype=bool)
@@ -373,7 +375,7 @@ def integrate_ensemble(field: NonlinearField, basis: SpectralBasis, split: Split
                 c, members = c[~leave], members[~leave]
                 if members.size == 0:
                     break
-                plan = _plan(basis, q0, s[members])
+                plan = _plan(basis, q0, s[members], field.reads_x)
     return [Trajectory(times=np.asarray(t), coeffs=c, s=float(si), diverged=bool(d),
                        norms=trajectory_norms(basis, split, config, c))
             for t, c, si, d in zip(times, map(np.asarray, coeffs), s, diverged)]

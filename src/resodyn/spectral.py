@@ -119,20 +119,25 @@ class SpectralBasis:
         cs = np.ascontiguousarray(coeffs[..., 0::2])
         ca = np.ascontiguousarray(coeffs[..., 1::2])
         out = np.empty(coeffs.shape[:-1] + (self.x.size,))
-        self._fold_blocks(cs, ca, tables, flip, self._halves(out))
+        self._fold_blocks(cs, ca, tables, flip, self._halves(out, False))
         return out
 
-    def _halves(self, nodal):
-        """Where a fold writes into the nodal array ``nodal``: its first
-        half, its mirrored half read backwards, and its midpoint column
-        (None at an even node count)."""
+    def _halves(self, nodal, split):
+        """Where a fold writes into the nodal array ``nodal`` and a
+        projection reads it: its first half of the nodes, its mirrored half
+        in mirror order (node nq - 1 - i at position i), and its midpoint
+        column (None at an even node count).  A ``split`` array, shape
+        (2, ..., nq/2), holds the two halves as its two contiguous blocks;
+        any other holds the nodes in natural order, shape (..., nq)."""
+        if split:
+            return nodal[0], nodal[1], None
         nq, h = self.x.size, self._half
         return nodal[..., :h], nodal[..., nq - h:][..., ::-1], nodal[..., h] if nq % 2 else None
 
     def _fold_blocks(self, cs, ca, tables, flip, halves):
         """The fold: nodal values of the C-ordered parity blocks ``cs`` (the
         odd-j columns) and ``ca`` (the even-j ones), written into ``halves``
-        (``_halves`` of the nodal array)."""
+        (``_halves`` of the nodal array, natural or split)."""
         table_s, table_a, table_mid = tables
         head, mirrored, mid = halves
         vs, va = cs @ table_s, ca @ table_a
@@ -156,32 +161,42 @@ class SpectralBasis:
         if fvals.shape[-1] != self.x.size:
             raise ConfigurationError(f"nodal shape {fvals.shape} is not (..., nq) = "
                                      f"(..., {self.x.size})")
-        return _interleave(*self._project_blocks(fvals))
+        return _interleave(*self._project_blocks(self._halves(fvals, False)))
 
-    def _project_blocks(self, fvals, ps=None, pa=None):
-        """The projection: the coefficients of the C-ordered float rows
-        ``fvals`` as the C-ordered parity blocks ``(ps, pa)`` (the odd-j
-        columns, the even-j ones), written into ``ps`` and ``pa`` if given."""
+    def _project_blocks(self, halves, ps=None, pa=None):
+        """The projection: the coefficients of the float rows whose
+        ``halves`` (``_halves`` of a C-ordered nodal array, natural or
+        split) are given, as the C-ordered parity blocks ``(ps, pa)`` (the
+        odd-j columns, the even-j ones), written into ``ps`` and ``pa`` if
+        given.  The products' operands are the fresh C-ordered arrays
+        f1 +- f2 in either layout, so the layouts agree bit for bit."""
         weighted_s, weighted_a, weighted_mid = self._project_fold
-        h, nq = self._half, self.x.size
-        f1 = fvals[..., :h]
-        f2 = fvals[..., nq - h:][..., ::-1]
+        f1, f2, mid = halves
         ps = np.matmul(f1 + f2, weighted_s, out=ps)
-        if nq % 2:
-            ps += fvals[..., h, None] * weighted_mid
+        if mid is not None:
+            ps += mid[..., None] * weighted_mid
         return ps, np.matmul(f1 - f2, weighted_a, out=pa)
 
     def gram(self) -> np.ndarray:
         """Quadrature Gram matrix of the basis (identity up to quadrature error)."""
         return self.project(self.phi)
 
-    def _blocks(self, shape, spare=0, states=None) -> "_Blocks":
+    def _blocks(self, shape, reads_x, spare=0, states=None) -> "_Blocks":
         """``_Blocks`` for states of shape (..., m, J): the rows of a 2-D or
         3-D array are one block, and with more axes each trailing (B, m, J)
         stack is its own block, whose products have the shapes that block
         alone gives them.  The blocks hold a copy of ``states``, if given,
         and are uninitialised otherwise; ``spare`` entries of 0.0 follow
-        them in the flat buffer."""
+        them in the flat buffer.
+
+        For a field that does not read x (``reads_x`` False) at an even
+        node count, the nodal buffer is split: shape (2, ..., nq/2), the
+        first half of the nodes, then the mirrored half in mirror order,
+        so that the fold writes, and the projection reads, two contiguous
+        halves instead of two row-strided views.  Otherwise it holds the
+        nodes in natural order, the only layout that lines x up with a
+        node axis and holds the midpoint.
+        """
         lead = shape[:-3] + (math.prod(shape[-3:-1]),)
         size, odd = math.prod(shape), (self.J + 1) // 2
         cut = size // self.J * odd
@@ -192,9 +207,11 @@ class SpectralBasis:
         if states is not None:
             rows = states.reshape(lead + (self.J,))
             cs[...], ca[...] = rows[..., 0::2], rows[..., 1::2]
-        nodal = np.empty(lead + (self.x.size,))
-        return _Blocks(flat, cs, ca, nodal, self._halves(nodal),
-                       nodal.reshape(shape[:-1] + (self.x.size,)))
+        split = not reads_x and self.x.size % 2 == 0
+        pair, n = ((2,), self._half) if split else ((), self.x.size)
+        nodal = np.empty(pair + lead + (n,))
+        return _Blocks(flat, cs, ca, nodal, self._halves(nodal, split),
+                       nodal.reshape(pair + shape[:-1] + (n,)), self.x[:n], split)
 
 
 class _Blocks(NamedTuple):
@@ -203,9 +220,12 @@ class _Blocks(NamedTuple):
     ``flat`` holds the C-ordered parity blocks, ``cs`` (every row's odd-j
     columns) and then ``ca`` (the even-j ones), which view it (the order of
     ``_parity_order``; ``_interleave`` undoes it), then any spare entries.
-    ``nodal`` is the rows' nodal buffer, ``halves`` where a fold writes
-    into it (``SpectralBasis._halves``), and ``U`` views it in the states'
-    shape.
+    ``nodal`` is the rows' nodal buffer, split into its two mirrored
+    halves, shape (2, ..., nq/2), if ``split`` (``SpectralBasis._blocks``),
+    ``halves`` where a fold writes into it (``SpectralBasis._halves``),
+    and ``U`` views it in the states' shape: (..., m, nq), or
+    (2, ..., m, nq/2) if split.  ``x`` is the nodes of U's last axis: all
+    of them, or, split, the first half.
     """
 
     flat: np.ndarray
@@ -214,6 +234,8 @@ class _Blocks(NamedTuple):
     nodal: np.ndarray
     halves: tuple
     U: np.ndarray
+    x: np.ndarray
+    split: bool
 
 
 def _interleave(cs, ca):

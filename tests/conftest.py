@@ -60,6 +60,23 @@ def assert_stored_spectrum():
     return check
 
 
+@pytest.fixture(scope="session")
+def nodal_index():
+    """``index(U, nq, *lead, node=i)``: the index of natural node i (of
+    nq) of the entry ``lead`` in a nodal array of U's layout, the nodes in
+    natural order, (..., nq), or split into their two mirrored halves,
+    (2, ..., nq/2), node nq - 1 - i of the second half at position i
+    (``SpectralBasis._blocks``)."""
+
+    def index(U, nq, *lead, node):
+        if U.shape[-1] == nq:
+            return (*lead, node)
+        half = nq // 2
+        return (0, *lead, node) if node < half else (1, *lead, nq - 1 - node)
+
+    return index
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)

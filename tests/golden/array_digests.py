@@ -4,6 +4,8 @@
   ``connect_arctan_odd.ini``: a report keeps only each profile's two ends.
 - A march (ETD1, 49 nodes) and a Newton search with a field that reads u'.
   No catalogue field does, so no experiment file reaches the u' fold.
+  ``split_du_digests.py`` prints the same arrays for the field declared
+  free of x, at 48 nodes.
 
 ``regenerate.py`` digests this script's stdout as one more case entry.
 Run it from the root of a source checkout:
@@ -57,27 +59,29 @@ def energy_profiles() -> list[str]:
             for i, shot in enumerate(shots) if isinstance(shot, rd.ConnectionRecord)]
 
 
-def reads_du() -> list[str]:
+def reads_du(nodes: int = 49, reads_x: bool = True, tag: str = "reads_du") -> list[str]:
     """A march at s = 0.5 and 1 and a Newton search with f = arctan(40 u) +
-    tanh(u') / 10, which is declared neither odd nor free of u'."""
+    tanh(u') / 10 on ``nodes`` quadrature nodes, which is declared neither
+    odd nor free of u' (nor, unless ``reads_x`` is False, free of x); each
+    line starts with ``tag``."""
     m = 1
     field = rd.NonlinearField(name="arctan(40u)+tanh(u')/10", m=m,
                               eval=lambda x, U, dU: np.arctan(40 * U) + 0.1 * np.tanh(dU),
-                              sigma=np.zeros(m), f_plus=None, f_minus=None)
-    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=49), 16)
+                              sigma=np.zeros(m), f_plus=None, f_minus=None, reads_x=reads_x)
+    basis = rd.build_basis(rd.Domain1D(length=1.0, quad_nodes=nodes), 16)
     cfg = rd.ProblemConfig(m=m, l=1, lam=(float(basis.mu[0]),), sigma=(0.0,))
     split = rd.classify(basis, cfg)
-    rng = np.random.default_rng(49)
+    rng = np.random.default_rng(nodes)
     u0 = rd.GalerkinState(0.3 * rng.normal(size=(m, 16)))
     settings = rd.IntegratorSettings(dt=1e-3, T=1.0, scheme="ETD1", store_every=10)
-    lines = [f"reads_du march s={traj.s:g} {_sha(traj.times, traj.coeffs, traj.norms)}"
+    lines = [f"{tag} march s={traj.s:g} {_sha(traj.times, traj.coeffs, traj.norms)}"
              for traj in rd.integrate_ensemble(field, basis, split, cfg, [0.5, 1.0],
                                                [u0, u0], settings)]
     seeds = [rd.GalerkinState(0.05 * rng.normal(size=(m, 16))) for _ in range(2)]
     seeds += [rd.GalerkinState.unit(m, 16, 1, 2, a) for a in (0.05, -0.05)]
     for i, eq in enumerate(rd.find_equilibria(field, basis, split, cfg, seeds)):
         unstable = [a for rate, d in eq.unstable for a in ([rate], d.coeffs)]
-        lines.append(f"reads_du equilibrium {i} "
+        lines.append(f"{tag} equilibrium {i} "
                      f"{_sha(eq.state.coeffs, [eq.residual], eq.linearization, *unstable)}")
     return lines
 

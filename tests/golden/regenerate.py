@@ -7,7 +7,8 @@ stdout, the sha256 of every file and the stdout of each experiment of the
 bench rounds in ``ROUNDS`` (built by ``bench/workloads.round_for``), the
 sha256 of every file and the stdout of each experiment file in ``CASES``
 (test data for the paths no shipped config reaches), the sha256 of the
-stdout of ``ARRAYS`` (digests of arrays that no experiment file writes),
+stdout of each script in ``ARRAYS`` (digests of arrays that no experiment
+file writes),
 and the facts of the machine that produced them: the last bits of the
 outputs depend on the numpy and scipy builds, the BLAS and its kernels
 (picked by the CPU's instruction sets) and the core count.
@@ -42,9 +43,10 @@ BENCH = ROOT / "bench"
 # experiment files that are test data, not shipped configs: each runs the
 # subcommand its name starts with (``index_constant_kernel.ini`` runs index)
 CASES = sorted(Path(__file__).resolve().parent.glob("*.ini"))
-# a script that prints the sha256 of arrays no experiment file writes; its
-# stdout is one more case entry
-ARRAYS = Path(__file__).resolve().parent / "array_digests.py"
+# scripts that print the sha256 of arrays no experiment file writes; the
+# stdout of each is one more case entry
+ARRAYS = tuple(Path(__file__).resolve().parent / name
+               for name in ("array_digests.py", "split_du_digests.py"))
 # (workload, seed) of every bench round in the manifest
 ROUNDS = (("shoot-connect", 1), ("shoot-connect", 2), ("shoot-connect", 3),
           ("ensemble-simulate", 1), ("hypothesis-sweep", 1))
@@ -115,13 +117,15 @@ def round_digests() -> dict:
 def case_digests() -> dict:
     """``file/relative path`` -> sha256 of every file the subcommand of each
     experiment file in ``CASES`` writes, and ``file/stdout``; and
-    ``array_digests.py/stdout``, the sha256 of what ``ARRAYS`` prints."""
+    ``<script>/stdout``, the sha256 of what each script in ``ARRAYS``
+    prints."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             out.update(_run_digests(case.stem.split("_", 1)[0], case, Path(tmp) / case.name,
                                     case.name))
-    out[f"{ARRAYS.name}/stdout"] = digest(demo_stdout(ARRAYS))
+    for script in ARRAYS:
+        out[f"{script.name}/stdout"] = digest(demo_stdout(script))
     return out
 
 

@@ -689,7 +689,7 @@ _NAN_SECTIONS = {"domain": ["J = 16", "quad_nodes = {nodes}"],
     ("simulate", 0), ("simulate", 1), ("simulate", 6), ("connect", 0),
 ], ids=["simulate-s0", "simulate-mid-restricted", "simulate-mid-full", "connect"])
 @pytest.mark.parametrize("nodes", [80, 81])
-def test_nan_in_the_middle_of_a_march_exit_code(tmp_path, monkeypatch, capsys,
+def test_nan_in_the_middle_of_a_march_exit_code(tmp_path, monkeypatch, capsys, nodal_index,
                                                 subcommand, row, nodes):
     import resodyn.semiflow as semiflow
 
@@ -703,7 +703,9 @@ def test_nan_in_the_middle_of_a_march_exit_code(tmp_path, monkeypatch, capsys,
         marching.append(True)
         return homotopy(*args, **kwargs)
 
-    node, k = nodes // 2, 5  # the midpoint node of the odd rule
+    # the midpoint node of the odd rule; at 80 nodes, the first node of the
+    # mirrored half, which the split layout holds last in its second block
+    node, k = nodes // 2, 5
 
     def patched_load(*args, **kwargs):
         exp = load_config(*args, **kwargs)
@@ -712,10 +714,10 @@ def test_nan_in_the_middle_of_a_march_exit_code(tmp_path, monkeypatch, capsys,
         def eval_with_nan(x, U, dU):
             out = clean(x, U, dU)
             if marching:
-                calls.append(U.shape)
+                calls.append(U.size // (2 * nodes))  # the states evaluated (m = 2)
                 if len(calls) == k:
                     out = np.array(out)
-                    out[row, 1, node] = np.nan
+                    out[nodal_index(out, nodes, row, 1, node=node)] = np.nan
             return out
 
         monkeypatch.setattr(exp.field, "eval", eval_with_nan)
@@ -731,7 +733,7 @@ def test_nan_in_the_middle_of_a_march_exit_code(tmp_path, monkeypatch, capsys,
     # the march stops at the evaluation that returned the NaN
     assert len(calls) == k
     if subcommand == "simulate":
-        assert calls[0][0] == 8
+        assert calls[0] == 8
 
 
 def _check_stage_fields(m, basis):

@@ -535,7 +535,7 @@ def _march_five_ufunc_rule(field, basis, split, config, s_values, states, settin
     q0 = split.masks["Q0"]
     c = np.stack([u0.coeffs for u0 in states])
     members = np.arange(s.size)
-    plan = _plan(basis, q0, s)
+    plan = _plan(basis, q0, s, field.reads_x)
     times = [[0.0] for _ in c]
     coeffs = [[row] for row in c]
     diverged = np.zeros(s.size, dtype=bool)
@@ -568,7 +568,7 @@ def _march_five_ufunc_rule(field, basis, split, config, s_values, states, settin
                 c, members = c[~leave], members[~leave]
                 if members.size == 0:
                     break
-                plan = _plan(basis, q0, s[members])
+                plan = _plan(basis, q0, s[members], field.reads_x)
     return times, [np.asarray(x) for x in coeffs], diverged
 
 
@@ -688,7 +688,8 @@ def _count_evaluations(monkeypatch):
     calls, body = [], fields._evaluate
 
     def counted(field, basis, work):
-        calls.append(math.prod(work.U.shape[:-2]))
+        # states of m components on nq nodes, in either nodal layout
+        calls.append(work.U.size // (field.m * basis.x.size))
         return body(field, basis, work)
 
     monkeypatch.setattr(fields, "_evaluate", counted)
@@ -955,9 +956,9 @@ def test_march_plan_matches_homotopy_field(m, nodes, monkeypatch):
     states = [rd.GalerkinState(a * gen.normal(size=(m, 16)) / 4.0) for a in scale]
     plan, homotopy, steps = semiflow._plan, semiflow._homotopy, []
 
-    def recording_plan(basis_, q0, s_rows):
+    def recording_plan(basis_, q0, s_rows, reads_x):
         steps.append(("plan", s_rows.copy()))
-        return plan(basis_, q0, s_rows)
+        return plan(basis_, q0, s_rows, reads_x)
 
     def recording_homotopy(field_, basis_, plan_, c):
         H = homotopy(field_, basis_, plan_, c)
@@ -1089,7 +1090,7 @@ def test_march_step_matches_the_where_formula(nodes, J, m):
     for B in [*range(1, 41), 76, 101]:
         for s in (np.ones(B), np.zeros(B), np.resize([0.0, 0.3, 1.0, 0.7, 0.5], B)):
             for field in fields if B in (1, 2, 5, 40, 76) else fields[:1]:
-                plan = _plan(basis, q0, s)
+                plan = _plan(basis, q0, s, field.reads_x)
                 for _ in range(2):
                     c = gen.normal(size=(B, m, J))
                     c[0, 0, 0] = -0.0
