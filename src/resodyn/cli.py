@@ -313,11 +313,13 @@ def run_subcommand(name: str, config_path, out_dir=None, seed=None, s_grid=None,
 
 
 def _report_text(report) -> str:
-    """The text of report.json: the bytes ``json.dumps(report, indent=2,
-    sort_keys=True) + "\\n"`` writes once tuples are lists and non-finite
-    floats (numpy's too) are the strings "inf", "-inf" and "nan", made in one
-    walk.  A value json.dumps refuses (a numpy integer or bool, a finite
-    numpy float that is not a float subclass, a set, ...) raises TypeError."""
+    """The text of report.json, made in one walk: the bytes
+    ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` writes once
+    tuples are lists and non-finite floats are the strings "inf", "-inf" and
+    "nan".  A report holds dicts with str keys, lists, tuples and scalars of
+    exactly the types of ``_LEAVES``; any other key or value (a numpy integer
+    or bool, a float32, a str or float subclass, a set, ...) raises
+    TypeError."""
     out = []
     _write(report, "\n", out)
     out.append("\n")
@@ -335,36 +337,6 @@ _LEAVES = {str: _json_str, int: int.__repr__, float: _float_text, np.float64: _f
            bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
 
 
-def _leaf(obj) -> str:
-    """The text of a scalar of any other type, in json.dumps's order of
-    tests; what json.dumps refuses raises its TypeError."""
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float) or (isinstance(obj, np.floating) and not math.isfinite(obj)):
-        return _float_text(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A dict key as json.dumps writes it: a string, or the text of a
-    float, bool, None or int."""
-    if isinstance(key, str):
-        return _json_str(key)
-    if isinstance(key, float):
-        text = (float.__repr__(key) if math.isfinite(key) else
-                "NaN" if key != key else ("Infinity" if key > 0 else "-Infinity"))
-    elif key is True or key is False or key is None:
-        text = _LEAVES[type(key)](key)
-    elif isinstance(key, int):
-        text = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {type(key).__name__}")
-    return _json_str(text)
-
-
 def _write(obj, pad: str, out: list) -> None:
     """Append the text of ``obj`` to ``out``; ``pad`` is the newline and
     indent of the line it starts on.  Scalars inside a container are written
@@ -378,12 +350,13 @@ def _write(obj, pad: str, out: list) -> None:
             return
         inner, sep = pad + "  ", "{"
         for key, value in sorted(obj.items()):
-            key = _json_str(key) if type(key) is str else _key_text(key)
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             leaf = _LEAVES.get(type(value))
             if leaf is not None:
-                out.append(f"{sep}{inner}{key}: {leaf(value)}")
+                out.append(f"{sep}{inner}{_json_str(key)}: {leaf(value)}")
             else:
-                out.append(f"{sep}{inner}{key}: ")
+                out.append(f"{sep}{inner}{_json_str(key)}: ")
                 _write(value, inner, out)
             sep = ","
         out.append(pad + "}")
@@ -402,7 +375,7 @@ def _write(obj, pad: str, out: list) -> None:
             sep = ","
         out.append(pad + "]")
     else:
-        out.append(_leaf(obj))
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # each summary verdict: the stage it reads and how it reads that stage's part

@@ -15,7 +15,7 @@ from .errors import ConfigurationError, GradientStructureError
 from .fields import NonlinearField, _u_jacobian, galerkin_F
 from .semiflow import DIVERGENCE_THRESHOLD, IntegratorSettings, Trajectory, integrate_ensemble
 from .spectral import (GalerkinState, ProblemConfig, SpectralBasis, _check_states, _eigh,
-                       _real, diag_A)
+                       _entries, _real, diag_A)
 
 log = logging.getLogger(__name__)
 
@@ -540,7 +540,7 @@ def shoot_connection(field: NonlinearField, basis: SpectralBasis, split: SplitIn
         raise ConfigurationError(
             "eps must be one number for one direction and a sequence for a sequence "
             f"of directions, got {eps!r}")
-    directions = [direction] if single else list(direction)
+    directions = [direction] if single else _entries("direction", direction)
     epsilons = [_real("eps", e) for e in ([eps] if single else eps)]
     if 0.0 in epsilons:
         raise ConfigurationError(f"eps must be nonzero, got {eps!r}")

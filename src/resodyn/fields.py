@@ -560,7 +560,7 @@ def make_field(spec: str, m: int, basis: Optional[SpectralBasis] = None) -> Nonl
     whole number >= 1.
     """
     m = _count("m", m)
-    match = _CATALOGUE_RE.match(spec)
+    match = isinstance(spec, str) and _CATALOGUE_RE.match(spec)
     if not match:
         raise ConfigurationError(f"cannot parse field spec {spec!r}")
     negate, name, argstr = match.groups()

@@ -12,7 +12,7 @@ import numpy as np
 from .decomposition import CountVector
 from .errors import ConfigurationError, HypothesisError
 from .fields import _u_jacobian
-from .spectral import ProblemConfig, SpectralBasis, _count, _eigh, _one_based, _sign
+from .spectral import ProblemConfig, SpectralBasis, _count, _eigh, _entries, _one_based, _sign
 
 __all__ = [
     "HomotopyType",
@@ -74,18 +74,21 @@ def wedge(a: HomotopyType, b: HomotopyType) -> HomotopyType:
     return HomotopyType.sphere(a.exponent + b.exponent)
 
 
-def _normalize_sign(sign, n_count: int) -> Optional[str]:
+def _normalize_sign(name: str, sign, n_count: int) -> Optional[str]:
     """Fold a vacuous verdict into a sign choice (its count contribution is 0,
-    so both branches agree); None means not verified."""
-    if sign in ("+", "-"):
-        return sign
+    so both branches agree); None means not verified.  Any other value
+    raises a ConfigurationError naming ``name``."""
+    if sign is None:
+        return None
+    if not isinstance(sign, str) or sign not in ("+", "-", "vacuous"):
+        raise ConfigurationError(f"{name} must be '+', '-', 'vacuous' or None, got {sign!r}")
     if sign == "vacuous":
         if n_count != 0:
             raise ConfigurationError(
                 "a vacuous resonance verdict requires the matching kernel count to be 0"
             )
         return "+"
-    return None
+    return sign
 
 
 def index_K_infinity(cv: CountVector, ll1_sign, ll2_sign) -> tuple[Optional[HomotopyType], str]:
@@ -94,10 +97,12 @@ def index_K_infinity(cv: CountVector, ll1_sign, ll2_sign) -> tuple[Optional[Homo
 
     (+,+) -> d_inf + n1 + n2, (-,-) -> d_inf, (+,-) -> d_inf + n1,
     (-,+) -> d_inf + n2.  ``vacuous`` verdicts are sign-compatible with
-    either branch.  Returns (None, "none") when no pair is verified.
+    either branch; None means not verified.  Returns (None, "none") when no
+    pair is verified; a sign that is none of '+', '-', 'vacuous' and None
+    raises ConfigurationError.
     """
-    s1 = _normalize_sign(ll1_sign, cv.n1)
-    s2 = _normalize_sign(ll2_sign, cv.n2)
+    s1 = _normalize_sign("ll1_sign", ll1_sign, cv.n1)
+    s2 = _normalize_sign("ll2_sign", ll2_sign, cv.n2)
     if s1 is None or s2 is None:
         return None, "none"
     exponent = cv.d_inf
@@ -117,12 +122,15 @@ def index_partition(d_inf: int, kernel_dims: Sequence[int],
     partition {1..m}.  Each block contributes its kernel-dimension sum when
     its sign is plus and nothing when minus.  ``d_inf`` and the kernel
     dimensions are whole numbers >= 0, block entries are components in
-    1..m and signs are '+' or '-'; anything else raises ConfigurationError.
+    1..m and signs are '+' or '-', each given as a sequence; anything else
+    raises ConfigurationError.
     """
     exponent = _count("d_inf", d_inf, 0)
-    kernel_dims = [_count("kernel_dims", n, 0) for n in kernel_dims]
+    kernel_dims = [_count("kernel_dims", n, 0) for n in _entries("kernel_dims", kernel_dims)]
     m = len(kernel_dims)
-    blocks = [[_one_based("blocks", i, m) for i in block] for block in blocks]
+    blocks = [[_one_based("blocks", i, m) for i in _entries("blocks", block)]
+              for block in _entries("blocks", blocks)]
+    signs = _entries("signs", signs)
     if len(blocks) != len(signs):
         raise ConfigurationError("need one sign per block")
     seen: set[int] = set()

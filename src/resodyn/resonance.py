@@ -18,7 +18,8 @@ from .errors import ConfigurationError, EvaluationError
 from .fields import NonlinearField, galerkin_F
 from .semiflow import _csv_table
 from .spectral import (GalerkinState, ProblemConfig, SpectralBasis, _count, _gauss_legendre,
-                       _one_based, _radius, _scipy_dir, _sign, _ufuncs, fractional_weights)
+                       _entries, _floats, _one_based, _radius, _scipy_dir, _sign, _ufuncs,
+                       fractional_weights)
 
 __all__ = [
     "DegreeSets",
@@ -65,14 +66,11 @@ class LLReport:
 def degree_sets(config: ProblemConfig) -> DegreeSets:
     """sigma-check minima with their argmin sets J1 (and J2 when l < m);
     ProblemConfig has already refused a minimum >= 1."""
-    sig = np.asarray(config.sigma)
-    s1 = float(np.min(sig[: config.l]))
-    J1 = tuple(int(k) for k in range(1, config.l + 1) if sig[k - 1] == s1)
-    if config.l == config.m:
-        return DegreeSets(sigma_check1=s1, J1=J1, sigma_check2=None, J2=())
-    s2 = float(np.min(sig[config.l:]))
-    J2 = tuple(int(k) for k in range(config.l + 1, config.m + 1) if sig[k - 1] == s2)
-    return DegreeSets(sigma_check1=s1, J1=J1, sigma_check2=s2, J2=J2)
+    sig, out = np.asarray(config.sigma), []
+    for lo, hi in ((0, config.l), (config.l, config.m)):
+        s = float(np.min(sig[lo:hi])) if hi > lo else None
+        out += [s, tuple(k + 1 for k in range(lo, hi) if sig[k] == s)]
+    return DegreeSets(*out)
 
 
 def _block_mask(split: SplitIndexSet, which: int) -> np.ndarray:
@@ -200,10 +198,10 @@ def ll_functional(field: NonlinearField, basis: SpectralBasis, split: SplitIndex
                        - int_{u_k<0} f_k^- |u_k|^{1-sigma_k} ),
     where J is the argmin degree set of the block and u is the kernel element
     encoded by ``direction`` (entries in ``block_modes`` order).  The sign
-    conditions then read +-S > 0.  A NaN or infinite entry of ``direction``
-    raises ConfigurationError.
+    conditions then read +-S > 0.  An entry of ``direction`` that is NaN,
+    infinite or not a number raises ConfigurationError.
     """
-    direction = np.asarray(direction, dtype=float)
+    direction = _floats("direction", direction)
     _radius("largest |direction| entry", np.abs(direction).max(initial=0.0))
     return float(_ll_values(field, basis, split, config, which, direction[None])[0])
 
@@ -400,8 +398,9 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     X- + X+ ball of fractional radius ``W_radius``; returns the minimum of
     +-<F(u+v+w), u>_which over the samples.  A positive margin at and beyond
     some radius supports the guiding estimate behind the a priori bounds.
-    Every R and ``W_radius`` is finite and >= 0, and ``seed`` is a whole
-    number >= 0; anything else raises ConfigurationError.
+    ``R_grid`` is a nonempty sequence, every R and ``W_radius`` is finite
+    and >= 0, and ``seed`` is a whole number >= 0; anything else raises
+    ConfigurationError.
 
     The draws of each sample come from one generator in sample order (u's
     normals; v's normals and radius; w's normals and, when its fractional
@@ -415,9 +414,9 @@ def guiding_margin(field: NonlinearField, basis: SpectralBasis, split: SplitInde
     which, sign = _one_based("which", which, 2), _sign("sign", sign)
     samples, seed = _count("samples", samples), _count("seed", seed, 0)
     sgn = 1.0 if sign == "+" else -1.0
-    if not len(R_grid):
+    R_grid = [_radius("R_grid", R) for R in _entries("R_grid", R_grid)]
+    if not R_grid:
         raise ConfigurationError("R_grid needs at least one value")
-    R_grid = [_radius("R_grid", R) for R in R_grid]
     W_radius = _radius("W_radius", W_radius)
     rng = np.random.default_rng(seed)
     main_mask = _block_mask(split, which)

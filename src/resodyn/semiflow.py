@@ -590,28 +590,23 @@ def sample_states_in_box(basis: SpectralBasis, split: SplitIndexSet,
     count, seed = _count("count", count, minimum=0), _count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     weights = fractional_weights(basis, config) ** config.alpha
-    masks = split.masks
-    out_mask = ~masks["Q0"]  # X- + X+
+    ones, masks = np.ones_like(weights), split.masks
+    # P1 and P2 by their L2 norm, then X- + X+ by its fractional one, in the
+    # generator's order of draws
+    draws = ((masks["P1"], ones, box.R1 + 1.0), (masks["P2"], ones, box.R2 + 1.0),
+             (~masks["Q0"], weights, box.R0 + 1.0))
     states = []
     for _ in range(count):
         c = np.zeros((config.m, basis.J))
-        for name, radius in (("P1", box.R1 + 1.0), ("P2", box.R2 + 1.0)):
-            mask = masks[name]
+        for mask, weight, radius in draws:
             k = int(mask.sum())
             if k == 0:
                 continue
             vec = rng.normal(size=k)
-            nrm = np.linalg.norm(vec)
+            nrm = np.linalg.norm(weight[mask] * vec)
             if nrm > 0:
                 vec *= BOX_FILL * radius * rng.uniform() / nrm
             c[mask] = vec
-        k = int(out_mask.sum())
-        if k:
-            vec = rng.normal(size=k)
-            frac = np.linalg.norm(weights[out_mask] * vec)
-            if frac > 0:
-                vec *= BOX_FILL * (box.R0 + 1.0) * rng.uniform() / frac
-            c[out_mask] = vec
         states.append(GalerkinState(c))
     return states
 

@@ -268,10 +268,8 @@ class ProblemConfig:
     def __post_init__(self):
         m = _count("m", self.m)
         l = _one_based("l", self.l, m)
-        if not np.iterable(self.lam):
-            raise ConfigurationError(f"lambda must be a sequence of {m} entries, "
-                                     f"got {self.lam!r}")
-        lam = tuple(_real(f"lambda_{k}", v) for k, v in enumerate(self.lam, start=1))
+        lam = tuple(_real(f"lambda_{k}", v)
+                    for k, v in enumerate(_entries("lambda", self.lam), start=1))
         sig = _unit("sigma", self.sigma)
         alpha = _real("alpha", self.alpha)
         if len(lam) != m:
@@ -281,16 +279,10 @@ class ProblemConfig:
         sig = tuple(sig.tolist())
         for name, value in (("m", m), ("l", l), ("lam", lam), ("sigma", sig), ("alpha", alpha)):
             object.__setattr__(self, name, value)
-        if min(sig[:l]) >= 1:
-            raise HypothesisError(
-                "min(sigma_1..sigma_l) must be < 1 (degree-of-resonance hypothesis), "
-                f"got min={min(sig[:l])}"
-            )
-        if l < m and min(sig[l:]) >= 1:
-            raise HypothesisError(
-                "min(sigma_{l+1}..sigma_m) must be < 1 (degree-of-resonance hypothesis), "
-                f"got min={min(sig[l:])}"
-            )
+        for block, first, last in ((sig[:l], "1", "l"), (sig[l:], "{l+1}", "m")):
+            if block and min(block) >= 1:
+                raise HypothesisError(f"min(sigma_{first}..sigma_{last}) must be < 1 "
+                                      f"(degree-of-resonance hypothesis), got min={min(block)}")
         if not (0.75 < alpha < 1):
             raise ConfigurationError(f"alpha must lie in (3/4, 1), got {alpha}")
 
@@ -410,17 +402,31 @@ def _radius(name: str, value, positive: bool = False, inf: bool = False) -> floa
     return out
 
 
-def _unit(name: str, value) -> np.ndarray:
-    """``value``, one number or an array of them, as a float array whose
-    every entry lies in [0, 1]; NaN or anything else raises a
-    ConfigurationError naming ``name``."""
+def _floats(name: str, value) -> np.ndarray:
+    """``value``, one number or an array of them, as a float array; anything
+    that is not a number raises a ConfigurationError naming ``name``."""
     try:
-        out = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{name} = {value!r} is not a number") from None
+
+
+def _unit(name: str, value) -> np.ndarray:
+    """``value`` as a float array by ``_floats`` whose every entry lies in
+    [0, 1]; NaN or anything else raises a ConfigurationError naming
+    ``name``."""
+    out = _floats(name, value)
     if not ((0.0 <= out) & (out <= 1.0)).all():
         raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
     return out
+
+
+def _entries(name: str, value) -> list:
+    """The entries of ``value`` as a list; a value that is not a sequence
+    raises a ConfigurationError naming ``name``."""
+    if not np.iterable(value):
+        raise ConfigurationError(f"{name} must be a sequence, got {value!r}")
+    return list(value)
 
 
 def _sign(name: str, value) -> str:

@@ -59,10 +59,10 @@ def _bounded(e, R1=1.0, R2=1.0):
     return rd.check_bounded_solution(trajectory, bounds, R1, R2)
 
 
-def _shoot(e, eps):
+def _shoot(e, eps, direction=rd.GalerkinState.unit(1, 32, 1, 1)):
     zero = rd.GalerkinState.zeros(1, 32)
-    return rd.shoot_connection(e.field, e.basis, e.split, e.problem, None,
-                               rd.GalerkinState.unit(1, 32, 1, 1), eps, _settings(), [zero])
+    return rd.shoot_connection(e.field, e.basis, e.split, e.problem, None, direction, eps,
+                               _settings(), [zero])
 
 
 BAD_STATE = rd.GalerkinState(np.ones((1, 31)))
@@ -210,6 +210,31 @@ CASES = [
     ("shoot eps nan", lambda e: _shoot(e, NAN), "eps = "),
     ("problem lambda scalar", lambda e: rd.ProblemConfig(m=1, l=1, lam=2.0, sigma=(0.0,)),
      "lambda must be a sequence"),
+    # sequences, texts and verdict signs
+    ("margin R_grid scalar", lambda e: _margin(e, R_grid=5.0), "R_grid must be a sequence"),
+    ("partition kernel dims scalar", lambda e: rd.index_partition(0, 3, [[1]], ["+"]),
+     "kernel_dims must be a sequence"),
+    ("partition block scalar", lambda e: rd.index_partition(0, [1], [1], ["+"]),
+     "blocks must be a sequence"),
+    ("partition blocks scalar", lambda e: rd.index_partition(0, [1], 1, ["+"]),
+     "blocks must be a sequence"),
+    ("partition signs scalar", lambda e: rd.index_partition(0, [1], [[1]], 5),
+     "signs must be a sequence"),
+    ("ll direction text",
+     lambda e: rd.ll_functional(e.field, e.basis, e.split, e.problem, 1, ["x"]), "direction = "),
+    ("field spec not text", lambda e: rd.make_field(5, 1), "field spec 5"),
+    ("shoot directions scalar", lambda e: _shoot(e, [0.1], direction=5),
+     "direction must be a sequence"),
+    ("K_inf ll1 sign", lambda e: rd.index_K_infinity(rd.CountVector(1, 1, 0), "x", "+"),
+     "ll1_sign must be"),
+    ("K_inf ll2 sign", lambda e: rd.index_K_infinity(rd.CountVector(1, 1, 0), "+", 1.0),
+     "ll2_sign must be"),
+    ("verdict ll1 sign",
+     lambda e: rd.connection_verdict(rd.CountVector(1, 1, 0), 1, "holds", "+", True),
+     "ll1_sign must be"),
+    ("verdict ll2 sign",
+     lambda e: rd.connection_verdict(rd.CountVector(1, 1, 0), 1, "+", "x", True),
+     "ll2_sign must be"),
 ]
 # every public entry that takes a sampling seed refuses a fraction, a
 # negative number and a bool (evaluate_LL on the 1-D kernel block too)
@@ -272,10 +297,12 @@ def test_edge_values_stay_accepted(exp):
 
 
 # (entry, parameter) pairs of resodyn.__all__ whose parameter is a state
-# count, an index, a real, a [0, 1] value, a radius, a time or a sign
+# count, an index, a real, a [0, 1] value, a radius, a time, a sign or a
+# sequence of them
 SWEPT = set("m l J k component mode which count samples draws quad_nodes store_every d0 d_inf "
             "kernel_dims length lam sigma alpha dt T t tol C6 W_radius R_grid R0 R1 R2 u_box "
-            "du_box divergence_threshold eps s s_values sign signs seed".split())
+            "du_box divergence_threshold eps s s_values sign signs seed blocks direction "
+            "ll1_sign ll2_sign".split())
 # the pairs that a row of CASES refuses a bad value of
 COVERED = {
     ("Domain1D", "length"), ("Domain1D", "quad_nodes"),
@@ -301,7 +328,10 @@ COVERED = {
     ("guiding_margin", "which"), ("guiding_margin", "W_radius"), ("guiding_margin", "R_grid"),
     ("guiding_margin", "samples"), ("guiding_margin", "sign"),
     ("homotopy_field", "s"), ("index_partition", "d_inf"), ("index_partition", "kernel_dims"),
-    ("index_partition", "signs"), ("integrate", "s"), ("integrate_ensemble", "s_values"),
+    ("index_partition", "blocks"), ("index_partition", "signs"),
+    ("index_K_infinity", "ll1_sign"), ("index_K_infinity", "ll2_sign"),
+    ("connection_verdict", "ll1_sign"), ("connection_verdict", "ll2_sign"),
+    ("ll_functional", "direction"), ("shoot_connection", "direction"), ("integrate", "s"), ("integrate_ensemble", "s_values"),
     ("ll_functional", "which"), ("make_field", "m"), ("product_flow_check", "T"),
     ("project", "component"), ("sample_states_in_box", "count"), ("semigroup_apply", "t"),
     ("shoot_connection", "eps"), ("verify_limits", "k"),

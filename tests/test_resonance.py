@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +35,30 @@ def test_degree_sets_degenerate_l_equals_m():
     d = rd.degree_sets(cfg)
     assert d.sigma_check1 == 0.0 and d.J1 == (1,)
     assert d.sigma_check2 is None and d.J2 == ()
+
+
+def _degree_sets_by_block(config):
+    """degree_sets with its two blocks written out one after the other."""
+    sig = np.asarray(config.sigma)
+    s1 = float(np.min(sig[: config.l]))
+    J1 = tuple(int(k) for k in range(1, config.l + 1) if sig[k - 1] == s1)
+    if config.l == config.m:
+        return rd.DegreeSets(sigma_check1=s1, J1=J1, sigma_check2=None, J2=())
+    s2 = float(np.min(sig[config.l:]))
+    J2 = tuple(int(k) for k in range(config.l + 1, config.m + 1) if sig[k - 1] == s2)
+    return rd.DegreeSets(sigma_check1=s1, J1=J1, sigma_check2=s2, J2=J2)
+
+
+def test_degree_sets_match_the_sets_by_block():
+    for m in (1, 2, 3):
+        for l in range(1, m + 1):
+            for sigma in itertools.product((0.0, -0.0, 0.5, 1.0), repeat=m):
+                try:
+                    cfg = rd.ProblemConfig(m=m, l=l, lam=(1.0,) * m, sigma=sigma)
+                except HypothesisError:
+                    continue
+                # repr tells -0.0 from 0.0
+                assert repr(rd.degree_sets(cfg)) == repr(_degree_sets_by_block(cfg))
 
 
 def test_ll_functional_first_kernel(basis32, desk_problem, desk_split, desk_field):
@@ -280,10 +305,19 @@ def test_classify_gives_at_most_one_kernel_mode_per_component(J, length, m, pick
 
 def test_degree_error_surfaces():
     # a degenerate degree surfaces when the config is built, before any
-    # degree_sets call could see it, in either block
-    for l, sigma in ((2, (1.0, 1.0)), (1, (0.0, 1.0))):
-        with pytest.raises(HypothesisError, match="degree-of-resonance"):
+    # degree_sets call could see it, in either block, with the block's text
+    messages = {
+        (2, (1.0, 1.0)): "min(sigma_1..sigma_l) must be < 1 (degree-of-resonance "
+                         "hypothesis), got min=1.0",
+        (1, (0.0, 1.0)): "min(sigma_{l+1}..sigma_m) must be < 1 (degree-of-resonance "
+                         "hypothesis), got min=1.0",
+        (1, (1.0, 0.5)): "min(sigma_1..sigma_l) must be < 1 (degree-of-resonance "
+                         "hypothesis), got min=1.0",
+    }
+    for (l, sigma), message in messages.items():
+        with pytest.raises(HypothesisError) as info:
             rd.ProblemConfig(m=2, l=l, lam=(1.0, 1.0), sigma=sigma)
+        assert str(info.value) == message
 
 
 def test_guiding_margin_positive_for_large_radius(basis32, desk_problem, desk_split,

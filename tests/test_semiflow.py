@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -309,6 +310,59 @@ def test_box_membership_and_sampling(basis32, desk_problem, desk_split, rng):
         assert q <= box.R0 + 1.0
         assert norms[2] <= box.R1 + 1.0
         assert norms[3] <= box.R2 + 1.0
+
+
+def _box_draws_by_block(basis, split, config, box, count, seed):
+    """sample_states_in_box as three hand-written draws per state: P1 and P2
+    by their L2 norm, then X- + X+ by its fractional norm."""
+    from resodyn.semiflow import BOX_FILL
+    rng = np.random.default_rng(seed)
+    weights = fractional_weights(basis, config) ** config.alpha
+    masks = split.masks
+    out_mask = ~masks["Q0"]
+    states = []
+    for _ in range(count):
+        c = np.zeros((config.m, basis.J))
+        for name, radius in (("P1", box.R1 + 1.0), ("P2", box.R2 + 1.0)):
+            mask = masks[name]
+            k = int(mask.sum())
+            if k == 0:
+                continue
+            vec = rng.normal(size=k)
+            nrm = np.linalg.norm(vec)
+            if nrm > 0:
+                vec *= BOX_FILL * radius * rng.uniform() / nrm
+            c[mask] = vec
+        k = int(out_mask.sum())
+        if k:
+            vec = rng.normal(size=k)
+            frac = np.linalg.norm(weights[out_mask] * vec)
+            if frac > 0:
+                vec *= BOX_FILL * (box.R0 + 1.0) * rng.uniform() / frac
+            c[out_mask] = vec
+        states.append(c)
+    return states
+
+
+def test_box_draws_match_the_draws_by_block():
+    basis = rd.build_basis(rd.Domain1D(1.0, 32), 8)
+    for m in (1, 2, 3):
+        # every component resonant, or the last one not (an empty block 2
+        # for l < m)
+        for resonant in {(True,) * m, (True,) * (m - 1) + (False,)}:
+            lam = tuple(float(basis.mu[k]) * (1.0 if r else 1.3)
+                        for k, r in enumerate(resonant))
+            for l in range(1, m + 1):
+                cfg = rd.ProblemConfig(m=m, l=l, lam=lam, sigma=(0.0,) * m)
+                split = rd.classify(basis, cfg)
+                for R0, R1, R2, count, seed in itertools.product(
+                        *[(0.0, 1.5, 7.0)] * 3, (0, 1, 5), (0, 11)):
+                    box = rd.HomotopyBox(R0=R0, R1=R1, R2=R2)
+                    got = rd.sample_states_in_box(basis, split, cfg, box, count, seed)
+                    want = _box_draws_by_block(basis, split, cfg, box, count, seed)
+                    assert len(got) == len(want) == count
+                    for state, c in zip(got, want):
+                        assert np.array_equal(state.coeffs, c)
 
 
 # -- batched ensemble ---------------------------------------------------------
